@@ -29,6 +29,7 @@ from .empirics import (
 )
 from .entropy import (
     DEFAULT_PLATEAU_FRACTION,
+    EntropyIntegral,
     FiniteMetricSpace,
     entropy_integral,
 )
@@ -39,9 +40,6 @@ from .envelopes import (
     rosenthal_lift,
     tail_bound,
 )
-
-EXPONENT_CONVENTIONS = ("one_plus_beta", "one_plus_inv_beta")
-
 
 def log_power_exponent(beta, convention="one_plus_beta"):
     """Exponent E of (ln(1+u))^E for the heavy-log-tail shape.
@@ -212,11 +210,28 @@ def compare_curves(empirical, *, upper=None, lower=None, sigma=3.0):
 
 
 @dataclass
+class Geometry:
+    """The index-set geometry a bound is calibrated against.
+
+    ``psi_used`` is the envelope of the field columns and ``tau`` its degree
+    lift; ``space`` holds the envelope distances between index points and
+    ``entropy`` the covering entropy integral of that space against ``tau``.
+    """
+
+    psi_used: object
+    tau: object
+    space: FiniteMetricSpace
+    entropy: EntropyIntegral
+    notes: list = field(default_factory=list)
+
+
+@dataclass
 class BoundReport:
     psi_used: object
     tau: object
     entropy: object
     diameter: float
+    sup_moments: object
     sup_norm: float
     curves: dict
     certified: bool
@@ -226,28 +241,12 @@ class BoundReport:
     notes: list = field(default_factory=list)
 
 
-def uniform_tail_report(
-    field_samples,
-    p_grid,
-    degree,
-    u_grid,
-    *,
-    env=None,
-    eps_grid=None,
-    estimator="greedy",
-    plateau_fraction=DEFAULT_PLATEAU_FRACTION,
-    p_max=DEFAULT_P_MAX,
-    points=DEFAULT_GRID_POINTS,
-    center=False,
-    lower=None,
-):
-    """Full bound pipeline for a panel of normalized deviations.
+def index_geometry(field_samples, p_grid, degree, *, env=None, center=False, **integral):
+    """Envelope, envelope distances and entropy integral of a field's index set.
 
-    ``lower``, when given, is a dict with keys ``beta``, optional
-    ``exponent`` convention, and optional calibration ``column`` (default 0).
+    Without ``env`` the natural envelope of the columns is estimated.
+    ``integral`` holds the keyword options of :func:`entropy_integral`.
     """
-    p_grid = np.asarray(p_grid, dtype=float)
-    u_grid = np.asarray(u_grid, dtype=float)
     notes = []
     if env is None:
         env = natural_envelope(field_samples, p_grid, center=center)
@@ -255,16 +254,27 @@ def uniform_tail_report(
     tau = rosenthal_lift(env, degree)
     dist = envelope_distance(field_samples, env, p_grid=p_grid)
     space = FiniteMetricSpace(field_samples.labels, dist)
-    ent = entropy_integral(
-        space,
-        tau,
-        eps_grid,
-        estimator=estimator,
-        plateau_fraction=plateau_fraction,
-        p_max=p_max,
-        points=points,
-    )
-    notes.extend(ent.notes)
+    return Geometry(env, tau, space, entropy_integral(space, tau, **integral), notes)
+
+
+def calibrate_tails(
+    field_samples,
+    geometry,
+    p_grid,
+    u_grid,
+    *,
+    p_max=DEFAULT_P_MAX,
+    points=DEFAULT_GRID_POINTS,
+    lower=None,
+):
+    """Tail curves of the field supremum, calibrated against a Geometry.
+
+    ``lower``, when given, is a dict with keys ``beta``, optional
+    ``exponent`` convention, and optional calibration ``column`` (default 0).
+    """
+    u_grid = np.asarray(u_grid, dtype=float)
+    tau = geometry.tau
+    notes = geometry.notes + geometry.entropy.notes
     sup_stat = field_samples.sup_abs()
     sup_table = empirical_moments(sup_stat, p_grid, label="sup")
     sup_norm = envelope_norm(sup_table, tau)
@@ -291,21 +301,58 @@ def uniform_tail_report(
         notes.append(
             f"lower shape calibrated on column {col} with coef {coef!r}"
         )
-    scalar_degenerate = field_samples.size == 1 or space.diameter == 0.0
+    diameter = geometry.space.diameter
+    scalar_degenerate = field_samples.size == 1 or diameter == 0.0
     if scalar_degenerate:
         notes.append("single effective index point; report reduces to the moment tail bound")
     return BoundReport(
-        psi_used=env,
+        psi_used=geometry.psi_used,
         tau=tau,
-        entropy=ent,
-        diameter=space.diameter,
+        entropy=geometry.entropy,
+        diameter=diameter,
+        sup_moments=sup_table,
         sup_norm=sup_norm,
         curves=curves,
-        certified=ent.finite,
+        certified=geometry.entropy.finite,
         scalar_degenerate=scalar_degenerate,
         replications=field_samples.replications,
         index_size=field_samples.size,
         notes=notes,
+    )
+
+
+def uniform_tail_report(
+    field_samples,
+    p_grid,
+    degree,
+    u_grid,
+    *,
+    env=None,
+    eps_grid=None,
+    estimator="greedy",
+    plateau_fraction=DEFAULT_PLATEAU_FRACTION,
+    p_max=DEFAULT_P_MAX,
+    points=DEFAULT_GRID_POINTS,
+    center=False,
+    lower=None,
+):
+    """Full bound pipeline for a panel of normalized deviations:
+    :func:`index_geometry` followed by :func:`calibrate_tails`.
+    """
+    geometry = index_geometry(
+        field_samples,
+        p_grid,
+        degree,
+        env=env,
+        eps_grid=eps_grid,
+        estimator=estimator,
+        plateau_fraction=plateau_fraction,
+        p_max=p_max,
+        points=points,
+        center=center,
+    )
+    return calibrate_tails(
+        field_samples, geometry, p_grid, u_grid, p_max=p_max, points=points, lower=lower
     )
 
 

@@ -19,9 +19,9 @@ import sys
 
 import numpy as np
 
-from .bounds import report_text, compare_curves, uniform_tail_report
+from .bounds import Geometry, calibrate_tails, compare_curves, index_geometry, report_text
 from .config import Config, ConfigError, resolve_grid
-from .empirics import FieldSamples, TailCurve, empirical_moments
+from .empirics import FieldSamples, TailCurve
 from .engine import (
     EXACT_TUPLE_BUDGET,
     Exact,
@@ -37,8 +37,8 @@ from .engine import (
     simulate_panel,
     uniform_sampler,
 )
-from .entropy import FiniteMetricSpace
-from .envelopes import MomentEnvelope, make_envelope
+from .entropy import EntropyIntegral, FiniteMetricSpace
+from .envelopes import MomentEnvelope, make_envelope, rosenthal_lift
 
 FIELD = "field.csv"
 FIELD_META = "field_meta.txt"
@@ -72,6 +72,12 @@ def _need(out_dir, name, stage):
     if not os.path.exists(path):
         raise ConfigError(f"stage {stage!r} needs {name} in {out_dir}; run the earlier stage first")
     return path
+
+
+def _read_pairs(path):
+    """(key, value) of every ``key = value`` line of a text artifact."""
+    with open(path) as fh:
+        return [tuple(part.strip() for part in line.split("=", 1)) for line in fh if "=" in line]
 
 
 # -- builders ------------------------------------------------------------
@@ -122,7 +128,7 @@ def build_mode(cfg):
     mode = cfg.get_str("run.mode", "exact", choices=("exact", "incomplete"))
     if mode == "exact":
         return Exact(cfg.get_int("run.budget", EXACT_TUPLE_BUDGET))
-    return Incomplete(cfg.get_int("run.subsets"), cfg.get_int("run.seed"))
+    return Incomplete(cfg.get_int("run.subsets"))
 
 
 def build_envelope(cfg):
@@ -164,16 +170,11 @@ def read_field(out_dir, stage):
     meta = {}
     meta_path = os.path.join(out_dir, FIELD_META)
     if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            for line in fh:
-                if "=" not in line:
-                    continue
-                k, v = line.split("=", 1)
-                k, v = k.strip(), v.strip()
-                if k == "note":
-                    meta.setdefault("notes", []).append(v)
-                else:
-                    meta[k] = v
+        for k, v in _read_pairs(meta_path):
+            if k == "note":
+                meta.setdefault("notes", []).append(v)
+            else:
+                meta[k] = v
     return FieldSamples(labels, np.array(rows), meta)
 
 
@@ -226,16 +227,49 @@ def write_psi(out_dir, env, degree):
 
 def read_psi(out_dir, stage):
     path = _need(out_dir, PSI_USED, stage)
-    env, degree = None, None
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("psi ="):
-                env = MomentEnvelope.from_text(line.split("=", 1)[1].strip())
-            elif line.startswith("degree ="):
-                degree = int(line.split("=", 1)[1])
-    if env is None or degree is None:
+    record = dict(_read_pairs(path))
+    if "psi" not in record or "degree" not in record:
         raise ConfigError(f"{path}: malformed envelope record")
-    return env, degree
+    return MomentEnvelope.from_text(record["psi"]), int(record["degree"])
+
+
+def write_entropy(out_dir, space, ent, estimator):
+    lines = ["eps,count,entropy,integrand"]
+    for e, h, g in zip(ent.eps_grid, ent.entropies, ent.integrand):
+        lines.append(f"{_f(e)},{int(round(math.exp(h)))},{_f(h)},{_f(g)}")
+    _write(os.path.join(out_dir, ENTROPY), "\n".join(lines) + "\n")
+    summary = [
+        f"estimator = {estimator}",
+        f"points = {space.size}",
+        f"diameter = {_f(space.diameter)}",
+        f"integral = {_f(ent.value)}",
+        f"saturated_fraction = {_f(ent.saturated_fraction)}",
+        f"certified = {'true' if ent.finite else 'false'}",
+    ]
+    _write(os.path.join(out_dir, ENTROPY_SUMMARY), "\n".join(summary) + "\n")
+
+
+def read_entropy(out_dir, stage):
+    with open(_need(out_dir, ENTROPY, stage)) as fh:
+        fh.readline()
+        rows = np.array([[float(x) for x in line.split(",")] for line in fh if line.strip()])
+    summary = dict(_read_pairs(_need(out_dir, ENTROPY_SUMMARY, stage)))
+    return EntropyIntegral(
+        value=float(summary["integral"]),
+        finite=summary["certified"] == "true",
+        eps_grid=rows[:, 0],
+        integrand=rows[:, 3],
+        entropies=rows[:, 2],
+        saturated_fraction=float(summary["saturated_fraction"]),
+        points=int(summary["points"]),
+    )
+
+
+def read_geometry(out_dir, stage):
+    """The Geometry the entropy stage wrote, rebuilt from its artifacts."""
+    env, degree = read_psi(out_dir, stage)
+    space = read_distance(out_dir, stage)
+    return Geometry(env, rosenthal_lift(env, degree), space, read_entropy(out_dir, stage))
 
 
 def write_svg(out_dir, curves):
@@ -330,7 +364,7 @@ def stage_decompose(cfg, out_dir):
 def _resolve_degree(cfg, fld):
     if cfg.has("bound.degree"):
         return cfg.get_int("bound.degree")
-    if fld is not None and "degree" in fld.meta:
+    if "degree" in fld.meta:
         return int(fld.meta["degree"])
     if cfg.has("kernel.degree"):
         return cfg.get_int("kernel.degree")
@@ -338,64 +372,36 @@ def _resolve_degree(cfg, fld):
 
 
 def stage_entropy(cfg, out_dir):
-    from .empirics import envelope_distance, natural_envelope
-    from .entropy import default_eps_grid, entropy_integral
-
     env = build_envelope(cfg)
-    if env is not None and os.path.exists(os.path.join(out_dir, DISTANCE)):
-        space = read_distance(out_dir, "entropy")
-        fld = read_field(out_dir, "entropy") if os.path.exists(os.path.join(out_dir, FIELD)) else None
-    else:
-        fld = read_field(out_dir, "entropy")
-        p_grid = resolve_grid(cfg.get_str("grids.p", "log:2:16:8"))
-        if env is None:
-            env = natural_envelope(fld, p_grid)
-        dist = envelope_distance(fld, env, p_grid=p_grid)
-        space = FiniteMetricSpace(fld.labels, dist)
-        write_distance(out_dir, fld.labels, dist)
+    fld = read_field(out_dir, "entropy")
     degree = _resolve_degree(cfg, fld)
-    write_psi(out_dir, env, degree)
-    from .envelopes import rosenthal_lift
-
-    tau = rosenthal_lift(env, degree)
-    eps_grid = None
-    if cfg.has("grids.eps"):
-        eps_grid = resolve_grid(cfg.get_str("grids.eps"))
-    else:
-        eps_grid = default_eps_grid(space)
     estimator = cfg.get_str("entropy.estimator", "greedy", choices=("greedy", "packing", "exact"))
-    ent = entropy_integral(
-        space,
-        tau,
-        eps_grid,
+    geo = index_geometry(
+        fld,
+        resolve_grid(cfg.get_str("grids.p", "log:2:16:8")),
+        degree,
+        env=env,
+        eps_grid=resolve_grid(cfg.get_str("grids.eps")) if cfg.has("grids.eps") else None,
         estimator=estimator,
         plateau_fraction=cfg.get_float("entropy.plateau_fraction", 0.9),
         p_max=cfg.get_float("psi.p_max", 64.0),
         points=cfg.get_int("psi.points", 257),
     )
-    lines = ["eps,count,entropy,integrand"]
-    for e, h, g in zip(ent.eps_grid, ent.entropies, ent.integrand):
-        lines.append(f"{_f(e)},{int(round(math.exp(h)))},{_f(h)},{_f(g)}")
-    _write(os.path.join(out_dir, ENTROPY), "\n".join(lines) + "\n")
-    summary = [
-        f"estimator = {estimator}",
-        f"points = {space.size}",
-        f"diameter = {_f(space.diameter)}",
-        f"integral = {_f(ent.value)}",
-        f"saturated_fraction = {_f(ent.saturated_fraction)}",
-        f"certified = {'true' if ent.finite else 'false'}",
-    ]
-    _write(os.path.join(out_dir, ENTROPY_SUMMARY), "\n".join(summary) + "\n")
+    write_distance(out_dir, geo.space.labels, geo.space.dist)
+    write_psi(out_dir, geo.psi_used, degree)
+    write_entropy(out_dir, geo.space, geo.entropy, estimator)
     return 0
 
 
 def stage_bounds(cfg, out_dir):
     fld = read_field(out_dir, "bounds")
-    env, degree = read_psi(out_dir, "bounds")
+    geo = read_geometry(out_dir, "bounds")
+    if geo.space.labels != fld.labels:
+        raise ConfigError(
+            f"{DISTANCE} was measured on other index points than {FIELD}; rerun stage 'entropy'"
+        )
     p_grid = resolve_grid(cfg.get_str("grids.p", "log:2:16:8"))
-    sup_stat = fld.sup_abs()
-    u_grid = resolve_grid(cfg.get_str("grids.u", "quantile:0.5:0.99:16"), data=sup_stat)
-    eps_grid = resolve_grid(cfg.get_str("grids.eps")) if cfg.has("grids.eps") else None
+    u_grid = resolve_grid(cfg.get_str("grids.u", "quantile:0.5:0.99:16"), data=fld.sup_abs())
     lower = None
     if cfg.has("bound.lower_beta"):
         lower = {
@@ -407,20 +413,16 @@ def stage_bounds(cfg, out_dir):
             ),
             "column": cfg.get_int("bound.lower_column", 0),
         }
-    report = uniform_tail_report(
+    report = calibrate_tails(
         fld,
+        geo,
         p_grid,
-        degree,
         u_grid,
-        env=env,
-        eps_grid=eps_grid,
-        estimator=cfg.get_str("entropy.estimator", "greedy", choices=("greedy", "packing", "exact")),
-        plateau_fraction=cfg.get_float("entropy.plateau_fraction", 0.9),
         p_max=cfg.get_float("psi.p_max", 64.0),
         points=cfg.get_int("psi.points", 257),
         lower=lower,
     )
-    sup_table = empirical_moments(sup_stat, p_grid, label="sup")
+    sup_table = report.sup_moments
     lines = ["p,value,low_confidence"]
     for p, v, low in zip(sup_table.p_grid, sup_table.values, sup_table.low_confidence):
         lines.append(f"{_f(p)},{_f(v)},{str(bool(low)).lower()}")

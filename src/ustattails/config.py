@@ -114,12 +114,6 @@ class Config:
 
         return self._get_cast(key, default, cast, "a comma list of numbers")
 
-    def get_ints(self, key, default=_MISSING):
-        def cast(raw):
-            return [int(tok) for tok in raw.split(",") if tok.strip()]
-
-        return self._get_cast(key, default, cast, "a comma list of integers")
-
 
 def parse_grid(spec):
     """Grid specs: ``lin:LO:HI:K``, ``log:LO:HI:K``, ``quantile:QLO:QHI:K``,

@@ -11,13 +11,26 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .envelopes import MomentTable, envelope_norm, tabulated_envelope
 
 # moment orders beyond kappa * ln(n) are dominated by the sample maximum and
 # carry little information; tables flag them rather than refuse them
 DEFAULT_KAPPA = 4.0
+
+
+def _logsumexp_rows(a):
+    """ln sum_j exp(a[i, j]) for each row of a finite 2-d array.
+
+    Follows scipy.special.logsumexp: the m terms equal to the row maximum are
+    counted rather than summed, and the result is log1p(s/m) + ln m + max,
+    where s sums the remaining terms shifted by the maximum.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    ties = a == a_max
+    m = ties.sum(axis=1, keepdims=True)
+    s = np.exp(np.where(ties, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+    return (np.log1p(s / m) + np.log(m) + a_max)[:, 0]
 
 
 def _pava_nondecreasing(values):
@@ -58,7 +71,7 @@ def empirical_moments(samples, p_grid, *, label="", kappa=DEFAULT_KAPPA):
     else:
         la = log_abs[finite]
         # zeros contribute nothing to the p-th moment sum
-        log_norms = (logsumexp(p[:, None] * la[None, :], axis=1) - math.log(x.size)) / p
+        log_norms = (_logsumexp_rows(p[:, None] * la[None, :]) - math.log(x.size)) / p
     values = np.exp(log_norms)
     values, violation = _pava_nondecreasing(values)
     low = p > kappa * math.log(x.size)
@@ -195,7 +208,3 @@ def empirical_tail(samples, u_grid, *, kind="empirical"):
     below = np.searchsorted(x, -u, side="left")  # count x < -u
     probs = np.maximum(above, below) / x.size
     return TailCurve(u, probs, kind, sample_count=x.size)
-
-
-def curve_to_rows(curve):
-    return [(float(u), float(p)) for u, p in zip(curve.u_grid, curve.probs)]

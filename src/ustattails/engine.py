@@ -14,7 +14,7 @@ weighted alphabet, and give exact means, variances, and ranks.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -119,34 +119,6 @@ def lognormal_sampler(sigma=1.0):
         return mag * sign
 
     return Sampler("lognormal", draw)
-
-
-def parse_sampler(spec):
-    """Build a sampler from a spec string like ``pareto:a=3``."""
-    parts = spec.strip().split(":")
-    name, kv = parts[0], {}
-    for tok in parts[1:]:
-        if "=" not in tok:
-            raise ValueError(f"malformed sampler option {tok!r}")
-        k, v = tok.split("=", 1)
-        kv[k] = v
-    if name == "normal":
-        return normal_sampler()
-    if name == "uniform":
-        return uniform_sampler(float(kv.get("lo", 0.0)), float(kv.get("hi", 1.0)))
-    if name == "rademacher":
-        return rademacher_sampler()
-    if name == "pareto":
-        return pareto_sampler(float(kv["a"]))
-    if name == "lognormal":
-        return lognormal_sampler(float(kv.get("sigma", 1.0)))
-    if name == "alphabet":
-        values = [float(x) for x in kv["values"].split(",")]
-        weights = (
-            [float(x) for x in kv["weights"].split(",")] if "weights" in kv else None
-        )
-        return alphabet_sampler(values, weights)
-    raise ValueError(f"unknown sampler {name!r}")
 
 
 # -- kernels -----------------------------------------------------------
@@ -282,7 +254,6 @@ class Exact:
 @dataclass(frozen=True)
 class Incomplete:
     subsets: int
-    seed: int = 0
 
 
 @lru_cache(maxsize=64)
@@ -334,16 +305,6 @@ def _resolve_mode(mode, n, d):
     raise ValueError(f"unknown averaging mode {mode!r}")
 
 
-@dataclass
-class UStatResult:
-    n: int
-    labels: tuple
-    values: np.ndarray
-    mode: str
-    subsets: int
-    notes: list = field(default_factory=list)
-
-
 def u_statistic_matrix(kernel, X, idx):
     """Averages over given index tuples for a batch of datasets.
 
@@ -356,24 +317,6 @@ def u_statistic_matrix(kernel, X, idx):
     for j, t in enumerate(kernel.t_grid):
         out[:, j] = np.mean(kernel.fn(gathers, t), axis=1)
     return out
-
-
-def u_statistic(kernel, data, mode=None, *, rng=None):
-    """U-statistic of a single dataset over the kernel's index grid."""
-    x = np.asarray(data, dtype=float).ravel()
-    n, d = x.size, kernel.degree
-    if n <= d:
-        raise ValueError(f"need more than degree = {d} observations, got {n}")
-    mode = Exact() if mode is None else mode
-    kind, count, notes = _resolve_mode(mode, n, d)
-    if kind == "exact":
-        idx = _index_tuples(n, d)
-    else:
-        if rng is None:
-            rng = _stream(getattr(mode, "seed", 0), 0, "tuples")
-        idx = _sample_tuples(rng, n, d, count)
-    vals = u_statistic_matrix(kernel, x[None, :], idx)[0]
-    return UStatResult(n, kernel.t_grid, vals, kind, count, notes)
 
 
 # -- exact decomposition ------------------------------------------------
@@ -534,10 +477,6 @@ def deviation_scale(n, rank, convention="multiply"):
     if convention == "divide":
         return float(n) ** (-rank / 2.0)
     raise ValueError(f"unknown normalization convention {convention!r}")
-
-
-def normalized_deviation(values, mean, n, rank, convention="multiply"):
-    return deviation_scale(n, rank, convention) * (np.asarray(values) - mean)
 
 
 def draw_data(sampler, n, reps, seed):

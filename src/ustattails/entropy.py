@@ -15,7 +15,7 @@ certification flag instead.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -157,7 +157,13 @@ class EntropyIntegral:
     integrand: np.ndarray
     entropies: np.ndarray
     saturated_fraction: float
-    notes: list = field(default_factory=list)
+    points: int
+
+    @property
+    def notes(self):
+        if self.points <= 1:
+            return ["single-point index set; entropy integral is trivial"]
+        return []
 
 
 def default_eps_grid(space, points=64):
@@ -210,11 +216,8 @@ def entropy_integral(
         frac = sat_mass / value
     else:
         frac = 0.0
-    notes = []
-    if space.size <= 1:
-        notes.append("single-point index set; entropy integral is trivial")
     finite = frac < plateau_fraction
-    return EntropyIntegral(value, finite, eps, integrand, entropies, frac, notes)
+    return EntropyIntegral(value, finite, eps, integrand, entropies, frac, space.size)
 
 
 def integral_trend(values, *, growth_factor=1.5):

@@ -353,7 +353,6 @@ class MomentTable:
     label: str = ""
     low_confidence: np.ndarray | None = None
     pava_violation: float = 0.0
-    centered: bool = False
 
     def __post_init__(self):
         self.p_grid = np.asarray(self.p_grid, dtype=float)

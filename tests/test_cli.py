@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ustattails
 from ustattails.cli import (
     BOUND_REPORT,
     DECOMP,
@@ -64,6 +67,11 @@ def smoke_run(smoke_cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     rc = main(["run", smoke_cfg, "--out", str(out)])
     return rc, out
+
+
+def key_values(path):
+    lines = path.read_text().splitlines()
+    return dict(line.split(" = ", 1) for line in lines if " = " in line)
 
 
 def read_artifacts(out_dir):
@@ -186,6 +194,37 @@ class TestPipeline:
         assert main(["verify", smoke_cfg, "--out", str(out2)]) == 0
         assert read_artifacts(out) == read_artifacts(out2)
 
+    @pytest.mark.parametrize("stages", [("run",), ("entropy", "bounds")])
+    def test_envelope_change_recomputes_geometry(self, smoke_cfg, smoke_run, tmp_path, stages):
+        # A directory holding a natural-envelope run is rerun with a constant
+        # envelope: the distances must be measured again, not read back.
+        constant = ["--set", "psi.family=constant", "--set", "psi.value=0.5",
+                    "--set", "psi.p_sup=8.0"]
+        fresh = tmp_path / "fresh"
+        assert main(["run", smoke_cfg, "--out", str(fresh)] + constant) in (0, 2)
+        reused = tmp_path / "reused"
+        reused.mkdir()
+        for name, data in read_artifacts(smoke_run[1]).items():
+            (reused / name).write_bytes(data)
+        for stage in stages:
+            assert main([stage, smoke_cfg, "--out", str(reused)] + constant) in (0, 2)
+        for name in (PSI_USED, DISTANCE, ENTROPY_SUMMARY, BOUND_REPORT):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+        report, summary = (key_values(reused / name) for name in (BOUND_REPORT, ENTROPY_SUMMARY))
+        assert report["diameter"] == summary["diameter"]
+        assert report["entropy_integral"] == summary["integral"]
+
+    def test_bounds_rejects_geometry_of_other_index(self, smoke_cfg, smoke_run, tmp_path, capsys):
+        out = tmp_path / "resimulated"
+        out.mkdir()
+        for name, data in read_artifacts(smoke_run[1]).items():
+            (out / name).write_bytes(data)
+        other = ["--set", "kernel.t_grid=0.2,0.5,0.9"]
+        assert main(["simulate", smoke_cfg, "--out", str(out)] + other) == 0
+        assert main(["bounds", smoke_cfg, "--out", str(out)] + other) == 1
+        err = capsys.readouterr().err
+        assert "distance.csv" in err and "rerun stage 'entropy'" in err
+
     def test_saturated_geometry_exits_2(self, smoke_cfg, tmp_path):
         out = tmp_path / "sat"
         rc = main([
@@ -256,3 +295,16 @@ class TestPipeline:
         cfg.write_text("sampler.name = normal\nkernel.name = product\n")
         assert main(["decompose", cfg.as_posix(), "--out", str(tmp_path)]) == 1
         assert "alphabet" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(ustattails.__file__))
+    code = (
+        "import sys, ustattails, ustattails.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

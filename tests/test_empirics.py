@@ -17,7 +17,7 @@ from ustattails import (
     natural_envelope,
     power_log_envelope,
 )
-from ustattails.empirics import _pava_nondecreasing
+from ustattails.empirics import _logsumexp_rows, _pava_nondecreasing
 from ustattails.engine import _stream
 
 
@@ -45,6 +45,17 @@ class TestPava:
         assert np.all(np.diff(out) >= -1e-9)
         assert np.mean(out) == pytest.approx(np.mean(v), abs=1e-9)
         assert viol >= 0.0
+
+
+class TestLogSumExp:
+    @given(hnp.arrays(float, (3, 7), elements=st.sampled_from([-700.0, -3.5, 0.0, 2.0, 900.0])))
+    def test_matches_exact_sum(self, a):
+        # sampled elements force ties at the row maximum and extreme magnitudes
+        got = _logsumexp_rows(a)
+        for row, value in zip(a, got):
+            top = row.max()
+            want = top + math.log(math.fsum(math.exp(v - top) for v in row))
+            assert value == pytest.approx(want, rel=1e-14, abs=1e-12)
 
 
 class TestEmpiricalMoments:

@@ -20,16 +20,20 @@ from ustattails import (
     make_kernel,
     normal_sampler,
     pareto_sampler,
-    parse_sampler,
     rademacher_sampler,
     simulate_panel,
-    u_statistic,
     u_statistic_panel,
     uniform_sampler,
     variance_u,
     variance_value,
 )
+from ustattails.cli import build_sampler
+from ustattails.config import Config, ConfigError
 from ustattails.engine import _sample_tuples, _stream, spot_check_symmetry
+
+
+def sampler_from(text):
+    return build_sampler(Config.from_text(text, path="cfg"))
 
 
 class TestStreams:
@@ -77,15 +81,20 @@ class TestSamplers:
         assert got == pytest.approx(want, rel=0.05)
 
     def test_parse_round_trips(self):
-        assert parse_sampler("normal").name == "normal"
-        assert parse_sampler("pareto:a=3").name == "pareto"
-        assert parse_sampler("lognormal:sigma=0.5").name == "lognormal"
-        s = parse_sampler("alphabet:values=-1,0,1:weights=0.25,0.5,0.25")
+        assert sampler_from("sampler.name = normal").name == "normal"
+        assert sampler_from("sampler.name = pareto\nsampler.a = 3").name == "pareto"
+        assert sampler_from("sampler.name = lognormal\nsampler.sigma = 0.5").name == "lognormal"
+        s = sampler_from(
+            "sampler.name = alphabet\nsampler.values = -1,0,1\nsampler.weights = 0.25,0.5,0.25"
+        )
         assert np.allclose(s.alphabet[0], [-1.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="unknown sampler"):
-            parse_sampler("cauchy")
-        with pytest.raises(ValueError, match="malformed"):
-            parse_sampler("pareto:3")
+        assert np.allclose(s.alphabet[1], [0.25, 0.5, 0.25])
+        with pytest.raises(ConfigError, match="must be one of"):
+            sampler_from("sampler.name = cauchy")
+        with pytest.raises(ConfigError, match="missing required key 'sampler.a'"):
+            sampler_from("sampler.name = pareto")
+        with pytest.raises(ConfigError, match="cfg:2: sampler.a must be a number"):
+            sampler_from("sampler.name = pareto\nsampler.a = a=3")
 
     def test_uniform_bounds(self):
         x = uniform_sampler(-2.0, 5.0).draw(_stream(4, 0), 1000)
@@ -137,37 +146,38 @@ class TestKernels:
 
 class TestUStatistic:
     def test_pairs_oracle(self):
-        res = u_statistic(make_kernel("product"), [1.0, 2.0, 3.0])
-        assert res.values[0] == pytest.approx(11.0 / 3.0, abs=1e-12)
-        assert res.mode == "exact"
-        assert res.subsets == 3
+        vals, kind, count, _ = u_statistic_panel(make_kernel("product"), [[1.0, 2.0, 3.0]])
+        assert vals[0, 0] == pytest.approx(11.0 / 3.0, abs=1e-12)
+        assert kind == "exact"
+        assert count == 3
 
     def test_needs_more_than_degree(self):
         with pytest.raises(ValueError, match="degree"):
-            u_statistic(make_kernel("product"), [1.0, 2.0])
+            u_statistic_panel(make_kernel("product"), [[1.0, 2.0]])
 
     def test_half_sq_diff_is_sample_variance(self):
         x = np.array([0.3, -1.2, 2.0, 0.7, -0.4])
-        res = u_statistic(make_kernel("half_sq_diff"), x)
-        assert res.values[0] == pytest.approx(np.var(x, ddof=1), abs=1e-12)
+        vals = u_statistic_panel(make_kernel("half_sq_diff"), x[None, :])[0]
+        assert vals[0, 0] == pytest.approx(np.var(x, ddof=1), abs=1e-12)
 
     def test_budget_switches_to_incomplete(self):
         x = _stream(0, 0).standard_normal(300)
-        res = u_statistic(make_kernel("product"), x, Exact(budget=1000))
-        assert res.mode == "incomplete"
-        assert res.subsets == 1000
-        assert res.notes
+        k = make_kernel("product")
+        _, kind, count, notes = u_statistic_panel(k, x[None, :], Exact(budget=1000))
+        assert kind == "incomplete"
+        assert count == 1000
+        assert notes
 
     def test_incomplete_clamps_to_exact(self):
-        res = u_statistic(make_kernel("product"), [1.0, 2.0, 3.0], Incomplete(subsets=3))
-        assert res.mode == "exact"
-        assert res.notes
-        res2 = u_statistic(make_kernel("product"), [1.0, 2.0, 3.0], Incomplete(subsets=2))
-        assert res2.mode == "incomplete"
+        k = make_kernel("product")
+        _, kind, _, notes = u_statistic_panel(k, [[1.0, 2.0, 3.0]], Incomplete(subsets=3))
+        assert kind == "exact"
+        assert notes
+        assert u_statistic_panel(k, [[1.0, 2.0, 3.0]], Incomplete(subsets=2))[1] == "incomplete"
 
     def test_incomplete_needs_positive(self):
         with pytest.raises(ValueError, match="at least one"):
-            u_statistic(make_kernel("product"), [1.0, 2.0, 3.0], Incomplete(subsets=0))
+            u_statistic_panel(make_kernel("product"), [[1.0, 2.0, 3.0]], Incomplete(subsets=0))
 
     def test_incomplete_unbiased(self):
         # average incomplete estimates over replications against the exact value

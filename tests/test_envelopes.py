@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from ustattails import (
     MomentEnvelope,
@@ -26,7 +25,7 @@ TOL = 1e-9
 
 def normal_abs_moment(p):
     # |Z|_p for standard normal Z, via the gamma function
-    return math.sqrt(2.0) * math.exp((gammaln((p + 1.0) / 2.0) - gammaln(0.5)) / p)
+    return math.sqrt(2.0) * math.exp((math.lgamma((p + 1.0) / 2.0) - math.lgamma(0.5)) / p)
 
 
 class TestFamilies:
