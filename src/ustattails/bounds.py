@@ -241,7 +241,7 @@ class BoundReport:
     notes: list = field(default_factory=list)
 
 
-def index_geometry(field_samples, p_grid, degree, *, env=None, center=False, **integral):
+def index_geometry(field_samples, p_grid, degree, *, env=None, **integral):
     """Envelope, envelope distances and entropy integral of a field's index set.
 
     Without ``env`` the natural envelope of the columns is estimated.
@@ -249,7 +249,7 @@ def index_geometry(field_samples, p_grid, degree, *, env=None, center=False, **i
     """
     notes = []
     if env is None:
-        env = natural_envelope(field_samples, p_grid, center=center)
+        env = natural_envelope(field_samples, p_grid)
         notes.append("envelope estimated from column moments")
     tau = rosenthal_lift(env, degree)
     dist = envelope_distance(field_samples, env, p_grid=p_grid)
@@ -271,6 +271,7 @@ def calibrate_tails(
 
     ``lower``, when given, is a dict with keys ``beta``, optional
     ``exponent`` convention, and optional calibration ``column`` (default 0).
+    When that column has no usable point the lower curve is omitted with a note.
     """
     u_grid = np.asarray(u_grid, dtype=float)
     tau = geometry.tau
@@ -290,17 +291,20 @@ def calibrate_tails(
         col = int(lower.get("column", 0))
         conv = lower.get("exponent", "one_plus_beta")
         beta = float(lower["beta"])
+        log_power_exponent(beta, conv)  # a bad shape is an error; an unusable column is not
         col_curve = empirical_tail(field_samples.values[:, col], u_grid)
-        coef = calibrate_log_power(col_curve, beta=beta, exponent=conv)
-        curves["lower"] = TailCurve(
-            u_grid,
-            np.asarray(tail_lower_bound(u_grid, beta=beta, coef=coef, exponent=conv)),
-            "lower_bound",
-            meta={"coef": coef, "beta": beta, "exponent": conv, "column": col},
-        )
-        notes.append(
-            f"lower shape calibrated on column {col} with coef {coef!r}"
-        )
+        try:
+            coef = calibrate_log_power(col_curve, beta=beta, exponent=conv)
+        except ValueError as exc:
+            notes.append(f"lower shape omitted: column {col} has {exc}")
+        else:
+            curves["lower"] = TailCurve(
+                u_grid,
+                np.asarray(tail_lower_bound(u_grid, beta=beta, coef=coef, exponent=conv)),
+                "lower_bound",
+                meta={"coef": coef, "beta": beta, "exponent": conv, "column": col},
+            )
+            notes.append(f"lower shape calibrated on column {col} with coef {coef!r}")
     diameter = geometry.space.diameter
     scalar_degenerate = field_samples.size == 1 or diameter == 0.0
     if scalar_degenerate:
@@ -333,7 +337,6 @@ def uniform_tail_report(
     plateau_fraction=DEFAULT_PLATEAU_FRACTION,
     p_max=DEFAULT_P_MAX,
     points=DEFAULT_GRID_POINTS,
-    center=False,
     lower=None,
 ):
     """Full bound pipeline for a panel of normalized deviations:
@@ -349,7 +352,6 @@ def uniform_tail_report(
         plateau_fraction=plateau_fraction,
         p_max=p_max,
         points=points,
-        center=center,
     )
     return calibrate_tails(
         field_samples, geometry, p_grid, u_grid, p_max=p_max, points=points, lower=lower

@@ -13,9 +13,11 @@ floor, or bound ordering violated).
 """
 
 import argparse
+import hashlib
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -37,8 +39,10 @@ from .engine import (
     simulate_panel,
     uniform_sampler,
 )
-from .entropy import EntropyIntegral, FiniteMetricSpace
-from .envelopes import MomentEnvelope, make_envelope, rosenthal_lift
+from .entropy import DEFAULT_PLATEAU_FRACTION, EntropyIntegral, FiniteMetricSpace
+from .envelopes import (
+    DEFAULT_GRID_POINTS, DEFAULT_P_MAX, MomentEnvelope, make_envelope, rosenthal_lift
+)
 
 FIELD = "field.csv"
 FIELD_META = "field_meta.txt"
@@ -56,10 +60,7 @@ VERIFY_REPORT = "verify_report.txt"
 PLOT = "plot.svg"
 
 OUT_ENV_VAR = "USTATTAILS_OUT"
-
-
-def _f(x):
-    return repr(float(x))
+DEFAULT_P_GRID = "log:2:16:8"
 
 
 def _write(path, text):
@@ -72,12 +73,6 @@ def _need(out_dir, name, stage):
     if not os.path.exists(path):
         raise ConfigError(f"stage {stage!r} needs {name} in {out_dir}; run the earlier stage first")
     return path
-
-
-def _read_pairs(path):
-    """(key, value) of every ``key = value`` line of a text artifact."""
-    with open(path) as fh:
-        return [tuple(part.strip() for part in line.split("=", 1)) for line in fh if "=" in line]
 
 
 # -- builders ------------------------------------------------------------
@@ -147,114 +142,136 @@ def build_envelope(cfg):
 
 
 # -- artifact IO ---------------------------------------------------------
+#
+# Every artifact is a CSV table or a ``key = value`` record, written and read
+# by the four functions below.  Cell text is decided in one place, ``_cell``.
 
 
-def write_field(out_dir, fld):
-    lines = ["rep," + ",".join(str(lbl) for lbl in fld.labels)]
-    for i in range(fld.replications):
-        lines.append(str(i) + "," + ",".join(_f(v) for v in fld.values[i]))
-    _write(os.path.join(out_dir, FIELD), "\n".join(lines) + "\n")
-    meta = fld.meta
-    mlines = [f"{k} = {meta[k]}" for k in sorted(meta) if k != "notes"]
-    for note in meta.get("notes", []):
-        mlines.append(f"note = {note}")
-    _write(os.path.join(out_dir, FIELD_META), "\n".join(mlines) + "\n")
+def _cell(x):
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return repr(float(x)) if isinstance(x, float) else str(x)
 
 
-def read_field(out_dir, stage):
-    path = _need(out_dir, FIELD, stage)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        labels = tuple(header[1:])
-        rows = [[float(x) for x in line.strip().split(",")[1:]] for line in fh if line.strip()]
-    meta = {}
-    meta_path = os.path.join(out_dir, FIELD_META)
-    if os.path.exists(meta_path):
-        for k, v in _read_pairs(meta_path):
-            if k == "note":
-                meta.setdefault("notes", []).append(v)
-            else:
-                meta[k] = v
-    return FieldSamples(labels, np.array(rows), meta)
-
-
-def write_distance(out_dir, labels, dist):
-    lines = ["label," + ",".join(str(l) for l in labels)]
-    for i, lbl in enumerate(labels):
-        lines.append(str(lbl) + "," + ",".join(_f(v) for v in dist[i]))
-    _write(os.path.join(out_dir, DISTANCE), "\n".join(lines) + "\n")
-
-
-def read_distance(out_dir, stage):
-    path = _need(out_dir, DISTANCE, stage)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        labels = tuple(header[1:])
-        rows = [[float(x) for x in line.strip().split(",")[1:]] for line in fh if line.strip()]
-    return FiniteMetricSpace(labels, np.array(rows))
-
-
-def write_curve(path, curve):
-    lines = [f"# samples = {curve.sample_count}", "u,prob"]
-    for u, p in zip(curve.u_grid, curve.probs):
-        lines.append(f"{_f(u)},{_f(p)}")
+def write_table(path, header, rows, comment=None):
+    """CSV table; ``comment`` becomes a leading ``# `` line (read by read_pairs)."""
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(map(_cell, header)))
+    lines += (",".join(map(_cell, row)) for row in rows)
     _write(path, "\n".join(lines) + "\n")
 
 
-def read_curve(path, kind):
-    samples = 0
-    rows = []
+def read_table(path, labelled=False):
+    """Header cells and float matrix of a CSV table, ``#`` lines skipped.
+
+    With ``labelled`` the first column holds row labels and stays out of the
+    matrix.  A malformed or empty table raises ConfigError naming the file.
+    """
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                if "samples" in line and "=" in line:
-                    samples = int(line.split("=", 1)[1])
-                continue
-            if not line or line.startswith("u,"):
-                continue
-            u, p = line.split(",")
-            rows.append((float(u), float(p)))
-    grid = np.array([r[0] for r in rows])
-    probs = np.array([r[1] for r in rows])
-    return TailCurve(grid, probs, kind, sample_count=samples)
+        header = next((line for line in fh if not line.startswith("#")), "")
+        header = header.rstrip("\n").split(",")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty table is rejected below
+                data = np.loadtxt(fh, delimiter=",", usecols=range(labelled, len(header)), ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    if not data.size:
+        raise ConfigError(f"{path}: no data rows")
+    return header, data
 
 
-def write_psi(out_dir, env, degree):
-    text = f"psi = {env.to_text()}\ndegree = {degree}\n"
-    _write(os.path.join(out_dir, PSI_USED), text)
+def write_pairs(path, pairs):
+    _write(path, "".join(f"{k} = {_cell(v)}\n" for k, v in pairs))
 
 
-def read_psi(out_dir, stage):
-    path = _need(out_dir, PSI_USED, stage)
-    record = dict(_read_pairs(path))
+def read_pairs(path):
+    """(key, value) of every ``key = value`` line of a text artifact."""
+    with open(path) as fh:
+        return [tuple(part.strip() for part in line.split("=", 1)) for line in fh if "=" in line]
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def write_field(out_dir, fld):
+    rows = ([i] + row.tolist() for i, row in enumerate(fld.values))
+    write_table(os.path.join(out_dir, FIELD), ("rep",) + fld.labels, rows)
+    pairs = [(k, v) for k, v in sorted(fld.meta.items()) if k != "notes"]
+    pairs += [("note", note) for note in fld.meta.get("notes", [])]
+    write_pairs(os.path.join(out_dir, FIELD_META), pairs)
+
+
+def read_field(out_dir, stage):
+    header, values = read_table(_need(out_dir, FIELD, stage), labelled=True)
+    meta_path = os.path.join(out_dir, FIELD_META)
+    pairs = read_pairs(meta_path) if os.path.exists(meta_path) else []
+    meta = {k: v for k, v in pairs if k != "note"}
+    meta["notes"] = [v for k, v in pairs if k == "note"]
+    return FieldSamples(header[1:], values, meta)
+
+
+def write_distance(out_dir, labels, dist):
+    rows = ([lbl] + row for lbl, row in zip(labels, dist.tolist()))
+    write_table(os.path.join(out_dir, DISTANCE), ("label",) + tuple(labels), rows)
+
+
+def read_distance(out_dir, stage):
+    header, dist = read_table(_need(out_dir, DISTANCE, stage), labelled=True)
+    return FiniteMetricSpace(header[1:], dist)
+
+
+def write_curve(path, curve):
+    rows = zip(curve.u_grid.tolist(), curve.probs.tolist())
+    write_table(path, ("u", "prob"), rows, comment=f"samples = {curve.sample_count}")
+
+
+def read_curve(path, kind):
+    u, p = read_table(path)[1].T
+    samples = int(dict(read_pairs(path)).get("# samples", 0))
+    return TailCurve(u, p, kind, sample_count=samples)
+
+
+def write_geometry(out_dir, geo, degree, estimator):
+    """The entropy stage's artifacts, tied to the field.csv they were measured on."""
+    write_distance(out_dir, geo.space.labels, geo.space.dist)
+    psi = [("psi", geo.psi_used.to_text()), ("degree", degree)]
+    write_pairs(os.path.join(out_dir, PSI_USED), psi)
+    ent = geo.entropy
+    counts = [int(round(math.exp(h))) for h in ent.entropies.tolist()]
+    rows = zip(ent.eps_grid.tolist(), counts, ent.entropies.tolist(), ent.integrand.tolist())
+    write_table(os.path.join(out_dir, ENTROPY), ("eps", "count", "entropy", "integrand"), rows)
+    write_pairs(
+        os.path.join(out_dir, ENTROPY_SUMMARY),
+        [
+            ("estimator", estimator),
+            ("points", geo.space.size),
+            ("diameter", geo.space.diameter),
+            ("integral", ent.value),
+            ("saturated_fraction", ent.saturated_fraction),
+            ("certified", bool(ent.finite)),
+            ("field_sha256", _sha256(os.path.join(out_dir, FIELD))),
+        ],
+    )
+
+
+def read_geometry(out_dir, stage):
+    """The Geometry the entropy stage wrote, rebuilt from its artifacts.
+
+    Raises ConfigError when they were measured on another field.csv.
+    """
+    summary = dict(read_pairs(_need(out_dir, ENTROPY_SUMMARY, stage)))
+    if summary.get("field_sha256") != _sha256(_need(out_dir, FIELD, stage)):
+        raise ConfigError(f"{DISTANCE} was measured on another {FIELD}; rerun stage 'entropy'")
+    psi_path = _need(out_dir, PSI_USED, stage)
+    record = dict(read_pairs(psi_path))
     if "psi" not in record or "degree" not in record:
-        raise ConfigError(f"{path}: malformed envelope record")
-    return MomentEnvelope.from_text(record["psi"]), int(record["degree"])
-
-
-def write_entropy(out_dir, space, ent, estimator):
-    lines = ["eps,count,entropy,integrand"]
-    for e, h, g in zip(ent.eps_grid, ent.entropies, ent.integrand):
-        lines.append(f"{_f(e)},{int(round(math.exp(h)))},{_f(h)},{_f(g)}")
-    _write(os.path.join(out_dir, ENTROPY), "\n".join(lines) + "\n")
-    summary = [
-        f"estimator = {estimator}",
-        f"points = {space.size}",
-        f"diameter = {_f(space.diameter)}",
-        f"integral = {_f(ent.value)}",
-        f"saturated_fraction = {_f(ent.saturated_fraction)}",
-        f"certified = {'true' if ent.finite else 'false'}",
-    ]
-    _write(os.path.join(out_dir, ENTROPY_SUMMARY), "\n".join(summary) + "\n")
-
-
-def read_entropy(out_dir, stage):
-    with open(_need(out_dir, ENTROPY, stage)) as fh:
-        fh.readline()
-        rows = np.array([[float(x) for x in line.split(",")] for line in fh if line.strip()])
-    summary = dict(_read_pairs(_need(out_dir, ENTROPY_SUMMARY, stage)))
-    return EntropyIntegral(
+        raise ConfigError(f"{psi_path}: malformed envelope record")
+    env = MomentEnvelope.from_text(record["psi"])
+    _, rows = read_table(_need(out_dir, ENTROPY, stage))
+    ent = EntropyIntegral(
         value=float(summary["integral"]),
         finite=summary["certified"] == "true",
         eps_grid=rows[:, 0],
@@ -263,13 +280,8 @@ def read_entropy(out_dir, stage):
         saturated_fraction=float(summary["saturated_fraction"]),
         points=int(summary["points"]),
     )
-
-
-def read_geometry(out_dir, stage):
-    """The Geometry the entropy stage wrote, rebuilt from its artifacts."""
-    env, degree = read_psi(out_dir, stage)
     space = read_distance(out_dir, stage)
-    return Geometry(env, rosenthal_lift(env, degree), space, read_entropy(out_dir, stage))
+    return Geometry(env, rosenthal_lift(env, int(record["degree"])), space, ent)
 
 
 def write_svg(out_dir, curves):
@@ -306,7 +318,7 @@ def write_svg(out_dir, curves):
         )
     parts.append(
         f'<text x="{pad}" y="{height - 10}" font-size="10" fill="#333">level u '
-        f'({_f(u_lo)} to {_f(u_hi)}), log tail probability down to 1e-6</text>'
+        f'({_cell(u_lo)} to {_cell(u_hi)}), log tail probability down to 1e-6</text>'
     )
     parts.append("</svg>")
     _write(os.path.join(out_dir, PLOT), "\n".join(parts) + "\n")
@@ -335,20 +347,17 @@ def stage_simulate(cfg, out_dir):
     )
     write_field(out_dir, fld)
     if sampler.alphabet is not None:
-        decomps = decompose_field(attach_alphabet(kernel, sampler))
-        write_decomposition(out_dir, decomps)
+        write_decomposition(out_dir, decompose_field(attach_alphabet(kernel, sampler)))
     return 0
 
 
 def write_decomposition(out_dir, decomps):
-    d = len(decomps.per_t[0].zetas)
-    header = "t,mean,rank,degenerate," + ",".join(f"zeta_{c}" for c in range(1, d + 1))
-    lines = [header]
-    for dec in decomps.per_t:
-        row = [str(dec.t), _f(dec.mean), str(dec.rank), str(dec.degenerate).lower()]
-        row += [_f(z) for z in dec.zetas]
-        lines.append(",".join(row))
-    _write(os.path.join(out_dir, DECOMP), "\n".join(lines) + "\n")
+    zetas = [f"zeta_{c}" for c in range(1, len(decomps.per_t[0].zetas) + 1)]
+    rows = (
+        [dec.t, float(dec.mean), dec.rank, bool(dec.degenerate)] + dec.zetas.tolist()
+        for dec in decomps.per_t
+    )
+    write_table(os.path.join(out_dir, DECOMP), ["t", "mean", "rank", "degenerate"] + zetas, rows)
 
 
 def stage_decompose(cfg, out_dir):
@@ -356,8 +365,7 @@ def stage_decompose(cfg, out_dir):
     sampler = build_sampler(cfg)
     if sampler.alphabet is None:
         cfg.fail("sampler.name", "decomposition needs a finite alphabet sampler")
-    decomps = decompose_field(attach_alphabet(kernel, sampler))
-    write_decomposition(out_dir, decomps)
+    write_decomposition(out_dir, decompose_field(attach_alphabet(kernel, sampler)))
     return 0
 
 
@@ -378,29 +386,23 @@ def stage_entropy(cfg, out_dir):
     estimator = cfg.get_str("entropy.estimator", "greedy", choices=("greedy", "packing", "exact"))
     geo = index_geometry(
         fld,
-        resolve_grid(cfg.get_str("grids.p", "log:2:16:8")),
+        resolve_grid(cfg.get_str("grids.p", DEFAULT_P_GRID)),
         degree,
         env=env,
         eps_grid=resolve_grid(cfg.get_str("grids.eps")) if cfg.has("grids.eps") else None,
         estimator=estimator,
-        plateau_fraction=cfg.get_float("entropy.plateau_fraction", 0.9),
-        p_max=cfg.get_float("psi.p_max", 64.0),
-        points=cfg.get_int("psi.points", 257),
+        plateau_fraction=cfg.get_float("entropy.plateau_fraction", DEFAULT_PLATEAU_FRACTION),
+        p_max=cfg.get_float("psi.p_max", DEFAULT_P_MAX),
+        points=cfg.get_int("psi.points", DEFAULT_GRID_POINTS),
     )
-    write_distance(out_dir, geo.space.labels, geo.space.dist)
-    write_psi(out_dir, geo.psi_used, degree)
-    write_entropy(out_dir, geo.space, geo.entropy, estimator)
+    write_geometry(out_dir, geo, degree, estimator)
     return 0
 
 
 def stage_bounds(cfg, out_dir):
     fld = read_field(out_dir, "bounds")
     geo = read_geometry(out_dir, "bounds")
-    if geo.space.labels != fld.labels:
-        raise ConfigError(
-            f"{DISTANCE} was measured on other index points than {FIELD}; rerun stage 'entropy'"
-        )
-    p_grid = resolve_grid(cfg.get_str("grids.p", "log:2:16:8"))
+    p_grid = resolve_grid(cfg.get_str("grids.p", DEFAULT_P_GRID))
     u_grid = resolve_grid(cfg.get_str("grids.u", "quantile:0.5:0.99:16"), data=fld.sup_abs())
     lower = None
     if cfg.has("bound.lower_beta"):
@@ -418,19 +420,19 @@ def stage_bounds(cfg, out_dir):
         geo,
         p_grid,
         u_grid,
-        p_max=cfg.get_float("psi.p_max", 64.0),
-        points=cfg.get_int("psi.points", 257),
+        p_max=cfg.get_float("psi.p_max", DEFAULT_P_MAX),
+        points=cfg.get_int("psi.points", DEFAULT_GRID_POINTS),
         lower=lower,
     )
-    sup_table = report.sup_moments
-    lines = ["p,value,low_confidence"]
-    for p, v, low in zip(sup_table.p_grid, sup_table.values, sup_table.low_confidence):
-        lines.append(f"{_f(p)},{_f(v)},{str(bool(low)).lower()}")
-    _write(os.path.join(out_dir, MOMENTS_SUP), "\n".join(lines) + "\n")
-    write_curve(os.path.join(out_dir, TAIL_EMPIRICAL), report.curves["empirical"])
-    write_curve(os.path.join(out_dir, TAIL_UPPER), report.curves["upper"])
-    if "lower" in report.curves:
-        write_curve(os.path.join(out_dir, TAIL_LOWER), report.curves["lower"])
+    sup = report.sup_moments
+    rows = zip(sup.p_grid.tolist(), sup.values.tolist(), sup.low_confidence.tolist())
+    write_table(os.path.join(out_dir, MOMENTS_SUP), ("p", "value", "low_confidence"), rows)
+    for name, file in (("empirical", TAIL_EMPIRICAL), ("upper", TAIL_UPPER), ("lower", TAIL_LOWER)):
+        path = os.path.join(out_dir, file)
+        if name in report.curves:
+            write_curve(path, report.curves[name])
+        elif os.path.exists(path):
+            os.remove(path)  # a lower curve left by an earlier config must not reach verify
     _write(os.path.join(out_dir, BOUND_REPORT), report_text(report))
     if cfg.get_bool("output.plot", False):
         write_svg(out_dir, report.curves)
@@ -442,27 +444,26 @@ def stage_verify(cfg, out_dir):
     upper = read_curve(_need(out_dir, TAIL_UPPER, "verify"), "upper_bound")
     lower_path = os.path.join(out_dir, TAIL_LOWER)
     lower = read_curve(lower_path, "lower_bound") if os.path.exists(lower_path) else None
-    sigma = cfg.get_float("bound.sigma", 3.0)
-    cmp = compare_curves(emp, upper=upper, lower=lower, sigma=sigma)
-    lines = [
-        f"sigma = {_f(cmp.sigma)}",
-        f"levels = {cmp.u_grid.size}",
-        f"upper_violations = {cmp.upper_violations}",
-        f"lower_violations = {cmp.lower_violations}",
-        f"max_upper_excess = {_f(cmp.max_upper_excess)}",
-        f"max_lower_excess = {_f(cmp.max_lower_excess)}",
-        f"ordering = {'PASS' if cmp.ok else 'FAIL'}",
-    ]
-    _write(os.path.join(out_dir, VERIFY_REPORT), "\n".join(lines) + "\n")
+    cmp = compare_curves(emp, upper=upper, lower=lower, sigma=cfg.get_float("bound.sigma", 3.0))
+    write_pairs(
+        os.path.join(out_dir, VERIFY_REPORT),
+        [
+            ("sigma", cmp.sigma),
+            ("levels", cmp.u_grid.size),
+            ("upper_violations", cmp.upper_violations),
+            ("lower_violations", cmp.lower_violations),
+            ("max_upper_excess", cmp.max_upper_excess),
+            ("max_lower_excess", cmp.max_lower_excess),
+            ("ordering", "PASS" if cmp.ok else "FAIL"),
+        ],
+    )
     return 0 if cmp.ok else 2
 
 
 def stage_run(cfg, out_dir):
     stage_simulate(cfg, out_dir)
     stage_entropy(cfg, out_dir)
-    rc_bounds = stage_bounds(cfg, out_dir)
-    rc_verify = stage_verify(cfg, out_dir)
-    return max(rc_bounds, rc_verify)
+    return max(stage_bounds(cfg, out_dir), stage_verify(cfg, out_dir))
 
 
 STAGES = {
@@ -505,10 +506,7 @@ def main(argv=None):
         )
         os.makedirs(out_dir, exist_ok=True)
         return STAGES[args.command](cfg, out_dir)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -57,7 +57,7 @@ def _pava_nondecreasing(values):
     return out, violation
 
 
-def empirical_moments(samples, p_grid, *, label="", kappa=DEFAULT_KAPPA):
+def empirical_moments(samples, p_grid, *, label=""):
     """MomentTable of |x|_p over p_grid from a 1-d sample."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
@@ -74,7 +74,7 @@ def empirical_moments(samples, p_grid, *, label="", kappa=DEFAULT_KAPPA):
         log_norms = (_logsumexp_rows(p[:, None] * la[None, :]) - math.log(x.size)) / p
     values = np.exp(log_norms)
     values, violation = _pava_nondecreasing(values)
-    low = p > kappa * math.log(x.size)
+    low = p > DEFAULT_KAPPA * math.log(x.size)
     return MomentTable(
         p_grid=p,
         values=values,
@@ -120,22 +120,21 @@ class FieldSamples:
         return np.max(np.abs(self.values), axis=1)
 
 
-def column_moments(field, p_grid, *, kappa=DEFAULT_KAPPA, center=False):
+def column_moments(field, p_grid):
     """One MomentTable per field column."""
-    vals = field.values - field.values.mean(axis=0) if center else field.values
     return [
-        empirical_moments(vals[:, t], p_grid, label=str(field.labels[t]), kappa=kappa)
+        empirical_moments(field.values[:, t], p_grid, label=str(field.labels[t]))
         for t in range(field.size)
     ]
 
 
-def natural_envelope(field, p_grid, *, center=False, kappa=DEFAULT_KAPPA):
+def natural_envelope(field, p_grid):
     """Tabulated envelope psi(p) = max over columns of |field_t|_p.
 
     This is the smallest envelope on the grid under which every column has
     norm at most 1, with equality at the argmax column at some node.
     """
-    tables = column_moments(field, p_grid, kappa=kappa, center=center)
+    tables = column_moments(field, p_grid)
     values = np.max([t.values for t in tables], axis=0)
     if not np.all(values > 0):
         raise ValueError(
@@ -144,7 +143,7 @@ def natural_envelope(field, p_grid, *, center=False, kappa=DEFAULT_KAPPA):
     return tabulated_envelope(np.asarray(p_grid, dtype=float), values)
 
 
-def envelope_distance(field, env, *, p_grid=None, kappa=DEFAULT_KAPPA):
+def envelope_distance(field, env, *, p_grid=None):
     """Matrix of envelope norms of pairwise column differences.
 
     Defaults to the envelope's own nodes for tabulated envelopes; other
@@ -162,7 +161,7 @@ def envelope_distance(field, env, *, p_grid=None, kappa=DEFAULT_KAPPA):
             diff = field.values[:, i] - field.values[:, j]
             if not np.any(diff):
                 continue
-            table = empirical_moments(diff, p, kappa=kappa)
+            table = empirical_moments(diff, p)
             dist[i, j] = dist[j, i] = envelope_norm(table, env)
     return dist
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from ustattails.cli import (
     TAIL_UPPER,
     VERIFY_REPORT,
     main,
+    read_pairs,
+    read_table,
+    write_table,
 )
 from ustattails.config import Config, ConfigError, parse_grid, resolve_grid
 
@@ -80,6 +84,25 @@ def read_artifacts(out_dir):
         with open(os.path.join(out_dir, name), "rb") as fh:
             data[name] = fh.read()
     return data
+
+
+def copy_artifacts(src, dst):
+    dst.mkdir()
+    for name, data in read_artifacts(src).items():
+        (dst / name).write_bytes(data)
+    return dst
+
+
+def damage_field(lines, how):
+    """field.csv lines with one kind of damage applied."""
+    if how == "non_numeric_cell":
+        cells = lines[2].split(",")
+        lines[2] = ",".join(cells[:1] + ["abc"] + cells[2:])
+    elif how == "short_last_row":
+        lines[-1] = lines[-1].rsplit(",", 1)[0]
+    else:
+        del lines[1:]
+    return lines
 
 
 class TestConfigParsing:
@@ -225,6 +248,43 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "distance.csv" in err and "rerun stage 'entropy'" in err
 
+    def test_bounds_rejects_field_of_other_seed(self, smoke_cfg, smoke_run, tmp_path, capsys):
+        # Same index labels, other draws: only the field digest tells them apart.
+        out = copy_artifacts(smoke_run[1], tmp_path / "reseeded")
+        seed = ["--set", "run.seed=12"]
+        assert main(["simulate", smoke_cfg, "--out", str(out)] + seed) == 0
+        assert main(["bounds", smoke_cfg, "--out", str(out)] + seed) == 1
+        err = capsys.readouterr().err
+        assert "distance.csv" in err and "rerun stage 'entropy'" in err
+
+    def test_uncalibratable_lower_curve_is_omitted(self, smoke_cfg, smoke_run, tmp_path):
+        # Column 0 of this grid has no level strictly inside (0, 1); the run
+        # goes on without a lower curve and drops the one an earlier run left.
+        out = copy_artifacts(smoke_run[1], tmp_path / "nolower")
+        rc = main(["run", smoke_cfg, "--out", str(out), "--set", "kernel.t_grid=0.2,0.5,0.9"])
+        assert rc == 0
+        assert not (out / TAIL_LOWER).exists()
+        report = (out / BOUND_REPORT).read_text()
+        assert "- lower shape omitted: column 0 has no usable points" in report
+        assert "ordering = PASS" in (out / VERIFY_REPORT).read_text()
+
+    def test_nonpositive_lower_beta_exits_1(self, smoke_cfg, tmp_path, capsys):
+        rc = main(["run", smoke_cfg, "--out", str(tmp_path), "--set", "bound.lower_beta=0"])
+        assert rc == 1
+        assert "beta must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["non_numeric_cell", "short_last_row", "header_only"])
+    def test_corrupt_field_exits_1_naming_it(self, smoke_cfg, smoke_run, tmp_path, capsys, how):
+        out = copy_artifacts(smoke_run[1], tmp_path / how)
+        lines = damage_field((out / FIELD).read_text().splitlines(), how)
+        (out / FIELD).write_text("\n".join(lines) + "\n")
+        for stage in ("entropy", "bounds"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([stage, smoke_cfg, "--out", str(out)]) == 1, stage
+            assert FIELD in capsys.readouterr().err, stage
+            assert not caught, (stage, [str(w.message) for w in caught])
+
     def test_saturated_geometry_exits_2(self, smoke_cfg, tmp_path):
         out = tmp_path / "sat"
         rc = main([
@@ -308,3 +368,16 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_table_codec_round_trips_bits(tmp_path):
+    path = tmp_path / "table.csv"
+    values = np.array([
+        [5e-324, 1.7976931348623157e308, -0.0],
+        [0.1 + 0.2, 1.0 / 3.0, -2.5e-310],
+    ])
+    write_table(path, ("a", "b", "c"), values.tolist(), comment="samples = 2")
+    header, back = read_table(path)
+    assert header == ["a", "b", "c"]
+    assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+    assert read_pairs(path) == [("# samples", "2")]
