@@ -22,6 +22,7 @@ import numpy as np
 from .empirics import (
     FieldSamples,
     TailCurve,
+    column_moments,
     empirical_moments,
     empirical_tail,
     natural_envelope,
@@ -139,12 +140,8 @@ def moment_growth_check(panels, env, degree, p_grid, *, factor=2.0):
     constants = {}
     notes = []
     for n in sorted(panels):
-        fld = panels[n]
-        best = 0.0
-        for t in range(fld.size):
-            tab = empirical_moments(fld.values[:, t], p_grid)
-            best = max(best, envelope_norm(tab, tau))
-        constants[n] = best
+        norms = [envelope_norm(tab, tau) for tab in column_moments(panels[n], p_grid)]
+        constants[n] = max([0.0] + norms)
     vals = np.array([constants[n] for n in sorted(constants)])
     if np.all(vals == 0.0):
         notes.append("all panels are identically zero; growth check is vacuous")

@@ -61,6 +61,7 @@ PLOT = "plot.svg"
 
 OUT_ENV_VAR = "USTATTAILS_OUT"
 DEFAULT_P_GRID = "log:2:16:8"
+DEFAULT_U_GRID = "quantile:0.5:0.99:16"
 
 
 def _write(path, text):
@@ -165,20 +166,23 @@ def read_table(path, labelled=False):
     """Header cells and float matrix of a CSV table, ``#`` lines skipped.
 
     With ``labelled`` the first column holds row labels and stays out of the
-    matrix.  A malformed or empty table raises ConfigError naming the file.
+    matrix.  A malformed, empty or too wide table raises ConfigError naming it.
     """
     with open(path) as fh:
         header = next((line for line in fh if not line.startswith("#")), "")
         header = header.rstrip("\n").split(",")
+        skip_labels = {0: lambda label: 0.0} if labelled else None
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # an empty table is rejected below
-                data = np.loadtxt(fh, delimiter=",", usecols=range(labelled, len(header)), ndmin=2)
+                data = np.loadtxt(fh, delimiter=",", converters=skip_labels, ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     if not data.size:
         raise ConfigError(f"{path}: no data rows")
-    return header, data
+    if data.shape[1] != len(header):  # loadtxt has checked that all rows are equally wide
+        raise ConfigError(f"{path}: rows have {data.shape[1]} cells, the header {len(header)}")
+    return header, data[:, labelled:]
 
 
 def write_pairs(path, pairs):
@@ -189,6 +193,20 @@ def read_pairs(path):
     """(key, value) of every ``key = value`` line of a text artifact."""
     with open(path) as fh:
         return [tuple(part.strip() for part in line.split("=", 1)) for line in fh if "=" in line]
+
+
+def read_record(path, casts):
+    """A ``key = value`` artifact with ``casts[key]`` applied to each named value.
+
+    A missing key or a value its cast rejects raises ConfigError naming the file.
+    """
+    record = dict(read_pairs(path))
+    for key, cast in casts.items():
+        try:
+            record[key] = cast(record[key])
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{path}: missing or bad {key!r} ({exc})") from None
+    return record
 
 
 def _sha256(path):
@@ -262,26 +280,29 @@ def read_geometry(out_dir, stage):
 
     Raises ConfigError when they were measured on another field.csv.
     """
-    summary = dict(read_pairs(_need(out_dir, ENTROPY_SUMMARY, stage)))
-    if summary.get("field_sha256") != _sha256(_need(out_dir, FIELD, stage)):
+    summary = read_record(_need(out_dir, ENTROPY_SUMMARY, stage), {
+        "field_sha256": str,
+        "points": int,
+        "integral": float,
+        "saturated_fraction": float,
+        "certified": {"true": True, "false": False}.__getitem__,
+    })
+    if summary["field_sha256"] != _sha256(_need(out_dir, FIELD, stage)):
         raise ConfigError(f"{DISTANCE} was measured on another {FIELD}; rerun stage 'entropy'")
     psi_path = _need(out_dir, PSI_USED, stage)
-    record = dict(read_pairs(psi_path))
-    if "psi" not in record or "degree" not in record:
-        raise ConfigError(f"{psi_path}: malformed envelope record")
-    env = MomentEnvelope.from_text(record["psi"])
+    psi = read_record(psi_path, {"psi": MomentEnvelope.from_text, "degree": int})
     _, rows = read_table(_need(out_dir, ENTROPY, stage))
     ent = EntropyIntegral(
-        value=float(summary["integral"]),
-        finite=summary["certified"] == "true",
+        value=summary["integral"],
+        finite=summary["certified"],
         eps_grid=rows[:, 0],
         integrand=rows[:, 3],
         entropies=rows[:, 2],
-        saturated_fraction=float(summary["saturated_fraction"]),
-        points=int(summary["points"]),
+        saturated_fraction=summary["saturated_fraction"],
+        points=summary["points"],
     )
     space = read_distance(out_dir, stage)
-    return Geometry(env, rosenthal_lift(env, int(record["degree"])), space, ent)
+    return Geometry(psi["psi"], rosenthal_lift(psi["psi"], psi["degree"]), space, ent)
 
 
 def write_svg(out_dir, curves):
@@ -333,8 +354,7 @@ def stage_simulate(cfg, out_dir):
     seed = cfg.get_int("run.seed")
     n = cfg.get_int("run.n")
     reps = cfg.get_int("run.reps")
-    rank_raw = cfg.get_str("run.rank", "auto")
-    rank = None if rank_raw == "auto" else int(rank_raw)
+    rank = None if cfg.get_str("run.rank", "auto") == "auto" else cfg.get_int("run.rank")
     fld = simulate_panel(
         kernel,
         sampler,
@@ -386,10 +406,10 @@ def stage_entropy(cfg, out_dir):
     estimator = cfg.get_str("entropy.estimator", "greedy", choices=("greedy", "packing", "exact"))
     geo = index_geometry(
         fld,
-        resolve_grid(cfg.get_str("grids.p", DEFAULT_P_GRID)),
+        resolve_grid(cfg.get_grid("grids.p", DEFAULT_P_GRID)),
         degree,
         env=env,
-        eps_grid=resolve_grid(cfg.get_str("grids.eps")) if cfg.has("grids.eps") else None,
+        eps_grid=resolve_grid(cfg.get_grid("grids.eps")) if cfg.has("grids.eps") else None,
         estimator=estimator,
         plateau_fraction=cfg.get_float("entropy.plateau_fraction", DEFAULT_PLATEAU_FRACTION),
         p_max=cfg.get_float("psi.p_max", DEFAULT_P_MAX),
@@ -402,8 +422,8 @@ def stage_entropy(cfg, out_dir):
 def stage_bounds(cfg, out_dir):
     fld = read_field(out_dir, "bounds")
     geo = read_geometry(out_dir, "bounds")
-    p_grid = resolve_grid(cfg.get_str("grids.p", DEFAULT_P_GRID))
-    u_grid = resolve_grid(cfg.get_str("grids.u", "quantile:0.5:0.99:16"), data=fld.sup_abs())
+    p_grid = resolve_grid(cfg.get_grid("grids.p", DEFAULT_P_GRID))
+    u_grid = resolve_grid(cfg.get_grid("grids.u", DEFAULT_U_GRID, quantile=True), fld.sup_abs())
     lower = None
     if cfg.has("bound.lower_beta"):
         lower = {
@@ -461,6 +481,8 @@ def stage_verify(cfg, out_dir):
 
 
 def stage_run(cfg, out_dir):
+    for key in ("grids.p", "grids.u", "grids.eps"):  # a bad grid fails before any heavy work
+        cfg.get_grid(key, None, quantile=key == "grids.u")
     stage_simulate(cfg, out_dir)
     stage_entropy(cfg, out_dir)
     return max(stage_bounds(cfg, out_dir), stage_verify(cfg, out_dir))

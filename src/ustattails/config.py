@@ -71,11 +71,7 @@ class Config:
         raise ConfigError(f"{self._where(key)}: {message}")
 
     def get_str(self, key, default=_MISSING, *, choices=None):
-        if key not in self.entries:
-            if default is _MISSING:
-                raise ConfigError(f"{self.path}: missing required key {key!r}")
-            return default
-        value = self.entries[key][0]
+        value = self._get_cast(key, default, str, "text")
         if choices is not None and value not in choices:
             self.fail(key, f"{key} must be one of {', '.join(choices)}; got {value!r}")
         return value
@@ -88,8 +84,8 @@ class Config:
         raw = self.entries[key][0]
         try:
             return cast(raw)
-        except ValueError:
-            self.fail(key, f"{key} must be {what}, got {raw!r}")
+        except ValueError as exc:
+            self.fail(key, f"{key} must be {what}, got {raw!r}" if what else f"{key}: {exc}")
 
     def get_int(self, key, default=_MISSING):
         return self._get_cast(key, default, int, "an integer")
@@ -113,6 +109,11 @@ class Config:
             return [float(tok) for tok in raw.split(",") if tok.strip()]
 
         return self._get_cast(key, default, cast, "a comma list of numbers")
+
+    def get_grid(self, key, default=_MISSING, *, quantile=False):
+        """A grid spec, checked; quantile specs (placed on data later) only if ``quantile``."""
+        self._get_cast(key, None, parse_grid if quantile else resolve_grid, None)
+        return self.get_str(key, default)
 
 
 def parse_grid(spec):

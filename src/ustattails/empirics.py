@@ -1,10 +1,10 @@
 """Empirical moment estimation and tail curves.
 
-Moment tables are estimated in log space: ln |eta|_p = (logsumexp(p ln|x|) -
-ln n) / p, which survives values like 1e200 at p = 64 without overflow.
-Sampling noise can make the estimated p -> |eta|_p map locally decreasing,
-which no true moment curve is, so estimates pass through a pool-adjacent-
-violators step and the size of the repair is reported on the table.
+Every empirical L_p norm comes from :func:`moment_matrix`, which estimates in
+log space: ln |eta|_p = (logsumexp(p ln|x|) - ln n) / p, which survives values
+like 1e200 at p = 64 without overflow.  Each estimate is a power mean of the
+empirical law, so it is nondecreasing in p (the power-mean inequality) up to
+rounding, which ``MomentTable`` checks.
 """
 
 import math
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelopes import MomentTable, envelope_norm, tabulated_envelope
+from .envelopes import MomentTable, envelope_norm_rows, tabulated_envelope
 
 # moment orders beyond kappa * ln(n) are dominated by the sample maximum and
 # carry little information; tables flag them rather than refuse them
@@ -29,60 +29,44 @@ def _logsumexp_rows(a):
     a_max = a.max(axis=1, keepdims=True)
     ties = a == a_max
     m = ties.sum(axis=1, keepdims=True)
-    s = np.exp(np.where(ties, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+    shifted = a - a_max
+    np.copyto(shifted, -np.inf, where=ties)
+    s = np.exp(shifted, out=shifted).sum(axis=1, keepdims=True)
     return (np.log1p(s / m) + np.log(m) + a_max)[:, 0]
 
 
-def _pava_nondecreasing(values):
-    """Project onto nondecreasing sequences (L2, unit weights).
+def moment_matrix(X, p_grid):
+    """Power means |x|_p = (mean |x|^p)^(1/p) of the columns of X, shape (reps, columns).
 
-    Returns (projected, max_violation) where the violation is measured as
-    max over j of (running max before j) - values[j] on the raw input.
+    Returns a (columns, len(p_grid)) matrix.  Zeros are dropped from each
+    column's sum, which then runs over the nonzero entries in order; columns
+    with equally many nonzeros are summed together.
     """
-    v = np.asarray(values, dtype=float)
-    run = np.maximum.accumulate(v)
-    violation = float(np.max(run - v)) if v.size else 0.0
-    # stack-based pool adjacent violators
-    means = []
-    counts = []
-    for x in v:
-        means.append(float(x))
-        counts.append(1)
-        while len(means) > 1 and means[-2] > means[-1]:
-            m2, c2 = means.pop(), counts.pop()
-            m1, c1 = means.pop(), counts.pop()
-            means.append((m1 * c1 + m2 * c2) / (c1 + c2))
-            counts.append(c1 + c2)
-    out = np.concatenate([np.full(c, m) for m, c in zip(means, counts)]) if v.size else v
-    return out, violation
+    X = np.asarray(X, dtype=float)
+    reps = X.shape[0]
+    if reps < 2:
+        raise ValueError("need at least 2 samples to estimate moments")
+    p = np.asarray(p_grid, dtype=float)
+    log_abs = np.abs(X.T, order="C")
+    with np.errstate(divide="ignore"):
+        np.log(log_abs, out=log_abs)
+    nonzero = log_abs > -np.inf
+    counts = nonzero.sum(axis=1)
+    log_norms = np.full((counts.size, p.size), -np.inf)
+    for k in np.unique(counts[counts > 0]).tolist():
+        rows = counts == k
+        whole = k == reps and rows.all()
+        la = log_abs if whole else log_abs[nonzero & rows[:, None]].reshape(-1, k)
+        terms = np.empty_like(la)
+        for j, pj in enumerate(p.tolist()):
+            np.multiply(pj, la, out=terms)
+            log_norms[rows, j] = (_logsumexp_rows(terms) - math.log(reps)) / pj
+    return np.exp(log_norms)
 
 
 def empirical_moments(samples, p_grid, *, label=""):
     """MomentTable of |x|_p over p_grid from a 1-d sample."""
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 2:
-        raise ValueError("need at least 2 samples to estimate moments")
-    p = np.asarray(p_grid, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(x))
-    finite = log_abs > -np.inf
-    if not finite.any():
-        log_norms = np.full(p.size, -np.inf)
-    else:
-        la = log_abs[finite]
-        # zeros contribute nothing to the p-th moment sum
-        log_norms = (_logsumexp_rows(p[:, None] * la[None, :]) - math.log(x.size)) / p
-    values = np.exp(log_norms)
-    values, violation = _pava_nondecreasing(values)
-    low = p > DEFAULT_KAPPA * math.log(x.size)
-    return MomentTable(
-        p_grid=p,
-        values=values,
-        sample_count=x.size,
-        label=label,
-        low_confidence=low,
-        pava_violation=violation,
-    )
+    return column_moments(FieldSamples((label,), np.reshape(samples, (-1, 1))), p_grid)[0]
 
 
 @dataclass
@@ -122,9 +106,11 @@ class FieldSamples:
 
 def column_moments(field, p_grid):
     """One MomentTable per field column."""
+    p = np.asarray(p_grid, dtype=float)
+    low = p > DEFAULT_KAPPA * math.log(field.replications)
     return [
-        empirical_moments(field.values[:, t], p_grid, label=str(field.labels[t]))
-        for t in range(field.size)
+        MomentTable(p, values, field.replications, label=str(label), low_confidence=low)
+        for label, values in zip(field.labels, moment_matrix(field.values, p))
     ]
 
 
@@ -134,8 +120,7 @@ def natural_envelope(field, p_grid):
     This is the smallest envelope on the grid under which every column has
     norm at most 1, with equality at the argmax column at some node.
     """
-    tables = column_moments(field, p_grid)
-    values = np.max([t.values for t in tables], axis=0)
+    values = moment_matrix(field.values, p_grid).max(axis=0)
     if not np.all(values > 0):
         raise ValueError(
             "field is identically zero at some moment order; no natural envelope"
@@ -154,15 +139,13 @@ def envelope_distance(field, env, *, p_grid=None):
             raise ValueError("p_grid is required for non-tabulated envelopes")
         p_grid = env.params[0]
     p = np.asarray(p_grid, dtype=float)
+    log_psi = env.log_value(p)
+    cols = np.ascontiguousarray(field.values.T)
     m = field.size
     dist = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            diff = field.values[:, i] - field.values[:, j]
-            if not np.any(diff):
-                continue
-            table = empirical_moments(diff, p)
-            dist[i, j] = dist[j, i] = envelope_norm(table, env)
+    for i in range(m - 1):
+        row = envelope_norm_rows(moment_matrix((cols[i] - cols[i + 1:]).T, p), log_psi)
+        dist[i, i + 1:] = dist[i + 1:, i] = row
     return dist
 
 

@@ -102,9 +102,17 @@ class MomentEnvelope:
         return np.interp(np.log(p), np.log(nodes), log_values)
 
     def log_value(self, p):
-        """ln psi(p), the quantity every optimisation below works with."""
-        self.check_support(p)
+        """ln psi(p), the quantity every optimisation below uses; raises off the support."""
         p = np.asarray(p, dtype=float)
+        if np.any(p < 2.0 - 1e-9):
+            raise ValueError("envelope evaluated below the moment range start p = 2")
+        hi = self.b * (1.0 + 1e-12) if self.closed else self.b
+        bad = p > hi if self.closed else p >= hi
+        if np.any(bad):
+            bracket = "]" if self.closed else ")"
+            raise ValueError(
+                f"envelope evaluated outside its support [2, {self.b}{bracket}"
+            )
         out = self._log_base(p)
         if self.lift:
             out = out + self.lift * (np.log(p) - np.log(np.log(p)))
@@ -114,20 +122,6 @@ class MomentEnvelope:
         # may overflow to inf for extreme exp_power parameters; internal
         # consumers stay in log space
         return np.exp(self.log_value(p))
-
-    def check_support(self, p):
-        p = np.asarray(p, dtype=float)
-        if np.any(p < 2.0 - 1e-9):
-            raise ValueError("envelope evaluated below the moment range start p = 2")
-        if math.isinf(self.b):
-            return
-        hi = self.b * (1.0 + 1e-12) if self.closed else self.b
-        bad = p > hi if self.closed else p >= hi
-        if np.any(bad):
-            bracket = "]" if self.closed else ")"
-            raise ValueError(
-                f"envelope evaluated outside its support [2, {self.b}{bracket}"
-            )
 
     # -- optimisation grid ---------------------------------------------
 
@@ -314,11 +308,13 @@ def envelope_norm(moments, env):
     space so envelopes with astronomically large values stay usable; zero
     moment values contribute ratio zero.
     """
-    p = moments.p_grid
-    env.check_support(p)
+    return float(envelope_norm_rows(moments.values, env.log_value(moments.p_grid)))
+
+
+def envelope_norm_rows(values, log_psi):
+    """envelope_norm of each row of moment values, given ln psi on their grid."""
     with np.errstate(divide="ignore"):
-        log_ratio = np.log(moments.values) - env.log_value(p)
-    return float(np.exp(np.max(log_ratio)))
+        return np.exp(np.max(np.log(values) - log_psi, axis=-1))
 
 
 def tail_bound(env, norm, y, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
@@ -343,8 +339,7 @@ class MomentTable:
     """L_p norms of one sample over a grid of moment orders.
 
     ``low_confidence`` marks grid points beyond the usable moment range for
-    the sample size (p > kappa * ln(count)); ``pava_violation`` records the
-    largest monotonicity violation repaired when the table was estimated.
+    the sample size (p > kappa * ln(count)).
     """
 
     p_grid: np.ndarray
@@ -352,7 +347,6 @@ class MomentTable:
     sample_count: int
     label: str = ""
     low_confidence: np.ndarray | None = None
-    pava_violation: float = 0.0
 
     def __post_init__(self):
         self.p_grid = np.asarray(self.p_grid, dtype=float)

@@ -100,6 +100,8 @@ def damage_field(lines, how):
         lines[2] = ",".join(cells[:1] + ["abc"] + cells[2:])
     elif how == "short_last_row":
         lines[-1] = lines[-1].rsplit(",", 1)[0]
+    elif how == "extra_cell":
+        lines[2] += ",9.9"
     else:
         del lines[1:]
     return lines
@@ -273,7 +275,9 @@ class TestPipeline:
         assert rc == 1
         assert "beta must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("how", ["non_numeric_cell", "short_last_row", "header_only"])
+    @pytest.mark.parametrize(
+        "how", ["non_numeric_cell", "short_last_row", "header_only", "extra_cell"]
+    )
     def test_corrupt_field_exits_1_naming_it(self, smoke_cfg, smoke_run, tmp_path, capsys, how):
         out = copy_artifacts(smoke_run[1], tmp_path / how)
         lines = damage_field((out / FIELD).read_text().splitlines(), how)
@@ -284,6 +288,39 @@ class TestPipeline:
                 assert main([stage, smoke_cfg, "--out", str(out)]) == 1, stage
             assert FIELD in capsys.readouterr().err, stage
             assert not caught, (stage, [str(w.message) for w in caught])
+
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            (ENTROPY_SUMMARY, "integral = ", None),
+            (ENTROPY_SUMMARY, "points = ", "points = 2.5"),
+            (ENTROPY_SUMMARY, "certified = ", "certified = maybe"),
+            (PSI_USED, "degree = ", "degree = x"),
+            (PSI_USED, "psi = ", "psi = tabulated lift=0 p=2.0"),
+        ],
+        ids=["no_integral", "fractional_points", "bad_certified", "bad_degree", "envelope_no_v"],
+    )
+    def test_corrupt_geometry_record_exits_1_naming_it(
+        self, smoke_cfg, smoke_run, tmp_path, capsys, name, old, new
+    ):
+        # a deleted or unparsable line of a record bounds reads back
+        out = copy_artifacts(smoke_run[1], tmp_path / "record")
+        lines = (out / name).read_text().splitlines()
+        lines = [new if line.startswith(old) else line for line in lines]
+        (out / name).write_text("".join(line + "\n" for line in lines if line is not None))
+        assert main(["bounds", smoke_cfg, "--out", str(out)]) == 1
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, spec",
+        [("grids.u", "log:0:1:5"), ("grids.p", "quantile:0.1:0.9:4"), ("grids.eps", "lin:0:1")],
+        ids=["u_log_from_0", "p_quantile", "eps_short"],
+    )
+    def test_bad_grid_fails_before_any_artifact(self, smoke_cfg, tmp_path, capsys, key, spec):
+        out = tmp_path / "grid"
+        assert main(["run", smoke_cfg, "--out", str(out), "--set", f"{key}={spec}"]) == 1
+        assert key in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_saturated_geometry_exits_2(self, smoke_cfg, tmp_path):
         out = tmp_path / "sat"

@@ -17,34 +17,8 @@ from ustattails import (
     natural_envelope,
     power_log_envelope,
 )
-from ustattails.empirics import _logsumexp_rows, _pava_nondecreasing
+from ustattails.empirics import _logsumexp_rows
 from ustattails.engine import _stream
-
-
-class TestPava:
-    def test_simple_violation(self):
-        out, viol = _pava_nondecreasing([1.0, 2.0, 1.5])
-        assert np.allclose(out, [1.0, 1.75, 1.75])
-        assert viol == pytest.approx(0.5)
-
-    def test_monotone_is_fixed_point(self):
-        v = [0.5, 1.0, 1.0, 3.0]
-        out, viol = _pava_nondecreasing(v)
-        assert np.allclose(out, v)
-        assert viol == 0.0
-
-    @given(
-        hnp.arrays(
-            np.float64,
-            st.integers(1, 30),
-            elements=st.floats(-100, 100, allow_nan=False),
-        )
-    )
-    def test_output_nondecreasing_and_mean_preserving(self, v):
-        out, viol = _pava_nondecreasing(v)
-        assert np.all(np.diff(out) >= -1e-9)
-        assert np.mean(out) == pytest.approx(np.mean(v), abs=1e-9)
-        assert viol >= 0.0
 
 
 class TestLogSumExp:
@@ -99,11 +73,29 @@ class TestEmpiricalMoments:
         tab = empirical_moments(x, np.array([4.0]))
         assert tab.values[0] == pytest.approx(3.0 ** 0.25, rel=0.02)
 
-    @given(st.integers(0, 2**32 - 1))
-    def test_lyapunov_monotone(self, seed):
-        x = _stream(seed, 0).standard_normal(64)
-        tab = empirical_moments(x, np.geomspace(2.0, 32.0, 9))
-        assert np.all(np.diff(tab.values) >= -1e-9 * tab.values.max())
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["normal", "pareto", "lognormal", "sign", "zeros"]),
+    )
+    def test_lyapunov_monotone(self, seed, law):
+        # power means are nondecreasing in p, so no repair step is needed
+        rng = _stream(seed, 0)
+        x = {
+            "normal": lambda: rng.standard_normal(64),
+            "pareto": lambda: rng.pareto(1.5, 64) + 1.0,
+            "lognormal": lambda: rng.lognormal(0.0, 3.0, 64),
+            "sign": lambda: 2.5 * rng.choice([-1.0, 1.0], 64),
+            "zeros": lambda: rng.choice([0.0, -1.0, 3.0], 64),
+        }[law]()
+        p = np.geomspace(2.0, 32.0, 9)
+        tab = empirical_moments(x, p)
+        assert np.all(np.diff(tab.values) >= -1e-9 * max(1.0, tab.values.max()))
+        la = [math.log(abs(v)) for v in x if v != 0.0]
+        top = max(la)
+        for pj, got in zip(p, tab.values):
+            total = math.fsum(math.exp(pj * (v - top)) for v in la)
+            want = math.exp(top + (math.log(total) - math.log(x.size)) / pj)
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestFieldSamples:
@@ -159,6 +151,23 @@ class TestEnvelopeDistance:
         env = power_log_envelope(2.0, 0.0)
         d = envelope_distance(fld, env, p_grid=np.array([2.0, 4.0]))
         assert d[0, 1] == 0.0
+
+    @pytest.mark.parametrize("tabulated", [True, False])
+    def test_matches_per_pair_tables_bit_for_bit(self, tabulated):
+        # columns 0 and 2 are equal (an all-zero difference); the field has zero cells
+        rng = _stream(15, 0)
+        values = rng.choice([0.0, -1.0, 0.5, 2.0], (400, 4))
+        values[:, 2] = values[:, 0]
+        fld = FieldSamples(tuple("abcd"), values)
+        p = np.geomspace(2.0, 8.0, 5)
+        env = natural_envelope(fld, p) if tabulated else power_log_envelope(2.0, 0.5)
+        d = envelope_distance(fld, env, p_grid=p)
+        assert d[0, 2] == 0.0
+        for i in range(4):
+            for j in range(4):
+                diff = values[:, i] - values[:, j]
+                want = envelope_norm(empirical_moments(diff, p), env)
+                assert d[i, j].tobytes() == np.float64(want).tobytes(), (i, j)
 
     def test_tabulated_defaults_to_nodes(self):
         fld = FieldSamples(("a", "b"), _stream(11, 0).standard_normal((100, 2)))
