@@ -213,12 +213,17 @@ class Geometry:
     ``psi_used`` is the envelope of the field columns and ``tau`` its degree
     lift; ``space`` holds the envelope distances between index points and
     ``entropy`` the covering entropy integral of that space against ``tau``.
+    ``p_grid`` is the moment grid they were measured on, and ``p_max`` and
+    ``points`` set the grid of every optimisation over p.
     """
 
     psi_used: object
     tau: object
     space: FiniteMetricSpace
     entropy: EntropyIntegral
+    p_grid: np.ndarray
+    p_max: float
+    points: int
     notes: list = field(default_factory=list)
 
 
@@ -238,12 +243,22 @@ class BoundReport:
     notes: list = field(default_factory=list)
 
 
-def index_geometry(field_samples, p_grid, degree, *, env=None, **integral):
+def index_geometry(
+    field_samples,
+    p_grid,
+    degree,
+    *,
+    env=None,
+    p_max=DEFAULT_P_MAX,
+    points=DEFAULT_GRID_POINTS,
+    **integral,
+):
     """Envelope, envelope distances and entropy integral of a field's index set.
 
     Without ``env`` the natural envelope of the columns is estimated.
-    ``integral`` holds the keyword options of :func:`entropy_integral`.
+    ``integral`` holds the other keyword options of :func:`entropy_integral`.
     """
+    p_grid = np.asarray(p_grid, dtype=float)
     notes = []
     if env is None:
         env = natural_envelope(field_samples, p_grid)
@@ -251,20 +266,12 @@ def index_geometry(field_samples, p_grid, degree, *, env=None, **integral):
     tau = rosenthal_lift(env, degree)
     dist = envelope_distance(field_samples, env, p_grid=p_grid)
     space = FiniteMetricSpace(field_samples.labels, dist)
-    return Geometry(env, tau, space, entropy_integral(space, tau, **integral), notes)
+    ent = entropy_integral(space, tau, p_max=p_max, points=points, **integral)
+    return Geometry(env, tau, space, ent, p_grid, p_max, points, notes)
 
 
-def calibrate_tails(
-    field_samples,
-    geometry,
-    p_grid,
-    u_grid,
-    *,
-    p_max=DEFAULT_P_MAX,
-    points=DEFAULT_GRID_POINTS,
-    lower=None,
-):
-    """Tail curves of the field supremum, calibrated against a Geometry.
+def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
+    """Tail curves of the field supremum, calibrated against a Geometry and on its p grids.
 
     ``lower``, when given, is a dict with keys ``beta``, optional
     ``exponent`` convention, and optional calibration ``column`` (default 0).
@@ -274,11 +281,14 @@ def calibrate_tails(
     tau = geometry.tau
     notes = geometry.notes + geometry.entropy.notes
     sup_stat = field_samples.sup_abs()
-    sup_table = empirical_moments(sup_stat, p_grid, label="sup")
+    sup_table = empirical_moments(sup_stat, geometry.p_grid, label="sup")
     sup_norm = envelope_norm(sup_table, tau)
     upper = TailCurve(
         u_grid,
-        np.array([tail_bound(tau, sup_norm, y, p_max=p_max, points=points) for y in u_grid]),
+        np.array([
+            tail_bound(tau, sup_norm, y, p_max=geometry.p_max, points=geometry.points)
+            for y in u_grid
+        ]),
         "upper_bound",
         meta={"norm": sup_norm},
     )
@@ -350,9 +360,7 @@ def uniform_tail_report(
         p_max=p_max,
         points=points,
     )
-    return calibrate_tails(
-        field_samples, geometry, p_grid, u_grid, p_max=p_max, points=points, lower=lower
-    )
+    return calibrate_tails(field_samples, geometry, u_grid, lower=lower)
 
 
 def report_text(report):

@@ -29,7 +29,6 @@ from .engine import (
     Exact,
     Incomplete,
     alphabet_sampler,
-    attach_alphabet,
     decompose_field,
     lognormal_sampler,
     make_kernel,
@@ -39,9 +38,9 @@ from .engine import (
     simulate_panel,
     uniform_sampler,
 )
-from .entropy import DEFAULT_PLATEAU_FRACTION, EntropyIntegral, FiniteMetricSpace
+from .entropy import DEFAULT_PLATEAU_FRACTION, EntropyIntegral, FiniteMetricSpace, check_eps_grid
 from .envelopes import (
-    DEFAULT_GRID_POINTS, DEFAULT_P_MAX, MomentEnvelope, make_envelope, rosenthal_lift
+    DEFAULT_GRID_POINTS, DEFAULT_P_MAX, MomentEnvelope, check_p_grid, make_envelope, rosenthal_lift
 )
 
 FIELD = "field.csv"
@@ -145,7 +144,7 @@ def build_envelope(cfg):
 # -- artifact IO ---------------------------------------------------------
 #
 # Every artifact is a CSV table or a ``key = value`` record, written and read
-# by the four functions below.  Cell text is decided in one place, ``_cell``.
+# by the functions below.  Cell text is decided in one place, ``_cell``.
 
 
 def _cell(x):
@@ -183,6 +182,14 @@ def read_table(path, labelled=False):
     if data.shape[1] != len(header):  # loadtxt has checked that all rows are equally wide
         raise ConfigError(f"{path}: rows have {data.shape[1]} cells, the header {len(header)}")
     return header, data[:, labelled:]
+
+
+def read_columns(path, names):
+    """The named columns of a CSV table; a missing one raises ConfigError naming the table."""
+    header, data = read_table(path)
+    if not set(names) <= set(header):
+        raise ConfigError(f"{path}: needs columns {', '.join(names)}, has {', '.join(header)}")
+    return [data[:, header.index(name)] for name in names]
 
 
 def write_pairs(path, pairs):
@@ -247,7 +254,7 @@ def write_curve(path, curve):
 
 
 def read_curve(path, kind):
-    u, p = read_table(path)[1].T
+    u, p = read_columns(path, ("u", "prob"))
     samples = int(dict(read_pairs(path)).get("# samples", 0))
     return TailCurve(u, p, kind, sample_count=samples)
 
@@ -255,7 +262,9 @@ def read_curve(path, kind):
 def write_geometry(out_dir, geo, degree, estimator):
     """The entropy stage's artifacts, tied to the field.csv they were measured on."""
     write_distance(out_dir, geo.space.labels, geo.space.dist)
-    psi = [("psi", geo.psi_used.to_text()), ("degree", degree)]
+    p_grid = ",".join(map(_cell, geo.p_grid.tolist()))
+    psi = [("psi", geo.psi_used.to_text()), ("degree", degree), ("p_grid", p_grid),
+           ("p_max", geo.p_max), ("points", geo.points)]
     write_pairs(os.path.join(out_dir, PSI_USED), psi)
     ent = geo.entropy
     counts = [int(round(math.exp(h))) for h in ent.entropies.tolist()]
@@ -289,20 +298,28 @@ def read_geometry(out_dir, stage):
     })
     if summary["field_sha256"] != _sha256(_need(out_dir, FIELD, stage)):
         raise ConfigError(f"{DISTANCE} was measured on another {FIELD}; rerun stage 'entropy'")
-    psi_path = _need(out_dir, PSI_USED, stage)
-    psi = read_record(psi_path, {"psi": MomentEnvelope.from_text, "degree": int})
-    _, rows = read_table(_need(out_dir, ENTROPY, stage))
+    psi = read_record(_need(out_dir, PSI_USED, stage), {
+        "psi": MomentEnvelope.from_text,
+        "degree": int,
+        "p_grid": lambda text: check_p_grid([float(p) for p in text.split(",")]),
+        "p_max": float,
+        "points": int,
+    })
+    eps, entropies, integrand = read_columns(
+        _need(out_dir, ENTROPY, stage), ("eps", "entropy", "integrand")
+    )
     ent = EntropyIntegral(
         value=summary["integral"],
         finite=summary["certified"],
-        eps_grid=rows[:, 0],
-        integrand=rows[:, 3],
-        entropies=rows[:, 2],
+        eps_grid=eps,
+        integrand=integrand,
+        entropies=entropies,
         saturated_fraction=summary["saturated_fraction"],
         points=summary["points"],
     )
-    space = read_distance(out_dir, stage)
-    return Geometry(psi["psi"], rosenthal_lift(psi["psi"], psi["degree"]), space, ent)
+    env, space = psi["psi"], read_distance(out_dir, stage)
+    tau = rosenthal_lift(env, psi["degree"])
+    return Geometry(env, tau, space, ent, psi["p_grid"], psi["p_max"], psi["points"])
 
 
 def write_svg(out_dir, curves):
@@ -366,16 +383,16 @@ def stage_simulate(cfg, out_dir):
         convention=cfg.get_str("bound.convention", "multiply", choices=("multiply", "divide")),
     )
     write_field(out_dir, fld)
-    if sampler.alphabet is not None:
-        write_decomposition(out_dir, decompose_field(attach_alphabet(kernel, sampler)))
+    if fld.decomposition is not None:
+        write_decomposition(out_dir, fld.decomposition)
     return 0
 
 
 def write_decomposition(out_dir, decomps):
-    zetas = [f"zeta_{c}" for c in range(1, len(decomps.per_t[0].zetas) + 1)]
+    zetas = [f"zeta_{c}" for c in range(1, len(decomps[0].zetas) + 1)]
     rows = (
         [dec.t, float(dec.mean), dec.rank, bool(dec.degenerate)] + dec.zetas.tolist()
-        for dec in decomps.per_t
+        for dec in decomps
     )
     write_table(os.path.join(out_dir, DECOMP), ["t", "mean", "rank", "degenerate"] + zetas, rows)
 
@@ -385,7 +402,7 @@ def stage_decompose(cfg, out_dir):
     sampler = build_sampler(cfg)
     if sampler.alphabet is None:
         cfg.fail("sampler.name", "decomposition needs a finite alphabet sampler")
-    write_decomposition(out_dir, decompose_field(attach_alphabet(kernel, sampler)))
+    write_decomposition(out_dir, decompose_field(kernel, sampler))
     return 0
 
 
@@ -404,12 +421,13 @@ def stage_entropy(cfg, out_dir):
     fld = read_field(out_dir, "entropy")
     degree = _resolve_degree(cfg, fld)
     estimator = cfg.get_str("entropy.estimator", "greedy", choices=("greedy", "packing", "exact"))
+    eps = cfg.get_grid("grids.eps", None, check=check_eps_grid)
     geo = index_geometry(
         fld,
-        resolve_grid(cfg.get_grid("grids.p", DEFAULT_P_GRID)),
+        resolve_grid(cfg.get_grid("grids.p", DEFAULT_P_GRID, check=check_p_grid)),
         degree,
         env=env,
-        eps_grid=resolve_grid(cfg.get_grid("grids.eps")) if cfg.has("grids.eps") else None,
+        eps_grid=None if eps is None else resolve_grid(eps),
         estimator=estimator,
         plateau_fraction=cfg.get_float("entropy.plateau_fraction", DEFAULT_PLATEAU_FRACTION),
         p_max=cfg.get_float("psi.p_max", DEFAULT_P_MAX),
@@ -422,7 +440,6 @@ def stage_entropy(cfg, out_dir):
 def stage_bounds(cfg, out_dir):
     fld = read_field(out_dir, "bounds")
     geo = read_geometry(out_dir, "bounds")
-    p_grid = resolve_grid(cfg.get_grid("grids.p", DEFAULT_P_GRID))
     u_grid = resolve_grid(cfg.get_grid("grids.u", DEFAULT_U_GRID, quantile=True), fld.sup_abs())
     lower = None
     if cfg.has("bound.lower_beta"):
@@ -435,15 +452,7 @@ def stage_bounds(cfg, out_dir):
             ),
             "column": cfg.get_int("bound.lower_column", 0),
         }
-    report = calibrate_tails(
-        fld,
-        geo,
-        p_grid,
-        u_grid,
-        p_max=cfg.get_float("psi.p_max", DEFAULT_P_MAX),
-        points=cfg.get_int("psi.points", DEFAULT_GRID_POINTS),
-        lower=lower,
-    )
+    report = calibrate_tails(fld, geo, u_grid, lower=lower)
     sup = report.sup_moments
     rows = zip(sup.p_grid.tolist(), sup.values.tolist(), sup.low_confidence.tolist())
     write_table(os.path.join(out_dir, MOMENTS_SUP), ("p", "value", "low_confidence"), rows)
@@ -481,8 +490,10 @@ def stage_verify(cfg, out_dir):
 
 
 def stage_run(cfg, out_dir):
-    for key in ("grids.p", "grids.u", "grids.eps"):  # a bad grid fails before any heavy work
-        cfg.get_grid(key, None, quantile=key == "grids.u")
+    # a bad grid fails before any heavy work
+    cfg.get_grid("grids.p", None, check=check_p_grid)
+    cfg.get_grid("grids.u", None, quantile=True)
+    cfg.get_grid("grids.eps", None, check=check_eps_grid)
     stage_simulate(cfg, out_dir)
     stage_entropy(cfg, out_dir)
     return max(stage_bounds(cfg, out_dir), stage_verify(cfg, out_dir))

@@ -110,9 +110,11 @@ class Config:
 
         return self._get_cast(key, default, cast, "a comma list of numbers")
 
-    def get_grid(self, key, default=_MISSING, *, quantile=False):
-        """A grid spec, checked; quantile specs (placed on data later) only if ``quantile``."""
-        self._get_cast(key, None, parse_grid if quantile else resolve_grid, None)
+    def get_grid(self, key, default=_MISSING, *, quantile=False, check=np.asarray):
+        """A grid spec, checked: quantile specs (placed on data later) only if ``quantile``,
+        the values of any other spec by ``check``, which raises ValueError."""
+        cast = parse_grid if quantile else lambda raw: check(resolve_grid(raw))
+        self._get_cast(key, None, cast, None)
         return self.get_str(key, default)
 
 

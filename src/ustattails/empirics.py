@@ -74,12 +74,15 @@ class FieldSamples:
     """Replicated draws of a finite-index random field.
 
     ``values`` has shape (replications, index points); column t holds the
-    draws of the field at index label ``labels[t]``.
+    draws of the field at index label ``labels[t]``.  ``decomposition`` holds
+    the exact per-label Decompositions the field was centred and scaled by,
+    when the simulation had them.
     """
 
     labels: tuple
     values: np.ndarray
     meta: dict = field(default_factory=dict)
+    decomposition: list | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

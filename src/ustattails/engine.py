@@ -9,12 +9,13 @@ two never share a stream.
 Exact averaging enumerates all index subsets of size d; above the tuple
 budget it switches to incomplete averaging over randomly sampled index
 tuples and notes the switch.  Decompositions into canonical (completely
-degenerate) projection terms are available for kernels carrying a finite
+degenerate) projection terms are available under samplers with a finite
 weighted alphabet, and give exact means, variances, and ranks.
 """
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -130,51 +131,36 @@ class Kernel:
 
     ``fn(xs, t)`` takes a tuple of ``degree`` broadcastable arrays and an
     index label from ``t_grid``.  Scalar kernels use the single label "t0".
-    ``alphabet`` mirrors the sampler's (values, weights) when attached and
-    unlocks exact decomposition.
     """
 
     name: str
     degree: int
     t_grid: tuple
     fn: callable
-    alphabet: tuple | None = None
-
-
-def attach_alphabet(kernel, sampler):
-    if sampler.alphabet is None:
-        raise ValueError(f"sampler {sampler.name!r} has no finite alphabet")
-    return replace(kernel, alphabet=sampler.alphabet)
 
 
 _GPROD_SHAPES = {"sin": np.sin, "tanh": np.tanh, "identity": lambda x: x}
 
 
+def _factor_kernel(name, degree, t_grid, factor, combine):
+    """Kernel folding ``combine(out, factor(x, t))`` left to right over its arguments."""
+    d = 2 if degree is None else int(degree)
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+
+    def fn(xs, t):
+        out = factor(xs[0], t)
+        for x in xs[1:]:
+            out = combine(out, factor(x, t))
+        return out
+
+    return Kernel(name, d, t_grid, fn)
+
+
 def make_kernel(name, degree=None, *, shift=0.0, g="sin", t_grid=None, values=None, table=None):
-    if name == "product":
-        d = 2 if degree is None else int(degree)
-        if d < 1:
-            raise ValueError("degree must be at least 1")
-
-        def fn(xs, t):
-            out = xs[0] - shift
-            for x in xs[1:]:
-                out = out * (x - shift)
-            return out
-
-        return Kernel("product", d, ("t0",), fn)
-    if name == "sum":
-        d = 2 if degree is None else int(degree)
-        if d < 1:
-            raise ValueError("degree must be at least 1")
-
-        def fn(xs, t):
-            out = xs[0] - shift
-            for x in xs[1:]:
-                out = out + (x - shift)
-            return out
-
-        return Kernel("sum", d, ("t0",), fn)
+    if name in ("product", "sum"):
+        combine = operator.mul if name == "product" else operator.add
+        return _factor_kernel(name, degree, ("t0",), lambda x, t: x - shift, combine)
     if name == "half_sq_diff":
         if degree not in (None, 2):
             raise ValueError("half_sq_diff has degree 2")
@@ -185,23 +171,13 @@ def make_kernel(name, degree=None, *, shift=0.0, g="sin", t_grid=None, values=No
 
         return Kernel("half_sq_diff", 2, ("t0",), fn)
     if name == "gprod":
-        d = 2 if degree is None else int(degree)
-        if d < 1:
-            raise ValueError("degree must be at least 1")
         if t_grid is None:
             raise ValueError("gprod needs a numeric t_grid")
         shape_fn = _GPROD_SHAPES.get(g)
         if shape_fn is None:
             raise ValueError(f"unknown gprod shape {g!r}")
         grid = tuple(float(t) for t in t_grid)
-
-        def fn(xs, t):
-            out = shape_fn(t * xs[0])
-            for x in xs[1:]:
-                out = out * shape_fn(t * x)
-            return out
-
-        return Kernel("gprod", d, grid, fn)
+        return _factor_kernel("gprod", degree, grid, lambda x, t: shape_fn(t * x), operator.mul)
     if name == "table":
         if degree not in (None, 1):
             raise ValueError("table kernels have degree 1")
@@ -340,28 +316,19 @@ class Decomposition:
     terms: list
 
 
-@dataclass
-class FieldDecomposition:
-    per_t: list
+def hoeffding_decompose(kernel, sampler, t=None, *, rank_tol=RANK_TOL):
+    """Exact canonical decomposition under the sampler's finite alphabet.
 
-    @property
-    def means(self):
-        return np.array([dec.mean for dec in self.per_t])
-
-    @property
-    def ranks(self):
-        return [dec.rank for dec in self.per_t]
-
-
-def hoeffding_decompose(kernel, t=None, *, rank_tol=RANK_TOL):
-    """Exact canonical decomposition on the kernel's finite alphabet."""
-    if kernel.alphabet is None:
-        raise ValueError("decomposition requires a finite alphabet on the kernel")
+    A degenerate (almost surely constant) component carries ``rank = degree``,
+    so the rank of a field is the smallest rank of its components.
+    """
+    if sampler.alphabet is None:
+        raise ValueError(f"sampler {sampler.name!r} has no finite alphabet")
     if t is None:
         if len(kernel.t_grid) != 1:
             raise ValueError("pick an index label t for a multi-point kernel")
         t = kernel.t_grid[0]
-    values, probs = kernel.alphabet
+    values, probs = sampler.alphabet
     d = kernel.degree
     if d > _DECOMP_MAX_DEGREE:
         raise ValueError(f"decomposition supports degree up to {_DECOMP_MAX_DEGREE}")
@@ -404,29 +371,9 @@ def hoeffding_decompose(kernel, t=None, *, rank_tol=RANK_TOL):
     return Decomposition(t, mean, zetas, rank, False, gs[1:])
 
 
-def decompose_field(kernel, *, rank_tol=RANK_TOL):
-    return FieldDecomposition(
-        [hoeffding_decompose(kernel, t, rank_tol=rank_tol) for t in kernel.t_grid]
-    )
-
-
-def field_rank(decomps):
-    """Dominant rank of a field and the label partition by rank.
-
-    The dominant rank is the smallest component rank: that component's
-    variance decays slowest and controls the scale of the supremum, so it is
-    the order the whole field is normalized by.
-    """
-    per_t = decomps.per_t if isinstance(decomps, FieldDecomposition) else list(decomps)
-    partition = {}
-    for dec in per_t:
-        key = "degenerate" if dec.degenerate else dec.rank
-        partition.setdefault(key, []).append(dec.t)
-    ranks = [dec.rank for dec in per_t if not dec.degenerate]
-    if not ranks:
-        d = len(per_t[0].zetas) if per_t else 0
-        return d, partition
-    return min(ranks), partition
+def decompose_field(kernel, sampler, *, rank_tol=RANK_TOL):
+    """One Decomposition per index label."""
+    return [hoeffding_decompose(kernel, sampler, t, rank_tol=rank_tol) for t in kernel.t_grid]
 
 
 DEFAULT_SLOPE_GRID = (16, 32, 64, 128, 256)
@@ -535,9 +482,10 @@ def simulate_panel(
     """Replicated draws of the normalized deviation field.
 
     Means and the rank come from the exact decomposition when the sampler
-    has a finite alphabet.  Otherwise the rank must be supplied, and missing
-    means fall back to the grand Monte Carlo mean across the panel (flagged
-    in the metadata, since that recentering removes part of the deviation).
+    has a finite alphabet; that decomposition is returned with the field.
+    Otherwise the rank must be supplied, and missing means fall back to the
+    grand Monte Carlo mean across the panel (flagged in the metadata, since
+    that recentering removes part of the deviation).
 
     ``data`` lets several kernels share one drawn panel; it must have shape
     (reps, n) and come from the same seed discipline if reproducibility
@@ -546,20 +494,19 @@ def simulate_panel(
     from .empirics import FieldSamples
 
     decomps = None
-    if rank is None or mean_per_t is None:
-        alphabet = kernel.alphabet or sampler.alphabet
-        if alphabet is not None:
-            decomps = decompose_field(replace(kernel, alphabet=alphabet))
+    if (rank is None or mean_per_t is None) and sampler.alphabet is not None:
+        decomps = decompose_field(kernel, sampler)
     if rank is None:
         if decomps is None:
             raise ValueError(
                 "rank cannot be derived without a finite alphabet; pass rank="
             )
-        rank, _partition = field_rank(decomps)
+        # the slowest-decaying component sets the scale of the supremum
+        rank = min(dec.rank for dec in decomps)
     mean_source = "given"
     if mean_per_t is None:
         if decomps is not None:
-            mean_per_t = decomps.means
+            mean_per_t = [dec.mean for dec in decomps]
             mean_source = "exact"
         else:
             mean_source = "grand_mc"
@@ -585,4 +532,4 @@ def simulate_panel(
         "mean_source": mean_source,
         "notes": list(notes),
     }
-    return FieldSamples(kernel.t_grid, dev, meta)
+    return FieldSamples(kernel.t_grid, dev, meta, decomps)

@@ -172,6 +172,16 @@ def default_eps_grid(space, points=64):
     return np.geomspace(lo, hi, points)
 
 
+def check_eps_grid(eps_grid):
+    """The grid as a float array, after checking it lies in (0, 1] and increases strictly."""
+    eps = np.asarray(eps_grid, dtype=float)
+    if np.any(eps <= 0) or np.any(eps > 1.0 + 1e-12):
+        raise ValueError("eps grid must lie in (0, 1]")
+    if np.any(np.diff(eps) <= 0):
+        raise ValueError("eps grid must be strictly increasing")
+    return eps
+
+
 def entropy_integral(
     space,
     env,
@@ -191,11 +201,7 @@ def entropy_integral(
     """
     if eps_grid is None:
         eps_grid = default_eps_grid(space)
-    eps = np.asarray(eps_grid, dtype=float)
-    if np.any(eps <= 0) or np.any(eps > 1.0 + 1e-12):
-        raise ValueError("eps grid must lie in (0, 1]")
-    if np.any(np.diff(eps) <= 0):
-        raise ValueError("eps grid must be strictly increasing")
+    eps = check_eps_grid(eps_grid)
     counts = np.array(
         [covering_number(space, e, estimator=estimator) for e in eps], dtype=float
     )

@@ -41,6 +41,14 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 FAMILIES = ("power_log", "exp_power", "constant", "tabulated")
 
 
+def check_p_grid(p_grid):
+    """The grid as a float array, after checking it increases strictly from p >= 2."""
+    p = np.asarray(p_grid, dtype=float)
+    if np.any(p < 2.0 - 1e-12) or np.any(np.diff(p) <= 0):
+        raise ValueError("moment grid must be strictly increasing and start at p >= 2")
+    return p
+
+
 def _golden_min(f, lo, hi, iters=90):
     """Golden-section minimisation of a scalar function on [lo, hi]."""
     a, b = float(lo), float(hi)
@@ -225,8 +233,7 @@ def tabulated_envelope(p_grid, values):
     v = np.asarray(values, dtype=float)
     if p.ndim != 1 or p.size < 1 or p.shape != v.shape:
         raise ValueError("invalid domain: need matching 1-d node and value arrays")
-    if np.any(p < 2.0 - 1e-12) or np.any(np.diff(p) <= 0):
-        raise ValueError("invalid domain: nodes must be increasing and start at p >= 2")
+    check_p_grid(p)
     if not np.all(np.isfinite(v)) or np.any(v <= 0):
         raise ValueError("invalid value: tabulated envelope values must be positive")
     return MomentEnvelope(
@@ -261,6 +268,21 @@ def rosenthal_lift(env, degree):
 # -- transforms --------------------------------------------------------
 
 
+def _minimise_over_p(env, f, p_max, points):
+    """min over p of f(p, ln psi(p)): the grid minimum (ties to the smallest
+    index), then a golden-section pass over the cell bracketing it."""
+    grid, _trunc, refine = env.opt_grid(p_max, points)
+    obj = f(grid, env.log_value(grid))
+    k = int(np.argmin(obj))
+    best = float(obj[k])
+    if refine and grid.size >= 2:
+        lo = grid[max(k - 1, 0)]
+        hi = grid[min(k + 1, grid.size - 1)]
+        _, fx = _golden_min(lambda p: f(p, float(env.log_value(p))), lo, hi)
+        best = min(best, fx)
+    return best
+
+
 def fenchel_exponent(env, u, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
     """sup over p of (u*p - p*ln psi(p)).
 
@@ -268,16 +290,7 @@ def fenchel_exponent(env, u, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS)
     positive slopes).  The value may be negative for small u; ``tail_bound``
     clamps it at zero where it is used as an exponent.
     """
-    grid, _trunc, refine = env.opt_grid(p_max, points)
-    obj = grid * (u - env.log_value(grid))
-    k = int(np.argmax(obj))
-    best = float(obj[k])
-    if refine and grid.size >= 2:
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, grid.size - 1)]
-        _, fneg = _golden_min(lambda p: -p * (u - float(env.log_value(p))), lo, hi)
-        best = max(best, -fneg)
-    return best
+    return -_minimise_over_p(env, lambda p, log_psi: -p * (u - log_psi), p_max, points)
 
 
 def log_maximum_bound(env, x, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
@@ -289,16 +302,7 @@ def log_maximum_bound(env, x, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    grid, _trunc, refine = env.opt_grid(p_max, points)
-    obj = x / grid + env.log_value(grid)
-    k = int(np.argmin(obj))
-    best = float(obj[k])
-    if refine and grid.size >= 2:
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, grid.size - 1)]
-        _, fx = _golden_min(lambda p: x / p + float(env.log_value(p)), lo, hi)
-        best = min(best, fx)
-    return best
+    return _minimise_over_p(env, lambda p, log_psi: x / p + log_psi, p_max, points)
 
 
 def envelope_norm(moments, env):
@@ -355,8 +359,7 @@ class MomentTable:
             raise ValueError("need matching 1-d moment grids and values")
         if self.p_grid.size == 0:
             raise ValueError("empty moment grid")
-        if np.any(self.p_grid < 2.0 - 1e-12) or np.any(np.diff(self.p_grid) <= 0):
-            raise ValueError("moment grid must be increasing and start at p >= 2")
+        check_p_grid(self.p_grid)
         if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
             raise ValueError("moment values must be finite and nonnegative")
         scale = max(1.0, float(self.values.max(initial=0.0)))

@@ -21,8 +21,8 @@ def rademacher_panels():
 
     t0 = time.time()
     rad = ut.rademacher_sampler()
-    kprod = ut.attach_alphabet(ut.make_kernel("product"), rad)
-    ksum = ut.attach_alphabet(ut.make_kernel("sum"), rad)
+    kprod = ut.make_kernel("product")
+    ksum = ut.make_kernel("sum")
     ns = (8, 16, 32, 64, 128, 256)
     reps = 20000
     u_prod, u_sum = {}, {}

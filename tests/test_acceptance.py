@@ -57,8 +57,8 @@ def test_criterion_02_variance_decay_slopes(rademacher_panels):
     assert abs(mc_prod - (-2.0)) <= 0.15
     assert abs(mc_sum - (-1.0)) <= 0.15
     rad = ut.rademacher_sampler()
-    dec_prod = ut.hoeffding_decompose(ut.attach_alphabet(ut.make_kernel("product"), rad))
-    dec_sum = ut.hoeffding_decompose(ut.attach_alphabet(ut.make_kernel("sum"), rad))
+    dec_prod = ut.hoeffding_decompose(ut.make_kernel("product"), rad)
+    dec_sum = ut.hoeffding_decompose(ut.make_kernel("sum"), rad)
     an_prod = ut.variance_u(dec_prod, 64).slope
     an_sum = ut.variance_u(dec_sum, 64).slope
     assert abs(an_prod - (-2.0)) <= 0.05
@@ -71,13 +71,11 @@ def test_criterion_02_variance_decay_slopes(rademacher_panels):
 def test_criterion_03_exact_variance_and_orthogonality():
     values = np.array([-1.0, 0.5, 2.0])
     probs = np.array([0.2, 0.3, 0.5])
-    kernels = [
-        ut.attach_alphabet(ut.make_kernel("product", shift=0.3), ut.alphabet_sampler(values, probs)),
-        ut.attach_alphabet(ut.make_kernel("half_sq_diff"), ut.alphabet_sampler(values, probs)),
-    ]
+    law = ut.alphabet_sampler(values, probs)
+    kernels = [ut.make_kernel("product", shift=0.3), ut.make_kernel("half_sq_diff")]
     worst = 0.0
     for kernel in kernels:
-        dec = ut.hoeffding_decompose(kernel)
+        dec = ut.hoeffding_decompose(kernel, law)
         g1, g2 = dec.terms
         for contraction in (
             float(g1 @ probs),

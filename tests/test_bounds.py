@@ -6,7 +6,6 @@ import pytest
 from ustattails import (
     FieldSamples,
     TailCurve,
-    attach_alphabet,
     calibrate_log_power,
     closed_form_tail,
     compare_curves,
@@ -199,7 +198,7 @@ class TestCompareCurves:
 
 class TestUniformTailReport:
     def small_field(self, reps=800, seed=3):
-        k = attach_alphabet(make_kernel("product"), rademacher_sampler())
+        k = make_kernel("product")
         return simulate_panel(k, rademacher_sampler(), 12, reps, seed=seed)
 
     def test_scalar_field_reduces_to_moment_bound(self):

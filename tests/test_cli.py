@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ustattails
+from ustattails import engine
 from ustattails.cli import (
     BOUND_REPORT,
     DECOMP,
@@ -22,6 +23,7 @@ from ustattails.cli import (
     TAIL_LOWER,
     TAIL_UPPER,
     VERIFY_REPORT,
+    build_kernel,
     main,
     read_pairs,
     read_table,
@@ -105,6 +107,11 @@ def damage_field(lines, how):
     else:
         del lines[1:]
     return lines
+
+
+def replace_line(prefix, new):
+    """Line edit: the line starting with ``prefix`` becomes ``new`` (None deletes it)."""
+    return lambda line: new if line.startswith(prefix) else line
 
 
 class TestConfigParsing:
@@ -210,6 +217,26 @@ class TestPipeline:
         assert main(["run", smoke_cfg, "--out", str(out2)]) == rc
         assert read_artifacts(out) == read_artifacts(out2)
 
+    def test_simulate_decomposes_once(self, smoke_cfg, tmp_path, monkeypatch):
+        calls = []
+        decompose = engine.hoeffding_decompose
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "hoeffding_decompose", counted)
+        assert main(["simulate", smoke_cfg, "--out", str(tmp_path)]) == 0
+        assert len(calls) == len(build_kernel(Config.from_file(smoke_cfg)).t_grid)
+        assert (tmp_path / DECOMP).exists()
+
+    def test_bounds_reads_moment_grids_back(self, smoke_cfg, smoke_run, tmp_path):
+        # bounds calibrates on the grids the envelope was tabulated on, not on the config's
+        out = copy_artifacts(smoke_run[1], tmp_path / "regrid")
+        other = ["--set", "grids.p=log:2:6:4", "--set", "psi.p_max=32", "--set", "psi.points=65"]
+        assert main(["bounds", smoke_cfg, "--out", str(out)] + other) == 0
+        assert (out / BOUND_REPORT).read_bytes() == (smoke_run[1] / BOUND_REPORT).read_bytes()
+
     def test_staged_matches_run(self, smoke_cfg, smoke_run, tmp_path):
         _, out = smoke_run
         out2 = tmp_path / "staged"
@@ -290,31 +317,41 @@ class TestPipeline:
             assert not caught, (stage, [str(w.message) for w in caught])
 
     @pytest.mark.parametrize(
-        "name, old, new",
+        "name, edit",
         [
-            (ENTROPY_SUMMARY, "integral = ", None),
-            (ENTROPY_SUMMARY, "points = ", "points = 2.5"),
-            (ENTROPY_SUMMARY, "certified = ", "certified = maybe"),
-            (PSI_USED, "degree = ", "degree = x"),
-            (PSI_USED, "psi = ", "psi = tabulated lift=0 p=2.0"),
+            (ENTROPY_SUMMARY, replace_line("integral = ", None)),
+            (ENTROPY_SUMMARY, replace_line("points = ", "points = 2.5")),
+            (ENTROPY_SUMMARY, replace_line("certified = ", "certified = maybe")),
+            (PSI_USED, replace_line("degree = ", "degree = x")),
+            (PSI_USED, replace_line("psi = ", "psi = tabulated lift=0 p=2.0")),
+            (PSI_USED, replace_line("p_grid = ", "p_grid = 2.0,1.5")),
+            (ENTROPY, lambda line: line.rsplit(",", 1)[0]),
         ],
-        ids=["no_integral", "fractional_points", "bad_certified", "bad_degree", "envelope_no_v"],
+        ids=[
+            "no_integral", "fractional_points", "bad_certified", "bad_degree", "envelope_no_v",
+            "decreasing_p_grid", "no_integrand_column",
+        ],
     )
     def test_corrupt_geometry_record_exits_1_naming_it(
-        self, smoke_cfg, smoke_run, tmp_path, capsys, name, old, new
+        self, smoke_cfg, smoke_run, tmp_path, capsys, name, edit
     ):
-        # a deleted or unparsable line of a record bounds reads back
+        # a deleted or unparsable line or column of an artifact bounds reads back
         out = copy_artifacts(smoke_run[1], tmp_path / "record")
-        lines = (out / name).read_text().splitlines()
-        lines = [new if line.startswith(old) else line for line in lines]
+        lines = [edit(line) for line in (out / name).read_text().splitlines()]
         (out / name).write_text("".join(line + "\n" for line in lines if line is not None))
         assert main(["bounds", smoke_cfg, "--out", str(out)]) == 1
         assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, spec",
-        [("grids.u", "log:0:1:5"), ("grids.p", "quantile:0.1:0.9:4"), ("grids.eps", "lin:0:1")],
-        ids=["u_log_from_0", "p_quantile", "eps_short"],
+        [
+            ("grids.u", "log:0:1:5"),
+            ("grids.p", "quantile:0.1:0.9:4"),
+            ("grids.eps", "lin:0:1"),
+            ("grids.p", "log:1:8:4"),
+            ("grids.eps", "log:0.5:2:4"),
+        ],
+        ids=["u_log_from_0", "p_quantile", "eps_short", "p_below_2", "eps_above_1"],
     )
     def test_bad_grid_fails_before_any_artifact(self, smoke_cfg, tmp_path, capsys, key, spec):
         out = tmp_path / "grid"

@@ -10,11 +10,9 @@ from ustattails import (
     Exact,
     Incomplete,
     alphabet_sampler,
-    attach_alphabet,
     decompose_field,
     deviation_scale,
     draw_data,
-    field_rank,
     hoeffding_decompose,
     lognormal_sampler,
     make_kernel,
@@ -137,12 +135,6 @@ class TestKernels:
         assert spot_check_symmetry(make_kernel("product", 3), rng)
         assert spot_check_symmetry(make_kernel("half_sq_diff"), rng)
 
-    def test_attach_alphabet(self):
-        k = attach_alphabet(make_kernel("product"), rademacher_sampler())
-        assert k.alphabet is not None
-        with pytest.raises(ValueError, match="alphabet"):
-            attach_alphabet(make_kernel("product"), normal_sampler())
-
 
 class TestUStatistic:
     def test_pairs_oracle(self):
@@ -200,36 +192,31 @@ class TestSampleTuples:
 
 class TestDecomposition:
     def test_rademacher_product(self):
-        k = attach_alphabet(make_kernel("product"), rademacher_sampler())
-        dec = hoeffding_decompose(k)
+        dec = hoeffding_decompose(make_kernel("product"), rademacher_sampler())
         assert np.allclose(dec.zetas, [0.0, 1.0])
         assert dec.rank == 2
         assert dec.mean == pytest.approx(0.0, abs=1e-15)
 
     def test_rademacher_sum(self):
-        k = attach_alphabet(make_kernel("sum"), rademacher_sampler())
-        dec = hoeffding_decompose(k)
+        dec = hoeffding_decompose(make_kernel("sum"), rademacher_sampler())
         assert np.allclose(dec.zetas, [1.0, 0.0])
         assert dec.rank == 1
 
     def test_constant_kernel_degenerate(self):
         k = make_kernel("table", values=[-1.0, 1.0], table=[[2.0], [2.0]])
-        dec = hoeffding_decompose(attach_alphabet(k, rademacher_sampler()))
+        dec = hoeffding_decompose(k, rademacher_sampler())
         assert dec.degenerate
         assert dec.mean == pytest.approx(2.0)
         assert dec.rank == 1  # rank pinned at the degree for constant kernels
 
     def test_requires_alphabet(self):
-        with pytest.raises(ValueError, match="alphabet"):
-            hoeffding_decompose(make_kernel("product"))
+        with pytest.raises(ValueError, match="sampler 'normal' has no finite alphabet"):
+            hoeffding_decompose(make_kernel("product"), normal_sampler())
 
     def test_projection_orthogonality_weighted_alphabet(self):
         values = np.array([-1.0, 0.5, 2.0])
         probs = np.array([0.2, 0.3, 0.5])
-        k = attach_alphabet(
-            make_kernel("product", shift=0.3), alphabet_sampler(values, probs)
-        )
-        dec = hoeffding_decompose(k)
+        dec = hoeffding_decompose(make_kernel("product", shift=0.3), alphabet_sampler(values, probs))
         g1, g2 = dec.terms
         assert float(g1 @ probs) == pytest.approx(0.0, abs=1e-14)
         assert float(probs @ g2 @ probs) == pytest.approx(0.0, abs=1e-14)
@@ -242,10 +229,7 @@ class TestDecomposition:
     def test_variance_matches_brute_force_small(self):
         values = np.array([-1.0, 0.5, 2.0])
         probs = np.array([0.2, 0.3, 0.5])
-        k = attach_alphabet(
-            make_kernel("product", shift=0.3), alphabet_sampler(values, probs)
-        )
-        dec = hoeffding_decompose(k)
+        dec = hoeffding_decompose(make_kernel("product", shift=0.3), alphabet_sampler(values, probs))
         n = 4
         pairs = list(combinations(range(n), 2))
         mean, second = 0.0, 0.0
@@ -260,7 +244,7 @@ class TestDecomposition:
 
     def test_degree_one_variance(self):
         k = make_kernel("table", values=[-1.0, 1.0], table=[[-1.0], [1.0]])
-        dec = hoeffding_decompose(attach_alphabet(k, rademacher_sampler()))
+        dec = hoeffding_decompose(k, rademacher_sampler())
         assert variance_value(dec, 10) == pytest.approx(0.1)
 
     @given(st.integers(0, 200))
@@ -268,11 +252,8 @@ class TestDecomposition:
         rng = np.random.default_rng(seed)
         values = np.sort(rng.normal(size=3)) + np.array([0.0, 0.5, 1.0])
         probs = rng.dirichlet(np.ones(3))
-        k = attach_alphabet(
-            make_kernel("product", shift=float(rng.normal())),
-            alphabet_sampler(values, probs),
-        )
-        dec = hoeffding_decompose(k)
+        k = make_kernel("product", shift=float(rng.normal()))
+        dec = hoeffding_decompose(k, alphabet_sampler(values, probs))
         g1, g2 = dec.terms
         scale = max(1.0, float(np.max(np.abs(g2))))
         assert abs(float(g1 @ probs)) < 1e-12 * scale
@@ -281,23 +262,21 @@ class TestDecomposition:
 
 class TestVariance:
     def test_degenerate_product_values(self):
-        k = attach_alphabet(make_kernel("product"), rademacher_sampler())
-        dec = hoeffding_decompose(k)
+        dec = hoeffding_decompose(make_kernel("product"), rademacher_sampler())
         assert variance_value(dec, 4) == pytest.approx(1.0 / 6.0, abs=1e-15)
         uv = variance_u(dec, 4)
         assert uv.slope == pytest.approx(-2.0, abs=0.05)
 
     def test_rank_one_sum_slope(self):
-        k = attach_alphabet(make_kernel("sum"), rademacher_sampler())
-        uv = variance_u(hoeffding_decompose(k), 64)
+        uv = variance_u(hoeffding_decompose(make_kernel("sum"), rademacher_sampler()), 64)
         # U reduces to twice the sample mean, so Var = 4/n exactly
         assert uv.var == pytest.approx(4.0 / 64.0, abs=1e-15)
         assert uv.slope == pytest.approx(-1.0, abs=0.05)
 
     def test_needs_n_beyond_degree(self):
-        k = attach_alphabet(make_kernel("product"), rademacher_sampler())
+        dec = hoeffding_decompose(make_kernel("product"), rademacher_sampler())
         with pytest.raises(ValueError, match="n > degree"):
-            variance_value(hoeffding_decompose(k), 2)
+            variance_value(dec, 2)
 
 
 class TestNormalization:
@@ -311,7 +290,7 @@ class TestNormalization:
 
 class TestSimulatePanel:
     def test_reproducible_and_chunk_invariant(self):
-        k = attach_alphabet(make_kernel("product"), rademacher_sampler())
+        k = make_kernel("product")
         rad = rademacher_sampler()
         a = simulate_panel(k, rad, 12, 400, seed=5)
         b = simulate_panel(k, rad, 12, 400, seed=5)
@@ -320,7 +299,7 @@ class TestSimulatePanel:
         assert np.array_equal(a.values, c.values)
 
     def test_seed_changes_values(self):
-        k = attach_alphabet(make_kernel("product"), rademacher_sampler())
+        k = make_kernel("product")
         rad = rademacher_sampler()
         a = simulate_panel(k, rad, 12, 50, seed=5)
         b = simulate_panel(k, rad, 12, 50, seed=6)
@@ -338,7 +317,7 @@ class TestSimulatePanel:
         assert np.allclose(fld.values.mean(axis=0), 0.0, atol=1e-12)
 
     def test_exact_means_centre_exactly(self):
-        k = attach_alphabet(make_kernel("product", shift=0.5), rademacher_sampler())
+        k = make_kernel("product", shift=0.5)
         fld = simulate_panel(k, rademacher_sampler(), 10, 2000, seed=2)
         assert fld.meta["mean_source"] == "exact"
         # mean of (x-.5)(y-.5) is .25, removed before scaling, so the field is centred
@@ -346,7 +325,7 @@ class TestSimulatePanel:
         assert abs(fld.values[:, 0].mean()) < 4.0 * se
 
     def test_normalized_variance_matches_formula(self):
-        k = attach_alphabet(make_kernel("product"), rademacher_sampler())
+        k = make_kernel("product")
         fld = simulate_panel(k, rademacher_sampler(), 16, 20000, seed=9)
         want = 2.0 * 16.0 / 15.0
         assert fld.values[:, 0].var() == pytest.approx(want, rel=0.05)
@@ -354,17 +333,28 @@ class TestSimulatePanel:
     def test_shared_data_panel(self):
         rad = rademacher_sampler()
         X = draw_data(rad, 12, 100, seed=3)
-        k = attach_alphabet(make_kernel("product"), rad)
+        k = make_kernel("product")
         fld = simulate_panel(k, rad, 12, 100, seed=3, data=X)
         fld2 = simulate_panel(k, rad, 12, 100, seed=3)
         assert np.array_equal(fld.values, fld2.values)
 
     def test_field_rank_partition(self):
-        k = attach_alphabet(
-            make_kernel("gprod", 2, g="identity", t_grid=[1.0, 2.0]),
-            rademacher_sampler(),
-        )
-        decs = decompose_field(k)
-        rank, partition = field_rank(decs)
-        assert rank == 2
-        assert partition == {2: [1.0, 2.0]}
+        k = make_kernel("gprod", 2, g="identity", t_grid=[1.0, 2.0])
+        rad = rademacher_sampler()
+        decs = decompose_field(k, rad)
+        assert [dec.rank for dec in decs] == [2, 2]
+        fld = simulate_panel(k, rad, 12, 50, seed=5)
+        assert fld.meta["rank"] == 2
+        assert [dec.rank for dec in fld.decomposition] == [2, 2]
+
+    def test_law_comes_from_sampler(self):
+        # product of {0, 1} draws: mean 1/4, first projection nonzero, so rank 1
+        fld = simulate_panel(make_kernel("product"), alphabet_sampler([0, 1]), 16, 2000, seed=1)
+        assert fld.meta["rank"] == 1
+        assert fld.decomposition[0].mean == pytest.approx(0.25)
+        se = fld.values[:, 0].std() / math.sqrt(2000)
+        assert abs(fld.values[:, 0].mean()) < 4.0 * se
+
+    def test_no_decomposition_without_alphabet(self):
+        fld = simulate_panel(make_kernel("product"), normal_sampler(), 10, 20, seed=1, rank=2)
+        assert fld.decomposition is None
