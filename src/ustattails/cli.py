@@ -25,6 +25,7 @@ from .bounds import Geometry, calibrate_tails, compare_curves, index_geometry, r
 from .config import Config, ConfigError, resolve_grid
 from .empirics import FieldSamples, TailCurve
 from .engine import (
+    DECOMP_MAX_DEGREE,
     EXACT_TUPLE_BUDGET,
     Exact,
     Incomplete,
@@ -32,6 +33,7 @@ from .engine import (
     decompose_field,
     lognormal_sampler,
     make_kernel,
+    needs_decomposition,
     normal_sampler,
     pareto_sampler,
     rademacher_sampler,
@@ -365,6 +367,16 @@ def write_svg(out_dir, curves):
 # -- stages ---------------------------------------------------------------
 
 
+def _check_decomposable(cfg, kernel):
+    if kernel.degree > DECOMP_MAX_DEGREE:
+        cfg.fail(
+            "kernel.degree",
+            f"kernel.degree {kernel.degree} needs the exact decomposition of the alphabet "
+            f"law, which supports degree up to {DECOMP_MAX_DEGREE} (with run.rank set, "
+            "simulate does without it for product, sum, gprod and table kernels)",
+        )
+
+
 def stage_simulate(cfg, out_dir):
     kernel = build_kernel(cfg)
     sampler = build_sampler(cfg)
@@ -372,6 +384,8 @@ def stage_simulate(cfg, out_dir):
     n = cfg.get_int("run.n")
     reps = cfg.get_int("run.reps")
     rank = None if cfg.get_str("run.rank", "auto") == "auto" else cfg.get_int("run.rank")
+    if needs_decomposition(kernel, sampler, rank):
+        _check_decomposable(cfg, kernel)
     fld = simulate_panel(
         kernel,
         sampler,
@@ -402,6 +416,7 @@ def stage_decompose(cfg, out_dir):
     sampler = build_sampler(cfg)
     if sampler.alphabet is None:
         cfg.fail("sampler.name", "decomposition needs a finite alphabet sampler")
+    _check_decomposable(cfg, kernel)
     write_decomposition(out_dir, decompose_field(kernel, sampler))
     return 0
 
@@ -437,6 +452,14 @@ def stage_entropy(cfg, out_dir):
     return 0
 
 
+def _lower_column(cfg, columns):
+    column = cfg.get_int("bound.lower_column", 0)
+    if not 0 <= column < columns:
+        cfg.fail("bound.lower_column", f"bound.lower_column must lie in 0..{columns - 1}, "
+                 f"got {column}")
+    return column
+
+
 def stage_bounds(cfg, out_dir):
     fld = read_field(out_dir, "bounds")
     geo = read_geometry(out_dir, "bounds")
@@ -450,7 +473,7 @@ def stage_bounds(cfg, out_dir):
                 "one_plus_beta",
                 choices=("one_plus_beta", "one_plus_inv_beta"),
             ),
-            "column": cfg.get_int("bound.lower_column", 0),
+            "column": _lower_column(cfg, len(fld.labels)),
         }
     report = calibrate_tails(fld, geo, u_grid, lower=lower)
     sup = report.sup_moments
@@ -490,10 +513,12 @@ def stage_verify(cfg, out_dir):
 
 
 def stage_run(cfg, out_dir):
-    # a bad grid fails before any heavy work
+    # a bad grid or lower column fails before any heavy work
     cfg.get_grid("grids.p", None, check=check_p_grid)
     cfg.get_grid("grids.u", None, quantile=True)
     cfg.get_grid("grids.eps", None, check=check_eps_grid)
+    if cfg.has("bound.lower_beta"):
+        _lower_column(cfg, len(build_kernel(cfg).t_grid))
     stage_simulate(cfg, out_dir)
     stage_entropy(cfg, out_dir)
     return max(stage_bounds(cfg, out_dir), stage_verify(cfg, out_dir))

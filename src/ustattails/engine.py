@@ -4,17 +4,25 @@ Replication i of every experiment draws from its own counter-based stream
 keyed by (seed, i), so results do not depend on chunk sizes or evaluation
 order and any single replication can be reproduced in isolation.  Data draws
 and subset draws for incomplete averaging use separately salted keys so the
-two never share a stream.
+two never share a stream.  Samplers that map uniforms to values (finite
+alphabets and the uniform law) draw the whole panel as one vectorized
+Philox4x64-10 block that reproduces those per-replication streams bit for
+bit; the others draw through one generator per replication.
 
-Exact averaging enumerates all index subsets of size d; above the tuple
-budget it switches to incomplete averaging over randomly sampled index
-tuples and notes the switch.  Decompositions into canonical (completely
-degenerate) projection terms are available under samplers with a finite
-weighted alphabet, and give exact means, variances, and ranks.
+Built-in kernels average exactly in closed form: a product of one factor
+per argument through the elementary symmetric polynomial of the factor
+values, a sum through the factor mean, and ``half_sq_diff`` as the unbiased
+sample variance.  Other kernels enumerate all index subsets of size d; above
+the tuple budget exact averaging switches to incomplete averaging over
+randomly sampled index tuples and notes the switch.  Decompositions into
+canonical (completely degenerate) projection terms are available under
+samplers with a finite weighted alphabet, and give exact means, variances,
+and ranks.
 """
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -23,7 +31,7 @@ import numpy as np
 
 EXACT_TUPLE_BUDGET = 2_000_000
 RANK_TOL = 1e-10
-_DECOMP_MAX_DEGREE = 4
+DECOMP_MAX_DEGREE = 4
 _DECOMP_MAX_CELLS = 20_000_000
 
 _LANE_SALTS = {"data": 0, "tuples": 0x9E3779B97F4A7C15}
@@ -38,6 +46,45 @@ def _stream(seed, rep, lane="data"):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC 2011)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_SH32 = np.uint64(32)
+
+
+def _mulhilo(m, x):
+    """Low and high words of the 128-bit product of the constant m and each word of x."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _SH32
+    ll, lh, hl = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
+    carry = ((ll >> _SH32) + (lh & _LO32) + (hl & _LO32)) >> _SH32
+    return x * np.uint64(m), x_hi * m_hi + (lh >> _SH32) + (hl >> _SH32) + carry
+
+
+def _philox_raw(seed, reps, words, lane="data"):
+    """(reps, words) uint64: the first ``words`` outputs of ``_stream(seed, i, lane)``
+    for every replication i, computed as one block.
+
+    numpy's Philox keys replication i by ((seed ^ salt) mod 2^64, i) and
+    encrypts the counters 1, 2, ... in turn, each giving four words.
+    """
+    blocks = -(-words // 4)
+    zero = np.zeros((reps, blocks), dtype=np.uint64)
+    c0 = zero + np.arange(1, blocks + 1, dtype=np.uint64)
+    c1 = c2 = c3 = zero
+    k0 = (int(seed) ^ _LANE_SALTS[lane]) & _U64
+    k1 = np.arange(reps, dtype=np.uint64)[:, None]
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _U64
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=2).reshape(reps, 4 * blocks)[:, :words]
+
+
 # -- samplers ----------------------------------------------------------
 
 
@@ -47,11 +94,15 @@ class Sampler:
 
     ``alphabet`` is (values, weights) when the distribution is finitely
     supported; that is what makes exact decompositions available.
+    ``from_uniforms``, when set, maps an array of the generator's ``random()``
+    doubles to the values ``draw`` would return from the same stream, which
+    lets ``draw_data`` draw a whole panel without a generator per replication.
     """
 
     name: str
     draw: callable
     alphabet: tuple | None = None
+    from_uniforms: Callable | None = None
 
 
 def alphabet_sampler(values, weights=None, *, name="alphabet"):
@@ -67,11 +118,13 @@ def alphabet_sampler(values, weights=None, *, name="alphabet"):
         if w.shape != v.shape or np.any(w < 0) or w.sum() <= 0:
             raise ValueError("weights must be nonnegative and match the values")
         w = w / w.sum()
+    cdf = w.cumsum()
+    cdf /= cdf[-1]  # as Generator.choice normalizes p
 
     def draw(rng, size):
         return rng.choice(v, size=size, p=w)
 
-    return Sampler(name, draw, (v, w))
+    return Sampler(name, draw, (v, w), lambda u: v[cdf.searchsorted(u, "right")])
 
 
 def rademacher_sampler():
@@ -85,7 +138,11 @@ def normal_sampler():
 def uniform_sampler(lo=0.0, hi=1.0):
     if not hi > lo:
         raise ValueError("need hi > lo")
-    return Sampler("uniform", lambda rng, size: rng.uniform(lo, hi, size))
+
+    def draw(rng, size):
+        return rng.uniform(lo, hi, size)
+
+    return Sampler("uniform", draw, from_uniforms=lambda u: lo + (hi - lo) * u)
 
 
 def pareto_sampler(a):
@@ -131,12 +188,19 @@ class Kernel:
 
     ``fn(xs, t)`` takes a tuple of ``degree`` broadcastable arrays and an
     index label from ``t_grid``.  Scalar kernels use the single label "t0".
+
+    ``closed_form(X, t)``, when set, returns for each row of the (reps, n)
+    matrix X the exact mean of ``fn`` over all C(n, degree) index subsets.
+    ``alphabet_mean(values, weights, t)``, when set, returns the mean of
+    ``fn`` over i.i.d. arguments drawn from a finite weighted alphabet.
     """
 
     name: str
     degree: int
     t_grid: tuple
     fn: callable
+    closed_form: Callable | None = None
+    alphabet_mean: Callable | None = None
 
 
 _GPROD_SHAPES = {"sin": np.sin, "tanh": np.tanh, "identity": lambda x: x}
@@ -154,7 +218,28 @@ def _factor_kernel(name, degree, t_grid, factor, combine):
             out = combine(out, factor(x, t))
         return out
 
-    return Kernel(name, d, t_grid, fn)
+    if combine is operator.add:
+        # each observation sits in the fraction d/n of the subsets
+        def closed_form(X, t):
+            return d * factor(X, t).mean(axis=1)
+
+        def alphabet_mean(values, weights, t):
+            return d * float(weights @ factor(values, t))
+
+    else:
+        # the sum over subsets is the elementary symmetric polynomial e_d of the
+        # factor values, built by e_k <- e_k + f_i e_(k-1) without cancellation
+        def closed_form(X, t):
+            e = np.zeros((d + 1, X.shape[0]))
+            e[0] = 1.0
+            for f in factor(np.ascontiguousarray(X.T), t):
+                e[1:] += f * e[:-1]
+            return e[d] / math.comb(X.shape[1], d)
+
+        def alphabet_mean(values, weights, t):
+            return float(weights @ factor(values, t)) ** d
+
+    return Kernel(name, d, t_grid, fn, closed_form, alphabet_mean)
 
 
 def make_kernel(name, degree=None, *, shift=0.0, g="sin", t_grid=None, values=None, table=None):
@@ -169,7 +254,7 @@ def make_kernel(name, degree=None, *, shift=0.0, g="sin", t_grid=None, values=No
             diff = xs[0] - xs[1]
             return 0.5 * diff * diff
 
-        return Kernel("half_sq_diff", 2, ("t0",), fn)
+        return Kernel("half_sq_diff", 2, ("t0",), fn, lambda X, t: X.var(axis=1, ddof=1))
     if name == "gprod":
         if t_grid is None:
             raise ValueError("gprod needs a numeric t_grid")
@@ -196,12 +281,11 @@ def make_kernel(name, degree=None, *, shift=0.0, g="sin", t_grid=None, values=No
             raise ValueError("t_grid length must match the table column count")
         col = {t: j for j, t in enumerate(grid)}
 
-        def fn(xs, t):
-            idx = np.searchsorted(v, xs[0])
-            idx = np.clip(idx, 0, v.size - 1)
+        def lookup(x, t):
+            idx = np.clip(np.searchsorted(v, x), 0, v.size - 1)
             return tab[idx, col[t]]
 
-        return Kernel("table", 1, grid, fn)
+        return _factor_kernel("table", 1, grid, lookup, operator.mul)
     raise ValueError(f"unknown kernel {name!r}")
 
 
@@ -330,8 +414,8 @@ def hoeffding_decompose(kernel, sampler, t=None, *, rank_tol=RANK_TOL):
         t = kernel.t_grid[0]
     values, probs = sampler.alphabet
     d = kernel.degree
-    if d > _DECOMP_MAX_DEGREE:
-        raise ValueError(f"decomposition supports degree up to {_DECOMP_MAX_DEGREE}")
+    if d > DECOMP_MAX_DEGREE:
+        raise ValueError(f"decomposition supports degree up to {DECOMP_MAX_DEGREE}")
     if values.size ** d > _DECOMP_MAX_CELLS:
         raise ValueError("alphabet too large for an exact degree-d table")
     grids = np.meshgrid(*([values] * d), indexing="ij")
@@ -428,6 +512,9 @@ def deviation_scale(n, rank, convention="multiply"):
 
 def draw_data(sampler, n, reps, seed):
     """(reps, n) matrix; row i comes from the stream keyed by (seed, i)."""
+    if sampler.from_uniforms is not None:
+        # the doubles Generator.random() makes of the same words
+        return sampler.from_uniforms((_philox_raw(seed, reps, n) >> np.uint64(11)) * 2.0**-53)
     X = np.empty((reps, n))
     for i in range(reps):
         X[i] = sampler.draw(_stream(seed, i, "data"), n)
@@ -441,8 +528,10 @@ def _default_chunk(tuple_count):
 def u_statistic_panel(kernel, X, mode=None, *, seed=0, chunk=None):
     """U-statistic matrix (reps, t_grid) for a panel of datasets.
 
-    Incomplete averaging draws a fresh tuple set per replication from the
-    tuple lane keyed by (seed, replication index).
+    Exact averaging uses the kernel's closed form when it has one and
+    gathers every index subset otherwise.  Incomplete averaging draws a
+    fresh tuple set per replication from the tuple lane keyed by (seed,
+    replication index).
     """
     X = np.asarray(X, dtype=float)
     reps, n = X.shape
@@ -452,7 +541,10 @@ def u_statistic_panel(kernel, X, mode=None, *, seed=0, chunk=None):
     mode = Exact() if mode is None else mode
     kind, count, notes = _resolve_mode(mode, n, d)
     out = np.empty((reps, len(kernel.t_grid)))
-    if kind == "exact":
+    if kind == "exact" and kernel.closed_form is not None:
+        for j, t in enumerate(kernel.t_grid):
+            out[:, j] = kernel.closed_form(X, t)
+    elif kind == "exact":
         idx = _index_tuples(n, d)
         step = chunk if chunk is not None else _default_chunk(idx.shape[0])
         for lo in range(0, reps, step):
@@ -463,6 +555,15 @@ def u_statistic_panel(kernel, X, mode=None, *, seed=0, chunk=None):
             idx = _sample_tuples(_stream(seed, i, "tuples"), n, d, count)
             out[i] = u_statistic_matrix(kernel, X[i : i + 1], idx)[0]
     return out, kind, count, notes
+
+
+def needs_decomposition(kernel, sampler, rank=None, mean_per_t=None):
+    """Whether ``simulate_panel`` decomposes: under an alphabet law, for the
+    rank when none is given, and for the means when neither they nor the
+    kernel's ``alphabet_mean`` are."""
+    if sampler.alphabet is None:
+        return False
+    return rank is None or (mean_per_t is None and kernel.alphabet_mean is None)
 
 
 def simulate_panel(
@@ -483,7 +584,9 @@ def simulate_panel(
 
     Means and the rank come from the exact decomposition when the sampler
     has a finite alphabet; that decomposition is returned with the field.
-    Otherwise the rank must be supplied, and missing means fall back to the
+    With the rank supplied, a kernel with an ``alphabet_mean`` takes its
+    exact means from that instead and is not decomposed.  Without an
+    alphabet the rank must be supplied, and missing means fall back to the
     grand Monte Carlo mean across the panel (flagged in the metadata, since
     that recentering removes part of the deviation).
 
@@ -494,7 +597,7 @@ def simulate_panel(
     from .empirics import FieldSamples
 
     decomps = None
-    if (rank is None or mean_per_t is None) and sampler.alphabet is not None:
+    if needs_decomposition(kernel, sampler, rank, mean_per_t):
         decomps = decompose_field(kernel, sampler)
     if rank is None:
         if decomps is None:
@@ -507,6 +610,9 @@ def simulate_panel(
     if mean_per_t is None:
         if decomps is not None:
             mean_per_t = [dec.mean for dec in decomps]
+            mean_source = "exact"
+        elif sampler.alphabet is not None:
+            mean_per_t = [kernel.alphabet_mean(*sampler.alphabet, t) for t in kernel.t_grid]
             mean_source = "exact"
         else:
             mean_source = "grand_mc"

@@ -297,6 +297,39 @@ class TestPipeline:
         assert "- lower shape omitted: column 0 has no usable points" in report
         assert "ordering = PASS" in (out / VERIFY_REPORT).read_text()
 
+    @pytest.mark.parametrize("column", ["9", "-1"])
+    def test_bad_lower_column_fails_before_any_artifact(self, smoke_cfg, tmp_path, capsys, column):
+        out = tmp_path / "column"
+        rc = main(["run", smoke_cfg, "--out", str(out), "--set", f"bound.lower_column={column}"])
+        assert rc == 1
+        assert "bound.lower_column" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("column", ["9", "-1"])
+    def test_bad_lower_column_fails_bounds(self, smoke_cfg, smoke_run, tmp_path, capsys, column):
+        out = copy_artifacts(smoke_run[1], tmp_path / "column")
+        rc = main(["bounds", smoke_cfg, "--out", str(out), "--set", f"bound.lower_column={column}"])
+        assert rc == 1
+        assert "bound.lower_column" in capsys.readouterr().err
+        assert read_artifacts(out) == read_artifacts(smoke_run[1])
+
+    def test_high_degree_alphabet_law_with_rank(self, smoke_cfg, tmp_path):
+        # the factor's alphabet moment gives the exact mean, so nothing is decomposed
+        out = tmp_path / "degree5"
+        degree5 = ["--set", "kernel.name=product", "--set", "kernel.degree=5",
+                   "--set", "run.n=8", "--set", "run.reps=400"]
+        assert main(["run", smoke_cfg, "--out", str(out), "--set", "run.rank=1"] + degree5) in (0, 2)
+        assert sorted(os.listdir(out)) == sorted(set(RUN_ARTIFACTS) - {DECOMP})
+        assert key_values(out / FIELD_META)["mean_source"] == "exact"
+
+    @pytest.mark.parametrize("stage", ["run", "decompose"])
+    def test_high_degree_alphabet_law_needs_rank(self, smoke_cfg, tmp_path, capsys, stage):
+        out = tmp_path / "degree5"
+        degree5 = ["--set", "kernel.name=product", "--set", "kernel.degree=5", "--set", "run.n=8"]
+        assert main([stage, smoke_cfg, "--out", str(out)] + degree5) == 1
+        assert "kernel.degree" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_nonpositive_lower_beta_exits_1(self, smoke_cfg, tmp_path, capsys):
         rc = main(["run", smoke_cfg, "--out", str(tmp_path), "--set", "bound.lower_beta=0"])
         assert rc == 1

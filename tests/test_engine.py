@@ -1,5 +1,6 @@
+import dataclasses
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -25,9 +26,10 @@ from ustattails import (
     variance_u,
     variance_value,
 )
+from ustattails import engine
 from ustattails.cli import build_sampler
 from ustattails.config import Config, ConfigError
-from ustattails.engine import _sample_tuples, _stream, spot_check_symmetry
+from ustattails.engine import _LANE_SALTS, _philox_raw, _sample_tuples, _stream, spot_check_symmetry
 
 
 def sampler_from(text):
@@ -49,6 +51,46 @@ class TestStreams:
         a = _stream(5, 3, "data").standard_normal(8)
         b = _stream(5, 3, "tuples").standard_normal(8)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("lane", sorted(_LANE_SALTS))
+    def test_vectorized_philox_matches_numpy(self, seed, lane):
+        for words in (1, 5, 7, 10):
+            raw = _philox_raw(seed, 3, words, lane)
+            for rep in range(3):
+                key = [(seed ^ _LANE_SALTS[lane]) & engine._U64, rep]
+                want = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(words)
+                assert np.array_equal(raw[rep], want), (words, rep)
+
+
+DRAW_SAMPLERS = {
+    "rademacher": rademacher_sampler(),
+    "weighted": alphabet_sampler([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5]),
+    "uniform": uniform_sampler(-2.0, 5.0),
+}
+
+
+class TestDrawData:
+    @pytest.mark.parametrize("name", sorted(DRAW_SAMPLERS))
+    @pytest.mark.parametrize("n", [1, 3, 4, 7, 24])
+    def test_matches_per_replication_streams(self, name, n):
+        sampler = DRAW_SAMPLERS[name]
+        X = draw_data(sampler, n, 6, seed=2**63 + 5)
+        want = np.array([sampler.draw(_stream(2**63 + 5, i), n) for i in range(6)])
+        assert X.shape == (6, n)
+        assert np.array_equal(X.view(np.uint64), want.view(np.uint64))
+
+    def test_alphabet_ties_go_right(self):
+        # Generator.choice searches its cdf from the right: u = 0.5 draws +1
+        assert rademacher_sampler().from_uniforms(np.array([0.0, 0.5])).tolist() == [-1.0, 1.0]
+
+    @pytest.mark.parametrize("name", sorted(DRAW_SAMPLERS))
+    def test_builds_no_generator(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-replication generator was built")
+
+        monkeypatch.setattr(engine, "_stream", refuse)
+        assert draw_data(DRAW_SAMPLERS[name], 5, 4, seed=11).shape == (4, 5)
 
 
 class TestSamplers:
@@ -170,6 +212,28 @@ class TestUStatistic:
     def test_incomplete_needs_positive(self):
         with pytest.raises(ValueError, match="at least one"):
             u_statistic_panel(make_kernel("product"), [[1.0, 2.0, 3.0]], Incomplete(subsets=0))
+
+    @pytest.mark.parametrize("law", ["normal", "rademacher", "pareto"])
+    def test_closed_form_matches_gather(self, law):
+        sampler = {
+            "normal": normal_sampler(), "rademacher": rademacher_sampler(),
+            "pareto": pareto_sampler(1.5),
+        }[law]
+        X = draw_data(sampler, 9, 40, seed=3)
+        grid = [0.3, 1.0, 2.5]
+        kernels = [make_kernel("half_sq_diff")]
+        kernels += [make_kernel("table", values=[-1.0, 1.0], table=[[0.5, -2.0], [3.0, 1.0]])]
+        for d in range(1, 5):
+            kernels += [make_kernel("product", d, shift=0.4), make_kernel("sum", d)]
+            kernels += [make_kernel("gprod", d, g=g, t_grid=grid) for g in ("sin", "tanh", "identity")]
+        for k in kernels:
+            assert k.closed_form is not None, k.name
+            gather = dataclasses.replace(k, closed_form=None)
+            size = dataclasses.replace(gather, fn=lambda xs, t, fn=k.fn: np.abs(fn(xs, t)))
+            closed = u_statistic_panel(k, X)[0]
+            scale = u_statistic_panel(size, X)[0]
+            err = np.abs(closed - u_statistic_panel(gather, X)[0])
+            assert np.all(err <= 1e-12 * scale), (k.name, k.degree, float(np.max(err / scale)))
 
     def test_incomplete_unbiased(self):
         # average incomplete estimates over replications against the exact value
@@ -354,6 +418,26 @@ class TestSimulatePanel:
         assert fld.decomposition[0].mean == pytest.approx(0.25)
         se = fld.values[:, 0].std() / math.sqrt(2000)
         assert abs(fld.values[:, 0].mean()) < 4.0 * se
+
+    def test_factor_mean_matches_enumeration(self):
+        values, weights = np.array([-1.0, 0.5, 2.0]), np.array([0.2, 0.3, 0.5])
+        for name in ("product", "sum"):
+            k = make_kernel(name, 5, shift=0.3)
+            want = 0.0
+            for cells in product(range(3), repeat=5):
+                xs = tuple(values[list(cells)])
+                want += float(np.prod(weights[list(cells)])) * float(k.fn(xs, "t0"))
+            assert k.alphabet_mean(values, weights, "t0") == pytest.approx(want, rel=1e-13), name
+
+    def test_given_rank_takes_factor_mean_without_decomposing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decomposed")
+
+        monkeypatch.setattr(engine, "decompose_field", refuse)
+        sampler = alphabet_sampler([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5])
+        fld = simulate_panel(make_kernel("product", 5, shift=0.3), sampler, 8, 50, seed=1, rank=1)
+        assert fld.meta["mean_source"] == "exact"
+        assert fld.decomposition is None
 
     def test_no_decomposition_without_alphabet(self):
         fld = simulate_panel(make_kernel("product"), normal_sampler(), 10, 20, seed=1, rank=2)
