@@ -3,9 +3,12 @@
 Subcommands are stages of one pipeline; ``run`` executes them in order, and
 each stage reads its inputs from the artifact files the previous stage wrote
 into the output directory.  Running the stages separately therefore produces
-byte-identical artifacts to one ``run``.  All floats are written with repr,
-nothing records wall-clock time, and every random draw is keyed by the
-configured seed, so identical configs give identical bytes.
+byte-identical artifacts to one ``run``.  A stage reuses the field values
+``write_field`` wrote in the same process when field.csv still hashes to the
+bytes written; any other field.csv, a hand-edited one included, is parsed.
+All floats are written with repr, nothing records wall-clock time, and every
+random draw is keyed by the configured seed, so identical configs give
+identical bytes.
 
 Exit codes: 0 success, 1 error (bad config, missing artifact, bad math),
 2 finished but not certified (entropy integral saturated by the finite index
@@ -218,26 +221,67 @@ def read_record(path, casts):
     return record
 
 
+# {sha256 of the field.csv bytes write_field wrote: (labels, values)}, one entry
+_written_field = {}
+FIELD_BLOCK_CELLS = 1 << 16
+
+
 def _sha256(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _field_text(header, values):
+    """field.csv in blocks of text: the header, then rows of about FIELD_BLOCK_CELLS cells.
+
+    Each distinct bit pattern of the values is repr'd once (``-0.0`` keeps
+    its own), so the cells are what ``_cell`` writes.
+    """
+    yield header + "\n"
+    bits, cell_of = np.unique(values.view(np.uint64), return_inverse=True)
+    cells = np.array([float.__repr__(x) for x in bits.view(float).tolist()], dtype=object)
+    cell_of = cell_of.reshape(values.shape)
+    step = max(1, FIELD_BLOCK_CELLS // values.shape[1])
+    for lo in range(0, values.shape[0], step):
+        rows = cells[cell_of[lo : lo + step]].tolist()
+        yield "".join(f"{i},{','.join(row)}\n" for i, row in enumerate(rows, lo))
+
+
 def write_field(out_dir, fld):
-    rows = ([i] + row.tolist() for i, row in enumerate(fld.values))
-    write_table(os.path.join(out_dir, FIELD), ("rep",) + fld.labels, rows)
+    """field.csv, byte for byte the ``write_table`` of its rows, and field_meta.txt.
+
+    The bytes are hashed as they are written, so that ``read_field`` can hand
+    these values back while field.csv still holds them.
+    """
+    _written_field.clear()
+    values = np.ascontiguousarray(fld.values, dtype=float)
+    header = ",".join(map(_cell, ("rep",) + tuple(fld.labels)))
+    digest = hashlib.sha256()
+    with open(os.path.join(out_dir, FIELD), "wb") as fh:
+        for text in _field_text(header, values):
+            data = text.encode()
+            fh.write(data)
+            digest.update(data)
+    values = values.view()
+    values.flags.writeable = False  # shared by every stage that reads these bytes back
+    _written_field[digest.hexdigest()] = (header.split(",")[1:], values)
     pairs = [(k, v) for k, v in sorted(fld.meta.items()) if k != "notes"]
     pairs += [("note", note) for note in fld.meta.get("notes", [])]
     write_pairs(os.path.join(out_dir, FIELD_META), pairs)
 
 
 def read_field(out_dir, stage):
-    header, values = read_table(_need(out_dir, FIELD, stage), labelled=True)
+    """The field in field.csv; the values ``write_field`` last wrote when the bytes match."""
+    path = _need(out_dir, FIELD, stage)
+    written = _written_field.get(_sha256(path)) if _written_field else None
+    if written is None:
+        header, values = read_table(path, labelled=True)
+        written = header[1:], values
     meta_path = os.path.join(out_dir, FIELD_META)
     pairs = read_pairs(meta_path) if os.path.exists(meta_path) else []
     meta = {k: v for k, v in pairs if k != "note"}
     meta["notes"] = [v for k, v in pairs if k == "note"]
-    return FieldSamples(header[1:], values, meta)
+    return FieldSamples(*written, meta)
 
 
 def write_distance(out_dir, labels, dist):
@@ -421,9 +465,26 @@ def stage_decompose(cfg, out_dir):
     return 0
 
 
-def _resolve_degree(cfg, fld):
-    if cfg.has("bound.degree"):
-        return cfg.get_int("bound.degree")
+def _entropy_settings(cfg):
+    """The configured degree (or None), and the arguments of ``index_geometry`` but the field."""
+    eps = cfg.get_grid("grids.eps", None, check=check_eps_grid)
+    options = {
+        "p_grid": resolve_grid(cfg.get_grid("grids.p", DEFAULT_P_GRID, check=check_p_grid)),
+        "env": build_envelope(cfg),
+        "eps_grid": None if eps is None else resolve_grid(eps),
+        "estimator": cfg.get_str(
+            "entropy.estimator", "greedy", choices=("greedy", "packing", "exact")
+        ),
+        "plateau_fraction": cfg.get_float("entropy.plateau_fraction", DEFAULT_PLATEAU_FRACTION),
+        "p_max": cfg.get_float("psi.p_max", DEFAULT_P_MAX),
+        "points": cfg.get_int("psi.points", DEFAULT_GRID_POINTS),
+    }
+    return cfg.get_int("bound.degree", None), options
+
+
+def _resolve_degree(cfg, degree, fld):
+    if degree is not None:
+        return degree
     if "degree" in fld.meta:
         return int(fld.meta["degree"])
     if cfg.has("kernel.degree"):
@@ -432,38 +493,20 @@ def _resolve_degree(cfg, fld):
 
 
 def stage_entropy(cfg, out_dir):
-    env = build_envelope(cfg)
+    degree, options = _entropy_settings(cfg)
     fld = read_field(out_dir, "entropy")
-    degree = _resolve_degree(cfg, fld)
-    estimator = cfg.get_str("entropy.estimator", "greedy", choices=("greedy", "packing", "exact"))
-    eps = cfg.get_grid("grids.eps", None, check=check_eps_grid)
-    geo = index_geometry(
-        fld,
-        resolve_grid(cfg.get_grid("grids.p", DEFAULT_P_GRID, check=check_p_grid)),
-        degree,
-        env=env,
-        eps_grid=None if eps is None else resolve_grid(eps),
-        estimator=estimator,
-        plateau_fraction=cfg.get_float("entropy.plateau_fraction", DEFAULT_PLATEAU_FRACTION),
-        p_max=cfg.get_float("psi.p_max", DEFAULT_P_MAX),
-        points=cfg.get_int("psi.points", DEFAULT_GRID_POINTS),
-    )
-    write_geometry(out_dir, geo, degree, estimator)
+    degree = _resolve_degree(cfg, degree, fld)
+    geo = index_geometry(fld, degree=degree, **options)
+    write_geometry(out_dir, geo, degree, options["estimator"])
     return 0
 
 
-def _lower_column(cfg, columns):
-    column = cfg.get_int("bound.lower_column", 0)
-    if not 0 <= column < columns:
-        cfg.fail("bound.lower_column", f"bound.lower_column must lie in 0..{columns - 1}, "
-                 f"got {column}")
-    return column
+def _bounds_settings(cfg, columns):
+    """The u-grid spec, the lower-curve settings (or None) and the plot switch.
 
-
-def stage_bounds(cfg, out_dir):
-    fld = read_field(out_dir, "bounds")
-    geo = read_geometry(out_dir, "bounds")
-    u_grid = resolve_grid(cfg.get_grid("grids.u", DEFAULT_U_GRID, quantile=True), fld.sup_abs())
+    ``columns`` is the number of field columns ``bound.lower_column`` picks from.
+    """
+    u_spec = cfg.get_grid("grids.u", DEFAULT_U_GRID, quantile=True)
     lower = None
     if cfg.has("bound.lower_beta"):
         lower = {
@@ -473,9 +516,19 @@ def stage_bounds(cfg, out_dir):
                 "one_plus_beta",
                 choices=("one_plus_beta", "one_plus_inv_beta"),
             ),
-            "column": _lower_column(cfg, len(fld.labels)),
+            "column": cfg.get_int("bound.lower_column", 0),
         }
-    report = calibrate_tails(fld, geo, u_grid, lower=lower)
+        if not 0 <= lower["column"] < columns:
+            cfg.fail("bound.lower_column", f"bound.lower_column must lie in 0..{columns - 1}, "
+                     f"got {lower['column']}")
+    return u_spec, lower, cfg.get_bool("output.plot", False)
+
+
+def stage_bounds(cfg, out_dir):
+    fld = read_field(out_dir, "bounds")
+    u_spec, lower, plot = _bounds_settings(cfg, len(fld.labels))
+    geo = read_geometry(out_dir, "bounds")
+    report = calibrate_tails(fld, geo, resolve_grid(u_spec, fld.sup_abs()), lower=lower)
     sup = report.sup_moments
     rows = zip(sup.p_grid.tolist(), sup.values.tolist(), sup.low_confidence.tolist())
     write_table(os.path.join(out_dir, MOMENTS_SUP), ("p", "value", "low_confidence"), rows)
@@ -486,9 +539,13 @@ def stage_bounds(cfg, out_dir):
         elif os.path.exists(path):
             os.remove(path)  # a lower curve left by an earlier config must not reach verify
     _write(os.path.join(out_dir, BOUND_REPORT), report_text(report))
-    if cfg.get_bool("output.plot", False):
+    if plot:
         write_svg(out_dir, report.curves)
     return 0 if report.certified else 2
+
+
+def _verify_sigma(cfg):
+    return cfg.get_float("bound.sigma", 3.0)
 
 
 def stage_verify(cfg, out_dir):
@@ -496,7 +553,7 @@ def stage_verify(cfg, out_dir):
     upper = read_curve(_need(out_dir, TAIL_UPPER, "verify"), "upper_bound")
     lower_path = os.path.join(out_dir, TAIL_LOWER)
     lower = read_curve(lower_path, "lower_bound") if os.path.exists(lower_path) else None
-    cmp = compare_curves(emp, upper=upper, lower=lower, sigma=cfg.get_float("bound.sigma", 3.0))
+    cmp = compare_curves(emp, upper=upper, lower=lower, sigma=_verify_sigma(cfg))
     write_pairs(
         os.path.join(out_dir, VERIFY_REPORT),
         [
@@ -513,12 +570,10 @@ def stage_verify(cfg, out_dir):
 
 
 def stage_run(cfg, out_dir):
-    # a bad grid or lower column fails before any heavy work
-    cfg.get_grid("grids.p", None, check=check_p_grid)
-    cfg.get_grid("grids.u", None, quantile=True)
-    cfg.get_grid("grids.eps", None, check=check_eps_grid)
-    if cfg.has("bound.lower_beta"):
-        _lower_column(cfg, len(build_kernel(cfg).t_grid))
+    # every key a later stage reads is read here, so a bad one fails before any artifact
+    _entropy_settings(cfg)
+    _bounds_settings(cfg, len(build_kernel(cfg).t_grid))
+    _verify_sigma(cfg)
     stage_simulate(cfg, out_dir)
     stage_entropy(cfg, out_dir)
     return max(stage_bounds(cfg, out_dir), stage_verify(cfg, out_dir))

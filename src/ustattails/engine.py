@@ -12,12 +12,12 @@ bit; the others draw through one generator per replication.
 Built-in kernels average exactly in closed form: a product of one factor
 per argument through the elementary symmetric polynomial of the factor
 values, a sum through the factor mean, and ``half_sq_diff`` as the unbiased
-sample variance.  Other kernels enumerate all index subsets of size d; above
-the tuple budget exact averaging switches to incomplete averaging over
-randomly sampled index tuples and notes the switch.  Decompositions into
-canonical (completely degenerate) projection terms are available under
-samplers with a finite weighted alphabet, and give exact means, variances,
-and ranks.
+sample variance, whatever the number of index subsets.  Other kernels
+enumerate all index subsets of size d; above the tuple budget exact
+averaging switches to incomplete averaging over randomly sampled index
+tuples and notes the switch.  Decompositions into canonical (completely
+degenerate) projection terms are available under samplers with a finite
+weighted alphabet, and give exact means, variances, and ranks.
 """
 
 import math
@@ -340,12 +340,16 @@ def _sample_tuples(rng, n, d, count):
     return out
 
 
-def _resolve_mode(mode, n, d):
-    """Returns (kind, tuple_count, notes)."""
+def _resolve_mode(mode, n, d, closed_form=False):
+    """Returns (kind, tuple_count, notes).
+
+    The budget limits only the gather path: a kernel with a closed form
+    averages exactly at any C(n, d).
+    """
     total = math.comb(n, d)
     notes = []
     if isinstance(mode, Exact):
-        if total > mode.budget:
+        if total > mode.budget and not closed_form:
             notes.append(
                 f"exact averaging needs {total} tuples, over the budget of "
                 f"{mode.budget}; switched to incomplete averaging"
@@ -539,7 +543,7 @@ def u_statistic_panel(kernel, X, mode=None, *, seed=0, chunk=None):
     if n <= d:
         raise ValueError(f"need more than degree = {d} observations, got {n}")
     mode = Exact() if mode is None else mode
-    kind, count, notes = _resolve_mode(mode, n, d)
+    kind, count, notes = _resolve_mode(mode, n, d, kernel.closed_form is not None)
     out = np.empty((reps, len(kernel.t_grid)))
     if kind == "exact" and kernel.closed_form is not None:
         for j, t in enumerate(kernel.t_grid):

@@ -1,13 +1,17 @@
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ustattails
-from ustattails import engine
+from ustattails import cli, engine
 from ustattails.cli import (
     BOUND_REPORT,
     DECOMP,
@@ -25,11 +29,14 @@ from ustattails.cli import (
     VERIFY_REPORT,
     build_kernel,
     main,
+    read_field,
     read_pairs,
     read_table,
+    write_field,
     write_table,
 )
 from ustattails.config import Config, ConfigError, parse_grid, resolve_grid
+from ustattails.empirics import FieldSamples
 
 SMOKE = """\
 run.seed = 11
@@ -246,6 +253,49 @@ class TestPipeline:
         assert main(["verify", smoke_cfg, "--out", str(out2)]) == 0
         assert read_artifacts(out) == read_artifacts(out2)
 
+    def test_run_reads_back_no_field(self, smoke_cfg, tmp_path, monkeypatch):
+        # entropy and bounds take the values simulate wrote, not a parse of field.csv
+        parsed = []
+        parse = cli.read_table
+
+        def counted(path, *args, **kwargs):
+            parsed.append(os.path.basename(path))
+            return parse(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_table", counted)
+        assert main(["run", smoke_cfg, "--out", str(tmp_path)]) == 0
+        assert FIELD not in parsed
+        assert DISTANCE in parsed  # the wrapper sees the tables that are parsed
+
+    def test_stage_processes_match_run(self, smoke_cfg, smoke_run, tmp_path):
+        # each stage in its own interpreter parses field.csv, and writes what run wrote
+        src = os.path.dirname(os.path.dirname(ustattails.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("USTATTAILS_OUT", None)
+        out = tmp_path / "processes"
+        for stage in ("simulate", "entropy", "bounds", "verify"):
+            subprocess.run(
+                [sys.executable, "-m", "ustattails", stage, smoke_cfg, "--out", str(out)],
+                env=env, check=True,
+            )
+        assert read_artifacts(out) == read_artifacts(smoke_run[1])
+
+    def test_edited_field_is_read_from_disk(self, smoke_cfg, tmp_path, capsys):
+        out = tmp_path / "edited"
+        assert main(["run", smoke_cfg, "--out", str(out)]) == 0
+        distance = (out / DISTANCE).read_bytes()
+        lines = (out / FIELD).read_text().splitlines()
+        cells = lines[1].split(",")
+        lines[1] = ",".join(cells[:1] + ["5.0"] + cells[2:])
+        (out / FIELD).write_text("\n".join(lines) + "\n")
+        assert main(["entropy", smoke_cfg, "--out", str(out)]) in (0, 2)
+        assert (out / DISTANCE).read_bytes() != distance
+        assert main(["run", smoke_cfg, "--out", str(out)]) == 0
+        lines = damage_field((out / FIELD).read_text().splitlines(), "non_numeric_cell")
+        (out / FIELD).write_text("\n".join(lines) + "\n")
+        assert main(["entropy", smoke_cfg, "--out", str(out)]) == 1
+        assert FIELD in capsys.readouterr().err
+
     @pytest.mark.parametrize("stages", [("run",), ("entropy", "bounds")])
     def test_envelope_change_recomputes_geometry(self, smoke_cfg, smoke_run, tmp_path, stages):
         # A directory holding a natural-envelope run is rerun with a constant
@@ -392,6 +442,29 @@ class TestPipeline:
         assert key in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize(
+        "setting, key",
+        [
+            ("psi.family=power_log", "psi.m"),
+            ("psi.family=exp_power", "psi.coef"),
+            ("bound.lower_exponent=bad", "bound.lower_exponent"),
+            ("bound.sigma=abc", "bound.sigma"),
+            ("bound.degree=two", "bound.degree"),
+            ("entropy.plateau_fraction=half", "entropy.plateau_fraction"),
+            ("output.plot=maybe", "output.plot"),
+        ],
+        ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
+             "bad_degree", "bad_plateau_fraction", "bad_plot"],
+    )
+    def test_bad_stage_key_fails_before_any_artifact(
+        self, smoke_cfg, tmp_path, capsys, setting, key
+    ):
+        # run reads the keys of entropy, bounds and verify before it simulates
+        out = tmp_path / "key"
+        assert main(["run", smoke_cfg, "--out", str(out), "--set", setting]) == 1
+        assert key in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_saturated_geometry_exits_2(self, smoke_cfg, tmp_path):
         out = tmp_path / "sat"
         rc = main([
@@ -488,3 +561,43 @@ def test_table_codec_round_trips_bits(tmp_path):
     assert header == ["a", "b", "c"]
     assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
     assert read_pairs(path) == [("# samples", "2")]
+
+
+FIELD_CELLS = st.sampled_from([
+    0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+    1e308, -1.7976931348623157e308, np.inf, -np.inf, 0.37139524701577833,
+])
+
+
+@given(
+    hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9), elements=FIELD_CELLS)
+    | hnp.arrays(float, st.tuples(st.integers(1, 3), st.integers(1, 3)), elements=st.floats())
+)
+def test_field_codec_matches_table_writer(values):
+    # write_field spells the bytes write_table spells, and a cold read_field gets the bits back
+    fld = FieldSamples([0.25 * (j + 1) for j in range(values.shape[1])], values)
+    with tempfile.TemporaryDirectory() as out:
+        write_field(out, fld)
+        reference = os.path.join(out, "reference.csv")
+        write_table(reference, ("rep",) + fld.labels,
+                    ([i] + row for i, row in enumerate(values.tolist())))
+        with open(os.path.join(out, FIELD), "rb") as fh, open(reference, "rb") as ref:
+            assert fh.read() == ref.read()
+        cli._written_field.clear()
+        back = read_field(out, "test")
+    assert back.labels == tuple(map(repr, fld.labels))
+    finite = ~np.isnan(values)
+    assert np.array_equal(back.values[finite].view(np.uint64), values[finite].view(np.uint64))
+    assert np.array_equal(np.isnan(back.values), ~finite)
+
+
+def test_field_codec_writes_in_blocks(tmp_path, monkeypatch):
+    # more rows than one block holds; the reuse key is the digest of all blocks
+    monkeypatch.setattr(cli, "FIELD_BLOCK_CELLS", 7)
+    values = np.arange(60.0).reshape(20, 3) / 7
+    write_field(str(tmp_path), FieldSamples((1.0, 2.0, 3.0), values))
+    reference = tmp_path / "reference.csv"
+    rows = ([i] + row for i, row in enumerate(values.tolist()))
+    write_table(reference, ("rep", 1.0, 2.0, 3.0), rows)
+    assert (tmp_path / FIELD).read_bytes() == reference.read_bytes()
+    assert read_field(str(tmp_path), "test").values is next(iter(cli._written_field.values()))[1]

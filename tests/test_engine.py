@@ -195,12 +195,23 @@ class TestUStatistic:
         assert vals[0, 0] == pytest.approx(np.var(x, ddof=1), abs=1e-12)
 
     def test_budget_switches_to_incomplete(self):
+        # a user kernel, with no closed form, gathers tuples and so has a budget
         x = _stream(0, 0).standard_normal(300)
-        k = make_kernel("product")
+        k = dataclasses.replace(make_kernel("product"), closed_form=None)
         _, kind, count, notes = u_statistic_panel(k, x[None, :], Exact(budget=1000))
         assert kind == "incomplete"
         assert count == 1000
         assert notes
+
+    def test_budget_leaves_closed_form_exact(self):
+        x = draw_data(rademacher_sampler(), 2100, 4, seed=3)
+        k = make_kernel("product")
+        vals, kind, count, notes = u_statistic_panel(k, x, Exact())
+        assert (kind, count, notes) == ("exact", math.comb(2100, 2), [])
+        assert math.comb(2100, 2) > Exact().budget
+        # ((sum x)^2 - n) / 2 pairs, exact in integers for +-1 data
+        sums = x.sum(axis=1)
+        assert np.array_equal(vals[:, 0], (sums**2 - 2100) / 2 / math.comb(2100, 2))
 
     def test_incomplete_clamps_to_exact(self):
         k = make_kernel("product")
