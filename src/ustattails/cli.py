@@ -3,8 +3,8 @@
 Subcommands are stages of one pipeline; ``run`` executes them in order, and
 each stage reads its inputs from the artifact files the previous stage wrote
 into the output directory.  Running the stages separately therefore produces
-byte-identical artifacts to one ``run``.  A stage reuses the field values
-``write_field`` wrote in the same process when field.csv still hashes to the
+byte-identical artifacts to one ``run``.  Within one command a stage reuses
+the field values ``write_field`` wrote when field.csv still hashes to the
 bytes written; any other field.csv, a hand-edited one included, is parsed.
 All floats are written with repr, nothing records wall-clock time, and every
 random draw is keyed by the configured seed, so identical configs give
@@ -29,7 +29,6 @@ from .config import Config, ConfigError, resolve_grid
 from .empirics import FieldSamples, TailCurve
 from .engine import (
     DECOMP_MAX_DEGREE,
-    EXACT_TUPLE_BUDGET,
     Exact,
     Incomplete,
     alphabet_sampler,
@@ -126,8 +125,11 @@ def build_kernel(cfg):
 
 def build_mode(cfg):
     mode = cfg.get_str("run.mode", "exact", choices=("exact", "incomplete"))
+    if cfg.has("run.budget"):
+        cfg.fail("run.budget", "run.budget has no effect and is not accepted: every built-in "
+                 "kernel averages exactly in closed form at any C(n, d); remove the key")
     if mode == "exact":
-        return Exact(cfg.get_int("run.budget", EXACT_TUPLE_BUDGET))
+        return Exact()
     return Incomplete(cfg.get_int("run.subsets"))
 
 
@@ -221,7 +223,8 @@ def read_record(path, casts):
     return record
 
 
-# {sha256 of the field.csv bytes write_field wrote: (labels, values)}, one entry
+# {sha256 of the field.csv bytes write_field wrote: (labels, values)}, one entry,
+# emptied when ``main`` returns
 _written_field = {}
 FIELD_BLOCK_CELLS = 1 << 16
 
@@ -234,16 +237,17 @@ def _sha256(path):
 def _field_text(header, values):
     """field.csv in blocks of text: the header, then rows of about FIELD_BLOCK_CELLS cells.
 
-    Each distinct bit pattern of the values is repr'd once (``-0.0`` keeps
-    its own), so the cells are what ``_cell`` writes.
+    Each distinct bit pattern of a block is repr'd once (``-0.0`` keeps its
+    own), so the cells are what ``_cell`` writes, and the work space is about
+    one block whatever the number of distinct values.
     """
     yield header + "\n"
-    bits, cell_of = np.unique(values.view(np.uint64), return_inverse=True)
-    cells = np.array([float.__repr__(x) for x in bits.view(float).tolist()], dtype=object)
-    cell_of = cell_of.reshape(values.shape)
     step = max(1, FIELD_BLOCK_CELLS // values.shape[1])
     for lo in range(0, values.shape[0], step):
-        rows = cells[cell_of[lo : lo + step]].tolist()
+        block = values[lo : lo + step]
+        bits, cell_of = np.unique(block.view(np.uint64), return_inverse=True)
+        cells = np.array([float.__repr__(x) for x in bits.view(float).tolist()], dtype=object)
+        rows = cells[cell_of.reshape(block.shape)].tolist()
         yield "".join(f"{i},{','.join(row)}\n" for i, row in enumerate(rows, lo))
 
 
@@ -271,9 +275,14 @@ def write_field(out_dir, fld):
 
 
 def read_field(out_dir, stage):
-    """The field in field.csv; the values ``write_field`` last wrote when the bytes match."""
+    """The field in field.csv, with the SHA-256 of its bytes as ``meta["field_sha256"]``.
+
+    When those bytes are the ones ``write_field`` last wrote, its values are
+    handed back; any other field.csv is parsed.
+    """
     path = _need(out_dir, FIELD, stage)
-    written = _written_field.get(_sha256(path)) if _written_field else None
+    digest = _sha256(path)
+    written = _written_field.get(digest)
     if written is None:
         header, values = read_table(path, labelled=True)
         written = header[1:], values
@@ -281,6 +290,7 @@ def read_field(out_dir, stage):
     pairs = read_pairs(meta_path) if os.path.exists(meta_path) else []
     meta = {k: v for k, v in pairs if k != "note"}
     meta["notes"] = [v for k, v in pairs if k == "note"]
+    meta["field_sha256"] = digest
     return FieldSamples(*written, meta)
 
 
@@ -305,8 +315,8 @@ def read_curve(path, kind):
     return TailCurve(u, p, kind, sample_count=samples)
 
 
-def write_geometry(out_dir, geo, degree, estimator):
-    """The entropy stage's artifacts, tied to the field.csv they were measured on."""
+def write_geometry(out_dir, geo, degree, estimator, field_sha256):
+    """The entropy stage's artifacts, tied to the field.csv bytes they were measured on."""
     write_distance(out_dir, geo.space.labels, geo.space.dist)
     p_grid = ",".join(map(_cell, geo.p_grid.tolist()))
     psi = [("psi", geo.psi_used.to_text()), ("degree", degree), ("p_grid", p_grid),
@@ -325,15 +335,16 @@ def write_geometry(out_dir, geo, degree, estimator):
             ("integral", ent.value),
             ("saturated_fraction", ent.saturated_fraction),
             ("certified", bool(ent.finite)),
-            ("field_sha256", _sha256(os.path.join(out_dir, FIELD))),
+            ("field_sha256", field_sha256),
         ],
     )
 
 
-def read_geometry(out_dir, stage):
+def read_geometry(out_dir, stage, field_sha256):
     """The Geometry the entropy stage wrote, rebuilt from its artifacts.
 
-    Raises ConfigError when they were measured on another field.csv.
+    Raises ConfigError when they were measured on a field.csv whose bytes do
+    not hash to ``field_sha256``.
     """
     summary = read_record(_need(out_dir, ENTROPY_SUMMARY, stage), {
         "field_sha256": str,
@@ -342,7 +353,7 @@ def read_geometry(out_dir, stage):
         "saturated_fraction": float,
         "certified": {"true": True, "false": False}.__getitem__,
     })
-    if summary["field_sha256"] != _sha256(_need(out_dir, FIELD, stage)):
+    if summary["field_sha256"] != field_sha256:
         raise ConfigError(f"{DISTANCE} was measured on another {FIELD}; rerun stage 'entropy'")
     psi = read_record(_need(out_dir, PSI_USED, stage), {
         "psi": MomentEnvelope.from_text,
@@ -497,7 +508,7 @@ def stage_entropy(cfg, out_dir):
     fld = read_field(out_dir, "entropy")
     degree = _resolve_degree(cfg, degree, fld)
     geo = index_geometry(fld, degree=degree, **options)
-    write_geometry(out_dir, geo, degree, options["estimator"])
+    write_geometry(out_dir, geo, degree, options["estimator"], fld.meta["field_sha256"])
     return 0
 
 
@@ -527,7 +538,7 @@ def _bounds_settings(cfg, columns):
 def stage_bounds(cfg, out_dir):
     fld = read_field(out_dir, "bounds")
     u_spec, lower, plot = _bounds_settings(cfg, len(fld.labels))
-    geo = read_geometry(out_dir, "bounds")
+    geo = read_geometry(out_dir, "bounds", fld.meta["field_sha256"])
     report = calibrate_tails(fld, geo, resolve_grid(u_spec, fld.sup_abs()), lower=lower)
     sup = report.sup_moments
     rows = zip(sup.p_grid.tolist(), sup.values.tolist(), sup.low_confidence.tolist())
@@ -622,6 +633,8 @@ def main(argv=None):
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _written_field.clear()  # the field is reused within one command only
 
 
 if __name__ == "__main__":

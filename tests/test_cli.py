@@ -262,10 +262,20 @@ class TestPipeline:
             parsed.append(os.path.basename(path))
             return parse(path, *args, **kwargs)
 
+        hashed = []
+        sha256 = cli._sha256
+
+        def counted_hash(path):
+            hashed.append(os.path.basename(path))
+            return sha256(path)
+
         monkeypatch.setattr(cli, "read_table", counted)
+        monkeypatch.setattr(cli, "_sha256", counted_hash)
         assert main(["run", smoke_cfg, "--out", str(tmp_path)]) == 0
         assert FIELD not in parsed
         assert DISTANCE in parsed  # the wrapper sees the tables that are parsed
+        assert hashed == [FIELD, FIELD]  # one digest per stage that reads the field
+        assert cli._written_field == {}  # the field does not outlive the command
 
     def test_stage_processes_match_run(self, smoke_cfg, smoke_run, tmp_path):
         # each stage in its own interpreter parses field.csv, and writes what run wrote
@@ -280,21 +290,25 @@ class TestPipeline:
             )
         assert read_artifacts(out) == read_artifacts(smoke_run[1])
 
-    def test_edited_field_is_read_from_disk(self, smoke_cfg, tmp_path, capsys):
-        out = tmp_path / "edited"
-        assert main(["run", smoke_cfg, "--out", str(out)]) == 0
+    def test_edited_field_is_read_from_disk(self, smoke_cfg, tmp_path, monkeypatch):
+        # the stages of one process, with the values run wrote still held, see the edit
+        monkeypatch.setattr(cli, "_written_field", {})
+        cfg, out = Config.from_file(smoke_cfg), tmp_path / "edited"
+        out.mkdir()
+        assert cli.stage_run(cfg, str(out)) == 0
+        assert cli._written_field
         distance = (out / DISTANCE).read_bytes()
         lines = (out / FIELD).read_text().splitlines()
         cells = lines[1].split(",")
         lines[1] = ",".join(cells[:1] + ["5.0"] + cells[2:])
         (out / FIELD).write_text("\n".join(lines) + "\n")
-        assert main(["entropy", smoke_cfg, "--out", str(out)]) in (0, 2)
+        assert cli.stage_entropy(cfg, str(out)) in (0, 2)
         assert (out / DISTANCE).read_bytes() != distance
-        assert main(["run", smoke_cfg, "--out", str(out)]) == 0
+        assert cli.stage_run(cfg, str(out)) == 0
         lines = damage_field((out / FIELD).read_text().splitlines(), "non_numeric_cell")
         (out / FIELD).write_text("\n".join(lines) + "\n")
-        assert main(["entropy", smoke_cfg, "--out", str(out)]) == 1
-        assert FIELD in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=FIELD):
+            cli.stage_entropy(cfg, str(out))
 
     @pytest.mark.parametrize("stages", [("run",), ("entropy", "bounds")])
     def test_envelope_change_recomputes_geometry(self, smoke_cfg, smoke_run, tmp_path, stages):
@@ -452,14 +466,16 @@ class TestPipeline:
             ("bound.degree=two", "bound.degree"),
             ("entropy.plateau_fraction=half", "entropy.plateau_fraction"),
             ("output.plot=maybe", "output.plot"),
+            ("run.budget=1000", "run.budget"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
-             "bad_degree", "bad_plateau_fraction", "bad_plot"],
+             "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, tmp_path, capsys, setting, key
     ):
-        # run reads the keys of entropy, bounds and verify before it simulates
+        # run reads the keys of entropy, bounds and verify before it simulates, and
+        # rejects run.budget, which no built-in kernel would use
         out = tmp_path / "key"
         assert main(["run", smoke_cfg, "--out", str(out), "--set", setting]) == 1
         assert key in capsys.readouterr().err
