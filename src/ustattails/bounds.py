@@ -28,12 +28,7 @@ from .empirics import (
     natural_envelope,
     envelope_distance,
 )
-from .entropy import (
-    DEFAULT_PLATEAU_FRACTION,
-    EntropyIntegral,
-    FiniteMetricSpace,
-    entropy_integral,
-)
+from .entropy import EntropyIntegral, FiniteMetricSpace, entropy_integral
 from .envelopes import (
     DEFAULT_GRID_POINTS,
     DEFAULT_P_MAX,
@@ -42,14 +37,19 @@ from .envelopes import (
     tail_bound,
 )
 
+def check_beta(beta):
+    """Raises ValueError unless the lower-shape parameter beta is positive."""
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+
+
 def log_power_exponent(beta, convention="one_plus_beta"):
     """Exponent E of (ln(1+u))^E for the heavy-log-tail shape.
 
     Both published conventions are supported; the default adds beta itself,
     the alternate adds its reciprocal.  They agree only at beta = 1.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    check_beta(beta)
     if convention == "one_plus_beta":
         return 1.0 + beta
     if convention == "one_plus_inv_beta":
@@ -168,6 +168,12 @@ class ComparisonReport:
     notes: list = field(default_factory=list)
 
 
+def check_sigma(sigma):
+    """Raises ValueError unless the binomial slack sigma is nonnegative."""
+    if not sigma >= 0:
+        raise ValueError("sigma must be nonnegative")
+
+
 def compare_curves(empirical, *, upper=None, lower=None, sigma=3.0):
     """Check bound ordering against an empirical curve with binomial slack.
 
@@ -175,6 +181,7 @@ def compare_curves(empirical, *, upper=None, lower=None, sigma=3.0):
     bound, or falls below the lower bound, by more than sigma binomial
     standard errors of the empirical point.
     """
+    check_sigma(sigma)
     if empirical.kind != "empirical":
         raise ValueError("first curve must be empirical")
     if empirical.sample_count < 1:
@@ -332,34 +339,12 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
     )
 
 
-def uniform_tail_report(
-    field_samples,
-    p_grid,
-    degree,
-    u_grid,
-    *,
-    env=None,
-    eps_grid=None,
-    estimator="greedy",
-    plateau_fraction=DEFAULT_PLATEAU_FRACTION,
-    p_max=DEFAULT_P_MAX,
-    points=DEFAULT_GRID_POINTS,
-    lower=None,
-):
+def uniform_tail_report(field_samples, p_grid, degree, u_grid, *, lower=None, **geometry):
     """Full bound pipeline for a panel of normalized deviations:
-    :func:`index_geometry` followed by :func:`calibrate_tails`.
+    :func:`index_geometry`, given the keyword options in ``geometry``, followed
+    by :func:`calibrate_tails`.
     """
-    geometry = index_geometry(
-        field_samples,
-        p_grid,
-        degree,
-        env=env,
-        eps_grid=eps_grid,
-        estimator=estimator,
-        plateau_fraction=plateau_fraction,
-        p_max=p_max,
-        points=points,
-    )
+    geometry = index_geometry(field_samples, p_grid, degree, **geometry)
     return calibrate_tails(field_samples, geometry, u_grid, lower=lower)
 
 

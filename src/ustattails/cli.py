@@ -1,14 +1,13 @@
 """Command line front end.
 
-Subcommands are stages of one pipeline; ``run`` executes them in order, and
-each stage reads its inputs from the artifact files the previous stage wrote
-into the output directory.  Running the stages separately therefore produces
-byte-identical artifacts to one ``run``.  Within one command a stage reuses
-the field values ``write_field`` wrote when field.csv still hashes to the
-bytes written; any other field.csv, a hand-edited one included, is parsed.
-All floats are written with repr, nothing records wall-clock time, and every
-random draw is keyed by the configured seed, so identical configs give
-identical bytes.
+Subcommands are stages of one pipeline; ``run`` executes them in order.  A
+stage run on its own reads its inputs from the artifact files the previous
+stage wrote into the output directory, field.csv included; within ``run``,
+``simulate`` hands the field it wrote to ``entropy`` and ``bounds`` in
+memory, exactly as they would parse it.  Running the stages separately
+therefore produces byte-identical artifacts to one ``run``.  All floats are
+written with repr, nothing records wall-clock time, and every random draw is
+keyed by the configured seed, so identical configs give identical bytes.
 
 Exit codes: 0 success, 1 error (bad config, missing artifact, bad math),
 2 finished but not certified (entropy integral saturated by the finite index
@@ -24,7 +23,9 @@ import warnings
 
 import numpy as np
 
-from .bounds import Geometry, calibrate_tails, compare_curves, index_geometry, report_text
+from .bounds import (
+    Geometry, calibrate_tails, check_beta, check_sigma, compare_curves, index_geometry, report_text
+)
 from .config import Config, ConfigError, resolve_grid
 from .empirics import FieldSamples, TailCurve
 from .engine import (
@@ -42,9 +43,13 @@ from .engine import (
     simulate_panel,
     uniform_sampler,
 )
-from .entropy import DEFAULT_PLATEAU_FRACTION, EntropyIntegral, FiniteMetricSpace, check_eps_grid
+from .entropy import (
+    DEFAULT_PLATEAU_FRACTION, EntropyIntegral, FiniteMetricSpace, check_eps_grid,
+    check_plateau_fraction,
+)
 from .envelopes import (
-    DEFAULT_GRID_POINTS, DEFAULT_P_MAX, MomentEnvelope, check_p_grid, make_envelope, rosenthal_lift
+    DEFAULT_GRID_POINTS, DEFAULT_P_MAX, MomentEnvelope, check_p_grid, check_p_max, check_points,
+    make_envelope, rosenthal_lift,
 )
 
 FIELD = "field.csv"
@@ -223,9 +228,6 @@ def read_record(path, casts):
     return record
 
 
-# {sha256 of the field.csv bytes write_field wrote: (labels, values)}, one entry,
-# emptied when ``main`` returns
-_written_field = {}
 FIELD_BLOCK_CELLS = 1 << 16
 
 
@@ -251,13 +253,20 @@ def _field_text(header, values):
         yield "".join(f"{i},{','.join(row)}\n" for i, row in enumerate(rows, lo))
 
 
+def _field_samples(labels, values, pairs, digest):
+    """The field as its artifacts spell it: field_meta.txt ``pairs`` become its meta."""
+    meta = {k: v for k, v in pairs if k != "note"}
+    meta["notes"] = [v for k, v in pairs if k == "note"]
+    meta["field_sha256"] = digest
+    return FieldSamples(labels, values, meta)
+
+
 def write_field(out_dir, fld):
     """field.csv, byte for byte the ``write_table`` of its rows, and field_meta.txt.
 
-    The bytes are hashed as they are written, so that ``read_field`` can hand
-    these values back while field.csv still holds them.
+    Returns the field as ``read_field`` reads it back, with the SHA-256 of
+    the field.csv bytes, hashed as they are written.
     """
-    _written_field.clear()
     values = np.ascontiguousarray(fld.values, dtype=float)
     header = ",".join(map(_cell, ("rep",) + tuple(fld.labels)))
     digest = hashlib.sha256()
@@ -266,32 +275,19 @@ def write_field(out_dir, fld):
             data = text.encode()
             fh.write(data)
             digest.update(data)
-    values = values.view()
-    values.flags.writeable = False  # shared by every stage that reads these bytes back
-    _written_field[digest.hexdigest()] = (header.split(",")[1:], values)
-    pairs = [(k, v) for k, v in sorted(fld.meta.items()) if k != "notes"]
+    pairs = [(k, _cell(v)) for k, v in sorted(fld.meta.items()) if k != "notes"]
     pairs += [("note", note) for note in fld.meta.get("notes", [])]
     write_pairs(os.path.join(out_dir, FIELD_META), pairs)
+    return _field_samples(header.split(",")[1:], values, pairs, digest.hexdigest())
 
 
 def read_field(out_dir, stage):
-    """The field in field.csv, with the SHA-256 of its bytes as ``meta["field_sha256"]``.
-
-    When those bytes are the ones ``write_field`` last wrote, its values are
-    handed back; any other field.csv is parsed.
-    """
+    """The field in field.csv, with the SHA-256 of its bytes as ``meta["field_sha256"]``."""
     path = _need(out_dir, FIELD, stage)
-    digest = _sha256(path)
-    written = _written_field.get(digest)
-    if written is None:
-        header, values = read_table(path, labelled=True)
-        written = header[1:], values
+    header, values = read_table(path, labelled=True)
     meta_path = os.path.join(out_dir, FIELD_META)
     pairs = read_pairs(meta_path) if os.path.exists(meta_path) else []
-    meta = {k: v for k, v in pairs if k != "note"}
-    meta["notes"] = [v for k, v in pairs if k == "note"]
-    meta["field_sha256"] = digest
-    return FieldSamples(*written, meta)
+    return _field_samples(header[1:], values, pairs, _sha256(path))
 
 
 def write_distance(out_dir, labels, dist):
@@ -433,6 +429,7 @@ def _check_decomposable(cfg, kernel):
 
 
 def stage_simulate(cfg, out_dir):
+    # returns the field as written, which ``run`` hands to entropy and bounds
     kernel = build_kernel(cfg)
     sampler = build_sampler(cfg)
     seed = cfg.get_int("run.seed")
@@ -451,10 +448,10 @@ def stage_simulate(cfg, out_dir):
         mode=build_mode(cfg),
         convention=cfg.get_str("bound.convention", "multiply", choices=("multiply", "divide")),
     )
-    write_field(out_dir, fld)
+    written = write_field(out_dir, fld)
     if fld.decomposition is not None:
         write_decomposition(out_dir, fld.decomposition)
-    return 0
+    return written
 
 
 def write_decomposition(out_dir, decomps):
@@ -476,6 +473,16 @@ def stage_decompose(cfg, out_dir):
     return 0
 
 
+def _checked(cfg, get, key, default, check):
+    """``get(key, default)``; a ValueError ``check`` raises on it fails naming ``key``."""
+    value = get(key, default)
+    try:
+        check(value)
+    except ValueError as exc:
+        cfg.fail(key, f"{key}: {exc}")
+    return value
+
+
 def _entropy_settings(cfg):
     """The configured degree (or None), and the arguments of ``index_geometry`` but the field."""
     eps = cfg.get_grid("grids.eps", None, check=check_eps_grid)
@@ -486,9 +493,10 @@ def _entropy_settings(cfg):
         "estimator": cfg.get_str(
             "entropy.estimator", "greedy", choices=("greedy", "packing", "exact")
         ),
-        "plateau_fraction": cfg.get_float("entropy.plateau_fraction", DEFAULT_PLATEAU_FRACTION),
-        "p_max": cfg.get_float("psi.p_max", DEFAULT_P_MAX),
-        "points": cfg.get_int("psi.points", DEFAULT_GRID_POINTS),
+        "plateau_fraction": _checked(cfg, cfg.get_float, "entropy.plateau_fraction",
+                                     DEFAULT_PLATEAU_FRACTION, check_plateau_fraction),
+        "p_max": _checked(cfg, cfg.get_float, "psi.p_max", DEFAULT_P_MAX, check_p_max),
+        "points": _checked(cfg, cfg.get_int, "psi.points", DEFAULT_GRID_POINTS, check_points),
     }
     return cfg.get_int("bound.degree", None), options
 
@@ -503,9 +511,10 @@ def _resolve_degree(cfg, degree, fld):
     raise ConfigError(f"{cfg.path}: cannot determine the kernel degree; set bound.degree")
 
 
-def stage_entropy(cfg, out_dir):
+def stage_entropy(cfg, out_dir, fld=None):
     degree, options = _entropy_settings(cfg)
-    fld = read_field(out_dir, "entropy")
+    if fld is None:
+        fld = read_field(out_dir, "entropy")
     degree = _resolve_degree(cfg, degree, fld)
     geo = index_geometry(fld, degree=degree, **options)
     write_geometry(out_dir, geo, degree, options["estimator"], fld.meta["field_sha256"])
@@ -521,7 +530,7 @@ def _bounds_settings(cfg, columns):
     lower = None
     if cfg.has("bound.lower_beta"):
         lower = {
-            "beta": cfg.get_float("bound.lower_beta"),
+            "beta": _checked(cfg, cfg.get_float, "bound.lower_beta", None, check_beta),
             "exponent": cfg.get_str(
                 "bound.lower_exponent",
                 "one_plus_beta",
@@ -535,8 +544,9 @@ def _bounds_settings(cfg, columns):
     return u_spec, lower, cfg.get_bool("output.plot", False)
 
 
-def stage_bounds(cfg, out_dir):
-    fld = read_field(out_dir, "bounds")
+def stage_bounds(cfg, out_dir, fld=None):
+    if fld is None:
+        fld = read_field(out_dir, "bounds")
     u_spec, lower, plot = _bounds_settings(cfg, len(fld.labels))
     geo = read_geometry(out_dir, "bounds", fld.meta["field_sha256"])
     report = calibrate_tails(fld, geo, resolve_grid(u_spec, fld.sup_abs()), lower=lower)
@@ -556,7 +566,7 @@ def stage_bounds(cfg, out_dir):
 
 
 def _verify_sigma(cfg):
-    return cfg.get_float("bound.sigma", 3.0)
+    return _checked(cfg, cfg.get_float, "bound.sigma", 3.0, check_sigma)
 
 
 def stage_verify(cfg, out_dir):
@@ -585,9 +595,9 @@ def stage_run(cfg, out_dir):
     _entropy_settings(cfg)
     _bounds_settings(cfg, len(build_kernel(cfg).t_grid))
     _verify_sigma(cfg)
-    stage_simulate(cfg, out_dir)
-    stage_entropy(cfg, out_dir)
-    return max(stage_bounds(cfg, out_dir), stage_verify(cfg, out_dir))
+    fld = stage_simulate(cfg, out_dir)
+    stage_entropy(cfg, out_dir, fld)
+    return max(stage_bounds(cfg, out_dir, fld), stage_verify(cfg, out_dir))
 
 
 STAGES = {
@@ -629,12 +639,11 @@ def main(argv=None):
             cfg.get_str("output.dir", None) or os.environ.get(OUT_ENV_VAR) or "."
         )
         os.makedirs(out_dir, exist_ok=True)
-        return STAGES[args.command](cfg, out_dir)
+        code = STAGES[args.command](cfg, out_dir)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        _written_field.clear()  # the field is reused within one command only
+    return 0 if isinstance(code, FieldSamples) else code  # simulate returns its field
 
 
 if __name__ == "__main__":

@@ -525,11 +525,7 @@ def draw_data(sampler, n, reps, seed):
     return X
 
 
-def _default_chunk(tuple_count):
-    return max(1, min(4096, int(4_000_000 // max(1, tuple_count))))
-
-
-def u_statistic_panel(kernel, X, mode=None, *, seed=0, chunk=None):
+def u_statistic_panel(kernel, X, mode=None, *, seed=0):
     """U-statistic matrix (reps, t_grid) for a panel of datasets.
 
     Exact averaging uses the kernel's closed form when it has one and
@@ -550,7 +546,7 @@ def u_statistic_panel(kernel, X, mode=None, *, seed=0, chunk=None):
             out[:, j] = kernel.closed_form(X, t)
     elif kind == "exact":
         idx = _index_tuples(n, d)
-        step = chunk if chunk is not None else _default_chunk(idx.shape[0])
+        step = max(1, min(4096, 4_000_000 // idx.shape[0]))  # about 4e6 kernel evaluations
         for lo in range(0, reps, step):
             hi = min(lo + step, reps)
             out[lo:hi] = u_statistic_matrix(kernel, X[lo:hi], idx)
@@ -581,8 +577,6 @@ def simulate_panel(
     mean_per_t=None,
     mode=None,
     convention="multiply",
-    chunk=None,
-    data=None,
 ):
     """Replicated draws of the normalized deviation field.
 
@@ -593,10 +587,6 @@ def simulate_panel(
     alphabet the rank must be supplied, and missing means fall back to the
     grand Monte Carlo mean across the panel (flagged in the metadata, since
     that recentering removes part of the deviation).
-
-    ``data`` lets several kernels share one drawn panel; it must have shape
-    (reps, n) and come from the same seed discipline if reproducibility
-    across calls matters.
     """
     from .empirics import FieldSamples
 
@@ -620,10 +610,8 @@ def simulate_panel(
             mean_source = "exact"
         else:
             mean_source = "grand_mc"
-    X = draw_data(sampler, n, reps, seed) if data is None else np.asarray(data, float)
-    if X.shape != (reps, n):
-        raise ValueError(f"data must have shape ({reps}, {n}), got {X.shape}")
-    U, kind, count, notes = u_statistic_panel(kernel, X, mode, seed=seed, chunk=chunk)
+    X = draw_data(sampler, n, reps, seed)
+    U, kind, count, notes = u_statistic_panel(kernel, X, mode, seed=seed)
     if mean_source == "grand_mc":
         mean_per_t = U.mean(axis=0)
     means = np.broadcast_to(np.asarray(mean_per_t, dtype=float), (len(kernel.t_grid),))

@@ -182,6 +182,12 @@ def check_eps_grid(eps_grid):
     return eps
 
 
+def check_plateau_fraction(fraction):
+    """Raises ValueError unless the certification share lies in (0, 1]."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("plateau fraction must lie in (0, 1]")
+
+
 def entropy_integral(
     space,
     env,
@@ -199,6 +205,7 @@ def entropy_integral(
     is the regime where the finite index set is standing in for a richer one
     and the integral value is geometry-driven rather than floor-driven.
     """
+    check_plateau_fraction(plateau_fraction)
     if eps_grid is None:
         eps_grid = default_eps_grid(space)
     eps = check_eps_grid(eps_grid)

@@ -49,6 +49,18 @@ def check_p_grid(p_grid):
     return p
 
 
+def check_p_max(p_max):
+    """Raises ValueError unless the largest moment order exceeds 2, where every range starts."""
+    if not p_max > 2.0:
+        raise ValueError("p_max must exceed 2")
+
+
+def check_points(points):
+    """Raises ValueError unless an optimisation grid of ``points`` points has both ends."""
+    if not points >= 2:
+        raise ValueError("points must be at least 2")
+
+
 def _golden_min(f, lo, hi, iters=90):
     """Golden-section minimisation of a scalar function on [lo, hi]."""
     a, b = float(lo), float(hi)
@@ -141,8 +153,8 @@ class MomentEnvelope:
         a golden-section pass between grid points is meaningful (it is not
         for tabulated envelopes, which are only defined at their nodes).
         """
-        if p_max <= 2.0:
-            raise ValueError("p_max must exceed 2")
+        check_p_max(p_max)
+        check_points(points)
         if self.family == "tabulated":
             nodes = np.asarray(self.params[0], dtype=float)
             keep = nodes <= p_max * (1.0 + 1e-12)
@@ -173,6 +185,7 @@ class MomentEnvelope:
 
     @classmethod
     def from_text(cls, text):
+        """The envelope ``to_text`` spelled: its ``k=v`` tokens are ``make_envelope``'s."""
         tokens = text.split()
         if not tokens:
             raise ValueError("empty envelope record")
@@ -183,18 +196,12 @@ class MomentEnvelope:
             k, v = tok.split("=", 1)
             kv[k] = v
         lift = int(kv.pop("lift", "0"))
-        if family == "power_log":
-            env = power_log_envelope(float(kv["m"]), float(kv["r"]))
-        elif family == "exp_power":
-            env = exp_power_envelope(float(kv["coef"]), float(kv["expo"]))
-        elif family == "constant":
-            env = constant_envelope(float(kv["value"]), float(kv["p_sup"]))
-        elif family == "tabulated":
-            p = [float(x) for x in kv["p"].split(",")]
-            v = [float(x) for x in kv["v"].split(",")]
-            env = tabulated_envelope(p, v)
+        if family == "tabulated":
+            kv = {"p_grid": kv["p"], "values": kv["v"]}
+            params = {k: [float(x) for x in v.split(",")] for k, v in kv.items()}
         else:
-            raise ValueError(f"unknown envelope family {family!r}")
+            params = {k: float(v) for k, v in kv.items()}
+        env = make_envelope(family, **params)
         return rosenthal_lift(env, lift) if lift else env
 
 

@@ -187,6 +187,8 @@ class TestCompareCurves:
         up = TailCurve(u, np.array([0.45, 0.31]), "upper_bound")
         assert not compare_curves(emp, upper=up, sigma=0.5).ok
         assert compare_curves(emp, upper=up, sigma=3.0).ok
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            compare_curves(emp, upper=up, sigma=-1.0)
 
     def test_no_bounds_noted(self):
         emp = TailCurve(

@@ -254,7 +254,8 @@ class TestPipeline:
         assert read_artifacts(out) == read_artifacts(out2)
 
     def test_run_reads_back_no_field(self, smoke_cfg, tmp_path, monkeypatch):
-        # entropy and bounds take the values simulate wrote, not a parse of field.csv
+        # entropy and bounds take the field simulate wrote: field.csv is neither parsed
+        # nor hashed again
         parsed = []
         parse = cli.read_table
 
@@ -274,8 +275,19 @@ class TestPipeline:
         assert main(["run", smoke_cfg, "--out", str(tmp_path)]) == 0
         assert FIELD not in parsed
         assert DISTANCE in parsed  # the wrapper sees the tables that are parsed
-        assert hashed == [FIELD, FIELD]  # one digest per stage that reads the field
-        assert cli._written_field == {}  # the field does not outlive the command
+        assert hashed == []
+
+    def test_run_calls_each_stage_through_the_module(self, smoke_cfg, tmp_path, monkeypatch):
+        # perfbench times the stages by wrapping these module names, so run looks them up there
+        calls = []
+        for name in ("stage_simulate", "stage_entropy", "stage_bounds", "stage_verify"):
+            def counted(*args, _name=name, _stage=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _stage(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        assert main(["run", smoke_cfg, "--out", str(tmp_path)]) == 0
+        assert calls == ["stage_simulate", "stage_entropy", "stage_bounds", "stage_verify"]
 
     def test_stage_processes_match_run(self, smoke_cfg, smoke_run, tmp_path):
         # each stage in its own interpreter parses field.csv, and writes what run wrote
@@ -290,13 +302,11 @@ class TestPipeline:
             )
         assert read_artifacts(out) == read_artifacts(smoke_run[1])
 
-    def test_edited_field_is_read_from_disk(self, smoke_cfg, tmp_path, monkeypatch):
-        # the stages of one process, with the values run wrote still held, see the edit
-        monkeypatch.setattr(cli, "_written_field", {})
+    def test_edited_field_is_read_from_disk(self, smoke_cfg, tmp_path):
+        # a stage run after run in the same process parses the edited field.csv
         cfg, out = Config.from_file(smoke_cfg), tmp_path / "edited"
         out.mkdir()
         assert cli.stage_run(cfg, str(out)) == 0
-        assert cli._written_field
         distance = (out / DISTANCE).read_bytes()
         lines = (out / FIELD).read_text().splitlines()
         cells = lines[1].split(",")
@@ -467,15 +477,23 @@ class TestPipeline:
             ("entropy.plateau_fraction=half", "entropy.plateau_fraction"),
             ("output.plot=maybe", "output.plot"),
             ("run.budget=1000", "run.budget"),
+            ("psi.p_max=1", "psi.p_max"),
+            ("psi.points=1", "psi.points"),
+            ("entropy.plateau_fraction=5", "entropy.plateau_fraction"),
+            ("entropy.plateau_fraction=-1", "entropy.plateau_fraction"),
+            ("bound.lower_beta=0", "bound.lower_beta"),
+            ("bound.sigma=-1", "bound.sigma"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
-             "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted"],
+             "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
+             "p_max_not_above_2", "one_psi_point", "plateau_fraction_above_1",
+             "negative_plateau_fraction", "zero_lower_beta", "negative_sigma"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, tmp_path, capsys, setting, key
     ):
-        # run reads the keys of entropy, bounds and verify before it simulates, and
-        # rejects run.budget, which no built-in kernel would use
+        # run reads and range-checks the keys of entropy, bounds and verify before it
+        # simulates, and rejects run.budget, which no built-in kernel would use
         out = tmp_path / "key"
         assert main(["run", smoke_cfg, "--out", str(out), "--set", setting]) == 1
         assert key in capsys.readouterr().err
@@ -590,30 +608,34 @@ FIELD_CELLS = st.sampled_from([
     | hnp.arrays(float, st.tuples(st.integers(1, 3), st.integers(1, 3)), elements=st.floats())
 )
 def test_field_codec_matches_table_writer(values):
-    # write_field spells the bytes write_table spells, and a cold read_field gets the bits back
+    # write_field spells the bytes write_table spells, and returns what a cold read_field
+    # gets back: the bits of the values, their labels' text and the digest of the bytes
     fld = FieldSamples([0.25 * (j + 1) for j in range(values.shape[1])], values)
     with tempfile.TemporaryDirectory() as out:
-        write_field(out, fld)
+        written = write_field(out, fld)
         reference = os.path.join(out, "reference.csv")
         write_table(reference, ("rep",) + fld.labels,
                     ([i] + row for i, row in enumerate(values.tolist())))
         with open(os.path.join(out, FIELD), "rb") as fh, open(reference, "rb") as ref:
             assert fh.read() == ref.read()
-        cli._written_field.clear()
         back = read_field(out, "test")
-    assert back.labels == tuple(map(repr, fld.labels))
+    assert back.labels == written.labels == tuple(map(repr, fld.labels))
+    assert back.meta == written.meta
     finite = ~np.isnan(values)
-    assert np.array_equal(back.values[finite].view(np.uint64), values[finite].view(np.uint64))
-    assert np.array_equal(np.isnan(back.values), ~finite)
+    for got in (back, written):
+        assert np.array_equal(got.values[finite].view(np.uint64), values[finite].view(np.uint64))
+        assert np.array_equal(np.isnan(got.values), ~finite)
 
 
 def test_field_codec_writes_in_blocks(tmp_path, monkeypatch):
-    # more rows than one block holds; the reuse key is the digest of all blocks
+    # more rows than one block holds; the digest write_field returns covers all blocks
     monkeypatch.setattr(cli, "FIELD_BLOCK_CELLS", 7)
     values = np.arange(60.0).reshape(20, 3) / 7
-    write_field(str(tmp_path), FieldSamples((1.0, 2.0, 3.0), values))
+    written = write_field(str(tmp_path), FieldSamples((1.0, 2.0, 3.0), values))
     reference = tmp_path / "reference.csv"
     rows = ([i] + row for i, row in enumerate(values.tolist()))
     write_table(reference, ("rep", 1.0, 2.0, 3.0), rows)
     assert (tmp_path / FIELD).read_bytes() == reference.read_bytes()
-    assert read_field(str(tmp_path), "test").values is next(iter(cli._written_field.values()))[1]
+    back = read_field(str(tmp_path), "test")
+    assert np.array_equal(written.values.view(np.uint64), back.values.view(np.uint64))
+    assert written.labels == back.labels and written.meta == back.meta

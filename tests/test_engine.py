@@ -369,9 +369,7 @@ class TestSimulatePanel:
         rad = rademacher_sampler()
         a = simulate_panel(k, rad, 12, 400, seed=5)
         b = simulate_panel(k, rad, 12, 400, seed=5)
-        c = simulate_panel(k, rad, 12, 400, seed=5, chunk=7)
         assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.values, c.values)
 
     def test_seed_changes_values(self):
         k = make_kernel("product")
@@ -404,14 +402,6 @@ class TestSimulatePanel:
         fld = simulate_panel(k, rademacher_sampler(), 16, 20000, seed=9)
         want = 2.0 * 16.0 / 15.0
         assert fld.values[:, 0].var() == pytest.approx(want, rel=0.05)
-
-    def test_shared_data_panel(self):
-        rad = rademacher_sampler()
-        X = draw_data(rad, 12, 100, seed=3)
-        k = make_kernel("product")
-        fld = simulate_panel(k, rad, 12, 100, seed=3, data=X)
-        fld2 = simulate_panel(k, rad, 12, 100, seed=3)
-        assert np.array_equal(fld.values, fld2.values)
 
     def test_field_rank_partition(self):
         k = make_kernel("gprod", 2, g="identity", t_grid=[1.0, 2.0])

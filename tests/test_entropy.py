@@ -135,6 +135,11 @@ class TestEntropyIntegral:
         with pytest.raises(ValueError, match="increasing"):
             entropy_integral(sp, env, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.5, float("nan")])
+    def test_plateau_fraction_validation(self, fraction):
+        with pytest.raises(ValueError, match=r"plateau fraction must lie in \(0, 1\]"):
+            entropy_integral(unit_grid(11), power_log_envelope(2.0), plateau_fraction=fraction)
+
     def test_single_point_is_trivial(self):
         sp = space_from_points([[0.0]])
         ent = entropy_integral(sp, power_log_envelope(2.0))

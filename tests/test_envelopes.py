@@ -162,6 +162,13 @@ class TestLogMaximumBound:
         with pytest.raises(ValueError):
             log_maximum_bound(power_log_envelope(2.0), -0.1)
 
+    def test_rejects_degenerate_optimisation_grid(self):
+        env = power_log_envelope(2.0)
+        with pytest.raises(ValueError, match="p_max must exceed 2"):
+            log_maximum_bound(env, 1.0, p_max=2.0)
+        with pytest.raises(ValueError, match="points must be at least 2"):
+            log_maximum_bound(env, 1.0, points=1)
+
     @given(st.floats(0.0, 20.0), st.floats(0.0, 20.0))
     def test_nondecreasing(self, x1, x2):
         env = power_log_envelope(2.0, 1.0)
