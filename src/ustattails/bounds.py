@@ -288,7 +288,7 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
     tau = geometry.tau
     notes = geometry.notes + geometry.entropy.notes
     sup_stat = field_samples.sup_abs()
-    sup_table = empirical_moments(sup_stat, geometry.p_grid, label="sup")
+    sup_table = empirical_moments(sup_stat, geometry.p_grid)
     sup_norm = envelope_norm(sup_table, tau)
     upper = TailCurve(
         u_grid,

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -30,8 +31,6 @@ from .config import Config, ConfigError, resolve_grid
 from .empirics import FieldSamples, TailCurve
 from .engine import (
     DECOMP_MAX_DEGREE,
-    Exact,
-    Incomplete,
     alphabet_sampler,
     decompose_field,
     lognormal_sampler,
@@ -48,8 +47,8 @@ from .entropy import (
     check_plateau_fraction,
 )
 from .envelopes import (
-    DEFAULT_GRID_POINTS, DEFAULT_P_MAX, MomentEnvelope, check_p_grid, check_p_max, check_points,
-    make_envelope, rosenthal_lift,
+    DEFAULT_GRID_POINTS, DEFAULT_P_MAX, MomentEnvelope, check_family_param, check_p_grid,
+    check_p_max, check_points, make_envelope, rosenthal_lift,
 )
 
 FIELD = "field.csv"
@@ -129,13 +128,12 @@ def build_kernel(cfg):
 
 
 def build_mode(cfg):
+    """The tuples averaged per replication, or None for exact averaging."""
     mode = cfg.get_str("run.mode", "exact", choices=("exact", "incomplete"))
     if cfg.has("run.budget"):
         cfg.fail("run.budget", "run.budget has no effect and is not accepted: every built-in "
                  "kernel averages exactly in closed form at any C(n, d); remove the key")
-    if mode == "exact":
-        return Exact()
-    return Incomplete(cfg.get_int("run.subsets"))
+    return None if mode == "exact" else cfg.get_int("run.subsets")
 
 
 def build_envelope(cfg):
@@ -146,11 +144,16 @@ def build_envelope(cfg):
     )
     if family == "natural":
         return None
+
+    def param(name, *default):
+        return _checked(cfg, cfg.get_float, f"psi.{name}", partial(check_family_param, name),
+                        *default)
+
     if family == "power_log":
-        return make_envelope("power_log", m=cfg.get_float("psi.m"), r=cfg.get_float("psi.r", 0.0))
+        return make_envelope("power_log", m=param("m"), r=param("r", 0.0))
     if family == "exp_power":
-        return make_envelope("exp_power", coef=cfg.get_float("psi.coef"), expo=cfg.get_float("psi.expo"))
-    return make_envelope("constant", value=cfg.get_float("psi.value"), p_sup=cfg.get_float("psi.p_sup"))
+        return make_envelope("exp_power", coef=param("coef"), expo=param("expo"))
+    return make_envelope("constant", value=param("value"), p_sup=param("p_sup"))
 
 
 # -- artifact IO ---------------------------------------------------------
@@ -445,7 +448,7 @@ def stage_simulate(cfg, out_dir):
         reps,
         seed,
         rank=rank,
-        mode=build_mode(cfg),
+        subsets=build_mode(cfg),
         convention=cfg.get_str("bound.convention", "multiply", choices=("multiply", "divide")),
     )
     written = write_field(out_dir, fld)
@@ -473,9 +476,9 @@ def stage_decompose(cfg, out_dir):
     return 0
 
 
-def _checked(cfg, get, key, default, check):
-    """``get(key, default)``; a ValueError ``check`` raises on it fails naming ``key``."""
-    value = get(key, default)
+def _checked(cfg, get, key, check, *default):
+    """``get(key, *default)``; a ValueError ``check`` raises on it fails naming ``key``."""
+    value = get(key, *default)
     try:
         check(value)
     except ValueError as exc:
@@ -494,9 +497,9 @@ def _entropy_settings(cfg):
             "entropy.estimator", "greedy", choices=("greedy", "packing", "exact")
         ),
         "plateau_fraction": _checked(cfg, cfg.get_float, "entropy.plateau_fraction",
-                                     DEFAULT_PLATEAU_FRACTION, check_plateau_fraction),
-        "p_max": _checked(cfg, cfg.get_float, "psi.p_max", DEFAULT_P_MAX, check_p_max),
-        "points": _checked(cfg, cfg.get_int, "psi.points", DEFAULT_GRID_POINTS, check_points),
+                                     check_plateau_fraction, DEFAULT_PLATEAU_FRACTION),
+        "p_max": _checked(cfg, cfg.get_float, "psi.p_max", check_p_max, DEFAULT_P_MAX),
+        "points": _checked(cfg, cfg.get_int, "psi.points", check_points, DEFAULT_GRID_POINTS),
     }
     return cfg.get_int("bound.degree", None), options
 
@@ -530,7 +533,7 @@ def _bounds_settings(cfg, columns):
     lower = None
     if cfg.has("bound.lower_beta"):
         lower = {
-            "beta": _checked(cfg, cfg.get_float, "bound.lower_beta", None, check_beta),
+            "beta": _checked(cfg, cfg.get_float, "bound.lower_beta", check_beta),
             "exponent": cfg.get_str(
                 "bound.lower_exponent",
                 "one_plus_beta",
@@ -566,7 +569,7 @@ def stage_bounds(cfg, out_dir, fld=None):
 
 
 def _verify_sigma(cfg):
-    return _checked(cfg, cfg.get_float, "bound.sigma", 3.0, check_sigma)
+    return _checked(cfg, cfg.get_float, "bound.sigma", check_sigma, 3.0)
 
 
 def stage_verify(cfg, out_dir):

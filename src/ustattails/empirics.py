@@ -64,9 +64,9 @@ def moment_matrix(X, p_grid):
     return np.exp(log_norms)
 
 
-def empirical_moments(samples, p_grid, *, label=""):
+def empirical_moments(samples, p_grid):
     """MomentTable of |x|_p over p_grid from a 1-d sample."""
-    return column_moments(FieldSamples((label,), np.reshape(samples, (-1, 1))), p_grid)[0]
+    return column_moments(FieldSamples(("",), np.reshape(samples, (-1, 1))), p_grid)[0]
 
 
 @dataclass
@@ -112,8 +112,8 @@ def column_moments(field, p_grid):
     p = np.asarray(p_grid, dtype=float)
     low = p > DEFAULT_KAPPA * math.log(field.replications)
     return [
-        MomentTable(p, values, field.replications, label=str(label), low_confidence=low)
-        for label, values in zip(field.labels, moment_matrix(field.values, p))
+        MomentTable(p, values, field.replications, low_confidence=low)
+        for values in moment_matrix(field.values, p)
     ]
 
 
@@ -185,11 +185,11 @@ class TailCurve:
             raise ValueError("tail curves must be nonincreasing in the level")
 
 
-def empirical_tail(samples, u_grid, *, kind="empirical"):
+def empirical_tail(samples, u_grid):
     """Larger one-sided empirical exceedance max(P(X > u), P(-X > u))."""
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     u = np.asarray(u_grid, dtype=float)
     above = x.size - np.searchsorted(x, u, side="right")  # count x > u
     below = np.searchsorted(x, -u, side="left")  # count x < -u
     probs = np.maximum(above, below) / x.size
-    return TailCurve(u, probs, kind, sample_count=x.size)
+    return TailCurve(u, probs, "empirical", sample_count=x.size)

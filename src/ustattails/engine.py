@@ -289,11 +289,11 @@ def make_kernel(name, degree=None, *, shift=0.0, g="sin", t_grid=None, values=No
     raise ValueError(f"unknown kernel {name!r}")
 
 
-def spot_check_symmetry(kernel, rng, *, trials=16, scale=1.0):
-    """Evaluate at random points under random argument permutations."""
+def spot_check_symmetry(kernel, rng):
+    """Evaluate at 16 standard normal points under random argument permutations."""
     d = kernel.degree
-    for _ in range(trials):
-        xs = rng.normal(0.0, scale, d)
+    for _ in range(16):
+        xs = rng.normal(0.0, 1.0, d)
         t = kernel.t_grid[0]
         base = float(np.asarray(kernel.fn(tuple(xs), t)))
         perm = rng.permutation(d)
@@ -303,17 +303,7 @@ def spot_check_symmetry(kernel, rng, *, trials=16, scale=1.0):
     return True
 
 
-# -- averaging modes ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Exact:
-    budget: int = EXACT_TUPLE_BUDGET
-
-
-@dataclass(frozen=True)
-class Incomplete:
-    subsets: int
+# -- averaging ---------------------------------------------------------
 
 
 @lru_cache(maxsize=64)
@@ -340,33 +330,28 @@ def _sample_tuples(rng, n, d, count):
     return out
 
 
-def _resolve_mode(mode, n, d, closed_form=False):
-    """Returns (kind, tuple_count, notes).
+def _resolve_mode(subsets, n, d, closed_form=False):
+    """Returns (kind, tuple_count, notes) for ``subsets`` random tuples per
+    replication, or for exact averaging when ``subsets`` is None.
 
-    The budget limits only the gather path: a kernel with a closed form
+    The tuple budget limits only the gather path: a kernel with a closed form
     averages exactly at any C(n, d).
     """
     total = math.comb(n, d)
-    notes = []
-    if isinstance(mode, Exact):
-        if total > mode.budget and not closed_form:
-            notes.append(
+    if subsets is None:
+        if total > EXACT_TUPLE_BUDGET and not closed_form:
+            return "incomplete", EXACT_TUPLE_BUDGET, [
                 f"exact averaging needs {total} tuples, over the budget of "
-                f"{mode.budget}; switched to incomplete averaging"
-            )
-            return "incomplete", mode.budget, notes
-        return "exact", total, notes
-    if isinstance(mode, Incomplete):
-        if mode.subsets < 1:
-            raise ValueError("incomplete averaging needs at least one subset")
-        if mode.subsets >= total:
-            notes.append(
-                f"requested {mode.subsets} subsets but only {total} exist; "
-                "using exact averaging"
-            )
-            return "exact", total, notes
-        return "incomplete", mode.subsets, notes
-    raise ValueError(f"unknown averaging mode {mode!r}")
+                f"{EXACT_TUPLE_BUDGET}; switched to incomplete averaging"
+            ]
+        return "exact", total, []
+    if subsets < 1:
+        raise ValueError("incomplete averaging needs at least one subset")
+    if subsets >= total:
+        return "exact", total, [
+            f"requested {subsets} subsets but only {total} exist; using exact averaging"
+        ]
+    return "incomplete", subsets, []
 
 
 def u_statistic_matrix(kernel, X, idx):
@@ -404,9 +389,10 @@ class Decomposition:
     terms: list
 
 
-def hoeffding_decompose(kernel, sampler, t=None, *, rank_tol=RANK_TOL):
+def hoeffding_decompose(kernel, sampler, t=None):
     """Exact canonical decomposition under the sampler's finite alphabet.
 
+    Projection moments at most ``RANK_TOL`` times the largest count as zero.
     A degenerate (almost surely constant) component carries ``rank = degree``,
     so the rank of a field is the smallest rank of its components.
     """
@@ -454,14 +440,14 @@ def hoeffding_decompose(kernel, sampler, t=None, *, rank_tol=RANK_TOL):
     scale = float(zetas.max(initial=0.0))
     if scale <= 0.0:
         return Decomposition(t, mean, np.zeros(d), d, True, gs[1:])
-    zetas[zetas <= rank_tol * scale] = 0.0
+    zetas[zetas <= RANK_TOL * scale] = 0.0
     rank = int(np.argmax(zetas > 0.0)) + 1
     return Decomposition(t, mean, zetas, rank, False, gs[1:])
 
 
-def decompose_field(kernel, sampler, *, rank_tol=RANK_TOL):
+def decompose_field(kernel, sampler):
     """One Decomposition per index label."""
-    return [hoeffding_decompose(kernel, sampler, t, rank_tol=rank_tol) for t in kernel.t_grid]
+    return [hoeffding_decompose(kernel, sampler, t) for t in kernel.t_grid]
 
 
 DEFAULT_SLOPE_GRID = (16, 32, 64, 128, 256)
@@ -489,10 +475,10 @@ def variance_value(decomp, n):
     return acc
 
 
-def variance_u(decomp, n, slope_grid=None):
-    """Exact variance at n plus the log-log decay slope over a grid of n."""
+def variance_u(decomp, n):
+    """Exact variance at n plus the log-log decay slope over ``DEFAULT_SLOPE_GRID``."""
     var = variance_value(decomp, n)
-    grid = np.asarray(slope_grid if slope_grid is not None else DEFAULT_SLOPE_GRID)
+    grid = np.asarray(DEFAULT_SLOPE_GRID)
     if decomp.degenerate:
         return UVariance(var, 0.0)
     vals = np.array([variance_value(decomp, int(m)) for m in grid])
@@ -525,21 +511,20 @@ def draw_data(sampler, n, reps, seed):
     return X
 
 
-def u_statistic_panel(kernel, X, mode=None, *, seed=0):
+def u_statistic_panel(kernel, X, subsets=None, *, seed=0):
     """U-statistic matrix (reps, t_grid) for a panel of datasets.
 
-    Exact averaging uses the kernel's closed form when it has one and
-    gathers every index subset otherwise.  Incomplete averaging draws a
-    fresh tuple set per replication from the tuple lane keyed by (seed,
-    replication index).
+    ``subsets=None`` averages exactly: through the kernel's closed form when
+    it has one, and by gathering every index subset otherwise.  An integer
+    averages that many index tuples per replication, drawn afresh from the
+    tuple lane keyed by (seed, replication index).
     """
     X = np.asarray(X, dtype=float)
     reps, n = X.shape
     d = kernel.degree
     if n <= d:
         raise ValueError(f"need more than degree = {d} observations, got {n}")
-    mode = Exact() if mode is None else mode
-    kind, count, notes = _resolve_mode(mode, n, d, kernel.closed_form is not None)
+    kind, count, notes = _resolve_mode(subsets, n, d, kernel.closed_form is not None)
     out = np.empty((reps, len(kernel.t_grid)))
     if kind == "exact" and kernel.closed_form is not None:
         for j, t in enumerate(kernel.t_grid):
@@ -575,7 +560,7 @@ def simulate_panel(
     *,
     rank=None,
     mean_per_t=None,
-    mode=None,
+    subsets=None,
     convention="multiply",
 ):
     """Replicated draws of the normalized deviation field.
@@ -586,7 +571,8 @@ def simulate_panel(
     exact means from that instead and is not decomposed.  Without an
     alphabet the rank must be supplied, and missing means fall back to the
     grand Monte Carlo mean across the panel (flagged in the metadata, since
-    that recentering removes part of the deviation).
+    that recentering removes part of the deviation).  ``subsets`` picks the
+    averaging as in ``u_statistic_panel``.
     """
     from .empirics import FieldSamples
 
@@ -611,7 +597,7 @@ def simulate_panel(
         else:
             mean_source = "grand_mc"
     X = draw_data(sampler, n, reps, seed)
-    U, kind, count, notes = u_statistic_panel(kernel, X, mode, seed=seed)
+    U, kind, count, notes = u_statistic_panel(kernel, X, subsets, seed=seed)
     if mean_source == "grand_mc":
         mean_per_t = U.mean(axis=0)
     means = np.broadcast_to(np.asarray(mean_per_t, dtype=float), (len(kernel.t_grid),))

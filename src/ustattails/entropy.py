@@ -166,10 +166,10 @@ class EntropyIntegral:
         return []
 
 
-def default_eps_grid(space, points=64):
+def default_eps_grid(space):
     hi = 1.0
     lo = min(space.diameter, 1.0) / 1024.0 if space.diameter > 0 else 1.0 / 1024.0
-    return np.geomspace(lo, hi, points)
+    return np.geomspace(lo, hi, 64)
 
 
 def check_eps_grid(eps_grid):
@@ -233,17 +233,17 @@ def entropy_integral(
     return EntropyIntegral(value, finite, eps, integrand, entropies, frac, space.size)
 
 
-def integral_trend(values, *, growth_factor=1.5):
+def integral_trend(values):
     """Classify a sequence of refined integral values.
 
     "diverging" if every successive refinement multiplies the value by at
-    least ``growth_factor``; "stable" otherwise.  Needs two values or more.
+    least 1.5; "stable" otherwise.  Needs two values or more.
     """
     v = np.asarray(values, dtype=float)
     if v.size < 2:
         raise ValueError("need at least two refinement values")
     ratios = v[1:] / v[:-1]
-    return "diverging" if np.all(ratios >= growth_factor) else "stable"
+    return "diverging" if np.all(ratios >= 1.5) else "stable"
 
 
 def entropy_dimension(space, eps_grid=None, *, estimator="greedy"):

@@ -61,15 +61,15 @@ def check_points(points):
         raise ValueError("points must be at least 2")
 
 
-def _golden_min(f, lo, hi, iters=90):
-    """Golden-section minimisation of a scalar function on [lo, hi]."""
+def _golden_min(f, lo, hi):
+    """Golden-section minimisation of a scalar function on [lo, hi], in at most 90 steps."""
     a, b = float(lo), float(hi)
     if not b > a:
         return a, f(a)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(90):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -208,26 +208,40 @@ class MomentEnvelope:
 # -- constructors ------------------------------------------------------
 
 
+# what each family parameter must be, checked by the constructors and the config reader
+_FAMILY_PARAMS = {
+    "m": ("positive", lambda x: x > 0),
+    "r": ("finite", math.isfinite),
+    "p_sup": ("above 2", lambda x: x > 2),
+    **dict.fromkeys(("coef", "expo", "value"), ("positive and finite", lambda x: 0 < x < math.inf)),
+}
+
+
+def check_family_param(name, value):
+    """Raises ValueError unless the envelope family parameter ``name`` is in range (NaN never is)."""
+    what, ok = _FAMILY_PARAMS[name]
+    if not ok(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 def power_log_envelope(m, r=0.0):
     """psi(p) = p^(1/m) * (ln p)^r on [2, inf)."""
-    if m <= 0:
-        raise ValueError("invalid domain: m must be positive")
+    check_family_param("m", m)
+    check_family_param("r", r)
     return MomentEnvelope("power_log", (float(m), float(r)), math.inf, False)
 
 
 def exp_power_envelope(coef, expo):
     """psi(p) = exp(coef * p^expo) on [2, inf)."""
-    if coef <= 0 or expo <= 0:
-        raise ValueError("invalid domain: coef and expo must be positive")
+    check_family_param("coef", coef)
+    check_family_param("expo", expo)
     return MomentEnvelope("exp_power", (float(coef), float(expo)), math.inf, False)
 
 
 def constant_envelope(value, p_sup):
     """psi(p) = value on [2, p_sup]; the finite-moment-range family."""
-    if value <= 0:
-        raise ValueError("invalid value: constant envelope must be positive")
-    if not p_sup > 2:
-        raise ValueError("invalid domain: p_sup must exceed 2")
+    check_family_param("value", value)
+    check_family_param("p_sup", p_sup)
     return MomentEnvelope("constant", (float(value),), float(p_sup), True)
 
 
@@ -356,7 +370,6 @@ class MomentTable:
     p_grid: np.ndarray
     values: np.ndarray
     sample_count: int
-    label: str = ""
     low_confidence: np.ndarray | None = None
 
     def __post_init__(self):

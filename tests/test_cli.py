@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -114,6 +116,11 @@ def damage_field(lines, how):
     else:
         del lines[1:]
     return lines
+
+
+def overrides(setting):
+    """``--set`` arguments for each space-separated ``key=value`` of ``setting``."""
+    return [arg for item in setting.split() for arg in ("--set", item)]
 
 
 def replace_line(prefix, new):
@@ -483,19 +490,29 @@ class TestPipeline:
             ("entropy.plateau_fraction=-1", "entropy.plateau_fraction"),
             ("bound.lower_beta=0", "bound.lower_beta"),
             ("bound.sigma=-1", "bound.sigma"),
+            ("psi.family=power_log psi.m=-1", "psi.m"),
+            ("psi.family=power_log psi.m=nan", "psi.m"),
+            ("psi.family=power_log psi.m=2 psi.r=nan", "psi.r"),
+            ("psi.family=exp_power psi.coef=inf psi.expo=1", "psi.coef"),
+            ("psi.family=exp_power psi.coef=1 psi.expo=nan", "psi.expo"),
+            ("psi.family=constant psi.value=0 psi.p_sup=8", "psi.value"),
+            ("psi.family=constant psi.value=1 psi.p_sup=2", "psi.p_sup"),
+            ("kernel.name=table kernel.values=-1,1 kernel.table=0.5,1,-0.5", "kernel.table"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
              "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
              "p_max_not_above_2", "one_psi_point", "plateau_fraction_above_1",
-             "negative_plateau_fraction", "zero_lower_beta", "negative_sigma"],
+             "negative_plateau_fraction", "zero_lower_beta", "negative_sigma",
+             "negative_m", "nan_m", "nan_r", "inf_coef", "nan_expo", "zero_value",
+             "p_sup_not_above_2", "ragged_table"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, tmp_path, capsys, setting, key
     ):
-        # run reads and range-checks the keys of entropy, bounds and verify before it
-        # simulates, and rejects run.budget, which no built-in kernel would use
+        # run reads and range-checks the keys of every stage before it simulates, and
+        # rejects run.budget, which no built-in kernel would use
         out = tmp_path / "key"
-        assert main(["run", smoke_cfg, "--out", str(out), "--set", setting]) == 1
+        assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
         assert key in capsys.readouterr().err
         assert os.listdir(out) == []
 
@@ -522,6 +539,10 @@ class TestPipeline:
         assert main(["simulate", bad.as_posix(), "--out", str(tmp_path)]) == 1
         assert "expected" in capsys.readouterr().err
 
+    def test_set_without_value_exits_1(self, smoke_cfg, tmp_path, capsys):
+        assert main(["run", smoke_cfg, "--out", str(tmp_path / "set"), "--set", "foo"]) == 1
+        assert "--set needs SECTION.KEY=VALUE" in capsys.readouterr().err
+
     def test_missing_required_key_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "partial.cfg"
         cfg.write_text("sampler.name = rademacher\nkernel.name = product\n")
@@ -542,6 +563,39 @@ class TestPipeline:
         report = (out / VERIFY_REPORT).read_text()
         assert "ordering = FAIL" in report
         assert "upper_violations = 0" not in report
+
+    @pytest.mark.parametrize(
+        "setting, code, count, record",
+        [
+            ("sampler.name=uniform run.rank=1", 0, 11, None),
+            ("kernel.name=half_sq_diff", 0, 13, None),
+            ("kernel.name=table kernel.values=-1,1 kernel.table=0.5,1,-0.5,2", 2, 13, None),
+            ("run.mode=incomplete run.subsets=50", 0, 12,
+             (FIELD_META, {"mode": "incomplete", "subsets": "50"})),
+            ("bound.degree=3", 0, 13, (PSI_USED, {"degree": "3"})),
+        ],
+        ids=["uniform_law", "half_sq_diff", "table_kernel", "incomplete", "degree_3"],
+    )
+    def test_builder_paths_finish_consistently(
+        self, smoke_cfg, tmp_path, setting, code, count, record
+    ):
+        # each sampler, kernel and averaging builder ends with the artifact set its
+        # law and report call for, every stage tied to the field.csv it was run on
+        out = tmp_path / "paths"
+        assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == code
+        names = set(os.listdir(out))
+        assert len(names) == count
+        assert set(RUN_ARTIFACTS) - {DECOMP, TAIL_LOWER} <= names
+        meta = key_values(out / FIELD_META)
+        assert (DECOMP in names) == (meta["sampler"] == "rademacher")
+        omitted = "lower shape omitted" in (out / BOUND_REPORT).read_text()
+        assert (TAIL_LOWER in names) != omitted
+        digest = hashlib.sha256((out / FIELD).read_bytes()).hexdigest()
+        assert key_values(out / ENTROPY_SUMMARY)["field_sha256"] == digest
+        if record is not None:
+            name, want = record
+            got = key_values(out / name)
+            assert {k: got[k] for k in want} == want
 
     def test_plot_toggle(self, smoke_cfg, tmp_path):
         out = tmp_path / "plot"
@@ -639,3 +693,23 @@ def test_field_codec_writes_in_blocks(tmp_path, monkeypatch):
     back = read_field(str(tmp_path), "test")
     assert np.array_equal(written.values.view(np.uint64), back.values.view(np.uint64))
     assert written.labels == back.labels and written.meta == back.meta
+
+
+def test_benchmark_tracer_wraps_every_layer(smoke_cfg, tmp_path, monkeypatch):
+    # perfbench/tracing.py wraps these functions by name and reads their arguments
+    # and results, so a rename or signature change here breaks ``--trace 1``
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for module, func, _span, _count in tracing.LAYERS:
+        assert callable(getattr(importlib.import_module(f"ustattails.{module}"), func))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["run", smoke_cfg, "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    spans = [span[0] for span in tracer.spans]
+    assert [spans.count(stage) for stage in tracing.STAGE_SPANS] == [1, 1, 1, 1]
+    assert tracer.counts["engine.average.kernel_evals"] > 0
+    assert tracing.installed_wrappers() == []

@@ -8,8 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ustattails import (
-    Exact,
-    Incomplete,
     alphabet_sampler,
     decompose_field,
     deviation_scale,
@@ -194,11 +192,12 @@ class TestUStatistic:
         vals = u_statistic_panel(make_kernel("half_sq_diff"), x[None, :])[0]
         assert vals[0, 0] == pytest.approx(np.var(x, ddof=1), abs=1e-12)
 
-    def test_budget_switches_to_incomplete(self):
+    def test_budget_switches_to_incomplete(self, monkeypatch):
         # a user kernel, with no closed form, gathers tuples and so has a budget
+        monkeypatch.setattr(engine, "EXACT_TUPLE_BUDGET", 1000)
         x = _stream(0, 0).standard_normal(300)
         k = dataclasses.replace(make_kernel("product"), closed_form=None)
-        _, kind, count, notes = u_statistic_panel(k, x[None, :], Exact(budget=1000))
+        _, kind, count, notes = u_statistic_panel(k, x[None, :])
         assert kind == "incomplete"
         assert count == 1000
         assert notes
@@ -206,23 +205,23 @@ class TestUStatistic:
     def test_budget_leaves_closed_form_exact(self):
         x = draw_data(rademacher_sampler(), 2100, 4, seed=3)
         k = make_kernel("product")
-        vals, kind, count, notes = u_statistic_panel(k, x, Exact())
+        vals, kind, count, notes = u_statistic_panel(k, x)
         assert (kind, count, notes) == ("exact", math.comb(2100, 2), [])
-        assert math.comb(2100, 2) > Exact().budget
+        assert math.comb(2100, 2) > engine.EXACT_TUPLE_BUDGET
         # ((sum x)^2 - n) / 2 pairs, exact in integers for +-1 data
         sums = x.sum(axis=1)
         assert np.array_equal(vals[:, 0], (sums**2 - 2100) / 2 / math.comb(2100, 2))
 
     def test_incomplete_clamps_to_exact(self):
         k = make_kernel("product")
-        _, kind, _, notes = u_statistic_panel(k, [[1.0, 2.0, 3.0]], Incomplete(subsets=3))
+        _, kind, _, notes = u_statistic_panel(k, [[1.0, 2.0, 3.0]], 3)
         assert kind == "exact"
         assert notes
-        assert u_statistic_panel(k, [[1.0, 2.0, 3.0]], Incomplete(subsets=2))[1] == "incomplete"
+        assert u_statistic_panel(k, [[1.0, 2.0, 3.0]], 2)[1] == "incomplete"
 
     def test_incomplete_needs_positive(self):
         with pytest.raises(ValueError, match="at least one"):
-            u_statistic_panel(make_kernel("product"), [[1.0, 2.0, 3.0]], Incomplete(subsets=0))
+            u_statistic_panel(make_kernel("product"), [[1.0, 2.0, 3.0]], 0)
 
     @pytest.mark.parametrize("law", ["normal", "rademacher", "pareto"])
     def test_closed_form_matches_gather(self, law):
@@ -252,7 +251,7 @@ class TestUStatistic:
         k = make_kernel("sum")
         X = draw_data(rad, 12, 4000, seed=77)
         exact = u_statistic_panel(k, X)[0]
-        inc = u_statistic_panel(k, X, Incomplete(subsets=20), seed=77)[0]
+        inc = u_statistic_panel(k, X, 20, seed=77)[0]
         assert np.mean(inc - exact) == pytest.approx(0.0, abs=0.01)
 
 
@@ -388,6 +387,16 @@ class TestSimulatePanel:
         )
         assert fld.meta["mean_source"] == "grand_mc"
         assert np.allclose(fld.values.mean(axis=0), 0.0, atol=1e-12)
+
+    def test_given_means_centre_the_field(self):
+        # a continuous law centred at means the caller knows, not the panel's grand mean
+        k = make_kernel("gprod", 2, g="tanh", t_grid=[0.5, 1.0, 2.0])
+        given = np.array([0.1, -0.2, 0.3])
+        fld = simulate_panel(k, normal_sampler(), 10, 200, seed=1, rank=1, mean_per_t=given)
+        assert fld.meta["mean_source"] == "given"
+        U = u_statistic_panel(k, draw_data(normal_sampler(), 10, 200, seed=1))[0]
+        want = deviation_scale(10, 1) * (U - given)
+        assert np.array_equal(fld.values.view(np.uint64), want.view(np.uint64))
 
     def test_exact_means_centre_exactly(self):
         k = make_kernel("product", shift=0.5)

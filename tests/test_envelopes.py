@@ -86,6 +86,25 @@ class TestFamilies:
             exp_power_envelope(-1.0, 1.0)
         with pytest.raises(ValueError):
             constant_envelope(2.0, 1.5)
+        # NaN fails every range, and only m and p_sup may be infinite
+        for family, params, name in [
+            (power_log_envelope, (math.nan,), "m"),
+            (power_log_envelope, (2.0, math.nan), "r"),
+            (power_log_envelope, (2.0, math.inf), "r"),
+            (exp_power_envelope, (math.inf, 1.0), "coef"),
+            (exp_power_envelope, (1.0, math.nan), "expo"),
+            (exp_power_envelope, (1.0, math.inf), "expo"),
+            (constant_envelope, (math.inf, 8.0), "value"),
+            (constant_envelope, (math.nan, 8.0), "value"),
+            (constant_envelope, (1.0, math.nan), "p_sup"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                family(*params)
+
+    def test_infinite_m_is_accepted(self):
+        # psi(p) = (ln p)^r, the m -> inf limit of the power-log family
+        env = power_log_envelope(math.inf, 1.0)
+        assert env.log_value(4.0) == pytest.approx(math.log(math.log(4.0)))
 
 
 class TestLift:
