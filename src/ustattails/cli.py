@@ -32,6 +32,7 @@ from .empirics import FieldSamples, TailCurve
 from .engine import (
     DECOMP_MAX_DEGREE,
     alphabet_sampler,
+    check_subsets,
     decompose_field,
     lognormal_sampler,
     make_kernel,
@@ -133,7 +134,12 @@ def build_mode(cfg):
     if cfg.has("run.budget"):
         cfg.fail("run.budget", "run.budget has no effect and is not accepted: every built-in "
                  "kernel averages exactly in closed form at any C(n, d); remove the key")
-    return None if mode == "exact" else cfg.get_int("run.subsets")
+    if mode == "incomplete":
+        return _checked(cfg, cfg.get_int, "run.subsets", check_subsets)
+    if cfg.has("run.subsets"):
+        cfg.fail("run.subsets", "run.subsets has no effect under exact averaging and is not "
+                 "accepted; set run.mode = incomplete or remove the key")
+    return None
 
 
 def build_envelope(cfg):
@@ -285,9 +291,15 @@ def write_field(out_dir, fld):
 
 
 def read_field(out_dir, stage):
-    """The field in field.csv, with the SHA-256 of its bytes as ``meta["field_sha256"]``."""
+    """The field in field.csv, with the SHA-256 of its bytes as ``meta["field_sha256"]``.
+
+    A NaN or infinite cell raises ConfigError naming the file.
+    """
     path = _need(out_dir, FIELD, stage)
     header, values = read_table(path, labelled=True)
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise ConfigError(f"{path}: {bad} non-finite cells")
     meta_path = os.path.join(out_dir, FIELD_META)
     pairs = read_pairs(meta_path) if os.path.exists(meta_path) else []
     return _field_samples(header[1:], values, pairs, _sha256(path))

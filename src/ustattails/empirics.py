@@ -1,10 +1,11 @@
 """Empirical moment estimation and tail curves.
 
-Every empirical L_p norm comes from :func:`moment_matrix`, which estimates in
-log space: ln |eta|_p = (logsumexp(p ln|x|) - ln n) / p, which survives values
-like 1e200 at p = 64 without overflow.  Each estimate is a power mean of the
-empirical law, so it is nondecreasing in p (the power-mean inequality) up to
-rounding, which ``MomentTable`` checks.
+Every empirical L_p norm comes from :func:`moment_matrix`, which scales each
+column by its largest magnitude, top: |eta|_p = top * (mean (|x|/top)^p)^(1/p).
+No term exceeds 1, so values like 1e200 at p = 64 do not overflow.  The
+samples must be finite: a NaN or inf raises ValueError.  Each estimate is a
+power mean of the empirical law, so it is nondecreasing in p (the power-mean
+inequality) up to rounding, which ``MomentTable`` checks.
 """
 
 import math
@@ -19,49 +20,37 @@ from .envelopes import MomentTable, envelope_norm_rows, tabulated_envelope
 DEFAULT_KAPPA = 4.0
 
 
-def _logsumexp_rows(a):
-    """ln sum_j exp(a[i, j]) for each row of a finite 2-d array.
+def _power_means(A, p_grid):
+    """Power means (mean A^p)^(1/p) of the rows of A, magnitudes of shape (columns, reps).
 
-    Follows scipy.special.logsumexp: the m terms equal to the row maximum are
-    counted rather than summed, and the result is log1p(s/m) + ln m + max,
-    where s sums the remaining terms shifted by the maximum.
+    Each row is scaled by its largest entry, so no term exceeds 1 and an
+    all-zero row comes out as 0.  A is overwritten.  Returns a
+    (columns, len(p_grid)) matrix.
     """
-    a_max = a.max(axis=1, keepdims=True)
-    ties = a == a_max
-    m = ties.sum(axis=1, keepdims=True)
-    shifted = a - a_max
-    np.copyto(shifted, -np.inf, where=ties)
-    s = np.exp(shifted, out=shifted).sum(axis=1, keepdims=True)
-    return (np.log1p(s / m) + np.log(m) + a_max)[:, 0]
+    reps = A.shape[1]
+    if reps < 2:
+        raise ValueError("need at least 2 samples to estimate moments")
+    p = np.asarray(p_grid, dtype=float)
+    top = A.max(axis=1)
+    if not np.all(np.isfinite(top)):
+        raise ValueError("moments need finite samples")
+    np.divide(A, top[:, None], out=A, where=top[:, None] > 0)
+    with np.errstate(divide="ignore"):
+        np.log(A, out=A)
+    terms = np.empty_like(A)
+    sums = np.empty((A.shape[0], p.size))
+    for j, pj in enumerate(p.tolist()):
+        sums[:, j] = np.exp(np.multiply(pj, A, out=terms), out=terms).sum(axis=1)
+    return top[:, None] * (sums / reps) ** (1.0 / p)
 
 
 def moment_matrix(X, p_grid):
     """Power means |x|_p = (mean |x|^p)^(1/p) of the columns of X, shape (reps, columns).
 
-    Returns a (columns, len(p_grid)) matrix.  Zeros are dropped from each
-    column's sum, which then runs over the nonzero entries in order; columns
-    with equally many nonzeros are summed together.
+    Returns a (columns, len(p_grid)) matrix, from |x|_p = top * (mean (|x|/top)^p)^(1/p)
+    with top the column's largest |x|.  The samples must be finite.
     """
-    X = np.asarray(X, dtype=float)
-    reps = X.shape[0]
-    if reps < 2:
-        raise ValueError("need at least 2 samples to estimate moments")
-    p = np.asarray(p_grid, dtype=float)
-    log_abs = np.abs(X.T, order="C")
-    with np.errstate(divide="ignore"):
-        np.log(log_abs, out=log_abs)
-    nonzero = log_abs > -np.inf
-    counts = nonzero.sum(axis=1)
-    log_norms = np.full((counts.size, p.size), -np.inf)
-    for k in np.unique(counts[counts > 0]).tolist():
-        rows = counts == k
-        whole = k == reps and rows.all()
-        la = log_abs if whole else log_abs[nonzero & rows[:, None]].reshape(-1, k)
-        terms = np.empty_like(la)
-        for j, pj in enumerate(p.tolist()):
-            np.multiply(pj, la, out=terms)
-            log_norms[rows, j] = (_logsumexp_rows(terms) - math.log(reps)) / pj
-    return np.exp(log_norms)
+    return _power_means(np.abs(np.asarray(X, dtype=float).T, order="C"), p_grid)
 
 
 def empirical_moments(samples, p_grid):
@@ -147,7 +136,8 @@ def envelope_distance(field, env, *, p_grid=None):
     m = field.size
     dist = np.zeros((m, m))
     for i in range(m - 1):
-        row = envelope_norm_rows(moment_matrix((cols[i] - cols[i + 1:]).T, p), log_psi)
+        diff = cols[i] - cols[i + 1:]
+        row = envelope_norm_rows(_power_means(np.abs(diff, out=diff), p), log_psi)
         dist[i, i + 1:] = dist[i + 1:, i] = row
     return dist
 

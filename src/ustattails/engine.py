@@ -330,6 +330,12 @@ def _sample_tuples(rng, n, d, count):
     return out
 
 
+def check_subsets(subsets):
+    """Raises ValueError unless incomplete averaging draws at least one tuple per replication."""
+    if not subsets >= 1:
+        raise ValueError("incomplete averaging needs at least one subset")
+
+
 def _resolve_mode(subsets, n, d, closed_form=False):
     """Returns (kind, tuple_count, notes) for ``subsets`` random tuples per
     replication, or for exact averaging when ``subsets`` is None.
@@ -345,8 +351,7 @@ def _resolve_mode(subsets, n, d, closed_form=False):
                 f"{EXACT_TUPLE_BUDGET}; switched to incomplete averaging"
             ]
         return "exact", total, []
-    if subsets < 1:
-        raise ValueError("incomplete averaging needs at least one subset")
+    check_subsets(subsets)
     if subsets >= total:
         return "exact", total, [
             f"requested {subsets} subsets but only {total} exist; using exact averaging"
@@ -572,7 +577,8 @@ def simulate_panel(
     alphabet the rank must be supplied, and missing means fall back to the
     grand Monte Carlo mean across the panel (flagged in the metadata, since
     that recentering removes part of the deviation).  ``subsets`` picks the
-    averaging as in ``u_statistic_panel``.
+    averaging as in ``u_statistic_panel``.  A field with a NaN or infinite
+    cell raises ValueError counting them.
     """
     from .empirics import FieldSamples
 
@@ -602,6 +608,10 @@ def simulate_panel(
         mean_per_t = U.mean(axis=0)
     means = np.broadcast_to(np.asarray(mean_per_t, dtype=float), (len(kernel.t_grid),))
     dev = deviation_scale(n, rank, convention) * (U - means[None, :])
+    bad = np.count_nonzero(~np.isfinite(dev))
+    if bad:
+        raise ValueError(f"{bad} of {dev.size} field cells are not finite: the kernel "
+                         "overflows or is undefined on this sampler's draws")
     meta = {
         "n": n,
         "reps": reps,

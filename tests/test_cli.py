@@ -106,9 +106,10 @@ def copy_artifacts(src, dst):
 
 def damage_field(lines, how):
     """field.csv lines with one kind of damage applied."""
-    if how == "non_numeric_cell":
+    if how in ("non_numeric_cell", "nan_cell"):
         cells = lines[2].split(",")
-        lines[2] = ",".join(cells[:1] + ["abc"] + cells[2:])
+        cells[1] = "abc" if how == "non_numeric_cell" else "nan"
+        lines[2] = ",".join(cells)
     elif how == "short_last_row":
         lines[-1] = lines[-1].rsplit(",", 1)[0]
     elif how == "extra_cell":
@@ -417,7 +418,7 @@ class TestPipeline:
         assert "beta must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "how", ["non_numeric_cell", "short_last_row", "header_only", "extra_cell"]
+        "how", ["non_numeric_cell", "short_last_row", "header_only", "extra_cell", "nan_cell"]
     )
     def test_corrupt_field_exits_1_naming_it(self, smoke_cfg, smoke_run, tmp_path, capsys, how):
         out = copy_artifacts(smoke_run[1], tmp_path / how)
@@ -498,22 +499,37 @@ class TestPipeline:
             ("psi.family=constant psi.value=0 psi.p_sup=8", "psi.value"),
             ("psi.family=constant psi.value=1 psi.p_sup=2", "psi.p_sup"),
             ("kernel.name=table kernel.values=-1,1 kernel.table=0.5,1,-0.5", "kernel.table"),
+            ("run.mode=incomplete run.subsets=0", "run.subsets"),
+            ("run.mode=incomplete run.subsets=-3", "run.subsets"),
+            ("run.subsets=50", "run.subsets"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
              "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
              "p_max_not_above_2", "one_psi_point", "plateau_fraction_above_1",
              "negative_plateau_fraction", "zero_lower_beta", "negative_sigma",
              "negative_m", "nan_m", "nan_r", "inf_coef", "nan_expo", "zero_value",
-             "p_sup_not_above_2", "ragged_table"],
+             "p_sup_not_above_2", "ragged_table", "zero_subsets", "negative_subsets",
+             "subsets_under_exact"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, tmp_path, capsys, setting, key
     ):
         # run reads and range-checks the keys of every stage before it simulates, and
-        # rejects run.budget, which no built-in kernel would use
+        # rejects run.budget, which no built-in kernel would use, and run.subsets under
+        # exact averaging, which it would not read
         out = tmp_path / "key"
         assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
         assert key in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_non_finite_field_fails_before_any_artifact(self, smoke_cfg, tmp_path, capsys):
+        # a degree-3 product of Pareto(0.02) draws overflows in every cell
+        out = tmp_path / "overflow"
+        setting = ("sampler.name=pareto sampler.a=0.02 kernel.name=product kernel.degree=3 "
+                   "run.rank=1")
+        with np.errstate(all="ignore"):
+            assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
+        assert "1500 of 1500 field cells are not finite" in capsys.readouterr().err
         assert os.listdir(out) == []
 
     def test_saturated_geometry_exits_2(self, smoke_cfg, tmp_path):
@@ -663,7 +679,8 @@ FIELD_CELLS = st.sampled_from([
 )
 def test_field_codec_matches_table_writer(values):
     # write_field spells the bytes write_table spells, and returns what a cold read_field
-    # gets back: the bits of the values, their labels' text and the digest of the bytes
+    # gets back: the bits of the values, their labels' text and the digest of the bytes;
+    # read_field refuses a field with a NaN or infinite cell
     fld = FieldSamples([0.25 * (j + 1) for j in range(values.shape[1])], values)
     with tempfile.TemporaryDirectory() as out:
         written = write_field(out, fld)
@@ -672,7 +689,12 @@ def test_field_codec_matches_table_writer(values):
                     ([i] + row for i, row in enumerate(values.tolist())))
         with open(os.path.join(out, FIELD), "rb") as fh, open(reference, "rb") as ref:
             assert fh.read() == ref.read()
-        back = read_field(out, "test")
+        if not np.isfinite(values).all():
+            with pytest.raises(ConfigError, match=FIELD):
+                read_field(out, "test")
+            back = written
+        else:
+            back = read_field(out, "test")
     assert back.labels == written.labels == tuple(map(repr, fld.labels))
     assert back.meta == written.meta
     finite = ~np.isnan(values)
@@ -713,3 +735,20 @@ def test_benchmark_tracer_wraps_every_layer(smoke_cfg, tmp_path, monkeypatch):
     assert [spans.count(stage) for stage in tracing.STAGE_SPANS] == [1, 1, 1, 1]
     assert tracer.counts["engine.average.kernel_evals"] > 0
     assert tracing.installed_wrappers() == []
+
+
+@pytest.mark.parametrize("name", ["narrow_exact", "wide_index"])
+def test_benchmark_gate_passes(name, tmp_path, monkeypatch):
+    # the gate perfbench applies to every run: exit code, artifact set, verify PASS and
+    # the seed-11 reference values within 1e-9, so a numeric drift fails here too
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    gate = importlib.import_module("gate")
+    workload = workloads.WORKLOADS[name]
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(workload.config_text())
+    out = tmp_path / "out"
+    seed = workloads.REFERENCE_SEED
+    rc = main(["run", str(cfg), "--out", str(out), "--set", f"run.seed={seed}"])
+    assert gate.check_artifacts(workload, str(out), rc, seed) == []

@@ -1,10 +1,11 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from ustattails import (
     FieldSamples,
@@ -17,19 +18,48 @@ from ustattails import (
     natural_envelope,
     power_log_envelope,
 )
-from ustattails.empirics import _logsumexp_rows
+from ustattails.empirics import moment_matrix
 from ustattails.engine import _stream
 
 
-class TestLogSumExp:
-    @given(hnp.arrays(float, (3, 7), elements=st.sampled_from([-700.0, -3.5, 0.0, 2.0, 900.0])))
-    def test_matches_exact_sum(self, a):
-        # sampled elements force ties at the row maximum and extreme magnitudes
-        got = _logsumexp_rows(a)
-        for row, value in zip(a, got):
-            top = row.max()
-            want = top + math.log(math.fsum(math.exp(v - top) for v in row))
-            assert value == pytest.approx(want, rel=1e-14, abs=1e-12)
+LAWS = {
+    "normal": lambda rng, size: rng.standard_normal(size),
+    "lognormal": lambda rng, size: rng.lognormal(0.0, 3.0, size),
+    "pareto": lambda rng, size: rng.pareto(1.5, size) + 1.0,
+    "scaled_1e200": lambda rng, size: 1e200 * rng.choice([-1.0, 1.0], size) * rng.random(size),
+    "zeros": lambda rng, size: rng.choice([0.0, -1.0, 3.0], size),
+}
+
+
+class TestPowerMeans:
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_matches_exact_arithmetic(self, law):
+        # mean |x|^p summed in exact rationals; the estimate is within a few ulps of it
+        p = [2, 3, 4, 8, 16, 32]
+        for seed in range(4):
+            x = LAWS[law](_stream(seed, 0), 64)
+            got = empirical_moments(x, np.array(p, dtype=float)).values
+            for pj, value in zip(p, got.tolist()):
+                mean = sum(Fraction(abs(v)) ** pj for v in x.tolist()) / x.size
+                error = abs(Fraction(value) ** pj / mean - 1) / pj
+                assert error <= 1e-15, (seed, pj, float(error))
+
+    def test_columns_with_different_zero_counts(self):
+        X = _stream(16, 0).standard_normal((50, 4))
+        X[:10, 1] = X[:35, 2] = X[:, 3] = 0.0
+        p = np.array([2.0, 5.0, 16.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = moment_matrix(X, p)
+            want = [empirical_moments(X[:, j], p).values for j in range(4)]
+        assert not np.isnan(got).any()
+        assert np.all(got[3] == 0.0)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            moment_matrix(np.array([[1.0], [2.0], [bad], [-2.0]]), [2.0])
 
 
 class TestEmpiricalMoments:
