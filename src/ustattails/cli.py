@@ -27,7 +27,7 @@ import numpy as np
 from .bounds import (
     Geometry, calibrate_tails, check_beta, check_sigma, compare_curves, index_geometry, report_text
 )
-from .config import Config, ConfigError, resolve_grid
+from .config import Config, ConfigError, parse_grid, resolve_grid
 from .empirics import FieldSamples, TailCurve
 from .engine import (
     DECOMP_MAX_DEGREE,
@@ -564,7 +564,12 @@ def stage_bounds(cfg, out_dir, fld=None):
         fld = read_field(out_dir, "bounds")
     u_spec, lower, plot = _bounds_settings(cfg, len(fld.labels))
     geo = read_geometry(out_dir, "bounds", fld.meta["field_sha256"])
-    report = calibrate_tails(fld, geo, resolve_grid(u_spec, fld.sup_abs()), lower=lower)
+    u_grid = resolve_grid(u_spec, fld.sup_abs())
+    report = calibrate_tails(fld, geo, u_grid, lower=lower)
+    kind, asked = parse_grid(u_spec)
+    if kind == "quantile" and u_grid.size < asked[2]:
+        # quantiles that land on one atom of the supremum give one level
+        report.notes.append(f"grids.u: {asked[2]} quantiles gave {u_grid.size} distinct levels")
     sup = report.sup_moments
     rows = zip(sup.p_grid.tolist(), sup.values.tolist(), sup.low_confidence.tolist())
     write_table(os.path.join(out_dir, MOMENTS_SUP), ("p", "value", "low_confidence"), rows)

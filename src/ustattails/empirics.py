@@ -1,11 +1,16 @@
 """Empirical moment estimation and tail curves.
 
-Every empirical L_p norm comes from :func:`moment_matrix`, which scales each
-column by its largest magnitude, top: |eta|_p = top * (mean (|x|/top)^p)^(1/p).
-No term exceeds 1, so values like 1e200 at p = 64 do not overflow.  The
-samples must be finite: a NaN or inf raises ValueError.  Each estimate is a
-power mean of the empirical law, so it is nondecreasing in p (the power-mean
-inequality) up to rounding, which ``MomentTable`` checks.
+Every empirical L_p norm reads its sample as the distinct rows with their
+counts (:func:`distinct_rows`) and is a weighted power mean over them, which
+scales each column by its largest magnitude, top:
+|eta|_p = top * (sum c (|x|/top)^p / sum c)^(1/p).  No term exceeds 1, so
+values like 1e200 at p = 64 do not overflow.  A field under an alphabet law
+has few distinct rows, so :func:`envelope_distance` costs
+O(m^2 * atoms * |p|); a sample with no repeated row is read as it is, with
+unit counts.  The samples must be finite: a NaN or inf raises ValueError.
+Each estimate is a power mean of the empirical law, so it is nondecreasing
+in p (the power-mean inequality) up to rounding, which ``MomentTable``
+checks.
 """
 
 import math
@@ -20,15 +25,30 @@ from .envelopes import MomentTable, envelope_norm_rows, tabulated_envelope
 DEFAULT_KAPPA = 4.0
 
 
-def _power_means(A, p_grid):
-    """Power means (mean A^p)^(1/p) of the rows of A, magnitudes of shape (columns, reps).
+def distinct_rows(X):
+    """The distinct rows of the 2-d array X, in first-occurrence order, and their counts.
+
+    Rows are compared bit for bit.  Returns (rows, counts) with counts as
+    floats; a matrix with no repeated row comes back in its own order with
+    unit counts.
+    """
+    X = np.ascontiguousarray(X, dtype=float)
+    keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return X[first[order]], counts[order].astype(float)
+
+
+def _power_means(A, counts, p_grid):
+    """Weighted power means (sum c A^p / sum c)^(1/p) of the rows of A, magnitudes
+    of shape (columns, atoms), with ``counts`` c the multiplicity of each atom.
 
     Each row is scaled by its largest entry, so no term exceeds 1 and an
     all-zero row comes out as 0.  A is overwritten.  Returns a
     (columns, len(p_grid)) matrix.
     """
-    reps = A.shape[1]
-    if reps < 2:
+    total = counts.sum()
+    if total < 2:
         raise ValueError("need at least 2 samples to estimate moments")
     p = np.asarray(p_grid, dtype=float)
     top = A.max(axis=1)
@@ -40,17 +60,20 @@ def _power_means(A, p_grid):
     terms = np.empty_like(A)
     sums = np.empty((A.shape[0], p.size))
     for j, pj in enumerate(p.tolist()):
-        sums[:, j] = np.exp(np.multiply(pj, A, out=terms), out=terms).sum(axis=1)
-    return top[:, None] * (sums / reps) ** (1.0 / p)
+        np.exp(np.multiply(pj, A, out=terms), out=terms)
+        sums[:, j] = np.multiply(terms, counts, out=terms).sum(axis=1)
+    return top[:, None] * (sums / total) ** (1.0 / p)
 
 
 def moment_matrix(X, p_grid):
     """Power means |x|_p = (mean |x|^p)^(1/p) of the columns of X, shape (reps, columns).
 
     Returns a (columns, len(p_grid)) matrix, from |x|_p = top * (mean (|x|/top)^p)^(1/p)
-    with top the column's largest |x|.  The samples must be finite.
+    with top the column's largest |x|, the mean taken over the distinct rows
+    of X weighted by their counts.  The samples must be finite.
     """
-    return _power_means(np.abs(np.asarray(X, dtype=float).T, order="C"), p_grid)
+    rows, counts = distinct_rows(X)
+    return _power_means(np.abs(rows.T, order="C"), counts, p_grid)
 
 
 def empirical_moments(samples, p_grid):
@@ -121,7 +144,8 @@ def natural_envelope(field, p_grid):
 
 
 def envelope_distance(field, env, *, p_grid=None):
-    """Matrix of envelope norms of pairwise column differences.
+    """Matrix of envelope norms of pairwise column differences, each read over
+    the field's distinct rows weighted by their counts.
 
     Defaults to the envelope's own nodes for tabulated envelopes; other
     families need an explicit p_grid.
@@ -132,12 +156,13 @@ def envelope_distance(field, env, *, p_grid=None):
         p_grid = env.params[0]
     p = np.asarray(p_grid, dtype=float)
     log_psi = env.log_value(p)
-    cols = np.ascontiguousarray(field.values.T)
+    rows, counts = distinct_rows(field.values)
+    cols = np.ascontiguousarray(rows.T)
     m = field.size
     dist = np.zeros((m, m))
     for i in range(m - 1):
         diff = cols[i] - cols[i + 1:]
-        row = envelope_norm_rows(_power_means(np.abs(diff, out=diff), p), log_psi)
+        row = envelope_norm_rows(_power_means(np.abs(diff, out=diff), counts, p), log_psi)
         dist[i, i + 1:] = dist[i + 1:, i] = row
     return dist
 

@@ -15,9 +15,13 @@ values, a sum through the factor mean, and ``half_sq_diff`` as the unbiased
 sample variance, whatever the number of index subsets.  Other kernels
 enumerate all index subsets of size d; above the tuple budget exact
 averaging switches to incomplete averaging over randomly sampled index
-tuples and notes the switch.  Decompositions into canonical (completely
-degenerate) projection terms are available under samplers with a finite
-weighted alphabet, and give exact means, variances, and ranks.
+tuples and notes the switch.  Exact averaging reads each sample sorted
+ascending, so a field row is a function of the sample's multiset: under an
+alphabet law, replications of one type give bit-identical rows (Hoeffding
+1948).  Incomplete averaging reads the sample as drawn.  Decompositions
+into canonical (completely degenerate) projection terms are available under
+samplers with a finite weighted alphabet, and give exact means, variances,
+and ranks.
 """
 
 import math
@@ -190,7 +194,8 @@ class Kernel:
     index label from ``t_grid``.  Scalar kernels use the single label "t0".
 
     ``closed_form(X, t)``, when set, returns for each row of the (reps, n)
-    matrix X the exact mean of ``fn`` over all C(n, degree) index subsets.
+    matrix X the exact mean of ``fn`` over all C(n, degree) index subsets;
+    ``u_statistic_panel`` hands it rows sorted ascending.
     ``alphabet_mean(values, weights, t)``, when set, returns the mean of
     ``fn`` over i.i.d. arguments drawn from a finite weighted alphabet.
     """
@@ -204,6 +209,14 @@ class Kernel:
 
 
 _GPROD_SHAPES = {"sin": np.sin, "tanh": np.tanh, "identity": lambda x: x}
+
+
+def _alternating_order(n):
+    """Positions 0, n-1, 1, n-2, ...: smallest, largest, second smallest, ... of a sorted row."""
+    order = np.empty(n, dtype=np.intp)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    return order
 
 
 def _factor_kernel(name, degree, t_grid, factor, combine):
@@ -228,12 +241,16 @@ def _factor_kernel(name, degree, t_grid, factor, combine):
 
     else:
         # the sum over subsets is the elementary symmetric polynomial e_d of the
-        # factor values, built by e_k <- e_k + f_i e_(k-1) without cancellation
+        # factor values, built by e_k <- e_k + f_i e_(k-1) without cancellation.
+        # It visits a sorted row smallest, largest, second smallest, ...: under a
+        # zero-mean law the partial sums stay small, and so does the rounding of
+        # cells whose exact value is 0.
         def closed_form(X, t):
             e = np.zeros((d + 1, X.shape[0]))
             e[0] = 1.0
-            for f in factor(np.ascontiguousarray(X.T), t):
-                e[1:] += f * e[:-1]
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite cells are counted later
+                for f in factor(X.T[_alternating_order(X.shape[1])], t):
+                    e[1:] += f * e[:-1]
             return e[d] / math.comb(X.shape[1], d)
 
         def alphabet_mean(values, weights, t):
@@ -336,16 +353,19 @@ def check_subsets(subsets):
         raise ValueError("incomplete averaging needs at least one subset")
 
 
-def _resolve_mode(subsets, n, d, closed_form=False):
+def _resolve_mode(kernel, n, subsets):
     """Returns (kind, tuple_count, notes) for ``subsets`` random tuples per
-    replication, or for exact averaging when ``subsets`` is None.
+    replication of n observations, or for exact averaging when ``subsets`` is None.
 
     The tuple budget limits only the gather path: a kernel with a closed form
     averages exactly at any C(n, d).
     """
+    d = kernel.degree
+    if n <= d:
+        raise ValueError(f"need more than degree = {d} observations, got {n}")
     total = math.comb(n, d)
     if subsets is None:
-        if total > EXACT_TUPLE_BUDGET and not closed_form:
+        if total > EXACT_TUPLE_BUDGET and kernel.closed_form is None:
             return "incomplete", EXACT_TUPLE_BUDGET, [
                 f"exact averaging needs {total} tuples, over the budget of "
                 f"{EXACT_TUPLE_BUDGET}; switched to incomplete averaging"
@@ -516,21 +536,31 @@ def draw_data(sampler, n, reps, seed):
     return X
 
 
+def _ascending_rows(X):
+    """X itself when each of its rows is sorted ascending, else a row-sorted copy."""
+    if np.all(X[:, 1:] >= X[:, :-1]):
+        return X
+    return np.sort(X, axis=1)
+
+
 def u_statistic_panel(kernel, X, subsets=None, *, seed=0):
     """U-statistic matrix (reps, t_grid) for a panel of datasets.
 
     ``subsets=None`` averages exactly: through the kernel's closed form when
-    it has one, and by gathering every index subset otherwise.  An integer
-    averages that many index tuples per replication, drawn afresh from the
-    tuple lane keyed by (seed, replication index).
+    it has one, and by gathering every index subset otherwise.  Exact
+    averaging reads each sample sorted ascending, so its row of the result is
+    a function of the sample's multiset: permuting a sample leaves the row
+    bit for bit unchanged.  An integer averages that many index tuples per
+    replication, drawn afresh from the tuple lane keyed by (seed, replication
+    index); the tuples address the drawn positions, so X is read as drawn.
     """
     X = np.asarray(X, dtype=float)
     reps, n = X.shape
     d = kernel.degree
-    if n <= d:
-        raise ValueError(f"need more than degree = {d} observations, got {n}")
-    kind, count, notes = _resolve_mode(subsets, n, d, kernel.closed_form is not None)
+    kind, count, notes = _resolve_mode(kernel, n, subsets)
     out = np.empty((reps, len(kernel.t_grid)))
+    if kind == "exact":
+        X = _ascending_rows(X)
     if kind == "exact" and kernel.closed_form is not None:
         for j, t in enumerate(kernel.t_grid):
             out[:, j] = kernel.closed_form(X, t)
@@ -602,12 +632,16 @@ def simulate_panel(
             mean_source = "exact"
         else:
             mean_source = "grand_mc"
+    exact = _resolve_mode(kernel, n, subsets)[0] == "exact"
     X = draw_data(sampler, n, reps, seed)
+    if exact:
+        X.sort(axis=1)  # in place, so that exact averaging, which reads sorted rows, copies none
     U, kind, count, notes = u_statistic_panel(kernel, X, subsets, seed=seed)
-    if mean_source == "grand_mc":
-        mean_per_t = U.mean(axis=0)
-    means = np.broadcast_to(np.asarray(mean_per_t, dtype=float), (len(kernel.t_grid),))
-    dev = deviation_scale(n, rank, convention) * (U - means[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite cells are counted below
+        if mean_source == "grand_mc":
+            mean_per_t = U.mean(axis=0)
+        means = np.broadcast_to(np.asarray(mean_per_t, dtype=float), (len(kernel.t_grid),))
+        dev = deviation_scale(n, rank, convention) * (U - means[None, :])
     bad = np.count_nonzero(~np.isfinite(dev))
     if bad:
         raise ValueError(f"{bad} of {dev.size} field cells are not finite: the kernel "

@@ -532,6 +532,26 @@ class TestPipeline:
         assert "1500 of 1500 field cells are not finite" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    def test_non_finite_field_refusal_is_the_only_message(self, smoke_cfg, tmp_path, capsys):
+        # the overflowing recurrence and the mean of its cells warn nothing before the refusal
+        out = tmp_path / "quiet"
+        setting = ("sampler.name=pareto sampler.a=0.02 kernel.name=product kernel.degree=3 "
+                   "run.rank=1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 1500 of 1500 field cells are not finite")
+        assert err.count("\n") == 1
+        assert os.listdir(out) == []
+
+    def test_collapsed_quantile_grid_is_noted(self, smoke_run):
+        # quantiles of a supremum with few atoms share levels; the report says how many
+        report = (smoke_run[1] / BOUND_REPORT).read_text()
+        levels = len(read_table(smoke_run[1] / TAIL_EMPIRICAL)[1])
+        assert levels < 12
+        assert f"- grids.u: 12 quantiles gave {levels} distinct levels\n" in report
+
     def test_saturated_geometry_exits_2(self, smoke_cfg, tmp_path):
         out = tmp_path / "sat"
         rc = main([
@@ -737,7 +757,7 @@ def test_benchmark_tracer_wraps_every_layer(smoke_cfg, tmp_path, monkeypatch):
     assert tracing.installed_wrappers() == []
 
 
-@pytest.mark.parametrize("name", ["narrow_exact", "wide_index"])
+@pytest.mark.parametrize("name", ["narrow_exact", "wide_index", "heavy_incomplete"])
 def test_benchmark_gate_passes(name, tmp_path, monkeypatch):
     # the gate perfbench applies to every run: exit code, artifact set, verify PASS and
     # the seed-11 reference values within 1e-9, so a numeric drift fails here too

@@ -18,7 +18,8 @@ from ustattails import (
     natural_envelope,
     power_log_envelope,
 )
-from ustattails.empirics import moment_matrix
+from ustattails.empirics import _power_means, distinct_rows, moment_matrix
+from ustattails.envelopes import MomentTable, make_envelope
 from ustattails.engine import _stream
 
 
@@ -34,15 +35,22 @@ LAWS = {
 class TestPowerMeans:
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_matches_exact_arithmetic(self, law):
-        # mean |x|^p summed in exact rationals; the estimate is within a few ulps of it
+        # mean |x|^p summed in exact rationals, unweighted and weighted by counts c as
+        # sum c |x|^p / sum c; the estimates are within a few ulps of it
         p = [2, 3, 4, 8, 16, 32]
         for seed in range(4):
             x = LAWS[law](_stream(seed, 0), 64)
+            counts = _stream(seed, 1).integers(1, 50, x.size).astype(float)
             got = empirical_moments(x, np.array(p, dtype=float)).values
-            for pj, value in zip(p, got.tolist()):
-                mean = sum(Fraction(abs(v)) ** pj for v in x.tolist()) / x.size
-                error = abs(Fraction(value) ** pj / mean - 1) / pj
-                assert error <= 1e-15, (seed, pj, float(error))
+            weighted = _power_means(np.abs(x)[None, :], counts, p)[0]
+            for c, values in ((np.ones(x.size), got), (counts, weighted)):
+                total = sum(Fraction(ci) for ci in c.tolist())
+                for pj, value in zip(p, values.tolist()):
+                    mean = sum(
+                        Fraction(ci) * Fraction(abs(v)) ** pj for ci, v in zip(c.tolist(), x.tolist())
+                    ) / total
+                    error = abs(Fraction(value) ** pj / mean - 1) / pj
+                    assert error <= 1e-15, (seed, pj, float(error))
 
     def test_columns_with_different_zero_counts(self):
         X = _stream(16, 0).standard_normal((50, 4))
@@ -60,6 +68,49 @@ class TestPowerMeans:
     def test_non_finite_sample_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             moment_matrix(np.array([[1.0], [2.0], [bad], [-2.0]]), [2.0])
+
+
+class TestDistinctRows:
+    def test_distinct_rows_come_back_unchanged(self):
+        # a continuous law: every row differs, so the order is kept and every count is 1
+        X = _stream(17, 0).standard_normal((200, 5))
+        rows, counts = distinct_rows(X)
+        assert rows.tobytes() == X.tobytes()
+        assert counts.dtype == float and np.all(counts == 1.0)
+
+    def test_first_occurrence_order_and_counts(self):
+        X = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [3.0, -1.0], [0.0, 0.0], [1.0, 2.0]])
+        rows, counts = distinct_rows(X)
+        assert rows.tolist() == [[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]]
+        assert counts.tolist() == [3.0, 2.0, 1.0]
+
+    def test_uneven_repeats_match_exact_arithmetic(self):
+        # 9 distinct rows repeated 1..40 times in shuffled order; column moments and
+        # distances at integer p agree with sums of c |x|^p over the atoms in rationals
+        rng = _stream(18, 0)
+        atoms = rng.standard_normal((9, 4))
+        reps = np.array([1, 2, 3, 5, 8, 13, 21, 34, 40])
+        values = rng.permutation(np.repeat(atoms, reps, axis=0))
+        p = [2, 3, 4, 8, 16]
+        total = int(reps.sum())
+
+        def exact_mean(x, pj):
+            return sum(c * Fraction(abs(v)) ** pj for c, v in zip(reps.tolist(), x.tolist())) / total
+
+        def error(value, x, pj):
+            return float(abs(Fraction(value) ** pj / exact_mean(x, pj) - 1) / pj)
+
+        moments = moment_matrix(values, np.array(p, dtype=float))
+        for j in range(4):
+            for k, pj in enumerate(p):
+                assert error(moments[j, k], atoms[:, j], pj) <= 1e-15, (j, pj)
+        fld = FieldSamples(tuple("abcd"), values)
+        unit = make_envelope("constant", value=1.0, p_sup=16.0)
+        for pj in p:
+            d = envelope_distance(fld, unit, p_grid=np.array([float(pj)]))
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    assert error(d[i, j], atoms[:, i] - atoms[:, j], pj) <= 1e-15, (i, j, pj)
 
 
 class TestEmpiricalMoments:
@@ -184,7 +235,9 @@ class TestEnvelopeDistance:
 
     @pytest.mark.parametrize("tabulated", [True, False])
     def test_matches_per_pair_tables_bit_for_bit(self, tabulated):
-        # columns 0 and 2 are equal (an all-zero difference); the field has zero cells
+        # columns 0 and 2 are equal (an all-zero difference); the field has zero cells.
+        # Each distance is the per-pair table of the difference over the field's distinct
+        # rows and counts, bit for bit, and that of the difference's own sample within ulps
         rng = _stream(15, 0)
         values = rng.choice([0.0, -1.0, 0.5, 2.0], (400, 4))
         values[:, 2] = values[:, 0]
@@ -193,11 +246,16 @@ class TestEnvelopeDistance:
         env = natural_envelope(fld, p) if tabulated else power_log_envelope(2.0, 0.5)
         d = envelope_distance(fld, env, p_grid=p)
         assert d[0, 2] == 0.0
+        rows, counts = distinct_rows(values)
         for i in range(4):
             for j in range(4):
-                diff = values[:, i] - values[:, j]
-                want = envelope_norm(empirical_moments(diff, p), env)
+                atoms = np.abs(rows[:, i] - rows[:, j])[None, :]
+                table = MomentTable(p, _power_means(atoms, counts, p)[0], len(values))
+                want = envelope_norm(table, env)
                 assert d[i, j].tobytes() == np.float64(want).tobytes(), (i, j)
+                diff = values[:, i] - values[:, j]
+                own = envelope_norm(empirical_moments(diff, p), env)
+                assert d[i, j] == pytest.approx(own, rel=1e-15, abs=0.0), (i, j)
 
     def test_tabulated_defaults_to_nodes(self):
         fld = FieldSamples(("a", "b"), _stream(11, 0).standard_normal((100, 2)))

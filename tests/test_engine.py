@@ -255,6 +255,84 @@ class TestUStatistic:
         assert np.mean(inc - exact) == pytest.approx(0.0, abs=0.01)
 
 
+def _permute_rows(X, seed):
+    """X with an independent random permutation applied to each row."""
+    rng = _stream(seed, 0)
+    return np.array([row[rng.permutation(row.size)] for row in X])
+
+
+def _user_kernel():
+    """A symmetric degree-2 kernel with no closed form, averaged by gathering tuples."""
+    def fn(xs, t):
+        return np.abs(xs[0] - xs[1]) * (xs[0] + xs[1]) + t * xs[0] * xs[1]
+
+    return engine.Kernel("user", 2, (0.5, 2.0), fn)
+
+
+class TestOrderInvariance:
+    KERNELS = {
+        "product": lambda: make_kernel("product", 3, shift=0.25),
+        "sum": lambda: make_kernel("sum", 2),
+        "gprod": lambda: make_kernel("gprod", 2, g="tanh", t_grid=[0.4, 1.3, 2.6]),
+        "half_sq_diff": lambda: make_kernel("half_sq_diff"),
+        "table": lambda: make_kernel("table", values=[-1.3, 0.1, 2.7],
+                                     table=[[0.5, -2.0], [3.0, 1.0], [-0.7, 0.1]]),
+        "user": _user_kernel,
+    }
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @pytest.mark.parametrize("law", ["alphabet", "normal"])
+    def test_exact_rows_ignore_sample_order(self, name, law):
+        # exact averaging reads each sample in a canonical order, bit for bit
+        sampler = {"alphabet": alphabet_sampler([-1.3, 0.1, 2.7]), "normal": normal_sampler()}[law]
+        X = draw_data(sampler, 9, 300, seed=31)
+        k = self.KERNELS[name]()
+        base, kind, _, _ = u_statistic_panel(k, X)
+        assert kind == "exact"
+        for seed in (1, 2):
+            assert np.array_equal(u_statistic_panel(k, _permute_rows(X, seed))[0], base), seed
+
+    def test_equal_samples_give_equal_rows(self):
+        # 10 Rademacher observations have 11 types, so at most 11 distinct field rows
+        k = make_kernel("gprod", 2, g="tanh", t_grid=[0.4, 1.3, 2.6])
+        X = draw_data(rademacher_sampler(), 10, 2000, seed=32)
+        vals = u_statistic_panel(k, X)[0]
+        sums = X.sum(axis=1)  # the type: how many observations are +1
+        for s in np.unique(sums):
+            same = vals[sums == s]
+            assert np.array_equal(same, np.broadcast_to(same[0], same.shape)), s
+        assert np.unique(vals, axis=0).shape[0] <= 11
+
+    def test_simulate_sorts_its_draw_as_a_copy_would(self):
+        k = make_kernel("gprod", 2, g="tanh", t_grid=[0.4, 1.3])
+        rad = rademacher_sampler()
+        fld = simulate_panel(k, rad, 12, 500, seed=33)
+        X = draw_data(rad, 12, 500, seed=33)
+        U = u_statistic_panel(k, X)[0]
+        assert not np.all(X[:, 1:] >= X[:, :-1])  # the caller's panel is not reordered
+        means = np.array([dec.mean for dec in fld.decomposition])
+        assert np.array_equal(fld.values, deviation_scale(12, fld.meta["rank"]) * (U - means))
+
+    def test_incomplete_reads_the_drawn_order(self):
+        # the index tuples address drawn positions, so the values are those of a gather
+        # over the drawn tuples; the pinned values would move if the sample were sorted
+        k = make_kernel("gprod", 2, g="sin", t_grid=[0.5, 1.5])
+        X = draw_data(normal_sampler(), 10, 3, seed=21)
+        got, kind, count, _ = u_statistic_panel(k, X, 7, seed=21)
+        assert (kind, count) == ("incomplete", 7)
+        for i in range(3):
+            idx = _sample_tuples(_stream(21, i, "tuples"), 10, 2, 7)
+            assert np.array_equal(got[i], engine.u_statistic_matrix(k, X[i : i + 1], idx)[0])
+        assert got.tolist() == [
+            [0.08049173248244924, 0.21700390568048158],
+            [-0.0669124163508255, -0.022127013133791108],
+            [0.012493099234320551, 0.08812059016528437],
+        ]
+        fld = simulate_panel(k, normal_sampler(), 10, 3, 21, rank=1, mean_per_t=[0.0, 0.0],
+                             subsets=7)
+        assert np.array_equal(fld.values, math.sqrt(10.0) * got)
+
+
 class TestSampleTuples:
     @given(st.integers(0, 1000))
     def test_rows_distinct_and_in_range(self, seed):
