@@ -28,7 +28,7 @@ from .bounds import (
     Geometry, calibrate_tails, check_beta, check_sigma, compare_curves, index_geometry, report_text
 )
 from .config import Config, ConfigError, parse_grid, resolve_grid
-from .empirics import FieldSamples, TailCurve
+from .empirics import FieldSamples, TailCurve, unique_rows
 from .engine import (
     DECOMP_MAX_DEGREE,
     alphabet_sampler,
@@ -248,18 +248,20 @@ def _sha256(path):
 def _field_text(header, values):
     """field.csv in blocks of text: the header, then rows of about FIELD_BLOCK_CELLS cells.
 
-    Each distinct bit pattern of a block is repr'd once (``-0.0`` keeps its
-    own), so the cells are what ``_cell`` writes, and the work space is about
-    one block whatever the number of distinct values.
+    Each bitwise-distinct row of a block is spelled once (a ``-0.0`` cell
+    keeps its row apart), so the cells are what ``_cell`` writes, and the
+    work space is about one block whatever the number of distinct rows.
     """
     yield header + "\n"
     step = max(1, FIELD_BLOCK_CELLS // values.shape[1])
     for lo in range(0, values.shape[0], step):
         block = values[lo : lo + step]
-        bits, cell_of = np.unique(block.view(np.uint64), return_inverse=True)
-        cells = np.array([float.__repr__(x) for x in bits.view(float).tolist()], dtype=object)
-        rows = cells[cell_of.reshape(block.shape)].tolist()
-        yield "".join(f"{i},{','.join(row)}\n" for i, row in enumerate(rows, lo))
+        first, row_of = unique_rows(block)
+        text = [",".join(map(float.__repr__, row)) + "\n" for row in block[first].tolist()]
+        parts = [None] * (2 * len(block))  # each line's label cell, then its row's text
+        parts[0::2] = [f"{i}," for i in range(lo, lo + len(block))]
+        parts[1::2] = [text[k] for k in row_of.tolist()]
+        yield "".join(parts)
 
 
 def _field_samples(labels, values, pairs, digest):

@@ -1,7 +1,8 @@
 """Empirical moment estimation and tail curves.
 
 Every empirical L_p norm reads its sample as the distinct rows with their
-counts (:func:`distinct_rows`) and is a weighted power mean over them, which
+counts (:func:`distinct_rows`; a field takes them once, as
+``FieldSamples.atoms``) and is a weighted power mean over them, which
 scales each column by its largest magnitude, top:
 |eta|_p = top * (sum c (|x|/top)^p / sum c)^(1/p).  No term exceeds 1, so
 values like 1e200 at p = 64 do not overflow.  A field under an alphabet law
@@ -15,6 +16,7 @@ checks.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,16 +27,29 @@ from .envelopes import MomentTable, envelope_norm_rows, tabulated_envelope
 DEFAULT_KAPPA = 4.0
 
 
-def distinct_rows(X):
-    """The distinct rows of the 2-d array X, in first-occurrence order, and their counts.
+def unique_rows(X):
+    """(first, inverse): indices of the bitwise-distinct rows of the 2-d float array X.
 
-    Rows are compared bit for bit.  Returns (rows, counts) with counts as
-    floats; a matrix with no repeated row comes back in its own order with
-    unit counts.
+    ``X[first]`` holds each distinct row once, in the order of its bytes, and
+    ``X[first][inverse]`` is X.  Rows that differ only by ``0.0`` against
+    ``-0.0`` are distinct.
     """
     X = np.ascontiguousarray(X, dtype=float)
     keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def distinct_rows(X):
+    """The distinct rows of the 2-d array X, in first-occurrence order, and their counts.
+
+    Rows are compared bit for bit (:func:`unique_rows`).  Returns (rows,
+    counts) with counts as floats; a matrix with no repeated row comes back
+    in its own order with unit counts.
+    """
+    X = np.asarray(X, dtype=float)
+    first, inverse = unique_rows(X)
+    counts = np.bincount(inverse, minlength=first.size)
     order = np.argsort(first)
     return X[first[order]], counts[order].astype(float)
 
@@ -65,6 +80,11 @@ def _power_means(A, counts, p_grid):
     return top[:, None] * (sums / total) ** (1.0 / p)
 
 
+def _atom_moments(rows, counts, p_grid):
+    """Power means of the columns of the distinct ``rows`` weighted by their ``counts``."""
+    return _power_means(np.abs(rows.T, order="C"), counts, p_grid)
+
+
 def moment_matrix(X, p_grid):
     """Power means |x|_p = (mean |x|^p)^(1/p) of the columns of X, shape (reps, columns).
 
@@ -72,8 +92,7 @@ def moment_matrix(X, p_grid):
     with top the column's largest |x|, the mean taken over the distinct rows
     of X weighted by their counts.  The samples must be finite.
     """
-    rows, counts = distinct_rows(X)
-    return _power_means(np.abs(rows.T, order="C"), counts, p_grid)
+    return _atom_moments(*distinct_rows(X), p_grid)
 
 
 def empirical_moments(samples, p_grid):
@@ -81,14 +100,17 @@ def empirical_moments(samples, p_grid):
     return column_moments(FieldSamples(("",), np.reshape(samples, (-1, 1))), p_grid)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldSamples:
     """Replicated draws of a finite-index random field.
 
     ``values`` has shape (replications, index points); column t holds the
     draws of the field at index label ``labels[t]``.  ``decomposition`` holds
     the exact per-label Decompositions the field was centred and scaled by,
-    when the simulation had them.
+    when the simulation had them.  The dataclass is frozen and ``values`` is a
+    read-only view, so ``atoms`` and ``sup_abs()``, computed on first use and
+    kept, always describe ``values`` (an array handed in must not be changed
+    afterwards).
     """
 
     labels: tuple
@@ -97,8 +119,10 @@ class FieldSamples:
     decomposition: list | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.labels = tuple(self.labels)
+        values = np.asarray(self.values, dtype=float).view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "labels", tuple(self.labels))
         if self.values.ndim != 2:
             raise ValueError("field samples must be a 2-d array (reps, points)")
         if self.values.shape[1] != len(self.labels):
@@ -114,9 +138,24 @@ class FieldSamples:
     def size(self):
         return self.values.shape[1]
 
+    @cached_property
+    def atoms(self):
+        """(rows, counts): the distinct rows of ``values`` and their counts (:func:`distinct_rows`),
+        read-only."""
+        atoms = distinct_rows(self.values)
+        for kept in atoms:
+            kept.flags.writeable = False
+        return atoms
+
     def sup_abs(self):
-        """Per-replication sup over the index of |field|."""
-        return np.max(np.abs(self.values), axis=1)
+        """Per-replication sup over the index of |field| (read-only, computed once)."""
+        return self._sup_abs
+
+    @cached_property
+    def _sup_abs(self):
+        sup = np.max(np.abs(self.values), axis=1)
+        sup.flags.writeable = False
+        return sup
 
 
 def column_moments(field, p_grid):
@@ -125,7 +164,7 @@ def column_moments(field, p_grid):
     low = p > DEFAULT_KAPPA * math.log(field.replications)
     return [
         MomentTable(p, values, field.replications, low_confidence=low)
-        for values in moment_matrix(field.values, p)
+        for values in _atom_moments(*field.atoms, p)
     ]
 
 
@@ -135,7 +174,7 @@ def natural_envelope(field, p_grid):
     This is the smallest envelope on the grid under which every column has
     norm at most 1, with equality at the argmax column at some node.
     """
-    values = moment_matrix(field.values, p_grid).max(axis=0)
+    values = _atom_moments(*field.atoms, p_grid).max(axis=0)
     if not np.all(values > 0):
         raise ValueError(
             "field is identically zero at some moment order; no natural envelope"
@@ -156,7 +195,7 @@ def envelope_distance(field, env, *, p_grid=None):
         p_grid = env.params[0]
     p = np.asarray(p_grid, dtype=float)
     log_psi = env.log_value(p)
-    rows, counts = distinct_rows(field.values)
+    rows, counts = field.atoms
     cols = np.ascontiguousarray(rows.T)
     m = field.size
     dist = np.zeros((m, m))

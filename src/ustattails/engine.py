@@ -18,10 +18,11 @@ averaging switches to incomplete averaging over randomly sampled index
 tuples and notes the switch.  Exact averaging reads each sample sorted
 ascending, so a field row is a function of the sample's multiset: under an
 alphabet law, replications of one type give bit-identical rows (Hoeffding
-1948).  Incomplete averaging reads the sample as drawn.  Decompositions
-into canonical (completely degenerate) projection terms are available under
-samplers with a finite weighted alphabet, and give exact means, variances,
-and ranks.
+1948).  It averages each distinct sorted sample once and copies the row to
+every replication holding that sample.  Incomplete averaging reads the
+sample as drawn.  Decompositions into canonical (completely degenerate)
+projection terms are available under samplers with a finite weighted
+alphabet, and give exact means, variances, and ranks.
 """
 
 import math
@@ -32,6 +33,8 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+
+from .empirics import FieldSamples, unique_rows
 
 EXACT_TUPLE_BUDGET = 2_000_000
 RANK_TOL = 1e-10
@@ -383,10 +386,11 @@ def u_statistic_matrix(kernel, X, idx):
     """Averages over given index tuples for a batch of datasets.
 
     X has shape (batch, n), idx has shape (tuples, d); returns
-    (batch, len(t_grid)).
+    (batch, len(t_grid)).  The gathers are row-major, so each row is summed
+    in the same order, and gives the same bits, whatever the batch.
     """
     X = np.asarray(X, dtype=float)
-    gathers = tuple(X[:, idx[:, k]] for k in range(kernel.degree))
+    gathers = tuple(X.take(idx[:, k], axis=1) for k in range(kernel.degree))
     out = np.empty((X.shape[0], len(kernel.t_grid)))
     for j, t in enumerate(kernel.t_grid):
         out[:, j] = np.mean(kernel.fn(gathers, t), axis=1)
@@ -543,6 +547,21 @@ def _ascending_rows(X):
     return np.sort(X, axis=1)
 
 
+def _exact_rows(kernel, X):
+    """Exact U-statistic matrix (rows of X, t_grid): the closed form, else a gather of
+    every index subset.  Both compute each row from that row of X alone."""
+    out = np.empty((X.shape[0], len(kernel.t_grid)))
+    if kernel.closed_form is not None:
+        for j, t in enumerate(kernel.t_grid):
+            out[:, j] = kernel.closed_form(X, t)
+        return out
+    idx = _index_tuples(X.shape[1], kernel.degree)
+    step = max(1, min(4096, 4_000_000 // idx.shape[0]))  # about 4e6 kernel evaluations
+    for lo in range(0, X.shape[0], step):
+        out[lo : lo + step] = u_statistic_matrix(kernel, X[lo : lo + step], idx)
+    return out
+
+
 def u_statistic_panel(kernel, X, subsets=None, *, seed=0):
     """U-statistic matrix (reps, t_grid) for a panel of datasets.
 
@@ -550,30 +569,29 @@ def u_statistic_panel(kernel, X, subsets=None, *, seed=0):
     it has one, and by gathering every index subset otherwise.  Exact
     averaging reads each sample sorted ascending, so its row of the result is
     a function of the sample's multiset: permuting a sample leaves the row
-    bit for bit unchanged.  An integer averages that many index tuples per
-    replication, drawn afresh from the tuple lane keyed by (seed, replication
-    index); the tuples address the drawn positions, so X is read as drawn.
+    bit for bit unchanged.  Each bitwise-distinct sorted sample is averaged
+    once and its row copied to every replication holding it, so an alphabet
+    law costs one evaluation per type, not per replication; a panel whose
+    sample minima are all distinct (a continuous law) has no repeated sample
+    and is averaged as it stands.  An integer
+    averages that many index tuples per replication, drawn afresh from the
+    tuple lane keyed by (seed, replication index); the tuples address the
+    drawn positions, so X is read as drawn.
     """
     X = np.asarray(X, dtype=float)
     reps, n = X.shape
     d = kernel.degree
     kind, count, notes = _resolve_mode(kernel, n, subsets)
-    out = np.empty((reps, len(kernel.t_grid)))
     if kind == "exact":
         X = _ascending_rows(X)
-    if kind == "exact" and kernel.closed_form is not None:
-        for j, t in enumerate(kernel.t_grid):
-            out[:, j] = kernel.closed_form(X, t)
-    elif kind == "exact":
-        idx = _index_tuples(n, d)
-        step = max(1, min(4096, 4_000_000 // idx.shape[0]))  # about 4e6 kernel evaluations
-        for lo in range(0, reps, step):
-            hi = min(lo + step, reps)
-            out[lo:hi] = u_statistic_matrix(kernel, X[lo:hi], idx)
-    else:
-        for i in range(reps):
-            idx = _sample_tuples(_stream(seed, i, "tuples"), n, d, count)
-            out[i] = u_statistic_matrix(kernel, X[i : i + 1], idx)[0]
+        if np.unique(X[:, 0]).size == reps:  # distinct minima: no row repeats
+            return _exact_rows(kernel, X), kind, count, notes
+        first, inverse = unique_rows(X)
+        return _exact_rows(kernel, X[first])[inverse], kind, count, notes
+    out = np.empty((reps, len(kernel.t_grid)))
+    for i in range(reps):
+        idx = _sample_tuples(_stream(seed, i, "tuples"), n, d, count)
+        out[i] = u_statistic_matrix(kernel, X[i : i + 1], idx)[0]
     return out, kind, count, notes
 
 
@@ -610,8 +628,6 @@ def simulate_panel(
     averaging as in ``u_statistic_panel``.  A field with a NaN or infinite
     cell raises ValueError counting them.
     """
-    from .empirics import FieldSamples
-
     decomps = None
     if needs_decomposition(kernel, sampler, rank, mean_per_t):
         decomps = decompose_field(kernel, sampler)

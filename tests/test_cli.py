@@ -114,6 +114,8 @@ def damage_field(lines, how):
         lines[-1] = lines[-1].rsplit(",", 1)[0]
     elif how == "extra_cell":
         lines[2] += ",9.9"
+    elif how == "label_only_row":
+        lines[2] = lines[2].split(",", 1)[0]
     else:
         del lines[1:]
     return lines
@@ -316,10 +318,16 @@ class TestPipeline:
         out.mkdir()
         assert cli.stage_run(cfg, str(out)) == 0
         distance = (out / DISTANCE).read_bytes()
+        before = read_field(str(out), "test").values
         lines = (out / FIELD).read_text().splitlines()
+        rows = [line.split(",", 1)[1] for line in lines[1:]]
+        assert rows.count(rows[0]) > 1  # one of several equal rows is edited
         cells = lines[1].split(",")
         lines[1] = ",".join(cells[:1] + ["5.0"] + cells[2:])
         (out / FIELD).write_text("\n".join(lines) + "\n")
+        after = read_field(str(out), "test").values
+        assert after[0, 0] == 5.0 and np.array_equal(after[0, 1:], before[0, 1:])
+        assert np.array_equal(after[1:], before[1:])
         assert cli.stage_entropy(cfg, str(out)) in (0, 2)
         assert (out / DISTANCE).read_bytes() != distance
         assert cli.stage_run(cfg, str(out)) == 0
@@ -418,7 +426,9 @@ class TestPipeline:
         assert "beta must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "how", ["non_numeric_cell", "short_last_row", "header_only", "extra_cell", "nan_cell"]
+        "how",
+        ["non_numeric_cell", "short_last_row", "header_only", "extra_cell", "nan_cell",
+         "label_only_row"],
     )
     def test_corrupt_field_exits_1_naming_it(self, smoke_cfg, smoke_run, tmp_path, capsys, how):
         out = copy_artifacts(smoke_run[1], tmp_path / how)
@@ -723,6 +733,64 @@ def test_field_codec_matches_table_writer(values):
         assert np.array_equal(np.isnan(got.values), ~finite)
 
 
+TABLE_ROWS = ["0.5,-1.0", "0.5,-1.0", "2.0,-0.0", "0.5,-1.0", "2.0,0.0", "0.5,-1.0"]
+# hand edits of the fourth data line, one of four equal lines, by the lines they leave
+TABLE_EDITS = {
+    "blank_line": lambda line: ["", line],
+    "comment_line": lambda line: ["#" + line, line],
+    "commented_label": lambda line: [line.replace(",", "#,", 1)],
+    "label_only_row": lambda line: [line.split(",", 1)[0]],
+    "extra_cell": lambda line: [line + ",9.9"],
+    "one_of_equal_rows_edited": lambda line: [line.replace("-1.0", "-3.0")],
+}
+
+
+@pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
+@pytest.mark.parametrize("edit", sorted(TABLE_EDITS))
+def test_table_parser_matches_loadtxt(tmp_path, edit, labelled):
+    # a table reads as np.loadtxt reads the whole file: blank and # lines skipped wherever
+    # they stand, any other bad line refused with its message and the file's row numbers
+    header = ["rep", "a", "b"] if labelled else ["a", "b"]
+    rows = [f"{i},{row}" if labelled else row for i, row in enumerate(TABLE_ROWS)]
+    lines = ["# samples = 6", ",".join(header)] + rows[:3] + TABLE_EDITS[edit](rows[3]) + rows[4:]
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = np.loadtxt(lines[2:], delimiter=",", ndmin=2,
+                              converters={0: lambda label: 0.0} if labelled else None)
+    except ValueError as exc:
+        with pytest.raises(ConfigError) as caught:
+            read_table(path, labelled=labelled)
+        assert str(caught.value) == f"{path}: {exc}"  # the row numbers of the file itself
+        return
+    got_header, got = read_table(path, labelled=labelled)
+    assert got_header == header
+    assert np.array_equal(got.view(np.uint64), want[:, labelled:].view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [-0.0, 1.0]]),
+        np.array([[0.5, -1.0, 2.0], [1.0 / 3.0, 0.0, -2.0]])[[0, 0, 0, 1, 1, 0, 1, 0, 0]],
+    ],
+    ids=["signed_zero_rows", "repeats_across_blocks"],
+)
+def test_field_codec_spells_each_distinct_row(tmp_path, monkeypatch, values):
+    # a row is spelled once per block and copied to its repeats; rows that differ only by
+    # the sign of a zero are distinct
+    monkeypatch.setattr(cli, "FIELD_BLOCK_CELLS", 7)
+    labels = tuple(float(j) for j in range(values.shape[1]))
+    write_field(str(tmp_path), FieldSamples(labels, values))
+    reference = tmp_path / "reference.csv"
+    write_table(reference, ("rep",) + labels, ([i] + row for i, row in enumerate(values.tolist())))
+    assert (tmp_path / FIELD).read_bytes() == reference.read_bytes()
+    back = read_field(str(tmp_path), "test").values
+    assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+
 def test_field_codec_writes_in_blocks(tmp_path, monkeypatch):
     # more rows than one block holds; the digest write_field returns covers all blocks
     monkeypatch.setattr(cli, "FIELD_BLOCK_CELLS", 7)
@@ -772,3 +840,8 @@ def test_benchmark_gate_passes(name, tmp_path, monkeypatch):
     seed = workloads.REFERENCE_SEED
     rc = main(["run", str(cfg), "--out", str(out), "--set", f"run.seed={seed}"])
     assert gate.check_artifacts(workload, str(out), rc, seed) == []
+    # a bounds rerun parses field.csv cold and must rewrite the same bytes
+    before = gate.digests(str(out))
+    rc = main(["bounds", str(cfg), "--out", str(out), "--set", f"run.seed={seed}"])
+    assert rc == workload.expected_exit
+    assert gate.check_identical(before, gate.digests(str(out)), "bounds rerun") == []

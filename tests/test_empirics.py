@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -189,6 +190,21 @@ class TestFieldSamples:
     def test_sup_abs(self):
         fld = FieldSamples(("a", "b"), np.array([[1.0, -3.0], [0.5, 2.0]]))
         assert np.allclose(fld.sup_abs(), [3.0, 2.0])
+
+    def test_values_cannot_change_under_the_kept_atoms(self):
+        # atoms and the sup sample are computed once, so the field is frozen and its values
+        # read-only; the array handed in stays the caller's, writable
+        given = np.array([[1.0, -3.0], [1.0, -3.0], [0.5, 2.0]])
+        fld = FieldSamples(("a", "b"), given)
+        rows, counts = fld.atoms
+        assert np.array_equal(rows, [[1.0, -3.0], [0.5, 2.0]]) and list(counts) == [2.0, 1.0]
+        assert fld.sup_abs() is fld.sup_abs()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fld.values = np.zeros((3, 2))
+        for kept in (fld.values, fld.sup_abs(), *fld.atoms):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 7.0
+        assert given.flags.writeable
 
 
 class TestNaturalEnvelope:

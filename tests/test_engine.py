@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import math
+import os
 from itertools import combinations, product
 
 import numpy as np
@@ -25,7 +27,7 @@ from ustattails import (
     variance_value,
 )
 from ustattails import engine
-from ustattails.cli import build_sampler
+from ustattails.cli import build_kernel, build_sampler
 from ustattails.config import Config, ConfigError
 from ustattails.engine import _LANE_SALTS, _philox_raw, _sample_tuples, _stream, spot_check_symmetry
 
@@ -331,6 +333,50 @@ class TestOrderInvariance:
         fld = simulate_panel(k, normal_sampler(), 10, 3, 21, rank=1, mean_per_t=[0.0, 0.0],
                              subsets=7)
         assert np.array_equal(fld.values, math.sqrt(10.0) * got)
+
+
+def _one_replication_at_a_time(k, X):
+    """Exact averaging of each row on its own: the closed form, else a gather of every subset."""
+    rows = []
+    for x in np.sort(X, axis=1):
+        x = x[None, :]
+        if k.closed_form is not None:
+            rows.append([k.closed_form(x, t)[0] for t in k.t_grid])
+        else:
+            rows.append(engine.u_statistic_matrix(k, x, engine._index_tuples(x.size, k.degree))[0])
+    return np.array(rows)
+
+
+class TestDistinctSamples:
+    @pytest.mark.parametrize("name", sorted(TestOrderInvariance.KERNELS))
+    @pytest.mark.parametrize("law, reps", [("alphabet", 400), ("normal", 60), ("alphabet", 1)])
+    def test_matches_one_replication_at_a_time(self, name, law, reps):
+        # each distinct sorted sample is averaged once, and its row copied bit for bit
+        sampler = {"alphabet": alphabet_sampler([-1.3, 0.1, 2.7]), "normal": normal_sampler()}[law]
+        X = draw_data(sampler, 7, reps, seed=41)
+        k = TestOrderInvariance.KERNELS[name]()
+        got, kind, _, _ = u_statistic_panel(k, X)
+        assert kind == "exact"
+        assert np.array_equal(got, _one_replication_at_a_time(k, X))
+
+    def test_narrow_exact_averages_one_sample_per_type(self, monkeypatch):
+        # the closed form sees one row per Rademacher type, n + 1 = 25, not 20000 replications
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        workload = importlib.import_module("workloads").WORKLOADS["narrow_exact"]
+        cfg = Config.from_text(workload.config_text(), path="narrow_exact")
+        kernel, sampler = build_kernel(cfg), build_sampler(cfg)
+        n, reps, seed = (cfg.get_int(key) for key in ("run.n", "run.reps", "run.seed"))
+        rows = []
+
+        def counted(X, t, closed_form=kernel.closed_form):
+            rows.append(X.shape[0])
+            return closed_form(X, t)
+
+        fld = simulate_panel(dataclasses.replace(kernel, closed_form=counted), sampler, n, reps, seed)
+        assert (n, reps, seed) == (24, 20000, 11)
+        assert len(rows) == len(kernel.t_grid) and max(rows) <= n + 1
+        assert np.array_equal(fld.values, simulate_panel(kernel, sampler, n, reps, seed).values)
 
 
 class TestSampleTuples:
