@@ -113,10 +113,6 @@ def calibrate_log_power(curve, *, beta, exponent="one_plus_beta"):
     return float(np.max(coefs))
 
 
-def tail_lower_bound(u, *, beta, coef, exponent="one_plus_beta"):
-    return closed_form_tail("log_power", u, coef=coef, beta=beta, exponent=exponent)
-
-
 # -- moment growth audit -------------------------------------------------
 
 
@@ -314,7 +310,7 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
         else:
             curves["lower"] = TailCurve(
                 u_grid,
-                np.asarray(tail_lower_bound(u_grid, beta=beta, coef=coef, exponent=conv)),
+                closed_form_tail("log_power", u_grid, coef=coef, beta=beta, exponent=conv),
                 "lower_bound",
                 meta={"coef": coef, "beta": beta, "exponent": conv, "column": col},
             )

@@ -27,8 +27,8 @@ import numpy as np
 from .bounds import (
     Geometry, calibrate_tails, check_beta, check_sigma, compare_curves, index_geometry, report_text
 )
-from .config import Config, ConfigError, parse_grid, resolve_grid
-from .empirics import FieldSamples, TailCurve, unique_rows
+from .config import Config, ConfigError, resolve_grid
+from .empirics import FieldSamples, TailCurve, check_levels, unique_rows
 from .engine import (
     DECOMP_MAX_DEGREE,
     alphabet_sampler,
@@ -45,11 +45,11 @@ from .engine import (
 )
 from .entropy import (
     DEFAULT_PLATEAU_FRACTION, EntropyIntegral, FiniteMetricSpace, check_eps_grid,
-    check_plateau_fraction,
+    check_estimator, check_plateau_fraction,
 )
 from .envelopes import (
-    DEFAULT_GRID_POINTS, DEFAULT_P_MAX, MomentEnvelope, check_family_param, check_p_grid,
-    check_p_max, check_points, make_envelope, rosenthal_lift,
+    DEFAULT_GRID_POINTS, DEFAULT_P_MAX, MomentEnvelope, check_family_param, check_lift_degree,
+    check_p_grid, check_p_max, check_points, constant_envelope, make_envelope, rosenthal_lift,
 )
 
 FIELD = "field.csv"
@@ -68,6 +68,16 @@ VERIFY_REPORT = "verify_report.txt"
 PLOT = "plot.svg"
 
 OUT_ENV_VAR = "USTATTAILS_OUT"
+# the config keys the stages read, as README's config-key table lists them; main refuses others
+KEYS = (
+    "run.seed", "run.n", "run.reps", "run.rank", "run.mode", "run.subsets", "sampler.name",
+    "sampler.lo", "sampler.hi", "sampler.a", "sampler.sigma", "sampler.values", "sampler.weights",
+    "kernel.name", "kernel.degree", "kernel.shift", "kernel.g", "kernel.t_grid", "kernel.values",
+    "kernel.table", "grids.p", "grids.u", "grids.eps", "psi.family", "psi.m", "psi.r", "psi.coef",
+    "psi.expo", "psi.value", "psi.p_sup", "psi.p_max", "psi.points", "entropy.estimator",
+    "entropy.plateau_fraction", "bound.degree", "bound.convention", "bound.lower_beta",
+    "bound.lower_exponent", "bound.lower_column", "bound.sigma", "output.dir", "output.plot",
+)
 DEFAULT_P_GRID = "log:2:16:8"
 DEFAULT_U_GRID = "quantile:0.5:0.99:16"
 
@@ -131,18 +141,16 @@ def build_kernel(cfg):
 def build_mode(cfg):
     """The tuples averaged per replication, or None for exact averaging."""
     mode = cfg.get_str("run.mode", "exact", choices=("exact", "incomplete"))
-    if cfg.has("run.budget"):
-        cfg.fail("run.budget", "run.budget has no effect and is not accepted: every built-in "
-                 "kernel averages exactly in closed form at any C(n, d); remove the key")
     if mode == "incomplete":
-        return _checked(cfg, cfg.get_int, "run.subsets", check_subsets)
+        return cfg.get_int("run.subsets", check=check_subsets)
     if cfg.has("run.subsets"):
         cfg.fail("run.subsets", "run.subsets has no effect under exact averaging and is not "
                  "accepted; set run.mode = incomplete or remove the key")
     return None
 
 
-def build_envelope(cfg):
+def build_envelope(cfg, p_grid):
+    """The configured envelope, or None for the natural one; its support holds ``p_grid``."""
     family = cfg.get_str(
         "psi.family",
         "natural",
@@ -152,14 +160,18 @@ def build_envelope(cfg):
         return None
 
     def param(name, *default):
-        return _checked(cfg, cfg.get_float, f"psi.{name}", partial(check_family_param, name),
-                        *default)
+        return cfg.get_float(f"psi.{name}", *default, check=partial(check_family_param, name))
 
     if family == "power_log":
         return make_envelope("power_log", m=param("m"), r=param("r", 0.0))
     if family == "exp_power":
         return make_envelope("exp_power", coef=param("coef"), expo=param("expo"))
-    return make_envelope("constant", value=param("value"), p_sup=param("p_sup"))
+    value = param("value")
+    # the envelope is evaluated on p_grid, so its support must hold the grid
+    p_sup = cfg.get_float(
+        "psi.p_sup", check=lambda p_sup: constant_envelope(value, p_sup).log_value(p_grid)
+    )
+    return make_envelope("constant", value=value, p_sup=p_sup)
 
 
 # -- artifact IO ---------------------------------------------------------
@@ -490,32 +502,26 @@ def stage_decompose(cfg, out_dir):
     return 0
 
 
-def _checked(cfg, get, key, check, *default):
-    """``get(key, *default)``; a ValueError ``check`` raises on it fails naming ``key``."""
-    value = get(key, *default)
-    try:
-        check(value)
-    except ValueError as exc:
-        cfg.fail(key, f"{key}: {exc}")
-    return value
-
-
-def _entropy_settings(cfg):
-    """The configured degree (or None), and the arguments of ``index_geometry`` but the field."""
+def _entropy_settings(cfg, size):
+    """The configured degree (or None), and the arguments of ``index_geometry`` but the field,
+    whose index has ``size`` points."""
+    p_grid = resolve_grid(cfg.get_grid("grids.p", DEFAULT_P_GRID, check=check_p_grid))
     eps = cfg.get_grid("grids.eps", None, check=check_eps_grid)
     options = {
-        "p_grid": resolve_grid(cfg.get_grid("grids.p", DEFAULT_P_GRID, check=check_p_grid)),
-        "env": build_envelope(cfg),
+        "p_grid": p_grid,
+        "env": build_envelope(cfg, p_grid),
         "eps_grid": None if eps is None else resolve_grid(eps),
         "estimator": cfg.get_str(
-            "entropy.estimator", "greedy", choices=("greedy", "packing", "exact")
+            "entropy.estimator", "greedy", choices=("greedy", "packing", "exact"),
+            check=partial(check_estimator, points=size),
         ),
-        "plateau_fraction": _checked(cfg, cfg.get_float, "entropy.plateau_fraction",
-                                     check_plateau_fraction, DEFAULT_PLATEAU_FRACTION),
-        "p_max": _checked(cfg, cfg.get_float, "psi.p_max", check_p_max, DEFAULT_P_MAX),
-        "points": _checked(cfg, cfg.get_int, "psi.points", check_points, DEFAULT_GRID_POINTS),
+        "plateau_fraction": cfg.get_float(
+            "entropy.plateau_fraction", DEFAULT_PLATEAU_FRACTION, check=check_plateau_fraction
+        ),
+        "p_max": cfg.get_float("psi.p_max", DEFAULT_P_MAX, check=check_p_max),
+        "points": cfg.get_int("psi.points", DEFAULT_GRID_POINTS, check=check_points),
     }
-    return cfg.get_int("bound.degree", None), options
+    return cfg.get_int("bound.degree", None, check=check_lift_degree), options
 
 
 def _resolve_degree(cfg, degree, fld):
@@ -529,9 +535,9 @@ def _resolve_degree(cfg, degree, fld):
 
 
 def stage_entropy(cfg, out_dir, fld=None):
-    degree, options = _entropy_settings(cfg)
     if fld is None:
         fld = read_field(out_dir, "entropy")
+    degree, options = _entropy_settings(cfg, len(fld.labels))
     degree = _resolve_degree(cfg, degree, fld)
     geo = index_geometry(fld, degree=degree, **options)
     write_geometry(out_dir, geo, degree, options["estimator"], fld.meta["field_sha256"])
@@ -539,15 +545,15 @@ def stage_entropy(cfg, out_dir, fld=None):
 
 
 def _bounds_settings(cfg, columns):
-    """The u-grid spec, the lower-curve settings (or None) and the plot switch.
+    """The parsed u grid, the lower-curve settings (or None) and the plot switch.
 
     ``columns`` is the number of field columns ``bound.lower_column`` picks from.
     """
-    u_spec = cfg.get_grid("grids.u", DEFAULT_U_GRID, quantile=True)
+    u_spec = cfg.get_grid("grids.u", DEFAULT_U_GRID, quantile=True, check=check_levels)
     lower = None
     if cfg.has("bound.lower_beta"):
         lower = {
-            "beta": _checked(cfg, cfg.get_float, "bound.lower_beta", check_beta),
+            "beta": cfg.get_float("bound.lower_beta", check=check_beta),
             "exponent": cfg.get_str(
                 "bound.lower_exponent",
                 "one_plus_beta",
@@ -568,7 +574,7 @@ def stage_bounds(cfg, out_dir, fld=None):
     geo = read_geometry(out_dir, "bounds", fld.meta["field_sha256"])
     u_grid = resolve_grid(u_spec, fld.sup_abs())
     report = calibrate_tails(fld, geo, u_grid, lower=lower)
-    kind, asked = parse_grid(u_spec)
+    kind, asked = u_spec
     if kind == "quantile" and u_grid.size < asked[2]:
         # quantiles that land on one atom of the supremum give one level
         report.notes.append(f"grids.u: {asked[2]} quantiles gave {u_grid.size} distinct levels")
@@ -588,7 +594,7 @@ def stage_bounds(cfg, out_dir, fld=None):
 
 
 def _verify_sigma(cfg):
-    return _checked(cfg, cfg.get_float, "bound.sigma", check_sigma, 3.0)
+    return cfg.get_float("bound.sigma", 3.0, check=check_sigma)
 
 
 def stage_verify(cfg, out_dir):
@@ -614,8 +620,9 @@ def stage_verify(cfg, out_dir):
 
 def stage_run(cfg, out_dir):
     # every key a later stage reads is read here, so a bad one fails before any artifact
-    _entropy_settings(cfg)
-    _bounds_settings(cfg, len(build_kernel(cfg).t_grid))
+    size = len(build_kernel(cfg).t_grid)
+    _entropy_settings(cfg, size)
+    _bounds_settings(cfg, size)
     _verify_sigma(cfg)
     fld = stage_simulate(cfg, out_dir)
     stage_entropy(cfg, out_dir, fld)
@@ -661,6 +668,7 @@ def main(argv=None):
             cfg.get_str("output.dir", None) or os.environ.get(OUT_ENV_VAR) or "."
         )
         os.makedirs(out_dir, exist_ok=True)
+        cfg.check_keys(KEYS)
         code = STAGES[args.command](cfg, out_dir)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

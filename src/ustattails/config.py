@@ -70,30 +70,44 @@ class Config:
     def fail(self, key, message):
         raise ConfigError(f"{self._where(key)}: {message}")
 
-    def get_str(self, key, default=_MISSING, *, choices=None):
-        value = self._get_cast(key, default, str, "text")
-        if choices is not None and value not in choices:
-            self.fail(key, f"{key} must be one of {', '.join(choices)}; got {value!r}")
-        return value
+    def check_keys(self, known):
+        """Fails naming the first key outside ``known``, most likely a misspelling."""
+        for key in self.entries:
+            if key not in known:
+                self.fail(key, f"unknown key {key!r}")
 
-    def _get_cast(self, key, default, cast, what):
+    def _get(self, key, default, cast, what=None, check=None):
+        """``cast`` of the key's text, or ``default`` if it is absent; a ValueError from
+        ``cast``, or from ``check`` on the cast value, fails naming the key."""
         if key not in self.entries:
             if default is _MISSING:
                 raise ConfigError(f"{self.path}: missing required key {key!r}")
             return default
         raw = self.entries[key][0]
         try:
-            return cast(raw)
+            value = cast(raw)
         except ValueError as exc:
             self.fail(key, f"{key} must be {what}, got {raw!r}" if what else f"{key}: {exc}")
+        if check is not None:
+            try:
+                check(value)
+            except ValueError as exc:
+                self.fail(key, f"{key}: {exc}")
+        return value
 
-    def get_int(self, key, default=_MISSING):
-        return self._get_cast(key, default, int, "an integer")
+    def get_str(self, key, default=_MISSING, *, choices=None, check=None):
+        value = self._get(key, default, str, "text", check)
+        if choices is not None and value not in choices:
+            self.fail(key, f"{key} must be one of {', '.join(choices)}; got {value!r}")
+        return value
 
-    def get_float(self, key, default=_MISSING):
-        return self._get_cast(key, default, float, "a number")
+    def get_int(self, key, default=_MISSING, *, check=None):
+        return self._get(key, default, int, "an integer", check)
 
-    def get_bool(self, key, default=_MISSING):
+    def get_float(self, key, default=_MISSING, *, check=None):
+        return self._get(key, default, float, "a number", check)
+
+    def get_bool(self, key, default=_MISSING, *, check=None):
         def cast(raw):
             low = raw.lower()
             if low in ("true", "yes", "1", "on"):
@@ -102,20 +116,26 @@ class Config:
                 return False
             raise ValueError(raw)
 
-        return self._get_cast(key, default, cast, "a boolean (true/false)")
+        return self._get(key, default, cast, "a boolean (true/false)", check)
 
-    def get_floats(self, key, default=_MISSING):
+    def get_floats(self, key, default=_MISSING, *, check=None):
         def cast(raw):
             return [float(tok) for tok in raw.split(",") if tok.strip()]
 
-        return self._get_cast(key, default, cast, "a comma list of numbers")
+        return self._get(key, default, cast, "a comma list of numbers", check)
 
     def get_grid(self, key, default=_MISSING, *, quantile=False, check=np.asarray):
-        """A grid spec, checked: quantile specs (placed on data later) only if ``quantile``,
-        the values of any other spec by ``check``, which raises ValueError."""
-        cast = parse_grid if quantile else lambda raw: check(resolve_grid(raw))
-        self._get_cast(key, None, cast, None)
-        return self.get_str(key, default)
+        """The :func:`parse_grid` result of a grid spec (``default``: a spec or None): quantile
+        specs only if ``quantile``, the values of any other spec checked by ``check``."""
+        def cast(raw):
+            grid = parse_grid(raw)
+            if grid[0] == "array" or not quantile:
+                check(resolve_grid(grid))  # refuses a quantile grid: there is no data yet
+            return grid
+
+        if key not in self.entries and isinstance(default, str):
+            return cast(default)
+        return self._get(key, default, cast)
 
 
 def parse_grid(spec):
@@ -149,9 +169,9 @@ def parse_grid(spec):
     return "array", values
 
 
-def resolve_grid(spec, data=None):
-    """Resolve a grid spec, placing quantile grids on the given data."""
-    kind, payload = parse_grid(spec)
+def resolve_grid(grid, data=None):
+    """The values of a :func:`parse_grid` result, a quantile grid placed on the given data."""
+    kind, payload = grid
     if kind == "array":
         return payload
     if data is None:

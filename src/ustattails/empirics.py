@@ -85,16 +85,6 @@ def _atom_moments(rows, counts, p_grid):
     return _power_means(np.abs(rows.T, order="C"), counts, p_grid)
 
 
-def moment_matrix(X, p_grid):
-    """Power means |x|_p = (mean |x|^p)^(1/p) of the columns of X, shape (reps, columns).
-
-    Returns a (columns, len(p_grid)) matrix, from |x|_p = top * (mean (|x|/top)^p)^(1/p)
-    with top the column's largest |x|, the mean taken over the distinct rows
-    of X weighted by their counts.  The samples must be finite.
-    """
-    return _atom_moments(*distinct_rows(X), p_grid)
-
-
 def empirical_moments(samples, p_grid):
     """MomentTable of |x|_p over p_grid from a 1-d sample."""
     return column_moments(FieldSamples(("",), np.reshape(samples, (-1, 1))), p_grid)[0]
@@ -182,17 +172,9 @@ def natural_envelope(field, p_grid):
     return tabulated_envelope(np.asarray(p_grid, dtype=float), values)
 
 
-def envelope_distance(field, env, *, p_grid=None):
-    """Matrix of envelope norms of pairwise column differences, each read over
-    the field's distinct rows weighted by their counts.
-
-    Defaults to the envelope's own nodes for tabulated envelopes; other
-    families need an explicit p_grid.
-    """
-    if p_grid is None:
-        if env.family != "tabulated":
-            raise ValueError("p_grid is required for non-tabulated envelopes")
-        p_grid = env.params[0]
+def envelope_distance(field, env, *, p_grid):
+    """Matrix of envelope norms over ``p_grid`` of pairwise column differences, each
+    read over the field's distinct rows weighted by their counts."""
     p = np.asarray(p_grid, dtype=float)
     log_psi = env.log_value(p)
     rows, counts = field.atoms
@@ -207,6 +189,12 @@ def envelope_distance(field, env, *, p_grid=None):
 
 
 # -- tail curves -------------------------------------------------------
+
+
+def check_levels(u_grid):
+    """Raises ValueError unless the tail levels increase strictly."""
+    if np.any(np.diff(u_grid) <= 0):
+        raise ValueError("levels must be strictly increasing")
 
 
 @dataclass
@@ -231,8 +219,7 @@ class TailCurve:
             raise ValueError("levels and probabilities must be matching 1-d arrays")
         if self.kind not in ("empirical", "upper_bound", "lower_bound"):
             raise ValueError(f"unknown tail curve kind {self.kind!r}")
-        if np.any(np.diff(self.u_grid) <= 0):
-            raise ValueError("levels must be strictly increasing")
+        check_levels(self.u_grid)
         if np.any(self.probs < -1e-12) or np.any(self.probs > 1 + 1e-12):
             raise ValueError("probabilities must lie in [0, 1]")
         if np.any(np.diff(self.probs) > 1e-12):

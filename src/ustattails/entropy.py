@@ -104,11 +104,15 @@ def _packing_count(space, eps):
     return len(chosen)
 
 
+def check_estimator(estimator, points):
+    """Raises ValueError unless ``estimator`` can count the covers of a space of ``points``
+    points: ``exact`` enumerates at most EXACT_THRESHOLD."""
+    if estimator == "exact" and points > EXACT_THRESHOLD:
+        raise ValueError(f"exact covering is limited to {EXACT_THRESHOLD} points, got {points}")
+
+
 def _exact_cover(space, eps):
-    if space.size > EXACT_THRESHOLD:
-        raise ValueError(
-            f"exact covering is limited to {EXACT_THRESHOLD} points, got {space.size}"
-        )
+    check_estimator("exact", space.size)
     covers = _cover_matrix(space, eps)
     n = space.size
     masks = [sum(1 << j for j in range(n) if covers[i, j]) for i in range(n)]
@@ -144,9 +148,9 @@ def covering_number(space, eps, *, estimator="greedy"):
     raise ValueError(f"unknown covering estimator {estimator!r}")
 
 
-def entropy(space, eps, *, estimator="greedy"):
-    """H(eps) = ln N(eps)."""
-    return math.log(covering_number(space, eps, estimator=estimator))
+def _covering_counts(space, eps_grid, estimator):
+    """N(eps) at every radius of the grid, as floats."""
+    return np.array([covering_number(space, e, estimator=estimator) for e in eps_grid], dtype=float)
 
 
 @dataclass
@@ -209,9 +213,7 @@ def entropy_integral(
     if eps_grid is None:
         eps_grid = default_eps_grid(space)
     eps = check_eps_grid(eps_grid)
-    counts = np.array(
-        [covering_number(space, e, estimator=estimator) for e in eps], dtype=float
-    )
+    counts = _covering_counts(space, eps, estimator)
     entropies = np.log(counts)
     cache = {}
     integrand = np.empty_like(eps)
@@ -256,9 +258,7 @@ def entropy_dimension(space, eps_grid=None, *, estimator="greedy"):
     if eps_grid is None:
         eps_grid = default_eps_grid(space)
     eps = np.asarray(eps_grid, dtype=float)
-    counts = np.array(
-        [covering_number(space, e, estimator=estimator) for e in eps], dtype=float
-    )
+    counts = _covering_counts(space, eps, estimator)
     usable = (counts > 1) & (counts < space.size)
     warnings = []
     if usable.sum() < 2:

@@ -275,14 +275,19 @@ def make_envelope(family, **params):
     raise ValueError(f"unknown envelope family {family!r}")
 
 
+def check_lift_degree(degree):
+    """Raises ValueError unless the lift degree is a nonnegative integer."""
+    if int(degree) != degree or degree < 0:
+        raise ValueError("lift degree must be a nonnegative integer")
+
+
 def rosenthal_lift(env, degree):
     """Multiply an envelope by (p / ln p)^degree.
 
     Lifting by a, then by b, equals lifting by a + b exactly, because the
     degree is stored and applied symbolically.
     """
-    if int(degree) != degree or degree < 0:
-        raise ValueError("lift degree must be a nonnegative integer")
+    check_lift_degree(degree)
     return replace(env, lift=env.lift + int(degree))
 
 

@@ -18,7 +18,6 @@ from ustattails import (
     report_text,
     simulate_panel,
     tail_bound,
-    tail_lower_bound,
     uniform_tail_report,
 )
 
@@ -102,7 +101,7 @@ class TestCalibrateLogPower:
         probs = np.sort(rng.uniform(0.01, 0.9, 20))[::-1]
         curve = TailCurve(u, probs, "empirical", sample_count=500)
         coef = calibrate_log_power(curve, beta=1.0)
-        shape = tail_lower_bound(u, beta=1.0, coef=coef)
+        shape = closed_form_tail("log_power", u, coef=coef, beta=1.0)
         assert np.all(shape <= probs + 1e-12)
         assert np.any(np.isclose(shape, probs, rtol=1e-9))
 

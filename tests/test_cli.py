@@ -1,6 +1,9 @@
 import hashlib
 import importlib
+import inspect
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
@@ -200,12 +203,12 @@ class TestGridSpecs:
 
     def test_resolve_quantile(self):
         data = np.arange(101.0)
-        grid = resolve_grid("quantile:0:1:3", data)
+        grid = resolve_grid(parse_grid("quantile:0:1:3"), data)
         assert np.allclose(grid, [0.0, 50.0, 100.0])
         with pytest.raises(ValueError, match="no calibration data"):
-            resolve_grid("quantile:0:1:3")
+            resolve_grid(parse_grid("quantile:0:1:3"))
         with pytest.raises(ValueError, match="collapsed"):
-            resolve_grid("quantile:0:1:5", np.ones(10))
+            resolve_grid(parse_grid("quantile:0:1:5"), np.ones(10))
 
 
 class TestPipeline:
@@ -475,8 +478,10 @@ class TestPipeline:
             ("grids.eps", "lin:0:1"),
             ("grids.p", "log:1:8:4"),
             ("grids.eps", "log:0.5:2:4"),
+            ("grids.u", "lin:5:1:3"),
         ],
-        ids=["u_log_from_0", "p_quantile", "eps_short", "p_below_2", "eps_above_1"],
+        ids=["u_log_from_0", "p_quantile", "eps_short", "p_below_2", "eps_above_1",
+             "u_decreasing"],
     )
     def test_bad_grid_fails_before_any_artifact(self, smoke_cfg, tmp_path, capsys, key, spec):
         out = tmp_path / "grid"
@@ -512,6 +517,12 @@ class TestPipeline:
             ("run.mode=incomplete run.subsets=0", "run.subsets"),
             ("run.mode=incomplete run.subsets=-3", "run.subsets"),
             ("run.subsets=50", "run.subsets"),
+            ("entropy.estimator=exact kernel.t_grid=" + ",".join(map(str, range(1, 18))),
+             "entropy.estimator"),
+            ("psi.family=constant psi.value=1 psi.p_sup=4", "psi.p_sup"),
+            ("bound.degree=-1", "bound.degree"),
+            ("psi.famly=constant", "psi.famly"),
+            ("bound.sigmaa=-4", "bound.sigmaa"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
              "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
@@ -519,18 +530,54 @@ class TestPipeline:
              "negative_plateau_fraction", "zero_lower_beta", "negative_sigma",
              "negative_m", "nan_m", "nan_r", "inf_coef", "nan_expo", "zero_value",
              "p_sup_not_above_2", "ragged_table", "zero_subsets", "negative_subsets",
-             "subsets_under_exact"],
+             "subsets_under_exact", "exact_cover_of_17_points", "p_grid_past_p_sup",
+             "negative_degree", "misspelled_family", "misspelled_sigma"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, tmp_path, capsys, setting, key
     ):
         # run reads and range-checks the keys of every stage before it simulates, and
-        # rejects run.budget, which no built-in kernel would use, and run.subsets under
+        # rejects a key no stage reads (run.budget, a misspelling) and run.subsets under
         # exact averaging, which it would not read
         out = tmp_path / "key"
         assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
         assert key in capsys.readouterr().err
         assert os.listdir(out) == []
+
+    def test_unknown_key_in_file_fails_naming_its_line(self, smoke_cfg, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(open(smoke_cfg).read() + "psi.famly = constant\n")
+        out = tmp_path / "typo"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert f"{cfg}:11: unknown key 'psi.famly'" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_exact_cover_checked_against_field(self, smoke_cfg, tmp_path, capsys):
+        # a standalone entropy stage counts the index points of the field it reads
+        out = tmp_path / "wide"
+        wide = ["--set", "kernel.t_grid=" + ",".join(map(str, range(1, 18))), "--set",
+                "run.reps=200"]
+        assert main(["simulate", smoke_cfg, "--out", str(out)] + wide) == 0
+        written = sorted(os.listdir(out))
+        exact = ["--set", "entropy.estimator=exact"]
+        assert main(["entropy", smoke_cfg, "--out", str(out)] + exact) == 1
+        err = capsys.readouterr().err
+        assert "entropy.estimator: exact covering is limited to 16 points, got 17" in err
+        assert sorted(os.listdir(out)) == written
+
+    def test_covering_estimators_finish_in_order(self, smoke_cfg, tmp_path):
+        # every estimator ends with the full artifact set, and the packing lower bound,
+        # exact count and greedy upper bound order their integrals
+        integral = {}
+        for estimator in ("greedy", "packing", "exact"):
+            out = tmp_path / estimator
+            setting = ["--set", f"entropy.estimator={estimator}"]
+            assert main(["run", smoke_cfg, "--out", str(out)] + setting) == 0
+            assert sorted(os.listdir(out)) == sorted(RUN_ARTIFACTS)
+            summary = key_values(out / ENTROPY_SUMMARY)
+            assert summary["estimator"] == estimator
+            integral[estimator] = float(summary["integral"])
+        assert integral["packing"] <= integral["exact"] <= integral["greedy"]
 
     def test_non_finite_field_fails_before_any_artifact(self, smoke_cfg, tmp_path, capsys):
         # a degree-3 product of Pareto(0.02) draws overflows in every cell
@@ -682,6 +729,29 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_no_package_attribute_shadows_a_submodule():
+    # ``import ustattails.<name> as m`` binds the package attribute, so a re-exported
+    # function of a submodule's name would replace the module
+    names = {info.name for info in pkgutil.iter_modules(ustattails.__path__)}
+    names.discard("__main__")  # importing it runs the command line
+    assert {"bounds", "cli", "config", "empirics", "engine", "entropy", "envelopes"} <= names
+    for name in sorted(names):
+        importlib.import_module(f"ustattails.{name}")
+        assert inspect.ismodule(getattr(ustattails, name)), name
+
+
+def test_readme_config_keys_are_the_key_tuple():
+    # the keys in the first column of README's config-key table are the keys main accepts
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    table = readme.split("### Config keys\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[2:]
+    keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split(" | ", 1)[0])]
+    assert len(set(cli.KEYS)) == len(cli.KEYS)
+    assert sorted(keys) == sorted(cli.KEYS)
 
 
 def test_table_codec_round_trips_bits(tmp_path):

@@ -19,7 +19,7 @@ from ustattails import (
     natural_envelope,
     power_log_envelope,
 )
-from ustattails.empirics import _power_means, distinct_rows, moment_matrix
+from ustattails.empirics import _atom_moments, _power_means, distinct_rows
 from ustattails.envelopes import MomentTable, make_envelope
 from ustattails.engine import _stream
 
@@ -59,7 +59,7 @@ class TestPowerMeans:
         p = np.array([2.0, 5.0, 16.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = moment_matrix(X, p)
+            got = _atom_moments(*distinct_rows(X), p)
             want = [empirical_moments(X[:, j], p).values for j in range(4)]
         assert not np.isnan(got).any()
         assert np.all(got[3] == 0.0)
@@ -68,7 +68,7 @@ class TestPowerMeans:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sample_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            moment_matrix(np.array([[1.0], [2.0], [bad], [-2.0]]), [2.0])
+            _atom_moments(*distinct_rows(np.array([[1.0], [2.0], [bad], [-2.0]])), [2.0])
 
 
 class TestDistinctRows:
@@ -101,7 +101,7 @@ class TestDistinctRows:
         def error(value, x, pj):
             return float(abs(Fraction(value) ** pj / exact_mean(x, pj) - 1) / pj)
 
-        moments = moment_matrix(values, np.array(p, dtype=float))
+        moments = _atom_moments(*distinct_rows(values), np.array(p, dtype=float))
         for j in range(4):
             for k, pj in enumerate(p):
                 assert error(moments[j, k], atoms[:, j], pj) <= 1e-15, (j, pj)
@@ -272,18 +272,6 @@ class TestEnvelopeDistance:
                 diff = values[:, i] - values[:, j]
                 own = envelope_norm(empirical_moments(diff, p), env)
                 assert d[i, j] == pytest.approx(own, rel=1e-15, abs=0.0), (i, j)
-
-    def test_tabulated_defaults_to_nodes(self):
-        fld = FieldSamples(("a", "b"), _stream(11, 0).standard_normal((100, 2)))
-        p = np.array([2.0, 6.0])
-        env = natural_envelope(fld, p)
-        d = envelope_distance(fld, env)
-        assert d.shape == (2, 2)
-
-    def test_non_tabulated_needs_grid(self):
-        fld = FieldSamples(("a", "b"), _stream(12, 0).standard_normal((100, 2)))
-        with pytest.raises(ValueError, match="p_grid"):
-            envelope_distance(fld, power_log_envelope(2.0))
 
 
 class TestEmpiricalTail:

@@ -10,7 +10,6 @@ from ustattails import (
     constant_envelope,
     covering_bounds,
     covering_number,
-    entropy,
     entropy_dimension,
     entropy_integral,
     integral_trend,
@@ -46,7 +45,7 @@ class TestCoveringNumbers:
         sp = unit_grid()
         lo, up, _ = covering_bounds(sp, 0.25, exact_threshold=0)
         assert lo == 2 and up == 2
-        assert entropy(sp, 0.25) == pytest.approx(math.log(2.0))
+        assert math.log(covering_number(sp, 0.25)) == pytest.approx(math.log(2.0))
 
     def test_four_point_line(self):
         sp = space_from_points([[0.0], [1.0], [2.0], [3.0]])
