@@ -27,16 +27,18 @@ import numpy as np
 from .bounds import (
     Geometry, calibrate_tails, check_beta, check_sigma, compare_curves, index_geometry, report_text
 )
-from .config import Config, ConfigError, resolve_grid
-from .empirics import FieldSamples, TailCurve, check_levels, unique_rows
+from .config import Config, ConfigError, parse_floats, resolve_grid
+from .empirics import FieldSamples, TailCurve, check_levels, check_sample_count, unique_rows
 from .engine import (
-    DECOMP_MAX_DEGREE,
+    GPROD_SHAPES,
     alphabet_sampler,
+    check_alphabet_law,
+    check_degree,
+    check_sample_size,
     check_subsets,
     decompose_field,
     lognormal_sampler,
     make_kernel,
-    needs_decomposition,
     normal_sampler,
     pareto_sampler,
     rademacher_sampler,
@@ -105,15 +107,19 @@ def build_sampler(cfg):
     if name == "normal":
         return normal_sampler()
     if name == "uniform":
-        return uniform_sampler(cfg.get_float("sampler.lo", 0.0), cfg.get_float("sampler.hi", 1.0))
+        # each end is checked against the other, so whichever is set is named
+        hi = cfg.get_float("sampler.hi", 1.0)
+        lo = cfg.get_float("sampler.lo", 0.0, check=lambda lo: uniform_sampler(lo, hi))
+        cfg.get_float("sampler.hi", 1.0, check=partial(uniform_sampler, lo))
+        return uniform_sampler(lo, hi)
     if name == "rademacher":
         return rademacher_sampler()
     if name == "pareto":
-        return pareto_sampler(cfg.get_float("sampler.a"))
+        return pareto_sampler(cfg.get_float("sampler.a", check=pareto_sampler))
     if name == "lognormal":
-        return lognormal_sampler(cfg.get_float("sampler.sigma", 1.0))
-    values = cfg.get_floats("sampler.values")
-    weights = cfg.get_floats("sampler.weights", None)
+        return lognormal_sampler(cfg.get_float("sampler.sigma", 1.0, check=lognormal_sampler))
+    values = cfg.get_floats("sampler.values", check=check_alphabet_law)
+    weights = cfg.get_floats("sampler.weights", None, check=partial(check_alphabet_law, values))
     return alphabet_sampler(values, weights)
 
 
@@ -121,18 +127,19 @@ def build_kernel(cfg):
     name = cfg.get_str(
         "kernel.name", choices=("product", "sum", "half_sq_diff", "gprod", "table")
     )
-    degree = cfg.get_int("kernel.degree", None)
+    degree = cfg.get_int("kernel.degree", None, check=partial(check_degree, name=name))
     if name in ("product", "sum"):
         return make_kernel(name, degree, shift=cfg.get_float("kernel.shift", 0.0))
     if name == "half_sq_diff":
         return make_kernel(name, degree)
     if name == "gprod":
         t_grid = cfg.get_floats("kernel.t_grid")
-        return make_kernel(name, degree, g=cfg.get_str("kernel.g", "sin"), t_grid=t_grid)
+        g = cfg.get_str("kernel.g", "sin", choices=tuple(GPROD_SHAPES))
+        return make_kernel(name, degree, g=g, t_grid=t_grid)
     values = cfg.get_floats("kernel.values")
     rows = cfg.get_floats("kernel.table")
-    cols = len(rows) // len(values) if values else 0
-    if not values or cols * len(values) != len(rows):
+    cols = len(rows) // len(values)
+    if cols * len(values) != len(rows):
         cfg.fail("kernel.table", "table length must be a multiple of the value count")
     table = np.asarray(rows).reshape(len(values), cols)
     return make_kernel("table", degree, values=values, table=table)
@@ -340,10 +347,11 @@ def read_curve(path, kind):
     return TailCurve(u, p, kind, sample_count=samples)
 
 
-def write_geometry(out_dir, geo, degree, estimator, field_sha256):
+def write_geometry(out_dir, geo, estimator, field_sha256):
     """The entropy stage's artifacts, tied to the field.csv bytes they were measured on."""
     write_distance(out_dir, geo.space.labels, geo.space.dist)
     p_grid = ",".join(map(_cell, geo.p_grid.tolist()))
+    degree = geo.tau.lift - geo.psi_used.lift
     psi = [("psi", geo.psi_used.to_text()), ("degree", degree), ("p_grid", p_grid),
            ("p_max", geo.p_max), ("points", geo.points)]
     write_pairs(os.path.join(out_dir, PSI_USED), psi)
@@ -383,7 +391,7 @@ def read_geometry(out_dir, stage, field_sha256):
     psi = read_record(_need(out_dir, PSI_USED, stage), {
         "psi": MomentEnvelope.from_text,
         "degree": int,
-        "p_grid": lambda text: check_p_grid([float(p) for p in text.split(",")]),
+        "p_grid": lambda text: check_p_grid(parse_floats(text)),
         "p_max": float,
         "points": int,
     })
@@ -447,26 +455,14 @@ def write_svg(out_dir, curves):
 # -- stages ---------------------------------------------------------------
 
 
-def _check_decomposable(cfg, kernel):
-    if kernel.degree > DECOMP_MAX_DEGREE:
-        cfg.fail(
-            "kernel.degree",
-            f"kernel.degree {kernel.degree} needs the exact decomposition of the alphabet "
-            f"law, which supports degree up to {DECOMP_MAX_DEGREE} (with run.rank set, "
-            "simulate does without it for product, sum, gprod and table kernels)",
-        )
-
-
 def stage_simulate(cfg, out_dir):
     # returns the field as written, which ``run`` hands to entropy and bounds
     kernel = build_kernel(cfg)
     sampler = build_sampler(cfg)
     seed = cfg.get_int("run.seed")
-    n = cfg.get_int("run.n")
-    reps = cfg.get_int("run.reps")
+    n = cfg.get_int("run.n", check=partial(check_sample_size, degree=kernel.degree))
+    reps = cfg.get_int("run.reps", check=check_sample_count)
     rank = None if cfg.get_str("run.rank", "auto") == "auto" else cfg.get_int("run.rank")
-    if needs_decomposition(kernel, sampler, rank):
-        _check_decomposable(cfg, kernel)
     fld = simulate_panel(
         kernel,
         sampler,
@@ -497,7 +493,6 @@ def stage_decompose(cfg, out_dir):
     sampler = build_sampler(cfg)
     if sampler.alphabet is None:
         cfg.fail("sampler.name", "decomposition needs a finite alphabet sampler")
-    _check_decomposable(cfg, kernel)
     write_decomposition(out_dir, decompose_field(kernel, sampler))
     return 0
 
@@ -524,23 +519,17 @@ def _entropy_settings(cfg, size):
     return cfg.get_int("bound.degree", None, check=check_lift_degree), options
 
 
-def _resolve_degree(cfg, degree, fld):
-    if degree is not None:
-        return degree
-    if "degree" in fld.meta:
-        return int(fld.meta["degree"])
-    if cfg.has("kernel.degree"):
-        return cfg.get_int("kernel.degree")
-    raise ConfigError(f"{cfg.path}: cannot determine the kernel degree; set bound.degree")
-
-
 def stage_entropy(cfg, out_dir, fld=None):
     if fld is None:
         fld = read_field(out_dir, "entropy")
     degree, options = _entropy_settings(cfg, len(fld.labels))
-    degree = _resolve_degree(cfg, degree, fld)
+    if degree is None:
+        # the field's own degree, never the config's: it need not be the one that produced it
+        if "degree" not in fld.meta:
+            raise ConfigError(f"{FIELD_META} gives no kernel degree; set bound.degree")
+        degree = int(fld.meta["degree"])
     geo = index_geometry(fld, degree=degree, **options)
-    write_geometry(out_dir, geo, degree, options["estimator"], fld.meta["field_sha256"])
+    write_geometry(out_dir, geo, options["estimator"], fld.meta["field_sha256"])
     return 0
 
 
@@ -572,7 +561,10 @@ def stage_bounds(cfg, out_dir, fld=None):
         fld = read_field(out_dir, "bounds")
     u_spec, lower, plot = _bounds_settings(cfg, len(fld.labels))
     geo = read_geometry(out_dir, "bounds", fld.meta["field_sha256"])
-    u_grid = resolve_grid(u_spec, fld.sup_abs())
+    try:
+        u_grid = resolve_grid(u_spec, fld.sup_abs())
+    except ValueError as exc:  # quantiles of a supremum with too few atoms
+        cfg.fail("grids.u", f"grids.u: {exc}")
     report = calibrate_tails(fld, geo, u_grid, lower=lower)
     kind, asked = u_spec
     if kind == "quantile" and u_grid.size < asked[2]:

@@ -64,7 +64,9 @@ class Config:
         return key in self.entries
 
     def _where(self, key):
-        lineno = self.entries.get(key, ("", 0))[1]
+        if key not in self.entries:  # a default was used
+            return self.path
+        lineno = self.entries[key][1]
         return f"{self.path}:{lineno}" if lineno else f"{self.path} (--set {key})"
 
     def fail(self, key, message):
@@ -119,10 +121,7 @@ class Config:
         return self._get(key, default, cast, "a boolean (true/false)", check)
 
     def get_floats(self, key, default=_MISSING, *, check=None):
-        def cast(raw):
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
-
-        return self._get(key, default, cast, "a comma list of numbers", check)
+        return self._get(key, default, parse_floats, "a comma list of numbers", check)
 
     def get_grid(self, key, default=_MISSING, *, quantile=False, check=np.asarray):
         """The :func:`parse_grid` result of a grid spec (``default``: a spec or None): quantile
@@ -136,6 +135,14 @@ class Config:
         if key not in self.entries and isinstance(default, str):
             return cast(default)
         return self._get(key, default, cast)
+
+
+def parse_floats(text):
+    """The numbers of a comma list, empty items skipped; ValueError if there is none."""
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"empty list {text!r}")
+    return values
 
 
 def parse_grid(spec):
@@ -163,10 +170,7 @@ def parse_grid(spec):
         if not (0 <= lo < hi <= 1):
             raise ValueError("quantile grids need 0 <= QLO < QHI <= 1")
         return "quantile", (lo, hi, k)
-    values = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
-    if values.size < 1:
-        raise ValueError(f"empty grid spec {spec!r}")
-    return "array", values
+    return "array", np.array(parse_floats(spec))
 
 
 def resolve_grid(grid, data=None):

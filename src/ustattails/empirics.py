@@ -54,6 +54,12 @@ def distinct_rows(X):
     return X[first[order]], counts[order].astype(float)
 
 
+def check_sample_count(count):
+    """Raises ValueError unless ``count`` samples are enough to estimate a moment: two."""
+    if not count >= 2:
+        raise ValueError("need at least 2 samples to estimate moments")
+
+
 def _power_means(A, counts, p_grid):
     """Weighted power means (sum c A^p / sum c)^(1/p) of the rows of A, magnitudes
     of shape (columns, atoms), with ``counts`` c the multiplicity of each atom.
@@ -63,8 +69,7 @@ def _power_means(A, counts, p_grid):
     (columns, len(p_grid)) matrix.
     """
     total = counts.sum()
-    if total < 2:
-        raise ValueError("need at least 2 samples to estimate moments")
+    check_sample_count(total)
     p = np.asarray(p_grid, dtype=float)
     top = A.max(axis=1)
     if not np.all(np.isfinite(top)):

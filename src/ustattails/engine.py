@@ -22,14 +22,15 @@ alphabet law, replications of one type give bit-identical rows (Hoeffding
 every replication holding that sample.  Incomplete averaging reads the
 sample as drawn.  Decompositions into canonical (completely degenerate)
 projection terms are available under samplers with a finite weighted
-alphabet, and give exact means, variances, and ranks.
+alphabet, and give exact means, variances, and ranks; built-in factor
+kernels decompose in closed form at any degree.
 """
 
 import math
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import combinations
 
 import numpy as np
@@ -134,6 +135,13 @@ def alphabet_sampler(values, weights=None, *, name="alphabet"):
     return Sampler(name, draw, (v, w), lambda u: v[cdf.searchsorted(u, "right")])
 
 
+def check_alphabet_law(values, weights=None):
+    """Raises ValueError unless ``alphabet_sampler(values, weights)`` is a law with at least
+    two values of positive weight: on one point every U-statistic is constant."""
+    if np.count_nonzero(alphabet_sampler(values, weights).alphabet[1]) < 2:
+        raise ValueError("an alphabet law needs at least two values of positive weight")
+
+
 def rademacher_sampler():
     return alphabet_sampler([-1.0, 1.0], name="rademacher")
 
@@ -158,7 +166,7 @@ def pareto_sampler(a):
     Moments of order p >= a are infinite, so constant envelopes with
     p_sup < a are the only honest description of this law.
     """
-    if a <= 0:
+    if not a > 0:
         raise ValueError("pareto index must be positive")
 
     def draw(rng, size):
@@ -175,7 +183,7 @@ def lognormal_sampler(sigma=1.0):
     |X|_p = exp(sigma^2 p / 2) exactly, the cleanest law whose moment growth
     follows the exponential-power envelope with unit power.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
 
     def draw(rng, size):
@@ -199,8 +207,10 @@ class Kernel:
     ``closed_form(X, t)``, when set, returns for each row of the (reps, n)
     matrix X the exact mean of ``fn`` over all C(n, degree) index subsets;
     ``u_statistic_panel`` hands it rows sorted ascending.
-    ``alphabet_mean(values, weights, t)``, when set, returns the mean of
-    ``fn`` over i.i.d. arguments drawn from a finite weighted alphabet.
+    ``alphabet_decomposition(values, weights, t)``, when set, returns the
+    mean of ``fn`` over i.i.d. arguments drawn from a finite weighted
+    alphabet, the second moments of its canonical projections and the
+    projections themselves, as ``hoeffding_decompose`` reads them.
     """
 
     name: str
@@ -208,10 +218,21 @@ class Kernel:
     t_grid: tuple
     fn: callable
     closed_form: Callable | None = None
-    alphabet_mean: Callable | None = None
+    alphabet_decomposition: Callable | None = None
 
 
-_GPROD_SHAPES = {"sin": np.sin, "tanh": np.tanh, "identity": lambda x: x}
+GPROD_SHAPES = {"sin": np.sin, "tanh": np.tanh, "identity": lambda x: x}
+# kernels of one degree; the others take any degree from 1, and 2 by default
+_FIXED_DEGREES = {"half_sq_diff": 2, "table": 1}
+
+
+def check_degree(degree, name):
+    """Raises ValueError unless the kernel ``name`` takes ``degree`` arguments."""
+    fixed = _FIXED_DEGREES.get(name)
+    if fixed is not None and degree != fixed:
+        raise ValueError(f"{name} has degree {fixed}")
+    if not degree >= 1:
+        raise ValueError("degree must be at least 1")
 
 
 def _alternating_order(n):
@@ -222,11 +243,23 @@ def _alternating_order(n):
     return order
 
 
+class _FactorTerms(Sequence):
+    """The canonical projections ``scales[c-1] * g(x_1)...g(x_c)`` of a factor kernel, each
+    built when it is read, since the order-c one holds len(g)^c cells."""
+
+    def __init__(self, g, scales):
+        self.g, self.scales = g, scales
+
+    def __len__(self):
+        return len(self.scales)
+
+    def __getitem__(self, i):
+        return self.scales[i] * reduce(np.multiply.outer, [self.g] * (range(len(self))[i] + 1))
+
+
 def _factor_kernel(name, degree, t_grid, factor, combine):
     """Kernel folding ``combine(out, factor(x, t))`` left to right over its arguments."""
     d = 2 if degree is None else int(degree)
-    if d < 1:
-        raise ValueError("degree must be at least 1")
 
     def fn(xs, t):
         out = factor(xs[0], t)
@@ -238,9 +271,6 @@ def _factor_kernel(name, degree, t_grid, factor, combine):
         # each observation sits in the fraction d/n of the subsets
         def closed_form(X, t):
             return d * factor(X, t).mean(axis=1)
-
-        def alphabet_mean(values, weights, t):
-            return d * float(weights @ factor(values, t))
 
     else:
         # the sum over subsets is the elementary symmetric polynomial e_d of the
@@ -256,19 +286,29 @@ def _factor_kernel(name, degree, t_grid, factor, combine):
                     e[1:] += f * e[:-1]
             return e[d] / math.comb(X.shape[1], d)
 
-        def alphabet_mean(values, weights, t):
-            return float(weights @ factor(values, t)) ** d
+    def alphabet_decomposition(values, weights, t):
+        f = factor(values, t)
+        mu = float(weights @ f)
+        g = f - mu
+        if combine is operator.add:  # d mu + sum_i g(x_i): only the order-1 projection is g
+            mean, scales = d * mu, np.eye(1, d)[0]
+        else:  # prod_i (mu + g(x_i)): the order-c projection is mu^(d-c) g(x_1)...g(x_c)
+            powers = np.cumprod(np.full(d, mu))  # mu, mu^2, ..., mu^d
+            mean, scales = powers[-1], np.append(powers[-2::-1], 1.0)
+        # the projections are orthogonal, so zeta_c = scale_c^2 sigma^(2c) (Hoeffding 1948)
+        zetas = scales * scales * np.cumprod(np.full(d, float(weights @ (g * g))))
+        return float(mean), zetas, _FactorTerms(g, scales)
 
-    return Kernel(name, d, t_grid, fn, closed_form, alphabet_mean)
+    return Kernel(name, d, t_grid, fn, closed_form, alphabet_decomposition)
 
 
 def make_kernel(name, degree=None, *, shift=0.0, g="sin", t_grid=None, values=None, table=None):
+    if degree is not None:
+        check_degree(degree, name)
     if name in ("product", "sum"):
         combine = operator.mul if name == "product" else operator.add
         return _factor_kernel(name, degree, ("t0",), lambda x, t: x - shift, combine)
     if name == "half_sq_diff":
-        if degree not in (None, 2):
-            raise ValueError("half_sq_diff has degree 2")
 
         def fn(xs, t):
             diff = xs[0] - xs[1]
@@ -278,14 +318,12 @@ def make_kernel(name, degree=None, *, shift=0.0, g="sin", t_grid=None, values=No
     if name == "gprod":
         if t_grid is None:
             raise ValueError("gprod needs a numeric t_grid")
-        shape_fn = _GPROD_SHAPES.get(g)
+        shape_fn = GPROD_SHAPES.get(g)
         if shape_fn is None:
             raise ValueError(f"unknown gprod shape {g!r}")
         grid = tuple(float(t) for t in t_grid)
         return _factor_kernel("gprod", degree, grid, lambda x, t: shape_fn(t * x), operator.mul)
     if name == "table":
-        if degree not in (None, 1):
-            raise ValueError("table kernels have degree 1")
         if values is None or table is None:
             raise ValueError("table kernels need alphabet values and a value table")
         v = np.asarray(values, dtype=float)
@@ -308,21 +346,6 @@ def make_kernel(name, degree=None, *, shift=0.0, g="sin", t_grid=None, values=No
         return _factor_kernel("table", 1, grid, lookup, operator.mul)
     raise ValueError(f"unknown kernel {name!r}")
 
-
-def spot_check_symmetry(kernel, rng):
-    """Evaluate at 16 standard normal points under random argument permutations."""
-    d = kernel.degree
-    for _ in range(16):
-        xs = rng.normal(0.0, 1.0, d)
-        t = kernel.t_grid[0]
-        base = float(np.asarray(kernel.fn(tuple(xs), t)))
-        perm = rng.permutation(d)
-        val = float(np.asarray(kernel.fn(tuple(xs[perm]), t)))
-        if not math.isclose(base, val, rel_tol=1e-9, abs_tol=1e-12):
-            return False
-    return True
-
-
 # -- averaging ---------------------------------------------------------
 
 
@@ -338,12 +361,7 @@ def _sample_tuples(rng, n, d, count):
     filled = 0
     while need > 0:
         cand = rng.integers(0, n, size=(need, d))
-        if d > 1:
-            srt = np.sort(cand, axis=1)
-            ok = np.all(np.diff(srt, axis=1) > 0, axis=1)
-        else:
-            ok = np.ones(need, dtype=bool)
-        good = cand[ok]
+        good = cand[np.all(np.diff(np.sort(cand, axis=1), axis=1) > 0, axis=1)]
         out[filled : filled + good.shape[0]] = good
         filled += good.shape[0]
         need = count - filled
@@ -356,6 +374,12 @@ def check_subsets(subsets):
         raise ValueError("incomplete averaging needs at least one subset")
 
 
+def check_sample_size(n, degree):
+    """Raises ValueError unless a sample of n observations holds a tuple of ``degree`` and more."""
+    if not n > degree:
+        raise ValueError(f"need more than degree = {degree} observations, got {n}")
+
+
 def _resolve_mode(kernel, n, subsets):
     """Returns (kind, tuple_count, notes) for ``subsets`` random tuples per
     replication of n observations, or for exact averaging when ``subsets`` is None.
@@ -364,8 +388,7 @@ def _resolve_mode(kernel, n, subsets):
     averages exactly at any C(n, d).
     """
     d = kernel.degree
-    if n <= d:
-        raise ValueError(f"need more than degree = {d} observations, got {n}")
+    check_sample_size(n, d)
     total = math.comb(n, d)
     if subsets is None:
         if total > EXACT_TUPLE_BUDGET and kernel.closed_form is None:
@@ -415,23 +438,13 @@ class Decomposition:
     zetas: np.ndarray
     rank: int
     degenerate: bool
-    terms: list
+    terms: Sequence
 
 
-def hoeffding_decompose(kernel, sampler, t=None):
-    """Exact canonical decomposition under the sampler's finite alphabet.
-
-    Projection moments at most ``RANK_TOL`` times the largest count as zero.
-    A degenerate (almost surely constant) component carries ``rank = degree``,
-    so the rank of a field is the smallest rank of its components.
-    """
-    if sampler.alphabet is None:
-        raise ValueError(f"sampler {sampler.name!r} has no finite alphabet")
-    if t is None:
-        if len(kernel.t_grid) != 1:
-            raise ValueError("pick an index label t for a multi-point kernel")
-        t = kernel.t_grid[0]
-    values, probs = sampler.alphabet
+def _tensor_decomposition(kernel, values, probs, t):
+    """(mean, zetas, terms) of one kernel component from its table on the alphabet grid:
+    conditional means by contraction, then each projection by subtracting every
+    lower-order one."""
     d = kernel.degree
     if d > DECOMP_MAX_DEGREE:
         raise ValueError(f"decomposition supports degree up to {DECOMP_MAX_DEGREE}")
@@ -465,13 +478,33 @@ def hoeffding_decompose(kernel, sampler, t=None):
             z = np.tensordot(z, probs, axes=([0], [0]))
         zetas[c - 1] = float(z)
         gs.append(g)
+    return mean, zetas, gs[1:]
 
+
+def hoeffding_decompose(kernel, sampler, t=None):
+    """Exact canonical decomposition under the sampler's finite alphabet.
+
+    A kernel's ``alphabet_decomposition`` gives it in closed form; any other
+    kernel is tabulated on the alphabet grid, up to degree
+    ``DECOMP_MAX_DEGREE``.  Projection moments at most ``RANK_TOL`` times
+    the largest count as zero.  A degenerate (almost surely constant)
+    component carries ``rank = degree``, so the rank of a field is the
+    smallest rank of its components.
+    """
+    if sampler.alphabet is None:
+        raise ValueError(f"sampler {sampler.name!r} has no finite alphabet")
+    if t is None:
+        if len(kernel.t_grid) != 1:
+            raise ValueError("pick an index label t for a multi-point kernel")
+        t = kernel.t_grid[0]
+    decompose = kernel.alphabet_decomposition or partial(_tensor_decomposition, kernel)
+    mean, zetas, terms = decompose(*sampler.alphabet, t)
     scale = float(zetas.max(initial=0.0))
     if scale <= 0.0:
-        return Decomposition(t, mean, np.zeros(d), d, True, gs[1:])
+        return Decomposition(t, mean, np.zeros(kernel.degree), kernel.degree, True, terms)
     zetas[zetas <= RANK_TOL * scale] = 0.0
     rank = int(np.argmax(zetas > 0.0)) + 1
-    return Decomposition(t, mean, zetas, rank, False, gs[1:])
+    return Decomposition(t, mean, zetas, rank, False, terms)
 
 
 def decompose_field(kernel, sampler):
@@ -595,15 +628,6 @@ def u_statistic_panel(kernel, X, subsets=None, *, seed=0):
     return out, kind, count, notes
 
 
-def needs_decomposition(kernel, sampler, rank=None, mean_per_t=None):
-    """Whether ``simulate_panel`` decomposes: under an alphabet law, for the
-    rank when none is given, and for the means when neither they nor the
-    kernel's ``alphabet_mean`` are."""
-    if sampler.alphabet is None:
-        return False
-    return rank is None or (mean_per_t is None and kernel.alphabet_mean is None)
-
-
 def simulate_panel(
     kernel,
     sampler,
@@ -618,18 +642,17 @@ def simulate_panel(
 ):
     """Replicated draws of the normalized deviation field.
 
-    Means and the rank come from the exact decomposition when the sampler
-    has a finite alphabet; that decomposition is returned with the field.
-    With the rank supplied, a kernel with an ``alphabet_mean`` takes its
-    exact means from that instead and is not decomposed.  Without an
+    Under a finite alphabet, the rank and means not supplied come from the
+    exact decomposition, which is returned with the field.  Without an
     alphabet the rank must be supplied, and missing means fall back to the
     grand Monte Carlo mean across the panel (flagged in the metadata, since
     that recentering removes part of the deviation).  ``subsets`` picks the
     averaging as in ``u_statistic_panel``.  A field with a NaN or infinite
-    cell raises ValueError counting them.
+    cell raises ValueError counting them, and so does a field that is
+    identically zero.
     """
     decomps = None
-    if needs_decomposition(kernel, sampler, rank, mean_per_t):
+    if sampler.alphabet is not None and (rank is None or mean_per_t is None):
         decomps = decompose_field(kernel, sampler)
     if rank is None:
         if decomps is None:
@@ -642,9 +665,6 @@ def simulate_panel(
     if mean_per_t is None:
         if decomps is not None:
             mean_per_t = [dec.mean for dec in decomps]
-            mean_source = "exact"
-        elif sampler.alphabet is not None:
-            mean_per_t = [kernel.alphabet_mean(*sampler.alphabet, t) for t in kernel.t_grid]
             mean_source = "exact"
         else:
             mean_source = "grand_mc"
@@ -662,6 +682,9 @@ def simulate_panel(
     if bad:
         raise ValueError(f"{bad} of {dev.size} field cells are not finite: the kernel "
                          "overflows or is undefined on this sampler's draws")
+    if not dev.any():
+        raise ValueError("the field is identically zero: every replication's statistic equals "
+                         "the mean it is centred at, so there is no deviation to bound")
     meta = {
         "n": n,
         "reps": reps,

@@ -117,8 +117,8 @@ def _exact_cover(space, eps):
     n = space.size
     masks = [sum(1 << j for j in range(n) if covers[i, j]) for i in range(n)]
     full = (1 << n) - 1
-    upper = _greedy_cover(space, eps)
-    for k in range(1, upper + 1):
+    upper = _greedy_cover(space, eps)  # a cover of this size exists: look for a smaller one
+    for k in range(1, upper):
         for combo in combinations(range(n), k):
             m = 0
             for i in combo:
@@ -224,11 +224,7 @@ def entropy_integral(
     value = float(np.trapezoid(integrand, eps))
     saturated = (counts >= space.size) & (space.size > 1)
     if value > 0 and saturated.any():
-        sat_int = np.where(saturated, integrand, 0.0)
-        # trapezoid mass of the saturated region, cell by cell
-        cell = 0.5 * (sat_int[1:] + sat_int[:-1]) * np.diff(eps)
-        sat_mass = float(np.sum(cell))
-        frac = sat_mass / value
+        frac = float(np.trapezoid(np.where(saturated, integrand, 0.0), eps)) / value
     else:
         frac = 0.0
     finite = frac < plateau_fraction

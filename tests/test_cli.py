@@ -1,6 +1,10 @@
+import contextlib
+import functools
 import hashlib
 import importlib
+import importlib.util
 import inspect
+import io
 import os
 import pkgutil
 import re
@@ -11,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -119,6 +123,8 @@ def damage_field(lines, how):
         lines[2] += ",9.9"
     elif how == "label_only_row":
         lines[2] = lines[2].split(",", 1)[0]
+    elif how == "extra_label":
+        lines[0] += ",9.9"
     else:
         del lines[1:]
     return lines
@@ -407,21 +413,38 @@ class TestPipeline:
         assert read_artifacts(out) == read_artifacts(smoke_run[1])
 
     def test_high_degree_alphabet_law_with_rank(self, smoke_cfg, tmp_path):
-        # the factor's alphabet moment gives the exact mean, so nothing is decomposed
+        # the closed-form decomposition serves any degree, so it is written with run.rank too
         out = tmp_path / "degree5"
         degree5 = ["--set", "kernel.name=product", "--set", "kernel.degree=5",
                    "--set", "run.n=8", "--set", "run.reps=400"]
         assert main(["run", smoke_cfg, "--out", str(out), "--set", "run.rank=1"] + degree5) in (0, 2)
-        assert sorted(os.listdir(out)) == sorted(set(RUN_ARTIFACTS) - {DECOMP})
-        assert key_values(out / FIELD_META)["mean_source"] == "exact"
+        assert sorted(os.listdir(out)) == sorted(RUN_ARTIFACTS)
+        meta = key_values(out / FIELD_META)
+        assert (meta["mean_source"], meta["rank"]) == ("exact", "1")
 
     @pytest.mark.parametrize("stage", ["run", "decompose"])
-    def test_high_degree_alphabet_law_needs_rank(self, smoke_cfg, tmp_path, capsys, stage):
+    def test_high_degree_alphabet_law_needs_rank(self, smoke_cfg, tmp_path, stage):
+        # no rank is needed: the degree-5 product of Rademacher draws decomposes to rank 5
         out = tmp_path / "degree5"
         degree5 = ["--set", "kernel.name=product", "--set", "kernel.degree=5", "--set", "run.n=8"]
-        assert main([stage, smoke_cfg, "--out", str(out)] + degree5) == 1
-        assert "kernel.degree" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert main([stage, smoke_cfg, "--out", str(out)] + degree5) in (0, 2)
+        header, row = (out / DECOMP).read_text().splitlines()
+        dec = dict(zip(header.split(","), row.split(",")))
+        assert (dec["mean"], dec["rank"], dec["degenerate"]) == ("0.0", "5", "false")
+        assert [float(dec[f"zeta_{c}"]) for c in range(1, 6)] == [0.0, 0.0, 0.0, 0.0, 1.0]
+        if stage == "run":
+            assert sorted(os.listdir(out)) == sorted(RUN_ARTIFACTS)
+            assert key_values(out / FIELD_META)["rank"] == "5"
+
+    def test_given_rank_writes_the_derived_field(self, smoke_cfg, tmp_path):
+        # one source for the mean: run.rank spelled out as the rank auto derives changes no byte
+        law = ["--set", "kernel.g=sin", "--set", "sampler.name=alphabet",
+               "--set", "sampler.values=-1,0.5,2", "--set", "sampler.weights=0.2,0.3,0.5"]
+        auto, given = tmp_path / "auto", tmp_path / "given"
+        assert main(["run", smoke_cfg, "--out", str(auto)] + law) in (0, 2)
+        assert key_values(auto / FIELD_META)["rank"] == "1"
+        assert main(["run", smoke_cfg, "--out", str(given), "--set", "run.rank=1"] + law) in (0, 2)
+        assert read_artifacts(auto) == read_artifacts(given)
 
     def test_nonpositive_lower_beta_exits_1(self, smoke_cfg, tmp_path, capsys):
         rc = main(["run", smoke_cfg, "--out", str(tmp_path), "--set", "bound.lower_beta=0"])
@@ -431,7 +454,7 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "how",
         ["non_numeric_cell", "short_last_row", "header_only", "extra_cell", "nan_cell",
-         "label_only_row"],
+         "label_only_row", "extra_label"],
     )
     def test_corrupt_field_exits_1_naming_it(self, smoke_cfg, smoke_run, tmp_path, capsys, how):
         out = copy_artifacts(smoke_run[1], tmp_path / how)
@@ -523,6 +546,21 @@ class TestPipeline:
             ("bound.degree=-1", "bound.degree"),
             ("psi.famly=constant", "psi.famly"),
             ("bound.sigmaa=-4", "bound.sigmaa"),
+            ("kernel.g=cosh", "kernel.g"),
+            ("kernel.degree=0", "kernel.degree"),
+            ("kernel.name=half_sq_diff kernel.degree=3", "kernel.degree"),
+            ("kernel.name=table kernel.degree=3 kernel.values=-1,1 kernel.table=0.5,1",
+             "kernel.degree"),
+            ("run.reps=0", "run.reps"),
+            ("run.reps=1", "run.reps"),
+            ("run.n=2", "run.n"),
+            ("sampler.name=pareto sampler.a=-1", "sampler.a"),
+            ("sampler.name=uniform sampler.lo=2", "sampler.lo"),
+            ("sampler.name=uniform sampler.hi=-1", "sampler.hi"),
+            ("sampler.name=lognormal sampler.sigma=nan", "sampler.sigma"),
+            ("sampler.name=alphabet sampler.values=1 sampler.weights=1", "sampler.values"),
+            ("sampler.name=alphabet sampler.values=1,2 sampler.weights=1,0", "sampler.weights"),
+            ("sampler.name=alphabet sampler.values=1,1", "sampler.values"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
              "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
@@ -531,7 +569,11 @@ class TestPipeline:
              "negative_m", "nan_m", "nan_r", "inf_coef", "nan_expo", "zero_value",
              "p_sup_not_above_2", "ragged_table", "zero_subsets", "negative_subsets",
              "subsets_under_exact", "exact_cover_of_17_points", "p_grid_past_p_sup",
-             "negative_degree", "misspelled_family", "misspelled_sigma"],
+             "negative_degree", "misspelled_family", "misspelled_sigma", "unknown_shape",
+             "zero_degree", "half_sq_diff_degree_3", "table_degree_3", "zero_reps", "one_rep",
+             "n_at_degree", "negative_pareto_index", "uniform_lo_above_hi",
+             "uniform_hi_below_lo", "nan_lognormal_sigma", "one_point_alphabet",
+             "one_weighted_point", "repeated_value"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, tmp_path, capsys, setting, key
@@ -601,6 +643,45 @@ class TestPipeline:
         assert err.startswith("error: 1500 of 1500 field cells are not finite")
         assert err.count("\n") == 1
         assert os.listdir(out) == []
+
+    def test_collapsed_quantile_grid_names_its_key(self, smoke_cfg, tmp_path, capsys):
+        # at this seed the two replications of a sum kernel share |sup|, so every quantile
+        # is one level: only the data can show it, after the earlier stages wrote theirs
+        setting = "run.reps=2 kernel.name=sum run.seed=1"
+        assert main(["run", smoke_cfg, "--out", str(tmp_path)] + overrides(setting)) == 1
+        err = capsys.readouterr().err
+        assert "grids.u" in err and "collapsed" in err
+
+    def test_default_grids(self, smoke_cfg, tmp_path):
+        # neither grids.p nor grids.u set: both defaults are read and applied
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("".join(line + "\n" for line in open(smoke_cfg).read().splitlines()
+                               if not line.startswith(("grids.p", "grids.u"))))
+        out = tmp_path / "defaults"
+        assert main(["run", str(cfg), "--out", str(out)]) in (0, 2)
+        assert set(RUN_ARTIFACTS) <= set(os.listdir(out))
+        p_grid = ",".join(map(repr, np.geomspace(2.0, 16.0, 8).tolist()))
+        assert key_values(out / PSI_USED)["p_grid"] == p_grid
+        assert "16 quantiles gave" in (out / BOUND_REPORT).read_text()
+
+    def test_single_level_plot(self, smoke_cfg, tmp_path):
+        out = tmp_path / "one_level"
+        setting = "grids.u=0.5 output.plot=true"
+        assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) in (0, 2)
+        assert len(read_table(out / TAIL_EMPIRICAL)[1]) == 1
+        svg = (out / PLOT).read_text()
+        assert "level u (0.5 to 1.5)" in svg
+
+    def test_field_degree_or_bound_degree(self, smoke_cfg, smoke_run, tmp_path, capsys):
+        # the lift degree comes from bound.degree or field_meta.txt, never from kernel.degree
+        out = copy_artifacts(smoke_run[1], tmp_path / "nodegree")
+        lines = (out / FIELD_META).read_text().splitlines(keepends=True)
+        (out / FIELD_META).write_text("".join(l for l in lines if not l.startswith("degree = ")))
+        rc = main(["entropy", smoke_cfg, "--out", str(out), "--set", "kernel.degree=2"])
+        assert rc == 1
+        assert "field_meta.txt gives no kernel degree; set bound.degree" in capsys.readouterr().err
+        assert main(["entropy", smoke_cfg, "--out", str(out), "--set", "bound.degree=2"]) == 0
+        assert (out / PSI_USED).read_bytes() == (smoke_run[1] / PSI_USED).read_bytes()
 
     def test_collapsed_quantile_grid_is_noted(self, smoke_run):
         # quantiles of a supremum with few atoms share levels; the report says how many
@@ -873,6 +954,91 @@ def test_field_codec_writes_in_blocks(tmp_path, monkeypatch):
     back = read_field(str(tmp_path), "test")
     assert np.array_equal(written.values.view(np.uint64), back.values.view(np.uint64))
     assert written.labels == back.labels and written.meta == back.meta
+
+
+@functools.cache
+def _base_artifacts():
+    """The artifacts the benchmark requires of every finished run (perfbench/workloads.py)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return set(module.BASE_ARTIFACTS)
+
+
+SMALL_LAWS = {
+    "rademacher": "sampler.name=rademacher",
+    "alphabet": "sampler.name=alphabet sampler.values=-1,0.5,2 sampler.weights=0.2,0.3,0.5",
+    "one_point": "sampler.name=alphabet sampler.values=1",
+    "uniform": "sampler.name=uniform sampler.lo=-1 sampler.hi=2",
+    "normal": "sampler.name=normal",
+}
+SMALL_KERNELS = {
+    "product": "kernel.name=product kernel.shift=0.2",
+    "sum": "kernel.name=sum",
+    "half_sq_diff": "kernel.name=half_sq_diff",
+    "gprod": "kernel.name=gprod kernel.t_grid=0.5,1.5,2.5",
+    "table": "kernel.name=table kernel.values=-1,1 kernel.table=0.5,-1,2,0.3",
+}
+SMALL_ENVELOPES = (
+    "psi.family=natural",
+    "psi.family=power_log psi.m=2",
+    "psi.family=exp_power psi.coef=0.5 psi.expo=1",
+    "psi.family=constant psi.value=3 psi.p_sup=16",
+)
+SMALL_U_GRIDS = ("quantile:0.5:0.97:6", "quantile:0.2:0.9:3", "lin:0.5:3:5", "0.1,1,2", "0.7")
+
+
+@st.composite
+def small_configs(draw):
+    """``--set`` text of a small ``run``: any law, kernel, degree, sample size, envelope and
+    level grid, with ``run.rank`` set off the alphabets."""
+    law = draw(st.sampled_from(sorted(SMALL_LAWS)))
+    kernel = draw(st.sampled_from(sorted(SMALL_KERNELS)))
+    items = [SMALL_LAWS[law], SMALL_KERNELS[kernel], draw(st.sampled_from(SMALL_ENVELOPES)),
+             f"run.n={draw(st.sampled_from(range(2, 11)))}",
+             f"run.reps={draw(st.sampled_from(range(1, 61)))}",
+             f"grids.u={draw(st.sampled_from(SMALL_U_GRIDS))}"]
+    degree = draw(st.sampled_from([None, None, None, 0, 1, 2, 3, 4, 5]))  # None: the default
+    if degree is not None:
+        items.append(f"kernel.degree={degree}")
+    if kernel == "gprod":
+        items.append(f"kernel.g={draw(st.sampled_from(['sin', 'tanh', 'identity']))}")
+    if law in ("uniform", "normal"):
+        items.append(f"run.rank={draw(st.integers(1, 2))}")
+    if draw(st.booleans()):
+        items.append("bound.lower_beta=1.0")
+    return " ".join(items)
+
+
+@settings(max_examples=300)
+@given(small_configs())
+def test_small_configs_finish_or_fail_first(setting):
+    # every config finishes with the full artifact set, or exits 1 before writing anything,
+    # naming where in the config it went wrong; only a quantile grid that the data collapse
+    # to one level is found after the earlier stages wrote their artifacts
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "small.cfg"), os.path.join(tmp, "out")
+        with open(cfg, "w") as fh:
+            fh.write("run.seed = 11\ngrids.p = log:2:8:4\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["run", cfg, "--out", out] + overrides(setting))
+        written = set(os.listdir(out))
+    err = err.getvalue()
+    event(f"exit {rc}")
+    if rc in (0, 2):
+        assert _base_artifacts() | {BOUND_REPORT, VERIFY_REPORT} <= written, setting
+        return
+    assert rc == 1, (setting, err)
+    if "grids.u: quantile grid collapsed" in err:
+        assert cfg in err, (setting, err)
+        return
+    assert written == set(), (setting, err)
+    # simulate refuses a drawn field that is identically zero or not finite before writing
+    # it; that is a property of the draw, which no key names
+    assert cfg in err or "field is identically zero" in err or "not finite" in err, (setting, err)
 
 
 def test_benchmark_tracer_wraps_every_layer(smoke_cfg, tmp_path, monkeypatch):

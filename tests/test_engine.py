@@ -29,7 +29,7 @@ from ustattails import (
 from ustattails import engine
 from ustattails.cli import build_kernel, build_sampler
 from ustattails.config import Config, ConfigError
-from ustattails.engine import _LANE_SALTS, _philox_raw, _sample_tuples, _stream, spot_check_symmetry
+from ustattails.engine import _LANE_SALTS, _philox_raw, _sample_tuples, _stream
 
 
 def sampler_from(text):
@@ -171,11 +171,6 @@ class TestKernels:
         assert k.degree == 1
         assert k.fn((np.array([1.0]),), "t0")[0] == 20.0
         assert k.fn((np.array([-1.0]),), "t1")[0] == 0.0
-
-    def test_symmetry_spot_check(self):
-        rng = np.random.default_rng(0)
-        assert spot_check_symmetry(make_kernel("product", 3), rng)
-        assert spot_check_symmetry(make_kernel("half_sq_diff"), rng)
 
 
 class TestUStatistic:
@@ -457,6 +452,33 @@ class TestDecomposition:
         assert abs(float(g1 @ probs)) < 1e-12 * scale
         assert np.all(np.abs(g2 @ probs) < 1e-12 * scale)
 
+    @pytest.mark.parametrize("name", ["product", "sum", "gprod", "table"])
+    def test_closed_form_matches_tensor_table(self, name):
+        # the factor kernels' closed form against the brute-force tensor decomposition
+        rng = np.random.default_rng(["product", "sum", "gprod", "table"].index(name))
+        for _ in range(40):
+            k_values = int(rng.integers(1, 5))
+            values = np.sort(rng.normal(size=k_values)) + np.arange(k_values)
+            probs = rng.dirichlet(np.ones(k_values))
+            d = 1 if name == "table" else int(rng.integers(1, 5))
+            if name == "gprod":
+                g = ("sin", "tanh", "identity")[int(rng.integers(3))]
+                k = make_kernel(name, d, g=g, t_grid=[float(rng.uniform(0.2, 3.0))])
+            elif name == "table":
+                k = make_kernel(name, values=values, table=rng.normal(size=(k_values, 1)))
+            else:
+                k = make_kernel(name, d, shift=float(rng.normal()))
+            sampler = alphabet_sampler(values, probs)
+            closed = hoeffding_decompose(k, sampler)
+            tabulated = dataclasses.replace(k, alphabet_decomposition=None)
+            table = hoeffding_decompose(tabulated, sampler)
+            assert abs(closed.mean - table.mean) <= 1e-12 * max(1.0, abs(table.mean))
+            scale = max(float(table.zetas.max()), 1e-300)
+            assert np.all(np.abs(closed.zetas - table.zetas) <= 1e-12 * scale)
+            assert (closed.rank, closed.degenerate) == (table.rank, table.degenerate)
+            for got, want in zip(closed.terms, table.terms):
+                assert np.allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
 
 class TestVariance:
     def test_degenerate_product_values(self):
@@ -561,17 +583,21 @@ class TestSimulatePanel:
             for cells in product(range(3), repeat=5):
                 xs = tuple(values[list(cells)])
                 want += float(np.prod(weights[list(cells)])) * float(k.fn(xs, "t0"))
-            assert k.alphabet_mean(values, weights, "t0") == pytest.approx(want, rel=1e-13), name
+            mean = k.alphabet_decomposition(values, weights, "t0")[0]
+            assert mean == pytest.approx(want, rel=1e-13), name
 
     def test_given_rank_takes_factor_mean_without_decomposing(self, monkeypatch):
+        # a factor kernel decomposes in closed form, at any degree, without the tensor table
         def refuse(*args, **kwargs):
-            raise AssertionError("decomposed")
+            raise AssertionError("tabulated")
 
-        monkeypatch.setattr(engine, "decompose_field", refuse)
+        monkeypatch.setattr(engine, "_tensor_decomposition", refuse)
         sampler = alphabet_sampler([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5])
-        fld = simulate_panel(make_kernel("product", 5, shift=0.3), sampler, 8, 50, seed=1, rank=1)
+        k = make_kernel("product", 5, shift=0.3)
+        fld = simulate_panel(k, sampler, 8, 50, seed=1, rank=1)
         assert fld.meta["mean_source"] == "exact"
-        assert fld.decomposition is None
+        assert fld.meta["rank"] == 1
+        assert [dec.mean for dec in fld.decomposition] == [hoeffding_decompose(k, sampler).mean]
 
     def test_no_decomposition_without_alphabet(self):
         fld = simulate_panel(make_kernel("product"), normal_sampler(), 10, 20, seed=1, rank=2)
