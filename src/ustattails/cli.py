@@ -16,11 +16,13 @@ floor, or bound ordering violated).
 
 import argparse
 import hashlib
+import io
 import math
 import os
 import sys
 import warnings
 from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -34,8 +36,10 @@ from .engine import (
     alphabet_sampler,
     check_alphabet_law,
     check_degree,
+    check_rank,
     check_sample_size,
     check_subsets,
+    check_table_law,
     decompose_field,
     lognormal_sampler,
     make_kernel,
@@ -145,6 +149,15 @@ def build_kernel(cfg):
     return make_kernel("table", degree, values=values, table=table)
 
 
+def build_law(cfg):
+    """The configured kernel and sampler; a table kernel is defined on ``kernel.values``
+    alone, so a sampler that takes another value fails naming that key."""
+    kernel, sampler = build_kernel(cfg), build_sampler(cfg)
+    if kernel.name == "table":
+        cfg.get_floats("kernel.values", check=partial(check_table_law, sampler=sampler))
+    return kernel, sampler
+
+
 def build_mode(cfg):
     """The tuples averaged per replication, or None for exact averaging."""
     mode = cfg.get_str("run.mode", "exact", choices=("exact", "incomplete"))
@@ -201,27 +214,82 @@ def write_table(path, header, rows, comment=None):
     _write(path, "\n".join(lines) + "\n")
 
 
-def read_table(path, labelled=False):
+# cells in a block of field.csv: write_field spells a block's rows once each, and read_table
+# looks for repeated lines in the first block
+FIELD_BLOCK_CELLS = 1 << 16
+
+
+def _loadtxt(lines, labelled):
+    """np.loadtxt of the CSV text ``lines`` yields; labels read as 0.0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty table is rejected by read_table
+        return np.loadtxt(lines, delimiter=",", ndmin=2,
+                          converters={0: lambda label: 0.0} if labelled else None)
+
+
+def _line_keys(lines, labelled):
+    """Each line's text with its label cut."""
+    return [line.partition(",")[2] for line in lines] if labelled else lines
+
+
+def _distinct_line_rows(lines, labelled):
+    """The rows of the CSV ``lines``, each distinct line parsed once, or None.
+
+    None when a line holds a ``#``, or when np.loadtxt refuses the distinct
+    lines or skips one (a blank or label-only line), so that np.loadtxt
+    reads every line and what it makes of them is its own.
+    """
+    if any("#" in line for line in lines):
+        return None
+    keys = _line_keys(lines, labelled)
+    index = dict.fromkeys(keys)
+    try:
+        rows = _loadtxt(list(index), labelled=False)
+    except ValueError:
+        return None
+    if len(rows) < len(index):
+        return None
+    for i, key in enumerate(index):
+        index[key] = i
+    return rows[np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))]
+
+
+def read_table(path, labelled=False, digest=None):
     """Header cells and float matrix of a CSV table, ``#`` lines skipped.
 
     With ``labelled`` the first column holds row labels and stays out of the
-    matrix.  A malformed, empty or too wide table raises ConfigError naming it.
+    matrix.  The matrix is bit for bit np.loadtxt's of the whole file, and
+    any error is np.loadtxt's.  When a line repeats in the first block (the
+    FIELD_BLOCK_CELLS cells write_field spells row by row), each distinct
+    line is parsed once (``_distinct_line_rows``).  A malformed, empty or
+    too wide table raises ConfigError naming it.  ``digest``, a hashlib
+    object, is fed the bytes parsed.
     """
-    with open(path) as fh:
+    with open(path, "rb") as raw:
+        data = raw.read()
+    if digest is not None:
+        digest.update(data)
+    with io.TextIOWrapper(io.BytesIO(data)) as fh:
         header = next((line for line in fh if not line.startswith("#")), "")
         header = header.rstrip("\n").split(",")
-        skip_labels = {0: lambda label: 0.0} if labelled else None
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # an empty table is rejected below
-                data = np.loadtxt(fh, delimiter=",", converters=skip_labels, ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    if not data.size:
+        lines = list(islice(fh, max(1, FIELD_BLOCK_CELLS // max(1, len(header) - labelled))))
+        keys = _line_keys(lines, labelled)
+        values = None
+        if len(set(keys)) < len(keys):
+            lines += fh
+            values = _distinct_line_rows(lines, labelled)
+        if values is None:
+            try:
+                # the lines read, then those left in fh
+                values = _loadtxt(chain(lines, fh), labelled)[:, labelled:]
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+    if not len(values):
         raise ConfigError(f"{path}: no data rows")
-    if data.shape[1] != len(header):  # loadtxt has checked that all rows are equally wide
-        raise ConfigError(f"{path}: rows have {data.shape[1]} cells, the header {len(header)}")
-    return header, data[:, labelled:]
+    width = values.shape[1] + labelled  # loadtxt has checked that all rows are equally wide
+    if width != len(header):
+        raise ConfigError(f"{path}: rows have {width} cells, the header {len(header)}")
+    return header, values
 
 
 def read_columns(path, names):
@@ -254,14 +322,6 @@ def read_record(path, casts):
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: missing or bad {key!r} ({exc})") from None
     return record
-
-
-FIELD_BLOCK_CELLS = 1 << 16
-
-
-def _sha256(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _field_text(header, values):
@@ -317,13 +377,14 @@ def read_field(out_dir, stage):
     A NaN or infinite cell raises ConfigError naming the file.
     """
     path = _need(out_dir, FIELD, stage)
-    header, values = read_table(path, labelled=True)
+    digest = hashlib.sha256()
+    header, values = read_table(path, labelled=True, digest=digest)
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise ConfigError(f"{path}: {bad} non-finite cells")
     meta_path = os.path.join(out_dir, FIELD_META)
     pairs = read_pairs(meta_path) if os.path.exists(meta_path) else []
-    return _field_samples(header[1:], values, pairs, _sha256(path))
+    return _field_samples(header[1:], values, pairs, digest.hexdigest())
 
 
 def write_distance(out_dir, labels, dist):
@@ -457,12 +518,13 @@ def write_svg(out_dir, curves):
 
 def stage_simulate(cfg, out_dir):
     # returns the field as written, which ``run`` hands to entropy and bounds
-    kernel = build_kernel(cfg)
-    sampler = build_sampler(cfg)
+    kernel, sampler = build_law(cfg)
     seed = cfg.get_int("run.seed")
     n = cfg.get_int("run.n", check=partial(check_sample_size, degree=kernel.degree))
     reps = cfg.get_int("run.reps", check=check_sample_count)
-    rank = None if cfg.get_str("run.rank", "auto") == "auto" else cfg.get_int("run.rank")
+    rank = None
+    if cfg.get_str("run.rank", "auto") != "auto":
+        rank = cfg.get_int("run.rank", check=check_rank)
     fld = simulate_panel(
         kernel,
         sampler,
@@ -489,8 +551,7 @@ def write_decomposition(out_dir, decomps):
 
 
 def stage_decompose(cfg, out_dir):
-    kernel = build_kernel(cfg)
-    sampler = build_sampler(cfg)
+    kernel, sampler = build_law(cfg)
     if sampler.alphabet is None:
         cfg.fail("sampler.name", "decomposition needs a finite alphabet sampler")
     write_decomposition(out_dir, decompose_field(kernel, sampler))

@@ -235,6 +235,18 @@ def check_degree(degree, name):
         raise ValueError("degree must be at least 1")
 
 
+def check_table_law(values, sampler):
+    """Raises ValueError unless ``sampler`` takes only ``values``, the alphabet a table
+    kernel is defined on; the exact decomposition reads the table at every value of the law."""
+    if sampler.alphabet is None:
+        raise ValueError(f"a table kernel is defined on its values alone, and sampler "
+                         f"{sampler.name!r} draws from a continuum")
+    off = np.setdiff1d(sampler.alphabet[0], values)
+    if off.size:
+        raise ValueError(f"a table kernel is defined on its values alone, and sampler "
+                         f"{sampler.name!r} also takes {', '.join(map(repr, off.tolist()))}")
+
+
 def _alternating_order(n):
     """Positions 0, n-1, 1, n-2, ...: smallest, largest, second smallest, ... of a sorted row."""
     order = np.empty(n, dtype=np.intp)
@@ -341,6 +353,8 @@ def make_kernel(name, degree=None, *, shift=0.0, g="sin", t_grid=None, values=No
 
         def lookup(x, t):
             idx = np.clip(np.searchsorted(v, x), 0, v.size - 1)
+            if np.any(v[idx] != x):
+                raise ValueError("a table kernel is defined on its values alone")
             return tab[idx, col[t]]
 
         return _factor_kernel("table", 1, grid, lookup, operator.mul)
@@ -553,6 +567,13 @@ def variance_u(decomp, n):
 # -- normalization and panels -------------------------------------------
 
 
+def check_rank(rank):
+    """Raises ValueError unless ``rank``, the power of sqrt(n) that scales the field, is an
+    integer of at least 1: a rank is the first projection order with positive variance."""
+    if not (float(rank).is_integer() and rank >= 1):
+        raise ValueError(f"rank must be an integer of at least 1, got {rank!r}")
+
+
 def deviation_scale(n, rank, convention="multiply"):
     """Scale applied to U_n minus its mean to form the deviation field."""
     if convention == "multiply":
@@ -647,9 +668,9 @@ def simulate_panel(
     alphabet the rank must be supplied, and missing means fall back to the
     grand Monte Carlo mean across the panel (flagged in the metadata, since
     that recentering removes part of the deviation).  ``subsets`` picks the
-    averaging as in ``u_statistic_panel``.  A field with a NaN or infinite
-    cell raises ValueError counting them, and so does a field that is
-    identically zero.
+    averaging as in ``u_statistic_panel``.  A rank that is not an integer of
+    at least 1 raises ValueError; so does a field with a NaN or infinite
+    cell, counting them, and a field that is identically zero.
     """
     decomps = None
     if sampler.alphabet is not None and (rank is None or mean_per_t is None):
@@ -661,6 +682,7 @@ def simulate_panel(
             )
         # the slowest-decaying component sets the scale of the supremum
         rank = min(dec.rank for dec in decomps)
+    check_rank(rank)
     mean_source = "given"
     if mean_per_t is None:
         if decomps is not None:
@@ -675,7 +697,9 @@ def simulate_panel(
     U, kind, count, notes = u_statistic_panel(kernel, X, subsets, seed=seed)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite cells are counted below
         if mean_source == "grand_mc":
-            mean_per_t = U.mean(axis=0)
+            # a column with one value throughout is centred at that value, not at its
+            # rounded average, so that it deviates by exactly 0
+            mean_per_t = np.where((U == U[0]).all(axis=0), U[0], U.mean(axis=0))
         means = np.broadcast_to(np.asarray(mean_per_t, dtype=float), (len(kernel.t_grid),))
         dev = deviation_scale(n, rank, convention) * (U - means[None, :])
     bad = np.count_nonzero(~np.isfinite(dev))

@@ -274,7 +274,7 @@ class TestPipeline:
 
     def test_run_reads_back_no_field(self, smoke_cfg, tmp_path, monkeypatch):
         # entropy and bounds take the field simulate wrote: field.csv is neither parsed
-        # nor hashed again
+        # nor hashed again (read_field hashes the bytes read_table parses)
         parsed = []
         parse = cli.read_table
 
@@ -282,19 +282,10 @@ class TestPipeline:
             parsed.append(os.path.basename(path))
             return parse(path, *args, **kwargs)
 
-        hashed = []
-        sha256 = cli._sha256
-
-        def counted_hash(path):
-            hashed.append(os.path.basename(path))
-            return sha256(path)
-
         monkeypatch.setattr(cli, "read_table", counted)
-        monkeypatch.setattr(cli, "_sha256", counted_hash)
         assert main(["run", smoke_cfg, "--out", str(tmp_path)]) == 0
         assert FIELD not in parsed
         assert DISTANCE in parsed  # the wrapper sees the tables that are parsed
-        assert hashed == []
 
     def test_run_calls_each_stage_through_the_module(self, smoke_cfg, tmp_path, monkeypatch):
         # perfbench times the stages by wrapping these module names, so run looks them up there
@@ -561,6 +552,13 @@ class TestPipeline:
             ("sampler.name=alphabet sampler.values=1 sampler.weights=1", "sampler.values"),
             ("sampler.name=alphabet sampler.values=1,2 sampler.weights=1,0", "sampler.weights"),
             ("sampler.name=alphabet sampler.values=1,1", "sampler.values"),
+            ("run.rank=0", "run.rank"),
+            ("run.rank=-3", "run.rank"),
+            ("sampler.name=uniform sampler.lo=-1 sampler.hi=2 kernel.name=table "
+             "kernel.values=-1,1 kernel.table=0.5,-1,2,0.3 run.n=3 run.reps=27 run.rank=1",
+             "kernel.values"),
+            ("sampler.name=alphabet sampler.values=-1,0.5,1 kernel.name=table "
+             "kernel.values=-1,1 kernel.table=0.5,-1,2,0.3", "kernel.values"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
              "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
@@ -573,7 +571,8 @@ class TestPipeline:
              "zero_degree", "half_sq_diff_degree_3", "table_degree_3", "zero_reps", "one_rep",
              "n_at_degree", "negative_pareto_index", "uniform_lo_above_hi",
              "uniform_hi_below_lo", "nan_lognormal_sigma", "one_point_alphabet",
-             "one_weighted_point", "repeated_value"],
+             "one_weighted_point", "repeated_value", "zero_rank", "negative_rank",
+             "table_on_a_continuum", "table_law_off_its_values"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, tmp_path, capsys, setting, key
@@ -893,14 +892,28 @@ TABLE_EDITS = {
     "label_only_row": lambda line: [line.split(",", 1)[0]],
     "extra_cell": lambda line: [line + ",9.9"],
     "one_of_equal_rows_edited": lambda line: [line.replace("-1.0", "-3.0")],
+    "repeats_after_first_block": lambda line: [line] * 3,
+    "comment_after_first_block": lambda line: [line.replace(",", "#,", 1)],
+    "blank_line_after_first_block": lambda line: ["", line],
+    "signed_zero_rows": lambda line: [line.replace("-1.0", "-0.0"),
+                                      line.replace("-1.0", "0.0")] * 2,
+}
+# lines in the first block, where read_table looks for repeats, for the edits that need it to
+# end before the edited line; by default it holds the whole table
+BLOCK_LINES = {
+    "repeats_after_first_block": 1,
+    "comment_after_first_block": 3,
+    "blank_line_after_first_block": 3,
 }
 
 
 @pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
 @pytest.mark.parametrize("edit", sorted(TABLE_EDITS))
-def test_table_parser_matches_loadtxt(tmp_path, edit, labelled):
+def test_table_parser_matches_loadtxt(tmp_path, monkeypatch, edit, labelled):
     # a table reads as np.loadtxt reads the whole file: blank and # lines skipped wherever
     # they stand, any other bad line refused with its message and the file's row numbers
+    if edit in BLOCK_LINES:
+        monkeypatch.setattr(cli, "FIELD_BLOCK_CELLS", 2 * BLOCK_LINES[edit])  # two columns
     header = ["rep", "a", "b"] if labelled else ["a", "b"]
     rows = [f"{i},{row}" if labelled else row for i, row in enumerate(TABLE_ROWS)]
     lines = ["# samples = 6", ",".join(header)] + rows[:3] + TABLE_EDITS[edit](rows[3]) + rows[4:]
@@ -919,6 +932,28 @@ def test_table_parser_matches_loadtxt(tmp_path, edit, labelled):
     got_header, got = read_table(path, labelled=labelled)
     assert got_header == header
     assert np.array_equal(got.view(np.uint64), want[:, labelled:].view(np.uint64))
+
+
+def test_field_parses_each_distinct_line_once(smoke_run, tmp_path, monkeypatch):
+    # a cold read of the smoke field hands np.loadtxt one list of at most run.n + 1 lines,
+    # one per Rademacher type; a field with no repeated line goes to np.loadtxt whole, once
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(lines, *args, **kwargs):
+        calls.append(len(lines) if isinstance(lines, list) else "whole file")
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(cli.np, "loadtxt", counted)
+    n = int(key_values(smoke_run[1] / FIELD_META)["n"])
+    read_field(str(smoke_run[1]), "test")
+    assert len(calls) == 1 and calls[0] != "whole file" and calls[0] <= n + 1, calls
+    values = np.random.default_rng(3).standard_normal((500, 4))
+    write_field(str(tmp_path), FieldSamples((1.0, 2.0, 3.0, 4.0), values))
+    calls.clear()
+    back = read_field(str(tmp_path), "test")
+    assert calls == ["whole file"]
+    assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,19 @@ class TestKernels:
         assert k.degree == 1
         assert k.fn((np.array([1.0]),), "t0")[0] == 20.0
         assert k.fn((np.array([-1.0]),), "t1")[0] == 0.0
+        # off its values the table has no entry: no neighbouring row is read instead
+        for x in (0.5, -3.0, 2.0, np.nan):
+            with pytest.raises(ValueError, match="table kernel"):
+                k.fn((np.array([1.0, x]),), "t0")
+
+    def test_table_law_check(self):
+        values = [-1.0, 0.5, 1.0]
+        engine.check_table_law(values, rademacher_sampler())
+        engine.check_table_law(values, alphabet_sampler([0.5, 1.0], [0.3, 0.7]))
+        with pytest.raises(ValueError, match="also takes 2.0"):
+            engine.check_table_law(values, alphabet_sampler([-1.0, 2.0]))
+        with pytest.raises(ValueError, match="continuum"):
+            engine.check_table_law(values, uniform_sampler(-1.0, 2.0))
 
 
 class TestUStatistic:
@@ -229,7 +242,12 @@ class TestUStatistic:
         X = draw_data(sampler, 9, 40, seed=3)
         grid = [0.3, 1.0, 2.5]
         kernels = [make_kernel("half_sq_diff")]
-        kernels += [make_kernel("table", values=[-1.0, 1.0], table=[[0.5, -2.0], [3.0, 1.0]])]
+        table = make_kernel("table", values=[-1.0, 1.0], table=[[0.5, -2.0], [3.0, 1.0]])
+        if law == "rademacher":
+            kernels.append(table)
+        else:  # a table kernel is defined on its values alone
+            with pytest.raises(ValueError, match="table kernel"):
+                u_statistic_panel(table, X)
         for d in range(1, 5):
             kernels += [make_kernel("product", d, shift=0.4), make_kernel("sum", d)]
             kernels += [make_kernel("gprod", d, g=g, t_grid=grid) for g in ("sin", "tanh", "identity")]
@@ -284,6 +302,10 @@ class TestOrderInvariance:
         sampler = {"alphabet": alphabet_sampler([-1.3, 0.1, 2.7]), "normal": normal_sampler()}[law]
         X = draw_data(sampler, 9, 300, seed=31)
         k = self.KERNELS[name]()
+        if (name, law) == ("table", "normal"):  # a table kernel is defined on its values alone
+            with pytest.raises(ValueError, match="table kernel"):
+                u_statistic_panel(k, X)
+            return
         base, kind, _, _ = u_statistic_panel(k, X)
         assert kind == "exact"
         for seed in (1, 2):
@@ -350,6 +372,10 @@ class TestDistinctSamples:
         sampler = {"alphabet": alphabet_sampler([-1.3, 0.1, 2.7]), "normal": normal_sampler()}[law]
         X = draw_data(sampler, 7, reps, seed=41)
         k = TestOrderInvariance.KERNELS[name]()
+        if (name, law) == ("table", "normal"):  # a table kernel is defined on its values alone
+            with pytest.raises(ValueError, match="table kernel"):
+                u_statistic_panel(k, X)
+            return
         got, kind, _, _ = u_statistic_panel(k, X)
         assert kind == "exact"
         assert np.array_equal(got, _one_replication_at_a_time(k, X))
@@ -526,6 +552,27 @@ class TestSimulatePanel:
     def test_rank_required_without_alphabet(self):
         with pytest.raises(ValueError, match="rank"):
             simulate_panel(make_kernel("product"), normal_sampler(), 10, 20, seed=1)
+
+    @pytest.mark.parametrize("rank", [0, -3, 1.5, np.inf])
+    def test_rank_is_a_positive_integer(self, rank):
+        for sampler in (normal_sampler(), rademacher_sampler()):
+            with pytest.raises(ValueError, match="rank must be an integer of at least 1"):
+                simulate_panel(make_kernel("product"), sampler, 10, 20, seed=1, rank=rank)
+
+    def test_constant_column_centred_exactly(self):
+        # a grand-MC column whose replications all give one statistic deviates by exactly 0;
+        # its rounded average misses that statistic by ulps (9.6e-17 here)
+        def fn(xs, t):
+            return np.full(np.shape(xs[0]), 0.3) if t == "flat" else xs[0]
+
+        law = uniform_sampler(-1.0, 2.0)
+        k = engine.Kernel("flat", 1, ("flat", "x"), fn)
+        fld = simulate_panel(k, law, 3, 27, seed=11, rank=1)
+        assert fld.meta["mean_source"] == "grand_mc"
+        assert not fld.values[:, 0].any() and fld.values[:, 1].any()
+        k = engine.Kernel("flat", 1, ("flat", "flat too"), lambda xs, t: fn(xs, "flat"))
+        with pytest.raises(ValueError, match="identically zero"):
+            simulate_panel(k, law, 3, 27, seed=11, rank=1)
 
     def test_grand_mc_mean_flagged(self):
         fld = simulate_panel(
