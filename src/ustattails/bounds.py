@@ -283,8 +283,8 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
     u_grid = np.asarray(u_grid, dtype=float)
     tau = geometry.tau
     notes = geometry.notes + geometry.entropy.notes
-    sup_stat = field_samples.sup_abs()
-    sup_table = empirical_moments(sup_stat, geometry.p_grid)
+    sup_stat, counts = field_samples.sup_abs(), field_samples.counts
+    sup_table = empirical_moments(sup_stat, geometry.p_grid, counts)
     sup_norm = envelope_norm(sup_table, tau)
     upper = TailCurve(
         u_grid,
@@ -295,14 +295,14 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
         "upper_bound",
         meta={"norm": sup_norm},
     )
-    empirical = empirical_tail(sup_stat, u_grid)
+    empirical = empirical_tail(sup_stat, u_grid, counts)
     curves = {"empirical": empirical, "upper": upper}
     if lower is not None:
         col = int(lower.get("column", 0))
         conv = lower.get("exponent", "one_plus_beta")
         beta = float(lower["beta"])
         log_power_exponent(beta, conv)  # a bad shape is an error; an unusable column is not
-        col_curve = empirical_tail(field_samples.values[:, col], u_grid)
+        col_curve = empirical_tail(field_samples.values[:, col], u_grid, counts)
         try:
             coef = calibrate_log_power(col_curve, beta=beta, exponent=conv)
         except ValueError as exc:

@@ -2,7 +2,8 @@
 
 Subcommands are stages of one pipeline; ``run`` executes them in order.  A
 stage run on its own reads its inputs from the artifact files the previous
-stage wrote into the output directory, field.csv included; within ``run``,
+stage wrote into the output directory, field.csv included (the field's
+law: one line per distinct row, led by its count); within ``run``,
 ``simulate`` hands the field it wrote to ``entropy`` and ``bounds`` in
 memory, exactly as they would parse it.  Running the stages separately
 therefore produces byte-identical artifacts to one ``run``.  All floats are
@@ -22,7 +23,7 @@ import os
 import sys
 import warnings
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .bounds import (
     Geometry, calibrate_tails, check_beta, check_sigma, compare_curves, index_geometry, report_text
 )
 from .config import Config, ConfigError, parse_floats, resolve_grid
-from .empirics import FieldSamples, TailCurve, check_levels, check_sample_count, unique_rows
+from .empirics import FieldSamples, TailCurve, check_levels, check_sample_count
 from .engine import (
     GPROD_SHAPES,
     alphabet_sampler,
@@ -206,62 +207,27 @@ def _cell(x):
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
-def write_table(path, header, rows, comment=None):
-    """CSV table; ``comment`` becomes a leading ``# `` line (read by read_pairs)."""
-    lines = [] if comment is None else [f"# {comment}"]
-    lines.append(",".join(map(_cell, header)))
-    lines += (",".join(map(_cell, row)) for row in rows)
-    _write(path, "\n".join(lines) + "\n")
+def write_table(path, header, rows, comment=None, digest=None):
+    """CSV table; ``comment`` becomes a leading ``# `` line (read by read_pairs).
 
-
-# cells in a block of field.csv: write_field spells a block's rows once each, and read_table
-# looks for repeated lines in the first block
-FIELD_BLOCK_CELLS = 1 << 16
-
-
-def _loadtxt(lines, labelled):
-    """np.loadtxt of the CSV text ``lines`` yields; labels read as 0.0."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # an empty table is rejected by read_table
-        return np.loadtxt(lines, delimiter=",", ndmin=2,
-                          converters={0: lambda label: 0.0} if labelled else None)
-
-
-def _line_keys(lines, labelled):
-    """Each line's text with its label cut."""
-    return [line.partition(",")[2] for line in lines] if labelled else lines
-
-
-def _distinct_line_rows(lines, labelled):
-    """The rows of the CSV ``lines``, each distinct line parsed once, or None.
-
-    None when a line holds a ``#``, or when np.loadtxt refuses the distinct
-    lines or skips one (a blank or label-only line), so that np.loadtxt
-    reads every line and what it makes of them is its own.
+    The lines are streamed to the file; ``digest``, a hashlib object, is fed
+    the bytes written.
     """
-    if any("#" in line for line in lines):
-        return None
-    keys = _line_keys(lines, labelled)
-    index = dict.fromkeys(keys)
-    try:
-        rows = _loadtxt(list(index), labelled=False)
-    except ValueError:
-        return None
-    if len(rows) < len(index):
-        return None
-    for i, key in enumerate(index):
-        index[key] = i
-    return rows[np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))]
+    lines = chain([] if comment is None else [f"# {comment}"],
+                  (",".join(map(_cell, cells)) for cells in chain([header], rows)))
+    with open(path, "wb") as fh:
+        for line in lines:
+            data = f"{line}\n".encode()
+            fh.write(data)
+            if digest is not None:
+                digest.update(data)
 
 
 def read_table(path, labelled=False, digest=None):
     """Header cells and float matrix of a CSV table, ``#`` lines skipped.
 
     With ``labelled`` the first column holds row labels and stays out of the
-    matrix.  The matrix is bit for bit np.loadtxt's of the whole file, and
-    any error is np.loadtxt's.  When a line repeats in the first block (the
-    FIELD_BLOCK_CELLS cells write_field spells row by row), each distinct
-    line is parsed once (``_distinct_line_rows``).  A malformed, empty or
+    matrix.  The matrix and any error are np.loadtxt's; a malformed, empty or
     too wide table raises ConfigError naming it.  ``digest``, a hashlib
     object, is fed the bytes parsed.
     """
@@ -272,24 +238,27 @@ def read_table(path, labelled=False, digest=None):
     with io.TextIOWrapper(io.BytesIO(data)) as fh:
         header = next((line for line in fh if not line.startswith("#")), "")
         header = header.rstrip("\n").split(",")
-        lines = list(islice(fh, max(1, FIELD_BLOCK_CELLS // max(1, len(header) - labelled))))
-        keys = _line_keys(lines, labelled)
-        values = None
-        if len(set(keys)) < len(keys):
-            lines += fh
-            values = _distinct_line_rows(lines, labelled)
-        if values is None:
-            try:
-                # the lines read, then those left in fh
-                values = _loadtxt(chain(lines, fh), labelled)[:, labelled:]
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty table is rejected below
+                values = np.loadtxt(fh, delimiter=",", ndmin=2,
+                                    converters={0: lambda label: 0.0} if labelled else None)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     if not len(values):
         raise ConfigError(f"{path}: no data rows")
-    width = values.shape[1] + labelled  # loadtxt has checked that all rows are equally wide
-    if width != len(header):
-        raise ConfigError(f"{path}: rows have {width} cells, the header {len(header)}")
-    return header, values
+    if values.shape[1] != len(header):  # loadtxt has checked that all rows are equally wide
+        raise ConfigError(f"{path}: rows have {values.shape[1]} cells, the header {len(header)}")
+    return header, values[:, labelled:]
+
+
+def _finite(path, values):
+    """``values``, read from the table at ``path``; a NaN or infinite cell raises ConfigError
+    naming it."""
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise ConfigError(f"{path}: {bad} non-finite cells")
+    return values
 
 
 def read_columns(path, names):
@@ -324,67 +293,61 @@ def read_record(path, casts):
     return record
 
 
-def _field_text(header, values):
-    """field.csv in blocks of text: the header, then rows of about FIELD_BLOCK_CELLS cells.
+def _field_samples(path, labels, values, counts, pairs, digest):
+    """The field as its artifacts spell it: field_meta.txt ``pairs`` become its meta.
 
-    Each bitwise-distinct row of a block is spelled once (a ``-0.0`` cell
-    keeps its row apart), so the cells are what ``_cell`` writes, and the
-    work space is about one block whatever the number of distinct rows.
+    Counts that are not positive integers, or that do not sum to the
+    ``reps`` the pairs give, raise ConfigError naming the field.csv at ``path``.
     """
-    yield header + "\n"
-    step = max(1, FIELD_BLOCK_CELLS // values.shape[1])
-    for lo in range(0, values.shape[0], step):
-        block = values[lo : lo + step]
-        first, row_of = unique_rows(block)
-        text = [",".join(map(float.__repr__, row)) + "\n" for row in block[first].tolist()]
-        parts = [None] * (2 * len(block))  # each line's label cell, then its row's text
-        parts[0::2] = [f"{i}," for i in range(lo, lo + len(block))]
-        parts[1::2] = [text[k] for k in row_of.tolist()]
-        yield "".join(parts)
-
-
-def _field_samples(labels, values, pairs, digest):
-    """The field as its artifacts spell it: field_meta.txt ``pairs`` become its meta."""
     meta = {k: v for k, v in pairs if k != "note"}
     meta["notes"] = [v for k, v in pairs if k == "note"]
     meta["field_sha256"] = digest
-    return FieldSamples(labels, values, meta)
+    try:
+        fld = FieldSamples(labels, values, counts, meta)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    reps = meta.get("reps")
+    if reps is not None and reps != str(fld.replications):
+        raise ConfigError(f"{path}: counts sum to {fld.replications}, but {FIELD_META} gives "
+                          f"reps = {reps}")
+    return fld
 
 
 def write_field(out_dir, fld):
-    """field.csv, byte for byte the ``write_table`` of its rows, and field_meta.txt.
+    """field.csv, one line per distinct row led by its count, and field_meta.txt.
 
     Returns the field as ``read_field`` reads it back, with the SHA-256 of
     the field.csv bytes, hashed as they are written.
     """
-    values = np.ascontiguousarray(fld.values, dtype=float)
-    header = ",".join(map(_cell, ("rep",) + tuple(fld.labels)))
+    path, header = os.path.join(out_dir, FIELD), ("count",) + tuple(fld.labels)
     digest = hashlib.sha256()
-    with open(os.path.join(out_dir, FIELD), "wb") as fh:
-        for text in _field_text(header, values):
-            data = text.encode()
-            fh.write(data)
-            digest.update(data)
+    rows = ([int(c)] + row.tolist() for c, row in zip(fld.counts.tolist(), fld.values))
+    write_table(path, header, rows, digest=digest)
     pairs = [(k, _cell(v)) for k, v in sorted(fld.meta.items()) if k != "notes"]
     pairs += [("note", note) for note in fld.meta.get("notes", [])]
     write_pairs(os.path.join(out_dir, FIELD_META), pairs)
-    return _field_samples(header.split(",")[1:], values, pairs, digest.hexdigest())
+    labels = ",".join(map(_cell, header)).split(",")[1:]
+    return _field_samples(path, labels, fld.values, fld.counts, pairs, digest.hexdigest())
 
 
 def read_field(out_dir, stage):
     """The field in field.csv, with the SHA-256 of its bytes as ``meta["field_sha256"]``.
 
-    A NaN or infinite cell raises ConfigError naming the file.
+    A first column not named ``count``, a NaN or infinite cell, a count that
+    is not a positive integer, or counts that do not sum to field_meta.txt's
+    ``reps`` raise ConfigError naming the file.
     """
     path = _need(out_dir, FIELD, stage)
     digest = hashlib.sha256()
-    header, values = read_table(path, labelled=True, digest=digest)
-    bad = np.count_nonzero(~np.isfinite(values))
-    if bad:
-        raise ConfigError(f"{path}: {bad} non-finite cells")
+    header, values = read_table(path, digest=digest)
+    if header[0] != "count":
+        raise ConfigError(f"{path}: the first column is {header[0]!r}, not 'count'; "
+                          "rerun stage 'simulate'")
+    _finite(path, values)
     meta_path = os.path.join(out_dir, FIELD_META)
     pairs = read_pairs(meta_path) if os.path.exists(meta_path) else []
-    return _field_samples(header[1:], values, pairs, digest.hexdigest())
+    return _field_samples(path, header[1:], values[:, 1:], values[:, 0], pairs,
+                          digest.hexdigest())
 
 
 def write_distance(out_dir, labels, dist):
@@ -393,8 +356,12 @@ def write_distance(out_dir, labels, dist):
 
 
 def read_distance(out_dir, stage):
-    header, dist = read_table(_need(out_dir, DISTANCE, stage), labelled=True)
-    return FiniteMetricSpace(header[1:], dist)
+    path = _need(out_dir, DISTANCE, stage)
+    header, dist = read_table(path, labelled=True)
+    try:
+        return FiniteMetricSpace(header[1:], _finite(path, dist))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def write_curve(path, curve):
@@ -453,8 +420,8 @@ def read_geometry(out_dir, stage, field_sha256):
         "psi": MomentEnvelope.from_text,
         "degree": int,
         "p_grid": lambda text: check_p_grid(parse_floats(text)),
-        "p_max": float,
-        "points": int,
+        "p_max": lambda text: check_p_max(float(text)),
+        "points": lambda text: check_points(int(text)),
     })
     eps, entropies, integrand = read_columns(
         _need(out_dir, ENTROPY, stage), ("eps", "entropy", "integrand")
@@ -623,7 +590,7 @@ def stage_bounds(cfg, out_dir, fld=None):
     u_spec, lower, plot = _bounds_settings(cfg, len(fld.labels))
     geo = read_geometry(out_dir, "bounds", fld.meta["field_sha256"])
     try:
-        u_grid = resolve_grid(u_spec, fld.sup_abs())
+        u_grid = resolve_grid(u_spec, np.repeat(fld.sup_abs(), fld.counts.astype(int)))
     except ValueError as exc:  # quantiles of a supremum with too few atoms
         cfg.fail("grids.u", f"grids.u: {exc}")
     report = calibrate_tails(fld, geo, u_grid, lower=lower)

@@ -1,17 +1,17 @@
 """Empirical moment estimation and tail curves.
 
-Every empirical L_p norm reads its sample as the distinct rows with their
-counts (:func:`distinct_rows`; a field takes them once, as
-``FieldSamples.atoms``) and is a weighted power mean over them, which
-scales each column by its largest magnitude, top:
+A sample is held as its empirical law: the distinct rows with their counts
+(:func:`distinct_rows`; a field is folded to them once, when a
+``FieldSamples`` is built).  Every empirical L_p norm is a weighted power
+mean over them, which scales each column by its largest magnitude, top:
 |eta|_p = top * (sum c (|x|/top)^p / sum c)^(1/p).  No term exceeds 1, so
 values like 1e200 at p = 64 do not overflow.  A field under an alphabet law
 has few distinct rows, so :func:`envelope_distance` costs
-O(m^2 * atoms * |p|); a sample with no repeated row is read as it is, with
-unit counts.  The samples must be finite: a NaN or inf raises ValueError.
-Each estimate is a power mean of the empirical law, so it is nondecreasing
-in p (the power-mean inequality) up to rounding, which ``MomentTable``
-checks.
+O(m^2 * rows * |p|); a sample with no repeated row is read as it is, with
+unit counts.  Empirical tails count the same way.  The samples must be
+finite: a NaN or inf raises ValueError.  Each estimate is a power mean of
+the empirical law, so it is nondecreasing in p (the power-mean inequality)
+up to rounding, which ``MomentTable`` checks.
 """
 
 import math
@@ -40,18 +40,19 @@ def unique_rows(X):
     return first, inverse
 
 
-def distinct_rows(X):
+def distinct_rows(X, counts=None):
     """The distinct rows of the 2-d array X, in first-occurrence order, and their counts.
 
-    Rows are compared bit for bit (:func:`unique_rows`).  Returns (rows,
-    counts) with counts as floats; a matrix with no repeated row comes back
-    in its own order with unit counts.
+    Rows are compared bit for bit (:func:`unique_rows`).  ``counts``, one per
+    row of X (unit counts by default), are summed where rows merge.  Returns
+    (rows, counts) with counts as floats; a matrix with no repeated row comes
+    back in its own order with its own counts.
     """
     X = np.asarray(X, dtype=float)
     first, inverse = unique_rows(X)
-    counts = np.bincount(inverse, minlength=first.size)
+    counts = np.bincount(inverse, weights=counts, minlength=first.size).astype(float)
     order = np.argsort(first)
-    return X[first[order]], counts[order].astype(float)
+    return X[first[order]], counts[order]
 
 
 def check_sample_count(count):
@@ -90,60 +91,63 @@ def _atom_moments(rows, counts, p_grid):
     return _power_means(np.abs(rows.T, order="C"), counts, p_grid)
 
 
-def empirical_moments(samples, p_grid):
-    """MomentTable of |x|_p over p_grid from a 1-d sample."""
-    return column_moments(FieldSamples(("",), np.reshape(samples, (-1, 1))), p_grid)[0]
+def empirical_moments(samples, p_grid, counts=None):
+    """MomentTable of |x|_p over p_grid from a 1-d sample, each value taken ``counts`` times."""
+    return column_moments(FieldSamples(("",), np.reshape(samples, (-1, 1)), counts), p_grid)[0]
 
 
 @dataclass(frozen=True)
 class FieldSamples:
-    """Replicated draws of a finite-index random field.
+    """The empirical law of a finite-index random field.
 
-    ``values`` has shape (replications, index points); column t holds the
-    draws of the field at index label ``labels[t]``.  ``decomposition`` holds
-    the exact per-label Decompositions the field was centred and scaled by,
-    when the simulation had them.  The dataclass is frozen and ``values`` is a
-    read-only view, so ``atoms`` and ``sup_abs()``, computed on first use and
-    kept, always describe ``values`` (an array handed in must not be changed
-    afterwards).
+    ``values`` holds the bitwise-distinct rows (:func:`distinct_rows`), shape
+    (rows, index points), in first-occurrence order; column t holds the field
+    at index label ``labels[t]``.  ``counts`` holds each row's multiplicity,
+    a positive integer, as a float.  A replication matrix passed without
+    counts is folded to this form once, here, and rows passed with counts
+    are folded too, their counts summed.  ``decomposition`` holds the exact
+    per-label Decompositions the field was centred and scaled by, when the
+    simulation had them.  The dataclass is frozen, and ``values``, ``counts``
+    and ``sup_abs()`` (computed on first use and kept) are read-only.
     """
 
     labels: tuple
     values: np.ndarray
+    counts: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
     decomposition: list | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).view()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "labels", tuple(self.labels))
-        if self.values.ndim != 2:
+        if values.ndim != 2:
             raise ValueError("field samples must be a 2-d array (reps, points)")
-        if self.values.shape[1] != len(self.labels):
+        if values.shape[1] != len(self.labels):
             raise ValueError("label count must match the number of columns")
-        if self.values.shape[0] < 1:
+        if values.shape[0] < 1:
             raise ValueError("need at least one replication")
+        counts = None
+        if self.counts is not None:
+            counts = np.asarray(self.counts, dtype=float)
+            if counts.shape != values.shape[:1]:
+                raise ValueError(f"need one count per row: {values.shape[0]} rows, "
+                                 f"{counts.size} counts")
+            if not np.all(np.isfinite(counts) & (counts >= 1) & (counts == np.round(counts))):
+                raise ValueError("counts must be positive integers")
+        for name, kept in zip(("values", "counts"), distinct_rows(values, counts)):
+            kept.flags.writeable = False
+            object.__setattr__(self, name, kept)
 
     @property
     def replications(self):
-        return self.values.shape[0]
+        return int(self.counts.sum())
 
     @property
     def size(self):
         return self.values.shape[1]
 
-    @cached_property
-    def atoms(self):
-        """(rows, counts): the distinct rows of ``values`` and their counts (:func:`distinct_rows`),
-        read-only."""
-        atoms = distinct_rows(self.values)
-        for kept in atoms:
-            kept.flags.writeable = False
-        return atoms
-
     def sup_abs(self):
-        """Per-replication sup over the index of |field| (read-only, computed once)."""
+        """Sup over the index of |field|, one per row (read-only, computed once)."""
         return self._sup_abs
 
     @cached_property
@@ -159,7 +163,7 @@ def column_moments(field, p_grid):
     low = p > DEFAULT_KAPPA * math.log(field.replications)
     return [
         MomentTable(p, values, field.replications, low_confidence=low)
-        for values in _atom_moments(*field.atoms, p)
+        for values in _atom_moments(field.values, field.counts, p)
     ]
 
 
@@ -169,7 +173,7 @@ def natural_envelope(field, p_grid):
     This is the smallest envelope on the grid under which every column has
     norm at most 1, with equality at the argmax column at some node.
     """
-    values = _atom_moments(*field.atoms, p_grid).max(axis=0)
+    values = _atom_moments(field.values, field.counts, p_grid).max(axis=0)
     if not np.all(values > 0):
         raise ValueError(
             "field is identically zero at some moment order; no natural envelope"
@@ -182,13 +186,12 @@ def envelope_distance(field, env, *, p_grid):
     read over the field's distinct rows weighted by their counts."""
     p = np.asarray(p_grid, dtype=float)
     log_psi = env.log_value(p)
-    rows, counts = field.atoms
-    cols = np.ascontiguousarray(rows.T)
+    cols = np.ascontiguousarray(field.values.T)
     m = field.size
     dist = np.zeros((m, m))
     for i in range(m - 1):
         diff = cols[i] - cols[i + 1:]
-        row = envelope_norm_rows(_power_means(np.abs(diff, out=diff), counts, p), log_psi)
+        row = envelope_norm_rows(_power_means(np.abs(diff, out=diff), field.counts, p), log_psi)
         dist[i, i + 1:] = dist[i + 1:, i] = row
     return dist
 
@@ -231,11 +234,16 @@ class TailCurve:
             raise ValueError("tail curves must be nonincreasing in the level")
 
 
-def empirical_tail(samples, u_grid):
-    """Larger one-sided empirical exceedance max(P(X > u), P(-X > u))."""
-    x = np.sort(np.asarray(samples, dtype=float).ravel())
+def empirical_tail(samples, u_grid, counts=None):
+    """Larger one-sided empirical exceedance max(P(X > u), P(-X > u)) of a 1-d sample,
+    each value taken ``counts`` times (once by default)."""
+    x = np.asarray(samples, dtype=float).ravel()
+    c = np.ones(x.size) if counts is None else np.asarray(counts, dtype=float)
+    order = np.argsort(x, kind="stable")
+    x, below_at = x[order], np.concatenate(([0.0], np.cumsum(c[order])))  # count x[:k]
+    total = below_at[-1]
     u = np.asarray(u_grid, dtype=float)
-    above = x.size - np.searchsorted(x, u, side="right")  # count x > u
-    below = np.searchsorted(x, -u, side="left")  # count x < -u
-    probs = np.maximum(above, below) / x.size
-    return TailCurve(u, probs, "empirical", sample_count=x.size)
+    above = total - below_at[np.searchsorted(x, u, side="right")]  # count x > u
+    below = below_at[np.searchsorted(x, -u, side="left")]  # count x < -u
+    probs = np.maximum(above, below) / total
+    return TailCurve(u, probs, "empirical", sample_count=int(total))

@@ -18,8 +18,10 @@ averaging switches to incomplete averaging over randomly sampled index
 tuples and notes the switch.  Exact averaging reads each sample sorted
 ascending, so a field row is a function of the sample's multiset: under an
 alphabet law, replications of one type give bit-identical rows (Hoeffding
-1948).  It averages each distinct sorted sample once and copies the row to
-every replication holding that sample.  Incomplete averaging reads the
+1948).  ``u_statistic_panel`` averages each distinct sorted sample once and
+copies the row to every replication holding that sample; the field
+``simulate_panel`` returns holds the distinct rows of the centred panel
+with their counts (``FieldSamples``).  Incomplete averaging reads the
 sample as drawn.  Decompositions into canonical (completely degenerate)
 projection terms are available under samplers with a finite weighted
 alphabet, and give exact means, variances, and ranks; built-in factor
@@ -661,7 +663,8 @@ def simulate_panel(
     subsets=None,
     convention="multiply",
 ):
-    """Replicated draws of the normalized deviation field.
+    """Replicated draws of the normalized deviation field, as a ``FieldSamples``: the
+    distinct rows of the panel and their counts.
 
     Under a finite alphabet, the rank and means not supplied come from the
     exact decomposition, which is returned with the field.  Without an
@@ -695,13 +698,16 @@ def simulate_panel(
     if exact:
         X.sort(axis=1)  # in place, so that exact averaging, which reads sorted rows, copies none
     U, kind, count, notes = u_statistic_panel(kernel, X, subsets, seed=seed)
+    del X  # freed before the field is folded to its distinct rows
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite cells are counted below
         if mean_source == "grand_mc":
             # a column with one value throughout is centred at that value, not at its
             # rounded average, so that it deviates by exactly 0
             mean_per_t = np.where((U == U[0]).all(axis=0), U[0], U.mean(axis=0))
         means = np.broadcast_to(np.asarray(mean_per_t, dtype=float), (len(kernel.t_grid),))
-        dev = deviation_scale(n, rank, convention) * (U - means[None, :])
+        dev = U  # centred and scaled in place
+        dev -= means
+        dev *= deviation_scale(n, rank, convention)
     bad = np.count_nonzero(~np.isfinite(dev))
     if bad:
         raise ValueError(f"{bad} of {dev.size} field cells are not finite: the kernel "
@@ -723,4 +729,4 @@ def simulate_panel(
         "mean_source": mean_source,
         "notes": list(notes),
     }
-    return FieldSamples(kernel.t_grid, dev, meta, decomps)
+    return FieldSamples(kernel.t_grid, dev, meta=meta, decomposition=decomps)

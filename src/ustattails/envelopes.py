@@ -50,15 +50,17 @@ def check_p_grid(p_grid):
 
 
 def check_p_max(p_max):
-    """Raises ValueError unless the largest moment order exceeds 2, where every range starts."""
+    """The largest moment order, after checking it exceeds 2, where every range starts."""
     if not p_max > 2.0:
         raise ValueError("p_max must exceed 2")
+    return p_max
 
 
 def check_points(points):
-    """Raises ValueError unless an optimisation grid of ``points`` points has both ends."""
+    """The size of an optimisation grid, after checking it has both ends."""
     if not points >= 2:
         raise ValueError("points must be at least 2")
+    return points
 
 
 def _golden_min(f, lo, hi):

@@ -165,7 +165,7 @@ def test_criterion_07_normalized_moment_growth(rademacher_panels):
     panels = {}
     for n in (16, 64, 256):
         dev = float(n) * rademacher_panels["U_prod"][n]
-        panels[n] = ut.FieldSamples(("t0",), dev, {"n": n})
+        panels[n] = ut.FieldSamples(("t0",), dev, meta={"n": n})
     env = ut.constant_envelope(1.0, 10.0)
     p_grid = np.geomspace(2.0, 10.0, 9)
     res = ut.moment_growth_check(panels, env, 2, p_grid, factor=2.0)

@@ -10,6 +10,8 @@ from ustattails import (
     closed_form_tail,
     compare_curves,
     constant_envelope,
+    empirical_moments,
+    empirical_tail,
     log_power_exponent,
     make_kernel,
     moment_growth_check,
@@ -26,7 +28,7 @@ def make_field(values, labels=None):
     values = np.asarray(values, dtype=float)
     if labels is None:
         labels = tuple(f"t{j}" for j in range(values.shape[1]))
-    return FieldSamples(labels, values, {})
+    return FieldSamples(labels, values)
 
 
 class TestClosedFormTail:
@@ -228,6 +230,23 @@ class TestUniformTailReport:
         assert any("column moments" in note for note in rep.notes)
         assert rep.index_size == fld.size
         assert rep.replications == fld.replications
+
+    def test_empirical_curves_count_replications(self):
+        # the field folds to its distinct rows; the sup moments, the sup tail and the column
+        # tail the lower curve is calibrated on still count every replication
+        fld = self.small_field()
+        p_grid = np.geomspace(2, 8, 6)
+        sup = np.repeat(fld.sup_abs(), fld.counts.astype(int))
+        col = np.repeat(fld.values[:, 0], fld.counts.astype(int))
+        assert len(fld.values) < sup.size == 800
+        u_grid = np.unique(np.quantile(sup, np.linspace(0.3, 0.98, 10)))
+        rep = uniform_tail_report(fld, p_grid, 2, u_grid, lower={"beta": 1.0})
+        emp = rep.curves["empirical"]
+        assert emp.sample_count == rep.sup_moments.sample_count == 800
+        assert emp.probs.tolist() == [max(np.sum(sup > u), np.sum(sup < -u)) / 800 for u in u_grid]
+        assert rep.sup_moments.values.tolist() == empirical_moments(sup, p_grid).values.tolist()
+        coef = calibrate_log_power(empirical_tail(col, u_grid), beta=1.0, exponent="one_plus_beta")
+        assert rep.curves["lower"].meta["coef"] == coef
 
     def test_lower_curve_attached(self):
         fld = self.small_field()

@@ -45,7 +45,7 @@ from ustattails.cli import (
     write_table,
 )
 from ustattails.config import Config, ConfigError, parse_grid, resolve_grid
-from ustattails.empirics import FieldSamples
+from ustattails.empirics import FieldSamples, distinct_rows
 
 SMOKE = """\
 run.seed = 11
@@ -125,6 +125,12 @@ def damage_field(lines, how):
         lines[2] = lines[2].split(",", 1)[0]
     elif how == "extra_label":
         lines[0] += ",9.9"
+    elif how in ("zero_count", "fractional_count", "counts_off_reps"):
+        count, rest = lines[1].split(",", 1)
+        count = {"zero_count": "0", "fractional_count": "1.5"}.get(how, str(int(count) + 1))
+        lines[1] = f"{count},{rest}"
+    elif how == "rep_header":
+        lines[0] = "rep," + lines[0].split(",", 1)[1]
     else:
         del lines[1:]
     return lines
@@ -133,6 +139,17 @@ def damage_field(lines, how):
 def overrides(setting):
     """``--set`` arguments for each space-separated ``key=value`` of ``setting``."""
     return [arg for item in setting.split() for arg in ("--set", item)]
+
+
+def edit_distances(edit):
+    """Line edit of distance.csv: ``edit`` applied to each distance cell of a data line."""
+    def apply(line):
+        if line.startswith("label,"):
+            return line
+        label, *cells = line.split(",")
+        return ",".join([label] + [edit(cell) for cell in cells])
+
+    return apply
 
 
 def replace_line(prefix, new):
@@ -318,16 +335,17 @@ class TestPipeline:
         out.mkdir()
         assert cli.stage_run(cfg, str(out)) == 0
         distance = (out / DISTANCE).read_bytes()
-        before = read_field(str(out), "test").values
+        before = read_field(str(out), "test")
         lines = (out / FIELD).read_text().splitlines()
-        rows = [line.split(",", 1)[1] for line in lines[1:]]
-        assert rows.count(rows[0]) > 1  # one of several equal rows is edited
         cells = lines[1].split(",")
+        assert int(cells[0]) > 1  # the edited row stands for several replications
         lines[1] = ",".join(cells[:1] + ["5.0"] + cells[2:])
         (out / FIELD).write_text("\n".join(lines) + "\n")
-        after = read_field(str(out), "test").values
-        assert after[0, 0] == 5.0 and np.array_equal(after[0, 1:], before[0, 1:])
-        assert np.array_equal(after[1:], before[1:])
+        after = read_field(str(out), "test")
+        assert after.values[0, 0] == 5.0
+        assert np.array_equal(after.values[0, 1:], before.values[0, 1:])
+        assert np.array_equal(after.values[1:], before.values[1:])
+        assert np.array_equal(after.counts, before.counts)
         assert cli.stage_entropy(cfg, str(out)) in (0, 2)
         assert (out / DISTANCE).read_bytes() != distance
         assert cli.stage_run(cfg, str(out)) == 0
@@ -445,7 +463,8 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "how",
         ["non_numeric_cell", "short_last_row", "header_only", "extra_cell", "nan_cell",
-         "label_only_row", "extra_label"],
+         "label_only_row", "extra_label", "zero_count", "fractional_count", "rep_header",
+         "counts_off_reps"],
     )
     def test_corrupt_field_exits_1_naming_it(self, smoke_cfg, smoke_run, tmp_path, capsys, how):
         out = copy_artifacts(smoke_run[1], tmp_path / how)
@@ -468,10 +487,15 @@ class TestPipeline:
             (PSI_USED, replace_line("psi = ", "psi = tabulated lift=0 p=2.0")),
             (PSI_USED, replace_line("p_grid = ", "p_grid = 2.0,1.5")),
             (ENTROPY, lambda line: line.rsplit(",", 1)[0]),
+            (DISTANCE, edit_distances(lambda cell: "inf" if cell != "0.0" else cell)),
+            (DISTANCE, edit_distances(lambda cell: "nan" if cell == "0.0" else cell)),
+            (PSI_USED, replace_line("p_max = ", "p_max = 1.5")),
+            (PSI_USED, replace_line("points = ", "points = 1")),
         ],
         ids=[
             "no_integral", "fractional_points", "bad_certified", "bad_degree", "envelope_no_v",
-            "decreasing_p_grid", "no_integrand_column",
+            "decreasing_p_grid", "no_integrand_column", "infinite_distances", "nan_diagonal",
+            "p_max_below_2", "one_point",
         ],
     )
     def test_corrupt_geometry_record_exits_1_naming_it(
@@ -858,15 +882,17 @@ FIELD_CELLS = st.sampled_from([
     | hnp.arrays(float, st.tuples(st.integers(1, 3), st.integers(1, 3)), elements=st.floats())
 )
 def test_field_codec_matches_table_writer(values):
-    # write_field spells the bytes write_table spells, and returns what a cold read_field
-    # gets back: the bits of the values, their labels' text and the digest of the bytes;
-    # read_field refuses a field with a NaN or infinite cell
+    # write_field spells the bytes write_table spells for the distinct rows led by their
+    # counts, and returns what a cold read_field gets back: the bits of those rows, their
+    # counts, their labels' text and the digest of the bytes; read_field refuses a field
+    # with a NaN or infinite cell
     fld = FieldSamples([0.25 * (j + 1) for j in range(values.shape[1])], values)
+    rows, counts = distinct_rows(values)
     with tempfile.TemporaryDirectory() as out:
         written = write_field(out, fld)
         reference = os.path.join(out, "reference.csv")
-        write_table(reference, ("rep",) + fld.labels,
-                    ([i] + row for i, row in enumerate(values.tolist())))
+        write_table(reference, ("count",) + fld.labels,
+                    ([int(c)] + row for c, row in zip(counts.tolist(), rows.tolist())))
         with open(os.path.join(out, FIELD), "rb") as fh, open(reference, "rb") as ref:
             assert fh.read() == ref.read()
         if not np.isfinite(values).all():
@@ -877,10 +903,11 @@ def test_field_codec_matches_table_writer(values):
             back = read_field(out, "test")
     assert back.labels == written.labels == tuple(map(repr, fld.labels))
     assert back.meta == written.meta
-    finite = ~np.isnan(values)
+    finite = ~np.isnan(rows)
     for got in (back, written):
-        assert np.array_equal(got.values[finite].view(np.uint64), values[finite].view(np.uint64))
+        assert np.array_equal(got.values[finite].view(np.uint64), rows[finite].view(np.uint64))
         assert np.array_equal(np.isnan(got.values), ~finite)
+        assert np.array_equal(got.counts, counts)
 
 
 TABLE_ROWS = ["0.5,-1.0", "0.5,-1.0", "2.0,-0.0", "0.5,-1.0", "2.0,0.0", "0.5,-1.0"]
@@ -892,28 +919,16 @@ TABLE_EDITS = {
     "label_only_row": lambda line: [line.split(",", 1)[0]],
     "extra_cell": lambda line: [line + ",9.9"],
     "one_of_equal_rows_edited": lambda line: [line.replace("-1.0", "-3.0")],
-    "repeats_after_first_block": lambda line: [line] * 3,
-    "comment_after_first_block": lambda line: [line.replace(",", "#,", 1)],
-    "blank_line_after_first_block": lambda line: ["", line],
     "signed_zero_rows": lambda line: [line.replace("-1.0", "-0.0"),
                                       line.replace("-1.0", "0.0")] * 2,
-}
-# lines in the first block, where read_table looks for repeats, for the edits that need it to
-# end before the edited line; by default it holds the whole table
-BLOCK_LINES = {
-    "repeats_after_first_block": 1,
-    "comment_after_first_block": 3,
-    "blank_line_after_first_block": 3,
 }
 
 
 @pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
 @pytest.mark.parametrize("edit", sorted(TABLE_EDITS))
-def test_table_parser_matches_loadtxt(tmp_path, monkeypatch, edit, labelled):
+def test_table_parser_matches_loadtxt(tmp_path, edit, labelled):
     # a table reads as np.loadtxt reads the whole file: blank and # lines skipped wherever
     # they stand, any other bad line refused with its message and the file's row numbers
-    if edit in BLOCK_LINES:
-        monkeypatch.setattr(cli, "FIELD_BLOCK_CELLS", 2 * BLOCK_LINES[edit])  # two columns
     header = ["rep", "a", "b"] if labelled else ["a", "b"]
     rows = [f"{i},{row}" if labelled else row for i, row in enumerate(TABLE_ROWS)]
     lines = ["# samples = 6", ",".join(header)] + rows[:3] + TABLE_EDITS[edit](rows[3]) + rows[4:]
@@ -935,60 +950,71 @@ def test_table_parser_matches_loadtxt(tmp_path, monkeypatch, edit, labelled):
 
 
 def test_field_parses_each_distinct_line_once(smoke_run, tmp_path, monkeypatch):
-    # a cold read of the smoke field hands np.loadtxt one list of at most run.n + 1 lines,
-    # one per Rademacher type; a field with no repeated line goes to np.loadtxt whole, once
+    # field.csv holds one line per distinct row, so a cold read of the smoke field hands
+    # np.loadtxt at most run.n + 1 data lines, one per Rademacher type; a field with no
+    # repeated row has a line per replication, each parsed once
     calls = []
     loadtxt = np.loadtxt
 
-    def counted(lines, *args, **kwargs):
-        calls.append(len(lines) if isinstance(lines, list) else "whole file")
+    def counted(fh, *args, **kwargs):
+        lines = list(fh)
+        calls.append(len(lines))
         return loadtxt(lines, *args, **kwargs)
 
     monkeypatch.setattr(cli.np, "loadtxt", counted)
     n = int(key_values(smoke_run[1] / FIELD_META)["n"])
-    read_field(str(smoke_run[1]), "test")
-    assert len(calls) == 1 and calls[0] != "whole file" and calls[0] <= n + 1, calls
+    fld = read_field(str(smoke_run[1]), "test")
+    assert calls == [len(fld.values)] and calls[0] <= n + 1, calls
     values = np.random.default_rng(3).standard_normal((500, 4))
     write_field(str(tmp_path), FieldSamples((1.0, 2.0, 3.0, 4.0), values))
     calls.clear()
     back = read_field(str(tmp_path), "test")
-    assert calls == ["whole file"]
+    assert calls == [500]
     assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
 
 
 @pytest.mark.parametrize(
     "values",
-    [
-        np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [-0.0, 1.0]]),
-        np.array([[0.5, -1.0, 2.0], [1.0 / 3.0, 0.0, -2.0]])[[0, 0, 0, 1, 1, 0, 1, 0, 0]],
-    ],
-    ids=["signed_zero_rows", "repeats_across_blocks"],
+    [np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [-0.0, 1.0]])],
+    ids=["signed_zero_rows"],
 )
-def test_field_codec_spells_each_distinct_row(tmp_path, monkeypatch, values):
-    # a row is spelled once per block and copied to its repeats; rows that differ only by
-    # the sign of a zero are distinct
-    monkeypatch.setattr(cli, "FIELD_BLOCK_CELLS", 7)
-    labels = tuple(float(j) for j in range(values.shape[1]))
-    write_field(str(tmp_path), FieldSamples(labels, values))
-    reference = tmp_path / "reference.csv"
-    write_table(reference, ("rep",) + labels, ([i] + row for i, row in enumerate(values.tolist())))
-    assert (tmp_path / FIELD).read_bytes() == reference.read_bytes()
-    back = read_field(str(tmp_path), "test").values
-    assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
-
-
-def test_field_codec_writes_in_blocks(tmp_path, monkeypatch):
-    # more rows than one block holds; the digest write_field returns covers all blocks
-    monkeypatch.setattr(cli, "FIELD_BLOCK_CELLS", 7)
-    values = np.arange(60.0).reshape(20, 3) / 7
-    written = write_field(str(tmp_path), FieldSamples((1.0, 2.0, 3.0), values))
-    reference = tmp_path / "reference.csv"
-    rows = ([i] + row for i, row in enumerate(values.tolist()))
-    write_table(reference, ("rep", 1.0, 2.0, 3.0), rows)
-    assert (tmp_path / FIELD).read_bytes() == reference.read_bytes()
+def test_field_codec_spells_each_distinct_row(tmp_path, values):
+    # each distinct row is spelled once, led by its count, in first-occurrence order; rows
+    # that differ only by the sign of a zero are distinct
+    written = write_field(str(tmp_path), FieldSamples((0.0, 1.0), values))
+    assert (tmp_path / FIELD).read_text() == (
+        "count,0.0,1.0\n2,0.0,1.0\n2,-0.0,1.0\n1,1.0,-0.0\n1,1.0,0.0\n"
+    )
     back = read_field(str(tmp_path), "test")
-    assert np.array_equal(written.values.view(np.uint64), back.values.view(np.uint64))
-    assert written.labels == back.labels and written.meta == back.meta
+    for got in (written, back):
+        assert got.values.tobytes() == values[[0, 1, 3, 4]].tobytes()
+        assert got.counts.tolist() == [2.0, 2.0, 1.0, 1.0] and got.replications == 6
+
+
+def test_expanded_field_reads_as_its_law(smoke_cfg, smoke_run, tmp_path):
+    # field.csv spelled with one count-1 line per replication, the rows interleaved, is the
+    # same law: a cold entropy and bounds write the bytes the folded file gave, but for
+    # field.csv and the field_sha256 line that hashes it
+    out = copy_artifacts(smoke_run[1], tmp_path / "expanded")
+    header, *lines = (out / FIELD).read_text().splitlines()
+    left = [[int(count), rest] for count, rest in (line.split(",", 1) for line in lines)]
+    expanded = []
+    while any(count for count, _ in left):
+        for row in left:
+            if row[0]:
+                row[0] -= 1
+                expanded.append(f"1,{row[1]}")
+    assert len(expanded) == int(key_values(out / FIELD_META)["reps"])
+    (out / FIELD).write_text("\n".join([header] + expanded) + "\n")
+    for stage in ("entropy", "bounds"):
+        assert main([stage, smoke_cfg, "--out", str(out)]) == smoke_run[0]
+    got, want = read_artifacts(out), read_artifacts(smoke_run[1])
+    for data in (got, want):
+        del data[FIELD]
+        data[ENTROPY_SUMMARY] = re.sub(rb"field_sha256 = .*\n", b"", data[ENTROPY_SUMMARY])
+    assert got == want
+    assert key_values(out / ENTROPY_SUMMARY)["field_sha256"] == hashlib.sha256(
+        (out / FIELD).read_bytes()).hexdigest()
 
 
 @functools.cache

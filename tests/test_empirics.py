@@ -19,6 +19,7 @@ from ustattails import (
     natural_envelope,
     power_log_envelope,
 )
+from ustattails.config import resolve_grid
 from ustattails.empirics import _atom_moments, _power_means, distinct_rows
 from ustattails.envelopes import MomentTable, make_envelope
 from ustattails.engine import _stream
@@ -191,20 +192,88 @@ class TestFieldSamples:
         fld = FieldSamples(("a", "b"), np.array([[1.0, -3.0], [0.5, 2.0]]))
         assert np.allclose(fld.sup_abs(), [3.0, 2.0])
 
+    def test_counts_validation(self):
+        with pytest.raises(ValueError, match="one count per row"):
+            FieldSamples(("a",), np.zeros((3, 1)), [1.0, 2.0])
+        for bad in (0.0, -1.0, 1.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive integers"):
+                FieldSamples(("a",), np.zeros((2, 1)), [1.0, bad])
+
     def test_values_cannot_change_under_the_kept_atoms(self):
-        # atoms and the sup sample are computed once, so the field is frozen and its values
-        # read-only; the array handed in stays the caller's, writable
+        # the field is folded to its distinct rows and counts once, and the sup sample is
+        # computed once, so the field is frozen and its arrays read-only; the array handed
+        # in stays the caller's, writable
         given = np.array([[1.0, -3.0], [1.0, -3.0], [0.5, 2.0]])
         fld = FieldSamples(("a", "b"), given)
-        rows, counts = fld.atoms
-        assert np.array_equal(rows, [[1.0, -3.0], [0.5, 2.0]]) and list(counts) == [2.0, 1.0]
+        assert np.array_equal(fld.values, [[1.0, -3.0], [0.5, 2.0]])
+        assert fld.counts.tolist() == [2.0, 1.0] and fld.replications == 3
         assert fld.sup_abs() is fld.sup_abs()
         with pytest.raises(dataclasses.FrozenInstanceError):
             fld.values = np.zeros((3, 2))
-        for kept in (fld.values, fld.sup_abs(), *fld.atoms):
+        for kept in (fld.values, fld.counts, fld.sup_abs()):
             with pytest.raises(ValueError, match="read-only"):
                 kept[0] = 7.0
         assert given.flags.writeable
+
+
+class TestFoldInvariance:
+    # five atoms: the first two share their supremum (2.0), the third and fourth differ
+    # only by the sign of a zero
+    ATOMS = np.array([
+        [0.5, -1.0, 2.0],
+        [-2.0, 0.5, 1.0],
+        [0.0, 1.0, -0.25],
+        [-0.0, 1.0, -0.25],
+        [1.5, 0.0, -1.0],
+    ])
+    REPS = np.array([5, 3, 4, 2, 6])
+
+    def fields(self):
+        """The replication matrix X, and the field built from X, from its distinct rows with
+        counts, and from two halves of X each folded apart (rows repeated across halves)."""
+        X = _stream(19, 0).permutation(np.repeat(self.ATOMS, self.REPS, axis=0))
+        labels = ("a", "b", "c")
+        halves = [distinct_rows(half) for half in (X[:9], X[9:])]
+        rows, counts = distinct_rows(X)
+        return X, [
+            FieldSamples(labels, X),
+            FieldSamples(labels, rows, counts),
+            FieldSamples(labels, np.concatenate([r for r, _ in halves]),
+                         np.concatenate([c for _, c in halves])),
+        ]
+
+    def test_folds_agree_bit_for_bit(self):
+        X, fields = self.fields()
+        p = np.geomspace(2.0, 12.0, 6)
+        u = np.array([0.25, 0.5, 1.0, 1.5, 2.0, 2.5])
+        first = fields[0]
+        assert first.values.shape[0] == 5 and first.replications == X.shape[0]
+        env = natural_envelope(first, p)
+        sup = np.max(np.abs(X), axis=1)  # one supremum per replication
+
+        def bits(x):
+            return np.asarray(x, dtype=float).tobytes()
+
+        seen = list(dict.fromkeys(row.tobytes() for row in X))  # first-occurrence order
+        for fld in fields:
+            assert [row.tobytes() for row in fld.values] == seen
+            assert fld.counts.tolist() == [sum(r.tobytes() == k for r in X) for k in seen]
+            assert [bits(t.values) for t in column_moments(fld, p)] == [
+                bits(t.values) for t in column_moments(first, p)]
+            assert bits(envelope_distance(fld, env, p_grid=p)) == bits(
+                envelope_distance(first, env, p_grid=p))
+            sup_table = empirical_moments(fld.sup_abs(), p, fld.counts)
+            assert bits(sup_table.values) == bits(empirical_moments(sup, p).values)
+            assert sup_table.sample_count == X.shape[0]
+            levels = resolve_grid(("quantile", (0.5, 0.97, 12)),
+                                  np.repeat(fld.sup_abs(), fld.counts.astype(int)))
+            assert bits(levels) == bits(np.unique(np.quantile(sup, np.linspace(0.5, 0.97, 12))))
+            for got, x in [(empirical_tail(fld.sup_abs(), u, fld.counts), sup)] + [
+                (empirical_tail(fld.values[:, j], u, fld.counts), X[:, j]) for j in range(3)
+            ]:
+                # counted directly: the larger one-sided exceedance over all replications
+                want = [max(np.sum(x > v), np.sum(x < -v)) / x.size for v in u]
+                assert bits(got.probs) == bits(want) and got.sample_count == x.size
 
 
 class TestNaturalEnvelope:

@@ -29,11 +29,18 @@ from ustattails import (
 from ustattails import engine
 from ustattails.cli import build_kernel, build_sampler
 from ustattails.config import Config, ConfigError
+from ustattails.empirics import distinct_rows
 from ustattails.engine import _LANE_SALTS, _philox_raw, _sample_tuples, _stream
 
 
 def sampler_from(text):
     return build_sampler(Config.from_text(text, path="cfg"))
+
+
+def replicated(fld, j):
+    """Column j of the field with each distinct row repeated by its count: one value per
+    replication, grouped by row."""
+    return np.repeat(fld.values[:, j], fld.counts.astype(int))
 
 
 class TestStreams:
@@ -330,7 +337,8 @@ class TestOrderInvariance:
         U = u_statistic_panel(k, X)[0]
         assert not np.all(X[:, 1:] >= X[:, :-1])  # the caller's panel is not reordered
         means = np.array([dec.mean for dec in fld.decomposition])
-        assert np.array_equal(fld.values, deviation_scale(12, fld.meta["rank"]) * (U - means))
+        rows, counts = distinct_rows(deviation_scale(12, fld.meta["rank"]) * (U - means))
+        assert np.array_equal(fld.values, rows) and np.array_equal(fld.counts, counts)
 
     def test_incomplete_reads_the_drawn_order(self):
         # the index tuples address drawn positions, so the values are those of a gather
@@ -596,14 +604,15 @@ class TestSimulatePanel:
         fld = simulate_panel(k, rademacher_sampler(), 10, 2000, seed=2)
         assert fld.meta["mean_source"] == "exact"
         # mean of (x-.5)(y-.5) is .25, removed before scaling, so the field is centred
-        se = fld.values[:, 0].std() / math.sqrt(2000)
-        assert abs(fld.values[:, 0].mean()) < 4.0 * se
+        col = replicated(fld, 0)
+        assert col.size == 2000
+        assert abs(col.mean()) < 4.0 * col.std() / math.sqrt(2000)
 
     def test_normalized_variance_matches_formula(self):
         k = make_kernel("product")
         fld = simulate_panel(k, rademacher_sampler(), 16, 20000, seed=9)
         want = 2.0 * 16.0 / 15.0
-        assert fld.values[:, 0].var() == pytest.approx(want, rel=0.05)
+        assert replicated(fld, 0).var() == pytest.approx(want, rel=0.05)
 
     def test_field_rank_partition(self):
         k = make_kernel("gprod", 2, g="identity", t_grid=[1.0, 2.0])
@@ -619,8 +628,9 @@ class TestSimulatePanel:
         fld = simulate_panel(make_kernel("product"), alphabet_sampler([0, 1]), 16, 2000, seed=1)
         assert fld.meta["rank"] == 1
         assert fld.decomposition[0].mean == pytest.approx(0.25)
-        se = fld.values[:, 0].std() / math.sqrt(2000)
-        assert abs(fld.values[:, 0].mean()) < 4.0 * se
+        col = replicated(fld, 0)
+        assert col.size == 2000
+        assert abs(col.mean()) < 4.0 * col.std() / math.sqrt(2000)
 
     def test_factor_mean_matches_enumeration(self):
         values, weights = np.array([-1.0, 0.5, 2.0]), np.array([0.2, 0.3, 0.5])
