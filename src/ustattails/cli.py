@@ -590,7 +590,7 @@ def stage_bounds(cfg, out_dir, fld=None):
     u_spec, lower, plot = _bounds_settings(cfg, len(fld.labels))
     geo = read_geometry(out_dir, "bounds", fld.meta["field_sha256"])
     try:
-        u_grid = resolve_grid(u_spec, np.repeat(fld.sup_abs(), fld.counts.astype(int)))
+        u_grid = resolve_grid(u_spec, fld.sup_abs(), fld.counts)
     except ValueError as exc:  # quantiles of a supremum with too few atoms
         cfg.fail("grids.u", f"grids.u: {exc}")
     report = calibrate_tails(fld, geo, u_grid, lower=lower)

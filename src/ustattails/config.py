@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .empirics import law_quantiles
+
 
 class ConfigError(Exception):
     pass
@@ -173,15 +175,17 @@ def parse_grid(spec):
     return "array", np.array(parse_floats(spec))
 
 
-def resolve_grid(grid, data=None):
-    """The values of a :func:`parse_grid` result, a quantile grid placed on the given data."""
+def resolve_grid(grid, data=None, counts=None):
+    """The values of a :func:`parse_grid` result, a quantile grid placed on the given data,
+    each value taken ``counts`` times (once by default); levels that coincide count once."""
     kind, payload = grid
     if kind == "array":
         return payload
     if data is None:
         raise ValueError("quantile grid used where no calibration data exists")
     qlo, qhi, k = payload
-    grid = np.unique(np.quantile(np.asarray(data, dtype=float), np.linspace(qlo, qhi, k)))
+    levels = np.sort(law_quantiles(data, np.linspace(qlo, qhi, k), counts))
+    grid = levels[np.append(True, levels[1:] != levels[:-1])]
     if grid.size < 2:
         raise ValueError("quantile grid collapsed to fewer than 2 distinct levels")
     return grid

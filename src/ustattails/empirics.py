@@ -27,29 +27,17 @@ from .envelopes import MomentTable, envelope_norm_rows, tabulated_envelope
 DEFAULT_KAPPA = 4.0
 
 
-def unique_rows(X):
-    """(first, inverse): indices of the bitwise-distinct rows of the 2-d float array X.
+def distinct_rows(X, counts=None):
+    """The distinct rows of the 2-d array X, in first-occurrence order, and their counts.
 
-    ``X[first]`` holds each distinct row once, in the order of its bytes, and
-    ``X[first][inverse]`` is X.  Rows that differ only by ``0.0`` against
-    ``-0.0`` are distinct.
+    Rows are compared bit for bit (``0.0`` and ``-0.0`` differ).  ``counts``,
+    one per row of X (unit counts by default), are summed where rows merge.
+    Returns (rows, counts) with counts as floats; a matrix with no repeated
+    row comes back in its own order with its own counts.
     """
     X = np.ascontiguousarray(X, dtype=float)
     keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
-
-
-def distinct_rows(X, counts=None):
-    """The distinct rows of the 2-d array X, in first-occurrence order, and their counts.
-
-    Rows are compared bit for bit (:func:`unique_rows`).  ``counts``, one per
-    row of X (unit counts by default), are summed where rows merge.  Returns
-    (rows, counts) with counts as floats; a matrix with no repeated row comes
-    back in its own order with its own counts.
-    """
-    X = np.asarray(X, dtype=float)
-    first, inverse = unique_rows(X)
     counts = np.bincount(inverse, weights=counts, minlength=first.size).astype(float)
     order = np.argsort(first)
     return X[first[order]], counts[order]
@@ -232,6 +220,22 @@ class TailCurve:
             raise ValueError("probabilities must lie in [0, 1]")
         if np.any(np.diff(self.probs) > 1e-12):
             raise ValueError("tail curves must be nonincreasing in the level")
+
+
+def law_quantiles(samples, q, counts=None):
+    """Quantiles at the levels q of a 1-d sample, each value taken ``counts`` times (once by
+    default): ``np.quantile(np.repeat(samples, counts), q)`` by numpy's default 'linear'
+    method, read off the sorted values and their cumulative counts."""
+    x = np.asarray(samples, dtype=float).ravel()
+    c = np.ones(x.size) if counts is None else np.asarray(counts, dtype=float)
+    order = np.argsort(x, kind="stable")
+    x, ends = x[order], np.cumsum(c[order])  # x[j] fills the sorted positions below ends[j]
+    last = ends[-1] - 1
+    at = last * np.asarray(q, dtype=float)  # the virtual position (N - 1) q
+    below = np.floor(at)
+    lo, hi = (x[ends.searchsorted(np.minimum(k, last), "right")] for k in (below, below + 1))
+    t = at - below
+    return np.where(t >= 0.5, hi - (hi - lo) * (1 - t), lo + (hi - lo) * t)  # numpy's _lerp
 
 
 def empirical_tail(samples, u_grid, counts=None):

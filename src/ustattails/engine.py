@@ -3,29 +3,23 @@
 Replication i of every experiment draws from its own counter-based stream
 keyed by (seed, i), so results do not depend on chunk sizes or evaluation
 order and any single replication can be reproduced in isolation.  Data draws
-and subset draws for incomplete averaging use separately salted keys so the
-two never share a stream.  Samplers that map uniforms to values (finite
-alphabets and the uniform law) draw the whole panel as one vectorized
-Philox4x64-10 block that reproduces those per-replication streams bit for
-bit; the others draw through one generator per replication.
+and subset draws for incomplete averaging use separately salted keys.
+Samplers that map raw words to values (finite alphabets and the uniform law)
+draw the panel from vectorized Philox4x64-10 passes over cache-sized chunks
+of replications, bit for bit those streams; the others draw through one
+generator per replication.
 
-Built-in kernels average exactly in closed form: a product of one factor
-per argument through the elementary symmetric polynomial of the factor
-values, a sum through the factor mean, and ``half_sq_diff`` as the unbiased
-sample variance, whatever the number of index subsets.  Other kernels
-enumerate all index subsets of size d; above the tuple budget exact
-averaging switches to incomplete averaging over randomly sampled index
-tuples and notes the switch.  Exact averaging reads each sample sorted
-ascending, so a field row is a function of the sample's multiset: under an
-alphabet law, replications of one type give bit-identical rows (Hoeffding
-1948).  ``u_statistic_panel`` averages each distinct sorted sample once and
-copies the row to every replication holding that sample; the field
-``simulate_panel`` returns holds the distinct rows of the centred panel
-with their counts (``FieldSamples``).  Incomplete averaging reads the
-sample as drawn.  Decompositions into canonical (completely degenerate)
-projection terms are available under samplers with a finite weighted
-alphabet, and give exact means, variances, and ranks; built-in factor
-kernels decompose in closed form at any degree.
+Built-in kernels average exactly in closed form whatever the number of
+index subsets; other kernels enumerate all index subsets of size d, and
+above the tuple budget switch to incomplete averaging with a note.  Exact
+averaging reads each sample sorted ascending, so a field row is a function
+of the sample's multiset: under an alphabet law, replications of one type
+give bit-identical rows (Hoeffding 1948), and ``simulate_panel`` averages
+each distinct sorted sample once.  Incomplete averaging reads the sample as
+drawn.  Decompositions into canonical (completely degenerate) projection
+terms are available under samplers with a finite weighted alphabet, and
+give exact means, variances, and ranks; built-in factor kernels decompose
+in closed form at any degree.
 """
 
 import math
@@ -37,7 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .empirics import FieldSamples, unique_rows
+from .empirics import FieldSamples, distinct_rows
 
 EXACT_TUPLE_BUDGET = 2_000_000
 RANK_TOL = 1e-10
@@ -61,38 +55,61 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
+_SH11 = np.uint64(11)  # Generator.random() makes the double (word >> 11) 2^-53 of a word
 
 
-def _mulhilo(m, x):
-    """Low and high words of the 128-bit product of the constant m and each word of x."""
+# 64-bit words per pass over a chunk of replications: its ten arrays (1.25 MiB) stay in L2
+_PHILOX_CHUNK_WORDS = 1 << 14
+
+
+def _mulhilo(m, x, lo, hi, a, b):
+    """Writes to lo and hi the low and high words of m times each word of x (a, b: scratch)."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _SH32
-    ll, lh, hl = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
-    carry = ((ll >> _SH32) + (lh & _LO32) + (hl & _LO32)) >> _SH32
-    return x * np.uint64(m), x_hi * m_hi + (lh >> _SH32) + (hl >> _SH32) + carry
+    np.bitwise_and(x, _LO32, out=a)
+    np.right_shift(np.multiply(a, m_lo, out=b), _SH32, out=b)
+    np.right_shift(x, _SH32, out=hi)
+    b += np.multiply(hi, m_lo, out=lo)  # t = x_hi m_lo + (x_lo m_lo >> 32), below 2^64
+    a *= m_hi
+    a += np.bitwise_and(b, _LO32, out=lo)
+    a >>= _SH32  # carry of x_lo m_hi + (t mod 2^32)
+    b >>= _SH32
+    hi *= m_hi
+    hi += b
+    hi += a
+    np.multiply(x, np.uint64(m), out=lo)
 
 
 def _philox_raw(seed, reps, words, lane="data"):
     """(reps, words) uint64: the first ``words`` outputs of ``_stream(seed, i, lane)``
-    for every replication i, computed as one block.
+    for every replication i, computed in chunks of replications.
 
     numpy's Philox keys replication i by ((seed ^ salt) mod 2^64, i) and
     encrypts the counters 1, 2, ... in turn, each giving four words.
     """
     blocks = -(-words // 4)
-    zero = np.zeros((reps, blocks), dtype=np.uint64)
-    c0 = zero + np.arange(1, blocks + 1, dtype=np.uint64)
-    c1 = c2 = c3 = zero
+    out = np.empty((reps, blocks, 4), dtype=np.uint64)
     k0 = (int(seed) ^ _LANE_SALTS[lane]) & _U64
-    k1 = np.arange(reps, dtype=np.uint64)[:, None]
-    for r in range(10):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & _U64
-            k1 = k1 + np.uint64(_PHILOX_W[1])
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=2).reshape(reps, 4 * blocks)[:, :words]
+    # round 0 takes counter (b, 0, 0, 0), key (k0, i) to (k0, 0, hi(M0 b) ^ i, lo(M0 b))
+    lo_first, hi_first = (np.array([(_PHILOX_M[0] * b >> s) & _U64 for b in range(1, blocks + 1)],
+                                   dtype=np.uint64) for s in (0, 64))
+    chunk = max(1, _PHILOX_CHUNK_WORDS // max(1, blocks))
+    pool = [np.empty((min(chunk, reps), blocks), dtype=np.uint64) for _ in range(10)]
+    for start in range(0, reps, chunk):
+        c0, c1, c2, c3, lo0, hi0, lo1, hi1, a, b = (buf[: reps - start] for buf in pool)
+        k1 = np.arange(start, start + c0.shape[0], dtype=np.uint64)[:, None]
+        c0[...], c1[...], c3[...] = k0, 0, lo_first
+        np.bitwise_xor(hi_first, k1, out=c2)
+        for r in range(1, 10):
+            k1 += np.uint64(_PHILOX_W[1])
+            _mulhilo(_PHILOX_M[0], c0, lo0, hi0, a, b)
+            _mulhilo(_PHILOX_M[1], c2, lo1, hi1, a, b)
+            hi1 ^= c1
+            hi1 ^= np.uint64((k0 + r * _PHILOX_W[0]) & _U64)
+            hi0 ^= c3
+            hi0 ^= k1
+            c0, c1, c2, c3, lo0, hi0, lo1, hi1 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
+        out[start : start + c0.shape[0]] = np.stack((c0, c1, c2, c3), axis=2)
+    return out.reshape(reps, 4 * blocks)[:, :words]
 
 
 # -- samplers ----------------------------------------------------------
@@ -104,22 +121,24 @@ class Sampler:
 
     ``alphabet`` is (values, weights) when the distribution is finitely
     supported; that is what makes exact decompositions available.
-    ``from_uniforms``, when set, maps an array of the generator's ``random()``
-    doubles to the values ``draw`` would return from the same stream, which
-    lets ``draw_data`` draw a whole panel without a generator per replication.
+    ``from_words``, when set, maps an array of the generator's raw 64-bit
+    words (which it may overwrite) to the values ``draw`` would return from
+    the same stream, so ``draw_data`` draws a panel without a generator per
+    replication.
     """
 
     name: str
     draw: callable
     alphabet: tuple | None = None
-    from_uniforms: Callable | None = None
+    from_words: Callable | None = None
 
 
 def alphabet_sampler(values, weights=None, *, name="alphabet"):
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("alphabet needs a 1-d array of values")
-    if np.unique(v).size != v.size:
+    s = np.sort(v)
+    if np.any(s[1:] == s[:-1]):
         raise ValueError("alphabet values must be distinct")
     if weights is None:
         w = np.full(v.size, 1.0 / v.size)
@@ -129,12 +148,18 @@ def alphabet_sampler(values, weights=None, *, name="alphabet"):
             raise ValueError("weights must be nonnegative and match the values")
         w = w / w.sum()
     cdf = w.cumsum()
-    cdf /= cdf[-1]  # as Generator.choice normalizes p
+    cdf /= cdf[-1]  # as Generator.choice normalizes p, then searches it from the right
+    # a word's double u = (word >> 11) 2^-53 is at least c exactly when
+    # word >> 11 >= ceil(c 2^53), since c 2^53 is exact
+    cuts = np.ceil(cdf * 2.0**53).astype(np.uint64)
 
     def draw(rng, size):
         return rng.choice(v, size=size, p=w)
 
-    return Sampler(name, draw, (v, w), lambda u: v[cdf.searchsorted(u, "right")])
+    def from_words(raw):
+        return v.take(cuts.searchsorted(np.right_shift(raw, _SH11, out=raw), "right"))
+
+    return Sampler(name, draw, (v, w), from_words)
 
 
 def check_alphabet_law(values, weights=None):
@@ -159,7 +184,7 @@ def uniform_sampler(lo=0.0, hi=1.0):
     def draw(rng, size):
         return rng.uniform(lo, hi, size)
 
-    return Sampler("uniform", draw, from_uniforms=lambda u: lo + (hi - lo) * u)
+    return Sampler("uniform", draw, from_words=lambda w: lo + (hi - lo) * ((w >> _SH11) * 2.0**-53))
 
 
 def pareto_sampler(a):
@@ -243,10 +268,10 @@ def check_table_law(values, sampler):
     if sampler.alphabet is None:
         raise ValueError(f"a table kernel is defined on its values alone, and sampler "
                          f"{sampler.name!r} draws from a continuum")
-    off = np.setdiff1d(sampler.alphabet[0], values)
-    if off.size:
+    off = sorted(set(sampler.alphabet[0].tolist()) - set(values))
+    if off:
         raise ValueError(f"a table kernel is defined on its values alone, and sampler "
-                         f"{sampler.name!r} also takes {', '.join(map(repr, off.tolist()))}")
+                         f"{sampler.name!r} also takes {', '.join(map(repr, off))}")
 
 
 def _alternating_order(n):
@@ -587,9 +612,8 @@ def deviation_scale(n, rank, convention="multiply"):
 
 def draw_data(sampler, n, reps, seed):
     """(reps, n) matrix; row i comes from the stream keyed by (seed, i)."""
-    if sampler.from_uniforms is not None:
-        # the doubles Generator.random() makes of the same words
-        return sampler.from_uniforms((_philox_raw(seed, reps, n) >> np.uint64(11)) * 2.0**-53)
+    if sampler.from_words is not None:
+        return sampler.from_words(_philox_raw(seed, reps, n))
     X = np.empty((reps, n))
     for i in range(reps):
         X[i] = sampler.draw(_stream(seed, i, "data"), n)
@@ -625,11 +649,7 @@ def u_statistic_panel(kernel, X, subsets=None, *, seed=0):
     it has one, and by gathering every index subset otherwise.  Exact
     averaging reads each sample sorted ascending, so its row of the result is
     a function of the sample's multiset: permuting a sample leaves the row
-    bit for bit unchanged.  Each bitwise-distinct sorted sample is averaged
-    once and its row copied to every replication holding it, so an alphabet
-    law costs one evaluation per type, not per replication; a panel whose
-    sample minima are all distinct (a continuous law) has no repeated sample
-    and is averaged as it stands.  An integer
+    bit for bit unchanged, and equal samples give equal rows.  An integer
     averages that many index tuples per replication, drawn afresh from the
     tuple lane keyed by (seed, replication index); the tuples address the
     drawn positions, so X is read as drawn.
@@ -639,11 +659,7 @@ def u_statistic_panel(kernel, X, subsets=None, *, seed=0):
     d = kernel.degree
     kind, count, notes = _resolve_mode(kernel, n, subsets)
     if kind == "exact":
-        X = _ascending_rows(X)
-        if np.unique(X[:, 0]).size == reps:  # distinct minima: no row repeats
-            return _exact_rows(kernel, X), kind, count, notes
-        first, inverse = unique_rows(X)
-        return _exact_rows(kernel, X[first])[inverse], kind, count, notes
+        return _exact_rows(kernel, _ascending_rows(X)), kind, count, notes
     out = np.empty((reps, len(kernel.t_grid)))
     for i in range(reps):
         idx = _sample_tuples(_stream(seed, i, "tuples"), n, d, count)
@@ -671,9 +687,10 @@ def simulate_panel(
     alphabet the rank must be supplied, and missing means fall back to the
     grand Monte Carlo mean across the panel (flagged in the metadata, since
     that recentering removes part of the deviation).  ``subsets`` picks the
-    averaging as in ``u_statistic_panel``.  A rank that is not an integer of
-    at least 1 raises ValueError; so does a field with a NaN or infinite
-    cell, counting them, and a field that is identically zero.
+    averaging as in ``u_statistic_panel``, which exact averaging under an
+    alphabet law hands each distinct sorted sample of the draw once.  A rank
+    not an integer of at least 1 raises ValueError; so does a field with a
+    NaN or infinite cell, counting them, and a field that is identically zero.
     """
     decomps = None
     if sampler.alphabet is not None and (rank is None or mean_per_t is None):
@@ -695,8 +712,11 @@ def simulate_panel(
             mean_source = "grand_mc"
     exact = _resolve_mode(kernel, n, subsets)[0] == "exact"
     X = draw_data(sampler, n, reps, seed)
+    counts = np.ones(reps)
     if exact:
         X.sort(axis=1)  # in place, so that exact averaging, which reads sorted rows, copies none
+        if sampler.alphabet is not None:  # its means are exact or given, not the panel's average
+            X, counts = distinct_rows(X)
     U, kind, count, notes = u_statistic_panel(kernel, X, subsets, seed=seed)
     del X  # freed before the field is folded to its distinct rows
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite cells are counted below
@@ -708,9 +728,9 @@ def simulate_panel(
         dev = U  # centred and scaled in place
         dev -= means
         dev *= deviation_scale(n, rank, convention)
-    bad = np.count_nonzero(~np.isfinite(dev))
+    bad = int(counts @ np.count_nonzero(~np.isfinite(dev), axis=1))  # over the replications
     if bad:
-        raise ValueError(f"{bad} of {dev.size} field cells are not finite: the kernel "
+        raise ValueError(f"{bad} of {reps * dev.shape[1]} field cells are not finite: the kernel "
                          "overflows or is undefined on this sampler's draws")
     if not dev.any():
         raise ValueError("the field is identically zero: every replication's statistic equals "
@@ -729,4 +749,4 @@ def simulate_panel(
         "mean_source": mean_source,
         "notes": list(notes),
     }
-    return FieldSamples(kernel.t_grid, dev, meta=meta, decomposition=decomps)
+    return FieldSamples(kernel.t_grid, dev, counts, meta=meta, decomposition=decomps)

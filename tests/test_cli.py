@@ -835,6 +835,49 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_pipeline_does_not_load_numpy_ma(tmp_path):
+    # numpy 2.4 imports numpy.ma lazily from a plain np.unique, np.setdiff1d or np.quantile
+    # call (through np.ma.is_masked), which costs every run and every bounds 10-15 ms
+    src = os.path.dirname(os.path.dirname(ustattails.__file__))
+    cfg = tmp_path / "smoke.cfg"
+    cfg.write_text(SMOKE)
+    table = "--set kernel.name=table --set kernel.values=-1,1 --set kernel.table=0.5,1,-0.5,2"
+    code = (
+        "import sys\n"
+        "from ustattails.cli import main\n"
+        "cfg, out = sys.argv[1], sys.argv[2]\n"
+        f"for extra, sub in (([], 'smoke'), ({table.split()!r}, 'table')):\n"
+        "    for stage in ('run', 'bounds', 'verify'):\n"
+        "        print(main([stage, cfg, '--out', out + '/' + sub] + extra))\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    *codes, loaded = out.stdout.splitlines()
+    assert codes == ["0", "0", "0", "2", "2", "0"]  # the table kernel's bound is not certified
+    assert loaded == "[]", (
+        "run, bounds or verify imported numpy.ma; numpy 2.4 loads it lazily from np.unique, "
+        "np.setdiff1d and np.quantile, so a new call of one of them brings the import back")
+
+
+def test_readme_library_example_places_levels_on_the_law(capsys):
+    # the "Library in five lines" block runs, and its levels are the quantiles of the
+    # supremum over the replications, each distinct row repeated by its count
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## Library in five lines\n\n```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    field, levels = names["field"], names["levels"]
+    sup = np.repeat(field.sup_abs(), field.counts.astype(int))
+    assert sup.size == 20000 and field.values.shape[0] < 100
+    want = np.quantile(sup, [0.5, 0.9, 0.99])
+    assert np.array_equal(levels.view(np.uint64), want.view(np.uint64))
+    assert "sup_norm" in capsys.readouterr().out
+
+
 def test_no_package_attribute_shadows_a_submodule():
     # ``import ustattails.<name> as m`` binds the package attribute, so a re-exported
     # function of a submodule's name would replace the module

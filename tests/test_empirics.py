@@ -16,6 +16,7 @@ from ustattails import (
     empirical_tail,
     envelope_distance,
     envelope_norm,
+    law_quantiles,
     natural_envelope,
     power_log_envelope,
 )
@@ -265,8 +266,7 @@ class TestFoldInvariance:
             sup_table = empirical_moments(fld.sup_abs(), p, fld.counts)
             assert bits(sup_table.values) == bits(empirical_moments(sup, p).values)
             assert sup_table.sample_count == X.shape[0]
-            levels = resolve_grid(("quantile", (0.5, 0.97, 12)),
-                                  np.repeat(fld.sup_abs(), fld.counts.astype(int)))
+            levels = resolve_grid(("quantile", (0.5, 0.97, 12)), fld.sup_abs(), fld.counts)
             assert bits(levels) == bits(np.unique(np.quantile(sup, np.linspace(0.5, 0.97, 12))))
             for got, x in [(empirical_tail(fld.sup_abs(), u, fld.counts), sup)] + [
                 (empirical_tail(fld.values[:, j], u, fld.counts), X[:, j]) for j in range(3)
@@ -341,6 +341,33 @@ class TestEnvelopeDistance:
                 diff = values[:, i] - values[:, j]
                 own = envelope_norm(empirical_moments(diff, p), env)
                 assert d[i, j] == pytest.approx(own, rel=1e-15, abs=0.0), (i, j)
+
+
+class TestLawQuantiles:
+    def test_numpy_quantiles_of_the_repeated_sample_bit_for_bit(self):
+        # 1000 nonnegative laws: continuous, with tied values, spread over magnitudes, and
+        # single atoms; the levels include 0 and 1, interior nodes and random levels
+        rng = np.random.default_rng(61)
+        for trial in range(1000):
+            size = int(rng.integers(1, 30))
+            values = [rng.exponential(size=size),
+                      rng.integers(0, 4, size=size).astype(float),
+                      np.abs(rng.standard_normal(size)) * 10.0 ** rng.integers(-8, 8)][trial % 3]
+            counts = rng.integers(1, 60, size=size).astype(float)
+            k = int(rng.integers(2, 20))
+            q = np.concatenate(([0.0, 1.0], np.linspace(0.0, 1.0, k), rng.uniform(size=k)))
+            want = np.quantile(np.repeat(values, counts.astype(int)), q)
+            got = law_quantiles(values, q, counts)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), trial
+            if np.ptp(values) > 0:  # one value gives one level, which resolve_grid refuses
+                grid = resolve_grid(("quantile", (0.0, 1.0, k)), values, counts)
+                want = np.unique(want[2 : k + 2])
+                assert np.array_equal(grid.view(np.uint64), want.view(np.uint64)), trial
+
+    def test_unit_counts_by_default(self):
+        x = _stream(15, 0).standard_normal(301)
+        q = np.linspace(0.0, 1.0, 17)
+        assert np.array_equal(law_quantiles(x, q), np.quantile(x, q))
 
 
 class TestEmpiricalTail:

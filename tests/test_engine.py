@@ -29,7 +29,7 @@ from ustattails import (
 from ustattails import engine
 from ustattails.cli import build_kernel, build_sampler
 from ustattails.config import Config, ConfigError
-from ustattails.empirics import distinct_rows
+from ustattails.empirics import FieldSamples, distinct_rows
 from ustattails.engine import _LANE_SALTS, _philox_raw, _sample_tuples, _stream
 
 
@@ -69,10 +69,29 @@ class TestStreams:
                 want = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(words)
                 assert np.array_equal(raw[rep], want), (words, rep)
 
+    @pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
+    @pytest.mark.parametrize("lane", sorted(_LANE_SALTS))
+    def test_chunked_philox_matches_numpy_at_chunk_boundaries(self, seed, lane):
+        # the block runs over chunks of replications; the rows on each side of a chunk
+        # boundary, and the last row of a short last chunk, are numpy's words
+        for words in (1, 4, 5, 24):
+            chunk = engine._PHILOX_CHUNK_WORDS // -(-words // 4)
+            for reps in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+                raw = _philox_raw(seed, reps, words, lane)
+                assert raw.shape == (reps, words)
+                edges = {0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, reps - 1}
+                for rep in sorted(edges & set(range(reps))):
+                    key = np.array([(seed ^ _LANE_SALTS[lane]) & engine._U64, rep], dtype=np.uint64)
+                    want = np.random.Philox(key=key).random_raw(words)
+                    assert np.array_equal(raw[rep], want), (words, reps, rep)
+
 
 DRAW_SAMPLERS = {
     "rademacher": rademacher_sampler(),
     "weighted": alphabet_sampler([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5]),
+    "unnormalised": alphabet_sampler([-1.0, 0.5, 2.0], [2.0, 3.0, 5.0]),
+    "zero_weight": alphabet_sampler([-1.0, 0.0, 1.0], [0.5, 0.0, 0.5]),
+    "dyadic": alphabet_sampler([-1.0, 0.0, 1.0], [0.5, 0.25, 0.25]),
     "uniform": uniform_sampler(-2.0, 5.0),
 }
 
@@ -88,8 +107,25 @@ class TestDrawData:
         assert np.array_equal(X.view(np.uint64), want.view(np.uint64))
 
     def test_alphabet_ties_go_right(self):
-        # Generator.choice searches its cdf from the right: u = 0.5 draws +1
-        assert rademacher_sampler().from_uniforms(np.array([0.0, 0.5])).tolist() == [-1.0, 1.0]
+        # Generator.choice searches its cdf from the right: u = 0.5, the word 2^63, draws +1,
+        # and the word below it, u = 0.5 - 2^-53, draws -1
+        words = np.array([0, 2**63 - 1, 2**63], dtype=np.uint64)
+        assert rademacher_sampler().from_words(words).tolist() == [-1.0, -1.0, 1.0]
+
+    @pytest.mark.parametrize("name", ["weighted", "zero_weight", "dyadic"])
+    def test_words_at_a_cut_draw_as_their_doubles(self, name):
+        # words whose double is a cdf value, or a neighbour of one, pick the symbol that
+        # Generator.choice's search of its cdf for that double picks
+        sampler = DRAW_SAMPLERS[name]
+        values, weights = sampler.alphabet
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        # word >> 11 around each cut c 2^53, with the low 11 bits clear and set
+        near = {int(c * 2.0**53) + k for c in cdf for k in (-1, 0, 1)} | {0, 2**53 - 1}
+        words = np.array([(s << 11) | low for s in sorted(near) if 0 <= s < 2**53
+                          for low in (0, 2047)], dtype=np.uint64)
+        want = values[cdf.searchsorted((words >> np.uint64(11)) * 2.0**-53, "right")]
+        assert np.array_equal(sampler.from_words(words.copy()), want)
 
     @pytest.mark.parametrize("name", sorted(DRAW_SAMPLERS))
     def test_builds_no_generator(self, name, monkeypatch):
@@ -388,6 +424,23 @@ class TestDistinctSamples:
         assert kind == "exact"
         assert np.array_equal(got, _one_replication_at_a_time(k, X))
 
+    @pytest.mark.parametrize("law", ["rademacher", "weighted", "uniform"])
+    @pytest.mark.parametrize("subsets", [None, 7])
+    def test_field_is_the_law_of_the_replication_panel(self, law, subsets):
+        # simulate_panel folds an alphabet draw before averaging; its field equals, in
+        # values, counts and row order, the fold of the panel averaged replication by
+        # replication, centred and scaled
+        k = make_kernel("gprod", 2, g="tanh", t_grid=[0.4, 1.3, 2.6])
+        sampler = DRAW_SAMPLERS[law]
+        given = {"rank": 1, "mean_per_t": [0.1, -0.2, 0.3]} if law == "uniform" else {}
+        fld = simulate_panel(k, sampler, 9, 700, 37, subsets=subsets, **given)
+        U = u_statistic_panel(k, draw_data(sampler, 9, 700, 37), subsets, seed=37)[0]
+        means = given.get("mean_per_t") or [dec.mean for dec in fld.decomposition]
+        want = FieldSamples(k.t_grid, deviation_scale(9, fld.meta["rank"]) * (U - means))
+        assert fld.values.shape[0] < 700 or law == "uniform"
+        assert np.array_equal(fld.values.view(np.uint64), want.values.view(np.uint64))
+        assert np.array_equal(fld.counts, want.counts)
+
     def test_narrow_exact_averages_one_sample_per_type(self, monkeypatch):
         # the closed form sees one row per Rademacher type, n + 1 = 25, not 20000 replications
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -581,6 +634,14 @@ class TestSimulatePanel:
         k = engine.Kernel("flat", 1, ("flat", "flat too"), lambda xs, t: fn(xs, "flat"))
         with pytest.raises(ValueError, match="identically zero"):
             simulate_panel(k, law, 3, 27, seed=11, rank=1)
+
+    def test_non_finite_cells_are_counted_over_replications(self):
+        # an alphabet draw is folded to its distinct samples before averaging; the refusal
+        # still counts the cells of every replication
+        law = alphabet_sampler([-1e200, 1e200])
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="^600 of 600 field cells are not finite"):
+                simulate_panel(make_kernel("product"), law, 8, 600, seed=5, rank=1)
 
     def test_grand_mc_mean_flagged(self):
         fld = simulate_panel(
