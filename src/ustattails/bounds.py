@@ -29,13 +29,7 @@ from .empirics import (
     envelope_distance,
 )
 from .entropy import EntropyIntegral, FiniteMetricSpace, entropy_integral
-from .envelopes import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_P_MAX,
-    envelope_norm,
-    rosenthal_lift,
-    tail_bound,
-)
+from .envelopes import DEFAULT_GRID_POINTS, DEFAULT_P_MAX, envelope_norm, rosenthal_lift, tail_curve
 
 def check_beta(beta):
     """Raises ValueError unless the lower-shape parameter beta is positive."""
@@ -62,16 +56,16 @@ def closed_form_tail(family, u, *, coef, m=None, r=0.0, degree=1, beta=None,
     """Reference tail shapes for the two closed-form envelope families.
 
     power_log: exp(-coef * u^l * (ln u)^(-l*(r-degree))) with
-    l = m / (1 + degree*m), void (value 1) for u <= e.
+    l = power_log_rate(m, degree), void (value 1) for u <= e.
     log_power: exp(-coef * ln(1+u)^E), void for u <= 0.
     """
     if coef <= 0:
         raise ValueError("coef must be positive")
     u = np.asarray(u, dtype=float)
     if family == "power_log":
-        if m is None or m <= 0:
+        if m is None:
             raise ValueError("power_log shape needs m > 0")
-        l = m / (1.0 + degree * m)
+        l = power_log_rate(m, degree)
         g = r - degree
         out = np.ones_like(u)
         live = u > math.e
@@ -286,15 +280,8 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
     sup_stat, counts = field_samples.sup_abs(), field_samples.counts
     sup_table = empirical_moments(sup_stat, geometry.p_grid, counts)
     sup_norm = envelope_norm(sup_table, tau)
-    upper = TailCurve(
-        u_grid,
-        np.array([
-            tail_bound(tau, sup_norm, y, p_max=geometry.p_max, points=geometry.points)
-            for y in u_grid
-        ]),
-        "upper_bound",
-        meta={"norm": sup_norm},
-    )
+    upper_probs = tail_curve(tau, sup_norm, u_grid, p_max=geometry.p_max, points=geometry.points)
+    upper = TailCurve(u_grid, upper_probs, "upper_bound", meta={"norm": sup_norm})
     empirical = empirical_tail(sup_stat, u_grid, counts)
     curves = {"empirical": empirical, "upper": upper}
     if lower is not None:

@@ -82,7 +82,7 @@ KEYS = (
     "kernel.name", "kernel.degree", "kernel.shift", "kernel.g", "kernel.t_grid", "kernel.values",
     "kernel.table", "grids.p", "grids.u", "grids.eps", "psi.family", "psi.m", "psi.r", "psi.coef",
     "psi.expo", "psi.value", "psi.p_sup", "psi.p_max", "psi.points", "entropy.estimator",
-    "entropy.plateau_fraction", "bound.degree", "bound.convention", "bound.lower_beta",
+    "entropy.plateau_fraction", "bound.degree", "bound.lower_beta",
     "bound.lower_exponent", "bound.lower_column", "bound.sigma", "output.dir", "output.plot",
 )
 DEFAULT_P_GRID = "log:2:16:8"
@@ -500,7 +500,6 @@ def stage_simulate(cfg, out_dir):
         seed,
         rank=rank,
         subsets=build_mode(cfg),
-        convention=cfg.get_str("bound.convention", "multiply", choices=("multiply", "divide")),
     )
     written = write_field(out_dir, fld)
     if fld.decomposition is not None:

@@ -530,7 +530,8 @@ def hoeffding_decompose(kernel, sampler, t=None):
     ``DECOMP_MAX_DEGREE``.  Projection moments at most ``RANK_TOL`` times
     the largest count as zero.  A degenerate (almost surely constant)
     component carries ``rank = degree``, so the rank of a field is the
-    smallest rank of its components.
+    smallest rank of its components.  A mean or projection moment that is not
+    finite raises ValueError.
     """
     if sampler.alphabet is None:
         raise ValueError(f"sampler {sampler.name!r} has no finite alphabet")
@@ -539,7 +540,11 @@ def hoeffding_decompose(kernel, sampler, t=None):
             raise ValueError("pick an index label t for a multi-point kernel")
         t = kernel.t_grid[0]
     decompose = kernel.alphabet_decomposition or partial(_tensor_decomposition, kernel)
-    mean, zetas, terms = decompose(*sampler.alphabet, t)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        mean, zetas, terms = decompose(*sampler.alphabet, t)
+    if not (math.isfinite(mean) and np.isfinite(zetas).all()):
+        raise ValueError(f"the decomposition at t = {t} is not finite (mean {mean!r}, zetas "
+                         f"{zetas.tolist()!r}): the kernel overflows on this alphabet")
     scale = float(zetas.max(initial=0.0))
     if scale <= 0.0:
         return Decomposition(t, mean, np.zeros(kernel.degree), kernel.degree, True, terms)
@@ -601,13 +606,9 @@ def check_rank(rank):
         raise ValueError(f"rank must be an integer of at least 1, got {rank!r}")
 
 
-def deviation_scale(n, rank, convention="multiply"):
-    """Scale applied to U_n minus its mean to form the deviation field."""
-    if convention == "multiply":
-        return float(n) ** (rank / 2.0)
-    if convention == "divide":
-        return float(n) ** (-rank / 2.0)
-    raise ValueError(f"unknown normalization convention {convention!r}")
+def deviation_scale(n, rank):
+    """Scale n^(rank/2) applied to U_n minus its mean to form the deviation field."""
+    return float(n) ** (rank / 2.0)
 
 
 def draw_data(sampler, n, reps, seed):
@@ -677,7 +678,6 @@ def simulate_panel(
     rank=None,
     mean_per_t=None,
     subsets=None,
-    convention="multiply",
 ):
     """Replicated draws of the normalized deviation field, as a ``FieldSamples``: the
     distinct rows of the panel and their counts.
@@ -727,7 +727,7 @@ def simulate_panel(
         means = np.broadcast_to(np.asarray(mean_per_t, dtype=float), (len(kernel.t_grid),))
         dev = U  # centred and scaled in place
         dev -= means
-        dev *= deviation_scale(n, rank, convention)
+        dev *= deviation_scale(n, rank)
     bad = int(counts @ np.count_nonzero(~np.isfinite(dev), axis=1))  # over the replications
     if bad:
         raise ValueError(f"{bad} of {reps * dev.shape[1]} field cells are not finite: the kernel "
@@ -740,7 +740,6 @@ def simulate_panel(
         "reps": reps,
         "seed": seed,
         "rank": rank,
-        "convention": convention,
         "kernel": kernel.name,
         "degree": kernel.degree,
         "sampler": sampler.name,

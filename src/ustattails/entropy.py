@@ -215,12 +215,8 @@ def entropy_integral(
     eps = check_eps_grid(eps_grid)
     counts = _covering_counts(space, eps, estimator)
     entropies = np.log(counts)
-    cache = {}
-    integrand = np.empty_like(eps)
-    for i, h in enumerate(entropies):
-        if h not in cache:
-            cache[h] = math.exp(log_maximum_bound(env, h, p_max=p_max, points=points))
-        integrand[i] = cache[h]
+    log_bounds = log_maximum_bound(env, entropies, p_max=p_max, points=points)
+    integrand = np.array([math.exp(v) for v in log_bounds])  # libm's exp, as for one value
     value = float(np.trapezoid(integrand, eps))
     saturated = (counts >= space.size) & (space.size > 1)
     if value > 0 and saturated.any():

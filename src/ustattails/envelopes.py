@@ -10,21 +10,22 @@ four primitives on envelopes:
                          relative to an envelope;
 * ``fenchel_exponent``   the Young-Fenchel transform sup_p (u*p - p*ln psi(p)),
                          which converts an envelope into a tail exponent;
-* ``tail_bound``         exp(-fenchel_exponent(ln(y/norm))), valid for
-                         y > e * norm, together with the void bound 1 below
-                         that threshold;
+* ``tail_curve``         exp(-fenchel_exponent(ln(y/norm))) at each level
+                         y > e * norm, and the void bound 1 at the others;
 * ``log_maximum_bound``  inf_p (x/p + ln psi(p)), the log of the best moment
                          bound inf_p N^{1/p} psi(p) for a maximum of N
                          unit-norm variables evaluated at x = ln N.
 
-Suprema and infima over p are taken on a log-spaced grid (default 257 points
-on [2, min(b, p_max)]) followed by one golden-section refinement of the
-bracketing cell.  Tabulated envelopes are optimised over their own nodes
-only: they carry no information between nodes, and restricting the search to
-nodes keeps the Markov-inequality dominance of empirically calibrated bounds
-exact.  Truncating an infinite support at p_max only weakens the resulting
-tail bound (the sup is taken over a subset), so it is safe; operations report
-the truncation through ``MomentEnvelope.opt_grid``.  Grid argmax/argmin ties
+The transforms take a scalar (and return a float) or a 1-d array of
+arguments.  Suprema and infima over p are taken for all arguments at once on
+a log-spaced grid (default 257 points on [2, min(b, p_max)]), followed by a
+golden-section refinement of each one's bracketing cell, in lockstep.
+Tabulated envelopes are optimised over their own nodes only: they carry no
+information between nodes, and restricting the search to nodes keeps the
+Markov-inequality dominance of empirically calibrated bounds exact.
+Truncating an infinite support at p_max only weakens the resulting tail bound
+(the sup is taken over a subset), so it is safe; operations report the
+truncation through ``MomentEnvelope.opt_grid``.  Grid argmax/argmin ties
 resolve to the smallest index.
 """
 
@@ -61,28 +62,6 @@ def check_points(points):
     if not points >= 2:
         raise ValueError("points must be at least 2")
     return points
-
-
-def _golden_min(f, lo, hi):
-    """Golden-section minimisation of a scalar function on [lo, hi], in at most 90 steps."""
-    a, b = float(lo), float(hi)
-    if not b > a:
-        return a, f(a)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(90):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        if b - a <= 1e-15 * max(1.0, abs(b)):
-            break
-    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 @dataclass
@@ -296,41 +275,65 @@ def rosenthal_lift(env, degree):
 # -- transforms --------------------------------------------------------
 
 
-def _minimise_over_p(env, f, p_max, points):
-    """min over p of f(p, ln psi(p)): the grid minimum (ties to the smallest
-    index), then a golden-section pass over the cell bracketing it."""
+def _minimise_over_p(env, f, args, p_max, points):
+    """min over p of f(a, p, ln psi(p)) for each a of ``args``, as a 1-d array.
+
+    One (args x grid) pass takes each grid minimum (ties to the smallest
+    index).  Unless the envelope is tabulated, a golden-section search then
+    refines each over the cell bracketing it, all in lockstep: each member
+    takes the steps a search of its own would take, at most 90, and leaves
+    when its bracket closes.
+    """
+    args = np.asarray(args, dtype=float).reshape(-1)
     grid, _trunc, refine = env.opt_grid(p_max, points)
-    obj = f(grid, env.log_value(grid))
-    k = int(np.argmin(obj))
-    best = float(obj[k])
-    if refine and grid.size >= 2:
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, grid.size - 1)]
-        _, fx = _golden_min(lambda p: f(p, float(env.log_value(p))), lo, hi)
-        best = min(best, fx)
+    obj = f(args[:, None], grid, env.log_value(grid))
+    k = np.argmin(obj, axis=1)
+    best = obj[np.arange(args.size), k]
+    if not refine:
+        return best
+    a = grid[np.maximum(k - 1, 0)]
+    b = grid[np.minimum(k + 1, grid.size - 1)]
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = f(args, x1, env.log_value(x1)), f(args, x2, env.log_value(x2))
+    live = np.arange(args.size)
+    for step in range(90):
+        if not live.size:
+            break
+        left = f1 <= f2  # the minimum lies in [a, x2]: x2 moves to x1, a new x1 is probed
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = f(args[live], x, env.log_value(x))
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
+        done = (b - a <= 1e-15 * np.maximum(1.0, np.abs(b))) | (step == 89)
+        fd = np.where(f1[done] <= f2[done], f1[done], f2[done])
+        best[live[done]] = np.where(fd < best[live[done]], fd, best[live[done]])
+        live, a, b, x1, x2, f1, f2 = (v[~done] for v in (live, a, b, x1, x2, f1, f2))
     return best
 
 
 def fenchel_exponent(env, u, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
-    """sup over p of (u*p - p*ln psi(p)).
+    """sup over p of (u*p - p*ln psi(p)), for a scalar u or each u of a 1-d array.
 
     Convex and nondecreasing in u (a supremum of linear functions with
-    positive slopes).  The value may be negative for small u; ``tail_bound``
+    positive slopes).  The value may be negative for small u; ``tail_curve``
     clamps it at zero where it is used as an exponent.
     """
-    return -_minimise_over_p(env, lambda p, log_psi: -p * (u - log_psi), p_max, points)
+    out = -_minimise_over_p(env, lambda u, p, log_psi: -p * (u - log_psi), u, p_max, points)
+    return float(out[0]) if np.ndim(u) == 0 else out
 
 
 def log_maximum_bound(env, x, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
-    """inf over p of (x/p + ln psi(p)) for x >= 0.
+    """inf over p of (x/p + ln psi(p)), for a scalar x >= 0 or each x of a 1-d array.
 
     exp of the result bounds the envelope norm of a maximum of exp(x)
     unit-norm variables; it is concave and nondecreasing in x (an infimum of
     affine functions with positive slopes).
     """
-    if x < 0:
+    if np.any(np.asarray(x) < 0):
         raise ValueError("x must be nonnegative")
-    return _minimise_over_p(env, lambda p, log_psi: x / p + log_psi, p_max, points)
+    out = _minimise_over_p(env, lambda x, p, log_psi: x / p + log_psi, x, p_max, points)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def envelope_norm(moments, env):
@@ -349,18 +352,27 @@ def envelope_norm_rows(values, log_psi):
         return np.exp(np.max(np.log(values) - log_psi, axis=-1))
 
 
-def tail_bound(env, norm, y, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
-    """Two-sided tail bound at level y for a variable of envelope norm ``norm``.
+def tail_curve(env, norm, levels, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
+    """Two-sided tail bounds at each level y for a variable of envelope norm ``norm``.
 
-    Returns exp(-max(0, fenchel_exponent(ln(y/norm)))) when y > e * norm and
-    the void bound 1.0 otherwise (including exactly at y = e * norm).
+    exp(-max(0, fenchel_exponent(ln(y/norm)))) where y > e * norm, else the void
+    bound 1.0 (also at y = e * norm).  The log and exp are ``math``'s, as libm's
+    last bit differs from numpy's.
     """
     if norm <= 0:
         raise ValueError("envelope norm must be positive")
-    if y <= math.e * norm:
-        return 1.0
-    expo = fenchel_exponent(env, math.log(y / norm), p_max=p_max, points=points)
-    return math.exp(-max(0.0, expo))
+    levels = np.asarray(levels, dtype=float)
+    out = np.ones(levels.shape)
+    live = levels > math.e * norm
+    u = [math.log(y / norm) for y in levels[live]]
+    expo = fenchel_exponent(env, u, p_max=p_max, points=points)
+    out[live] = [math.exp(-max(0.0, e)) for e in expo]
+    return out
+
+
+def tail_bound(env, norm, y, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
+    """``tail_curve`` at the one level y, as a Python float."""
+    return float(tail_curve(env, norm, [y], p_max=p_max, points=points)[0])
 
 
 # -- moment tables -----------------------------------------------------

@@ -538,6 +538,7 @@ class TestPipeline:
             ("entropy.plateau_fraction=half", "entropy.plateau_fraction"),
             ("output.plot=maybe", "output.plot"),
             ("run.budget=1000", "run.budget"),
+            ("bound.convention=multiply", "bound.convention"),
             ("psi.p_max=1", "psi.p_max"),
             ("psi.points=1", "psi.points"),
             ("entropy.plateau_fraction=5", "entropy.plateau_fraction"),
@@ -586,6 +587,7 @@ class TestPipeline:
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
              "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
+             "convention_not_accepted",
              "p_max_not_above_2", "one_psi_point", "plateau_fraction_above_1",
              "negative_plateau_fraction", "zero_lower_beta", "negative_sigma",
              "negative_m", "nan_m", "nan_r", "inf_coef", "nan_expo", "zero_value",
@@ -664,6 +666,26 @@ class TestPipeline:
             assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: 1500 of 1500 field cells are not finite")
+        assert err.count("\n") == 1
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("stage", ["decompose", "simulate"])
+    def test_overflowing_decomposition_fails_before_any_draw(
+        self, smoke_cfg, tmp_path, capsys, monkeypatch, stage
+    ):
+        # the law's exact mean and projection moments overflow: refused quietly, undrawn
+        def no_draw(*args):
+            raise AssertionError("drew the panel")
+
+        monkeypatch.setattr(engine, "draw_data", no_draw)
+        out = tmp_path / stage
+        setting = "sampler.name=alphabet sampler.values=-1e200,1e200,3 kernel.name=product"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([stage, smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the decomposition at t = ")
+        assert "is not finite (mean inf" in err
         assert err.count("\n") == 1
         assert os.listdir(out) == []
 

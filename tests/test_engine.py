@@ -590,9 +590,6 @@ class TestNormalization:
     def test_scales(self):
         assert deviation_scale(16, 2) == pytest.approx(16.0)
         assert deviation_scale(16, 1) == pytest.approx(4.0)
-        assert deviation_scale(16, 2, "divide") == pytest.approx(1.0 / 16.0)
-        with pytest.raises(ValueError, match="convention"):
-            deviation_scale(16, 2, "other")
 
 
 class TestSimulatePanel:
@@ -637,11 +634,15 @@ class TestSimulatePanel:
 
     def test_non_finite_cells_are_counted_over_replications(self):
         # an alphabet draw is folded to its distinct samples before averaging; the refusal
-        # still counts the cells of every replication
+        # still counts the cells of every replication.  The law's variance overflows, so
+        # its decomposition is refused before any draw unless the (zero) mean is given.
         law = alphabet_sampler([-1e200, 1e200])
+        with pytest.raises(ValueError, match="decomposition at t = t0 is not finite"):
+            simulate_panel(make_kernel("product"), law, 8, 600, seed=5, rank=1)
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError, match="^600 of 600 field cells are not finite"):
-                simulate_panel(make_kernel("product"), law, 8, 600, seed=5, rank=1)
+                simulate_panel(make_kernel("product"), law, 8, 600, seed=5, rank=1,
+                               mean_per_t=[0.0])
 
     def test_grand_mc_mean_flagged(self):
         fld = simulate_panel(

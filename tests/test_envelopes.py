@@ -18,6 +18,7 @@ from ustattails import (
     rosenthal_lift,
     tabulated_envelope,
     tail_bound,
+    tail_curve,
 )
 
 TOL = 1e-9
@@ -264,6 +265,118 @@ class TestTailBound:
         base = rosenthal_lift(power_log_envelope(2.0, 0.0), 1)
         bigger = rosenthal_lift(base, extra)
         assert tail_bound(bigger, 1.0, y) >= tail_bound(base, 1.0, y) - 1e-12
+
+
+# -- reference: one scalar golden-section search per argument --------------
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, lo, hi):
+    """Golden-section minimisation of a scalar function on [lo, hi], in at most 90 steps."""
+    a, b = float(lo), float(hi)
+    if not b > a:
+        return a, f(a)
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(90):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+        if b - a <= 1e-15 * max(1.0, abs(b)):
+            break
+    return (x1, f1) if f1 <= f2 else (x2, f2)
+
+
+def _scalar_minimise_over_p(env, f, p_max, points):
+    """min over p of f(p, ln psi(p)) for one argument: grid minimum, then golden section."""
+    grid, _trunc, refine = env.opt_grid(p_max, points)
+    obj = f(grid, env.log_value(grid))
+    k = int(np.argmin(obj))
+    best = float(obj[k])
+    if refine and grid.size >= 2:
+        lo = grid[max(k - 1, 0)]
+        hi = grid[min(k + 1, grid.size - 1)]
+        _, fx = _golden_min(lambda p: f(p, float(env.log_value(p))), lo, hi)
+        best = min(best, fx)
+    return best
+
+
+def reference_fenchel(env, u, **grid):
+    return -_scalar_minimise_over_p(env, lambda p, log_psi: -p * (u - log_psi), **grid)
+
+
+def reference_log_maximum(env, x, **grid):
+    return _scalar_minimise_over_p(env, lambda p, log_psi: x / p + log_psi, **grid)
+
+
+def reference_tail(env, norm, y, **grid):
+    if y <= math.e * norm:
+        return 1.0
+    return math.exp(-max(0.0, reference_fenchel(env, math.log(y / norm), **grid)))
+
+
+ORACLE_ENVELOPES = {
+    "power_log": power_log_envelope(2.0, 0.5),
+    "exp_power": exp_power_envelope(0.05, 0.8),
+    "constant": constant_envelope(1.5, 12.0),
+    "tabulated": tabulated_envelope([2.0, 3.0, 5.0, 8.0, 13.0], [1.0, 1.2, 1.9, 3.0, 4.4]),
+    "lifted": rosenthal_lift(power_log_envelope(3.0, 0.5), 2),
+}
+
+
+class TestBatchedMinimiserMatchesScalarReference:
+    """The lockstep search gives every argument the bits its own scalar search gives."""
+
+    GRID = {"p_max": 40.0, "points": 129}
+    NORM = 0.37
+
+    def levels(self):
+        # 20 void levels, the boundary e * norm itself, and 180 live ones
+        edge = math.e * self.NORM
+        return np.concatenate([
+            np.linspace(0.01, 0.999, 20) * edge,
+            [edge],
+            edge * np.geomspace(1.0 + 1e-9, 400.0, 180),
+        ])
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_ENVELOPES))
+    def test_fenchel_and_tail_curve(self, name):
+        env, levels = ORACLE_ENVELOPES[name], self.levels()
+        live = levels[levels > math.e * self.NORM]
+        u = np.array([math.log(y / self.NORM) for y in live])
+        want = [reference_fenchel(env, x, **self.GRID) for x in u]
+        assert fenchel_exponent(env, u, **self.GRID).tolist() == want
+        want = [reference_tail(env, self.NORM, y, **self.GRID) for y in levels]
+        got = tail_curve(env, self.NORM, levels, **self.GRID)
+        assert got.tolist() == want
+        assert got[:21].tolist() == [1.0] * 21
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_ENVELOPES))
+    def test_log_maximum_bound(self, name):
+        env = ORACLE_ENVELOPES[name]
+        x = np.log(np.arange(1.0, 61.0))  # entropies ln N of covers with 1 to 60 balls
+        want = [reference_log_maximum(env, v, **self.GRID) for v in x]
+        assert log_maximum_bound(env, x, **self.GRID).tolist() == want
+
+    def test_scalar_calls_return_python_floats(self):
+        env = ORACLE_ENVELOPES["power_log"]
+        assert type(fenchel_exponent(env, 1.0)) is float
+        assert type(log_maximum_bound(env, np.float64(2.0))) is float
+        assert type(tail_bound(env, 1.0, 10.0)) is float
+        assert type(tail_bound(env, 1.0, 0.5)) is float  # void
+        assert isinstance(fenchel_exponent(env, [1.0]), np.ndarray)
+
+    def test_no_live_level(self):
+        env = ORACLE_ENVELOPES["power_log"]
+        assert tail_curve(env, 1.0, [0.5, math.e]).tolist() == [1.0, 1.0]
+        assert tail_curve(env, 1.0, []).shape == (0,)
 
 
 class TestSerialization:
