@@ -30,12 +30,14 @@ DEFAULT_KAPPA = 4.0
 def distinct_rows(X, counts=None):
     """The distinct rows of the 2-d array X, in first-occurrence order, and their counts.
 
-    Rows are compared bit for bit (``0.0`` and ``-0.0`` differ).  ``counts``,
-    one per row of X (unit counts by default), are summed where rows merge.
-    Returns (rows, counts) with counts as floats; a matrix with no repeated
-    row comes back in its own order with its own counts.
+    Rows are compared bit for bit (``0.0`` and ``-0.0`` differ).  Integer rows
+    keep their dtype; any other X is read as floats.  ``counts``, one per row
+    of X (unit counts by default), are summed where rows merge.  Returns
+    (rows, counts) with counts as floats; a matrix with no repeated row comes
+    back in its own order with its own counts.
     """
-    X = np.ascontiguousarray(X, dtype=float)
+    X = np.asarray(X)
+    X = np.ascontiguousarray(X, dtype=X.dtype if X.dtype.kind in "iu" else float)
     keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     counts = np.bincount(inverse, weights=counts, minlength=first.size).astype(float)

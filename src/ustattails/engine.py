@@ -15,11 +15,12 @@ above the tuple budget switch to incomplete averaging with a note.  Exact
 averaging reads each sample sorted ascending, so a field row is a function
 of the sample's multiset: under an alphabet law, replications of one type
 give bit-identical rows (Hoeffding 1948), and ``simulate_panel`` averages
-each distinct sorted sample once.  Incomplete averaging reads the sample as
-drawn.  Decompositions into canonical (completely degenerate) projection
-terms are available under samplers with a finite weighted alphabet, and
-give exact means, variances, and ranks; built-in factor kernels decompose
-in closed form at any degree.
+each distinct sorted sample once, keying each chunk of raw words by type as
+it is made rather than building the panel.  Incomplete averaging reads the
+sample as drawn.  Decompositions into canonical (completely degenerate)
+projection terms are available under samplers with a finite weighted
+alphabet, and give exact means, variances, and ranks; built-in factor
+kernels decompose in closed form at any degree.
 """
 
 import math
@@ -79,15 +80,15 @@ def _mulhilo(m, x, lo, hi, a, b):
     np.multiply(x, np.uint64(m), out=lo)
 
 
-def _philox_raw(seed, reps, words, lane="data"):
-    """(reps, words) uint64: the first ``words`` outputs of ``_stream(seed, i, lane)``
-    for every replication i, computed in chunks of replications.
+def _philox_chunks(seed, reps, words, lane="data"):
+    """Yields (start, block) for each chunk of replications in turn: block is a new
+    (rows, words) uint64 array, row r holding the first ``words`` outputs of
+    ``_stream(seed, start + r, lane)``.
 
     numpy's Philox keys replication i by ((seed ^ salt) mod 2^64, i) and
     encrypts the counters 1, 2, ... in turn, each giving four words.
     """
     blocks = -(-words // 4)
-    out = np.empty((reps, blocks, 4), dtype=np.uint64)
     k0 = (int(seed) ^ _LANE_SALTS[lane]) & _U64
     # round 0 takes counter (b, 0, 0, 0), key (k0, i) to (k0, 0, hi(M0 b) ^ i, lo(M0 b))
     lo_first, hi_first = (np.array([(_PHILOX_M[0] * b >> s) & _U64 for b in range(1, blocks + 1)],
@@ -108,8 +109,16 @@ def _philox_raw(seed, reps, words, lane="data"):
             hi0 ^= c3
             hi0 ^= k1
             c0, c1, c2, c3, lo0, hi0, lo1, hi1 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
-        out[start : start + c0.shape[0]] = np.stack((c0, c1, c2, c3), axis=2)
-    return out.reshape(reps, 4 * blocks)[:, :words]
+        yield start, np.stack((c0, c1, c2, c3), axis=2).reshape(c0.shape[0], 4 * blocks)[:, :words]
+
+
+def _philox_raw(seed, reps, words, lane="data"):
+    """(reps, words) uint64: the first ``words`` outputs of ``_stream(seed, i, lane)``
+    for every replication i, gathered from ``_philox_chunks``."""
+    out = np.empty((reps, words), dtype=np.uint64)
+    for start, block in _philox_chunks(seed, reps, words, lane):
+        out[start : start + block.shape[0]] = block
+    return out
 
 
 # -- samplers ----------------------------------------------------------
@@ -124,13 +133,18 @@ class Sampler:
     ``from_words``, when set, maps an array of the generator's raw 64-bit
     words (which it may overwrite) to the values ``draw`` would return from
     the same stream, so ``draw_data`` draws a panel without a generator per
-    replication.
+    replication.  ``cuts``, set with an alphabet, holds the uint64 cut of
+    each symbol: a word draws symbol k of ``alphabet[0]`` when k cuts are at
+    most ``word >> 11``.  ``from_words`` and the symbol counts of
+    ``simulate_panel`` both read it; an alphabet without cuts is folded by
+    ``simulate_panel`` only after its whole panel is drawn and sorted.
     """
 
     name: str
     draw: callable
     alphabet: tuple | None = None
     from_words: Callable | None = None
+    cuts: np.ndarray | None = None
 
 
 def alphabet_sampler(values, weights=None, *, name="alphabet"):
@@ -159,7 +173,7 @@ def alphabet_sampler(values, weights=None, *, name="alphabet"):
     def from_words(raw):
         return v.take(cuts.searchsorted(np.right_shift(raw, _SH11, out=raw), "right"))
 
-    return Sampler(name, draw, (v, w), from_words)
+    return Sampler(name, draw, (v, w), from_words, cuts)
 
 
 def check_alphabet_law(values, weights=None):
@@ -621,6 +635,39 @@ def draw_data(sampler, n, reps, seed):
     return X
 
 
+def _symbol_counts(high, cuts):
+    """(rows, len(cuts)) count of each symbol in each row of ``high``, words shifted
+    right by 11.  A word draws the symbol whose index is the number of cuts at
+    most it; one ``bincount`` over the row-offset symbol indices counts every row."""
+    rows, a = high.shape[0], cuts.size
+    code = cuts.searchsorted(high, "right")
+    code += np.arange(0, rows * a, a)[:, None]
+    return np.bincount(code.ravel(), minlength=rows * a).reshape(rows, a)
+
+
+def _draw_types(sampler, n, reps, seed):
+    """The distinct rows of ``draw_data(sampler, n, reps, seed)`` sorted along each row, in
+    order of first occurrence, and their counts, for a sampler with ``cuts``.
+
+    A sorted sample of an alphabet law is fixed by its type, the count of each
+    symbol.  Each chunk of Philox words is counted as it is made, into one
+    byte per symbol and replication when n < 256, so the (reps, n) panel is
+    never built; the types are then folded once.
+    """
+    values = sampler.alphabet[0]
+    order = np.argsort(values, kind="stable")
+    key = np.empty((reps, values.size), dtype=np.min_scalar_type(n))
+    for start, block in _philox_chunks(seed, reps, n):
+        counts = _symbol_counts(np.right_shift(block, _SH11, out=block), sampler.cuts)
+        # columns in ascending value order; "clip" writes into the key without the buffered
+        # copy of ``out`` that take makes in its default mode
+        np.take(counts, order, axis=1, out=key[start : start + len(counts)], mode="clip")
+    types, counts = distinct_rows(key)
+    held = np.flatnonzero(types != 0)  # row by row, ascending in value within each row
+    samples = np.repeat(values[order].take(held % values.size), types.ravel()[held])
+    return samples.reshape(len(types), n), counts
+
+
 def _ascending_rows(X):
     """X itself when each of its rows is sorted ascending, else a row-sorted copy."""
     if np.all(X[:, 1:] >= X[:, :-1]):
@@ -688,10 +735,15 @@ def simulate_panel(
     grand Monte Carlo mean across the panel (flagged in the metadata, since
     that recentering removes part of the deviation).  ``subsets`` picks the
     averaging as in ``u_statistic_panel``, which exact averaging under an
-    alphabet law hands each distinct sorted sample of the draw once.  A rank
-    not an integer of at least 1 raises ValueError; so does a field with a
-    NaN or infinite cell, counting them, and a field that is identically zero.
+    alphabet law hands each distinct sorted sample of the draw once.  With the
+    sampler's ``cuts`` the draw is counted by symbol chunk by chunk and never
+    built whole; an alphabet without them is drawn whole, sorted and folded.
+    Fewer than one replication, or a rank not an integer of at least 1,
+    raises ValueError; so does a field with a NaN or infinite cell, counting
+    them, and a field that is identically zero.
     """
+    if not reps >= 1:
+        raise ValueError("need at least one replication")
     decomps = None
     if sampler.alphabet is not None and (rank is None or mean_per_t is None):
         decomps = decompose_field(kernel, sampler)
@@ -711,12 +763,14 @@ def simulate_panel(
         else:
             mean_source = "grand_mc"
     exact = _resolve_mode(kernel, n, subsets)[0] == "exact"
-    X = draw_data(sampler, n, reps, seed)
-    counts = np.ones(reps)
-    if exact:
-        X.sort(axis=1)  # in place, so that exact averaging, which reads sorted rows, copies none
-        if sampler.alphabet is not None:  # its means are exact or given, not the panel's average
-            X, counts = distinct_rows(X)
+    if exact and sampler.cuts is not None:  # its means are exact or given, not the panel's average
+        X, counts = _draw_types(sampler, n, reps, seed)
+    else:
+        X, counts = draw_data(sampler, n, reps, seed), np.ones(reps)
+        if exact:
+            X.sort(axis=1)  # in place: exact averaging reads sorted rows and copies none
+            if sampler.alphabet is not None:  # no cuts to count by: fold the sorted panel
+                X, counts = distinct_rows(X)
     U, kind, count, notes = u_statistic_panel(kernel, X, subsets, seed=seed)
     del X  # freed before the field is folded to its distinct rows
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite cells are counted below

@@ -77,13 +77,21 @@ def _cover_matrix(space, eps):
 
 
 def _greedy_cover(space, eps):
+    """Size of the cover that picks, while points are uncovered, the center whose
+    ball covers the most of them (ties: smallest index)."""
     covers = _cover_matrix(space, eps)
+    gains = covers.sum(axis=1)  # uncovered points in each ball, kept as picks cover them
     uncovered = np.ones(space.size, dtype=bool)
-    count = 0
-    while uncovered.any():
-        gains = covers[:, uncovered].sum(axis=1)
-        center = int(np.argmax(gains))  # ties: smallest index
-        uncovered &= ~covers[center]
+    count, left = 0, space.size
+    while left:
+        center = int(np.argmax(gains))
+        gain = int(gains[center])
+        if gain == 1:  # each uncovered point covers itself and no other: one pick each
+            return count + left
+        newly = covers[center] & uncovered
+        uncovered &= ~newly
+        gains -= covers[:, newly].sum(axis=1)
+        left -= gain
         count += 1
     return count
 

@@ -16,6 +16,7 @@ from ustattails import (
     power_log_envelope,
     space_from_points,
 )
+from ustattails import entropy
 
 
 def unit_grid(points=101):
@@ -90,6 +91,44 @@ class TestCoveringNumbers:
             eps = q * sp.diameter / 2.0
             lo, up, exact = covering_bounds(sp, eps)
             assert lo <= exact <= up
+
+
+def recomputed_greedy_cover(space, eps):
+    """The greedy cover recounting every ball's uncovered points at each pick."""
+    covers = entropy._cover_matrix(space, eps)
+    uncovered = np.ones(space.size, dtype=bool)
+    count = 0
+    while uncovered.any():
+        center = int(np.argmax(covers[:, uncovered].sum(axis=1)))  # ties: smallest index
+        uncovered &= ~covers[center]
+        count += 1
+    return count
+
+
+class TestGreedyCover:
+    # the running gains and the early stop at gain 1 pick what the recount picks
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_clouds(self, seed):
+        rng = np.random.default_rng(seed)
+        for m in (1, 2, 17, int(rng.integers(50, 301))):
+            pts = rng.normal(size=(m, int(rng.integers(1, 4))))
+            sp = space_from_points(pts)
+            for eps in (0.0, *rng.uniform(0.0, 1.2 * sp.diameter, 12)):
+                assert covering_number(sp, eps) == recomputed_greedy_cover(sp, eps), (m, eps)
+
+    def test_zero_off_diagonal_distances(self):
+        # coincident points: balls of radius 0 hold whole clusters
+        rng = np.random.default_rng(3)
+        sp = space_from_points(rng.integers(0, 4, size=(60, 2)).astype(float))
+        assert np.count_nonzero(sp.dist == 0.0) > 60
+        for eps in (0.0, 0.5, 1.0, 1.5, 3.0, 5.0):
+            assert covering_number(sp, eps) == recomputed_greedy_cover(sp, eps), eps
+
+    def test_default_eps_grid(self):
+        for sp in (unit_grid(), space_from_points(np.random.default_rng(5).uniform(size=(289, 2)))):
+            for eps in entropy.default_eps_grid(sp):
+                assert covering_number(sp, eps) == recomputed_greedy_cover(sp, eps), eps
 
 
 class TestEntropyIntegral:
