@@ -376,8 +376,15 @@ def write_curve(path, curve):
 
 
 def read_curve(path, kind):
+    """A tail curve written by ``write_curve``.  The empirical curve's standard errors divide
+    by its ``# samples``, so a count that is missing, not an integer or below 1 raises
+    ConfigError naming the file."""
     u, p = read_columns(path, ("u", "prob"))
-    samples = int(dict(read_pairs(path)).get("# samples", 0))
+    if kind != "empirical":
+        return TailCurve(u, p, kind)
+    samples = read_record(path, {"# samples": int})["# samples"]
+    if samples < 1:
+        raise ConfigError(f"{path}: the empirical curve records {samples} samples, not at least 1")
     return TailCurve(u, p, kind, sample_count=samples)
 
 

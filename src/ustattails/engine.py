@@ -112,15 +112,6 @@ def _philox_chunks(seed, reps, words, lane="data"):
         yield start, np.stack((c0, c1, c2, c3), axis=2).reshape(c0.shape[0], 4 * blocks)[:, :words]
 
 
-def _philox_raw(seed, reps, words, lane="data"):
-    """(reps, words) uint64: the first ``words`` outputs of ``_stream(seed, i, lane)``
-    for every replication i, gathered from ``_philox_chunks``."""
-    out = np.empty((reps, words), dtype=np.uint64)
-    for start, block in _philox_chunks(seed, reps, words, lane):
-        out[start : start + block.shape[0]] = block
-    return out
-
-
 # -- samplers ----------------------------------------------------------
 
 
@@ -129,22 +120,34 @@ class Sampler:
     """A distribution for the i.i.d. inputs.
 
     ``alphabet`` is (values, weights) when the distribution is finitely
-    supported; that is what makes exact decompositions available.
+    supported; that is what makes exact decompositions available.  Exact
+    averaging in ``simulate_panel`` draws an alphabet from its weights alone,
+    as ``Generator.choice(values, p=weights)`` draws it, whatever ``draw`` is.
     ``from_words``, when set, maps an array of the generator's raw 64-bit
     words (which it may overwrite) to the values ``draw`` would return from
     the same stream, so ``draw_data`` draws a panel without a generator per
-    replication.  ``cuts``, set with an alphabet, holds the uint64 cut of
-    each symbol: a word draws symbol k of ``alphabet[0]`` when k cuts are at
-    most ``word >> 11``.  ``from_words`` and the symbol counts of
-    ``simulate_panel`` both read it; an alphabet without cuts is folded by
-    ``simulate_panel`` only after its whole panel is drawn and sorted.
+    replication.
     """
 
     name: str
     draw: callable
     alphabet: tuple | None = None
     from_words: Callable | None = None
-    cuts: np.ndarray | None = None
+
+
+def _symbols(weights):
+    """The map from an array of raw 64-bit words (which it overwrites) to the index of
+    the symbol each word draws under ``Generator.choice(values, p=weights)``.
+
+    choice normalizes p, then searches its cdf from the right for the double
+    u = (word >> 11) 2^-53.  u is at least a cdf value c exactly when
+    word >> 11 >= ceil(c 2^53), since c 2^53 is exact, so the index is the
+    number of those integer cuts at most word >> 11.
+    """
+    cdf = np.cumsum(weights, dtype=float)
+    cdf /= cdf[-1]
+    cuts = np.ceil(cdf * 2.0**53).astype(np.uint64)
+    return lambda raw: cuts.searchsorted(np.right_shift(raw, _SH11, out=raw), "right")
 
 
 def alphabet_sampler(values, weights=None, *, name="alphabet"):
@@ -161,19 +164,12 @@ def alphabet_sampler(values, weights=None, *, name="alphabet"):
         if w.shape != v.shape or np.any(w < 0) or w.sum() <= 0:
             raise ValueError("weights must be nonnegative and match the values")
         w = w / w.sum()
-    cdf = w.cumsum()
-    cdf /= cdf[-1]  # as Generator.choice normalizes p, then searches it from the right
-    # a word's double u = (word >> 11) 2^-53 is at least c exactly when
-    # word >> 11 >= ceil(c 2^53), since c 2^53 is exact
-    cuts = np.ceil(cdf * 2.0**53).astype(np.uint64)
+    symbols = _symbols(w)
 
     def draw(rng, size):
         return rng.choice(v, size=size, p=w)
 
-    def from_words(raw):
-        return v.take(cuts.searchsorted(np.right_shift(raw, _SH11, out=raw), "right"))
-
-    return Sampler(name, draw, (v, w), from_words, cuts)
+    return Sampler(name, draw, (v, w), lambda raw: v.take(symbols(raw)))
 
 
 def check_alphabet_law(values, weights=None):
@@ -627,43 +623,42 @@ def deviation_scale(n, rank):
 
 def draw_data(sampler, n, reps, seed):
     """(reps, n) matrix; row i comes from the stream keyed by (seed, i)."""
-    if sampler.from_words is not None:
-        return sampler.from_words(_philox_raw(seed, reps, n))
     X = np.empty((reps, n))
+    if sampler.from_words is not None:
+        for start, block in _philox_chunks(seed, reps, n):
+            X[start : start + len(block)] = sampler.from_words(block)
+        return X
     for i in range(reps):
         X[i] = sampler.draw(_stream(seed, i, "data"), n)
     return X
 
 
-def _symbol_counts(high, cuts):
-    """(rows, len(cuts)) count of each symbol in each row of ``high``, words shifted
-    right by 11.  A word draws the symbol whose index is the number of cuts at
-    most it; one ``bincount`` over the row-offset symbol indices counts every row."""
-    rows, a = high.shape[0], cuts.size
-    code = cuts.searchsorted(high, "right")
-    code += np.arange(0, rows * a, a)[:, None]
-    return np.bincount(code.ravel(), minlength=rows * a).reshape(rows, a)
+def _symbol_counts(codes, a):
+    """(rows, a) count of each of ``a`` symbols in each row of the symbol indices ``codes``,
+    which it overwrites: one ``bincount`` over the row-offset indices counts every row."""
+    rows = codes.shape[0]
+    codes += np.arange(0, rows * a, a)[:, None]
+    return np.bincount(codes.ravel(), minlength=rows * a).reshape(rows, a)
 
 
 def _draw_types(sampler, n, reps, seed):
-    """The distinct rows of ``draw_data(sampler, n, reps, seed)`` sorted along each row, in
-    order of first occurrence, and their counts, for a sampler with ``cuts``.
+    """The distinct rows of the row-sorted ``draw_data`` panel of an alphabet law drawn as
+    ``Generator.choice`` draws it, in order of first occurrence, and their counts.
 
     A sorted sample of an alphabet law is fixed by its type, the count of each
     symbol.  Each chunk of Philox words is counted as it is made, into one
     byte per symbol and replication when n < 256, so the (reps, n) panel is
     never built; the types are then folded once.
     """
-    values = sampler.alphabet[0]
-    order = np.argsort(values, kind="stable")
+    values, weights = sampler.alphabet
+    symbols = _symbols(weights)
     key = np.empty((reps, values.size), dtype=np.min_scalar_type(n))
     for start, block in _philox_chunks(seed, reps, n):
-        counts = _symbol_counts(np.right_shift(block, _SH11, out=block), sampler.cuts)
-        # columns in ascending value order; "clip" writes into the key without the buffered
-        # copy of ``out`` that take makes in its default mode
-        np.take(counts, order, axis=1, out=key[start : start + len(counts)], mode="clip")
+        key[start : start + len(block)] = _symbol_counts(symbols(block), values.size)
     types, counts = distinct_rows(key)
-    held = np.flatnonzero(types != 0)  # row by row, ascending in value within each row
+    order = np.argsort(values, kind="stable")
+    types = types[:, order]  # row by row, ascending in value within each row
+    held = np.flatnonzero(types != 0)
     samples = np.repeat(values[order].take(held % values.size), types.ravel()[held])
     return samples.reshape(len(types), n), counts
 
@@ -735,9 +730,9 @@ def simulate_panel(
     grand Monte Carlo mean across the panel (flagged in the metadata, since
     that recentering removes part of the deviation).  ``subsets`` picks the
     averaging as in ``u_statistic_panel``, which exact averaging under an
-    alphabet law hands each distinct sorted sample of the draw once.  With the
-    sampler's ``cuts`` the draw is counted by symbol chunk by chunk and never
-    built whole; an alphabet without them is drawn whole, sorted and folded.
+    alphabet law hands each distinct sorted sample of the draw once: it draws
+    the alphabet as ``Generator.choice(values, p=weights)`` does, counted by
+    symbol chunk by chunk and never built whole.
     Fewer than one replication, or a rank not an integer of at least 1,
     raises ValueError; so does a field with a NaN or infinite cell, counting
     them, and a field that is identically zero.
@@ -763,14 +758,13 @@ def simulate_panel(
         else:
             mean_source = "grand_mc"
     exact = _resolve_mode(kernel, n, subsets)[0] == "exact"
-    if exact and sampler.cuts is not None:  # its means are exact or given, not the panel's average
+    # an alphabet's means are exact or given, not the panel's average, so its draw may be folded
+    if exact and sampler.alphabet is not None:
         X, counts = _draw_types(sampler, n, reps, seed)
     else:
         X, counts = draw_data(sampler, n, reps, seed), np.ones(reps)
         if exact:
             X.sort(axis=1)  # in place: exact averaging reads sorted rows and copies none
-            if sampler.alphabet is not None:  # no cuts to count by: fold the sorted panel
-                X, counts = distinct_rows(X)
     U, kind, count, notes = u_statistic_panel(kernel, X, subsets, seed=seed)
     del X  # freed before the field is folded to its distinct rows
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite cells are counted below

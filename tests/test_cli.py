@@ -783,6 +783,21 @@ class TestPipeline:
         assert "ordering = FAIL" in report
         assert "upper_violations = 0" not in report
 
+    @pytest.mark.parametrize("edit", [None, "-5", "many", "0.5"],
+                             ids=["deleted", "negative", "word", "fraction"])
+    def test_verify_names_a_bad_sample_count(self, smoke_cfg, smoke_run, tmp_path, capsys, edit):
+        _, good = smoke_run
+        out = tmp_path / "recounted"
+        out.mkdir()
+        for name in (TAIL_EMPIRICAL, TAIL_UPPER, TAIL_LOWER):
+            (out / name).write_bytes((good / name).read_bytes())
+        lines = (out / TAIL_EMPIRICAL).read_text().splitlines()
+        assert lines[0].startswith("# samples =")
+        lines[:1] = [] if edit is None else [f"# samples = {edit}"]
+        (out / TAIL_EMPIRICAL).write_text("\n".join(lines) + "\n")
+        assert main(["verify", smoke_cfg, "--out", str(out)]) == 1
+        assert TAIL_EMPIRICAL in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "setting, code, count, record",
         [

@@ -31,7 +31,7 @@ from ustattails import engine
 from ustattails.cli import build_kernel, build_sampler
 from ustattails.config import Config, ConfigError
 from ustattails.empirics import FieldSamples, distinct_rows
-from ustattails.engine import _LANE_SALTS, _philox_raw, _sample_tuples, _stream
+from ustattails.engine import _LANE_SALTS, _philox_chunks, _sample_tuples, _stream
 
 
 def sampler_from(text):
@@ -64,7 +64,7 @@ class TestStreams:
     @pytest.mark.parametrize("lane", sorted(_LANE_SALTS))
     def test_vectorized_philox_matches_numpy(self, seed, lane):
         for words in (1, 5, 7, 10):
-            raw = _philox_raw(seed, 3, words, lane)
+            raw = np.vstack([block for _, block in _philox_chunks(seed, 3, words, lane)])
             for rep in range(3):
                 key = [(seed ^ _LANE_SALTS[lane]) & engine._U64, rep]
                 want = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(words)
@@ -78,7 +78,9 @@ class TestStreams:
         for words in (1, 4, 5, 24):
             chunk = engine._PHILOX_CHUNK_WORDS // -(-words // 4)
             for reps in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
-                raw = _philox_raw(seed, reps, words, lane)
+                starts, blocks = zip(*_philox_chunks(seed, reps, words, lane))
+                assert starts == tuple(range(0, reps, chunk))
+                raw = np.vstack(blocks)
                 assert raw.shape == (reps, words)
                 edges = {0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, reps - 1}
                 for rep in sorted(edges & set(range(reps))):
@@ -127,8 +129,8 @@ class TestDrawData:
                           for low in (0, 2047)], dtype=np.uint64)
         codes = cdf.searchsorted((words >> np.uint64(11)) * 2.0**-53, "right")
         assert np.array_equal(sampler.from_words(words.copy()), values[codes])
-        # simulate_panel's symbol counts read the same cuts: one word per row
-        counts = engine._symbol_counts((words >> np.uint64(11))[:, None], sampler.cuts)
+        # simulate_panel's symbol counts read the same map of the weights: one word per row
+        counts = engine._symbol_counts(engine._symbols(weights)(words[:, None]), values.size)
         assert np.array_equal(counts, np.eye(values.size, dtype=int)[codes])
 
     @pytest.mark.parametrize("name", sorted(DRAW_SAMPLERS))
@@ -138,6 +140,18 @@ class TestDrawData:
 
         monkeypatch.setattr(engine, "_stream", refuse)
         assert draw_data(DRAW_SAMPLERS[name], 5, 4, seed=11).shape == (4, 5)
+
+    def test_word_mapped_draw_peak_memory(self):
+        # each Philox chunk is mapped into the float panel as it is made: the peak holds the
+        # 20 000 x 24 panel (3.7 MiB) and a chunk's buffers, not a uint64 copy of the panel
+        draw_data(uniform_sampler(-2, 5), 24, 100, seed=11)
+        tracemalloc.start()
+        try:
+            draw_data(uniform_sampler(-2, 5), 24, 20_000, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSamplers:
@@ -691,9 +705,9 @@ class TestSimulatePanel:
             simulate_panel(make_kernel("product"), rademacher_sampler(), 10, 500, seed=3,
                            subsets=7)
 
-    def test_alphabet_without_cuts_is_folded_after_the_draw(self, monkeypatch):
-        # a Sampler given an alphabet but no cuts draws the whole panel, then is averaged once
-        # per distinct sorted sample: the field is alphabet_sampler's, bit for bit
+    def test_hand_built_alphabet_is_counted_by_type(self, monkeypatch):
+        # a Sampler given only a draw and an alphabet is drawn from its weights, counted by
+        # type and averaged once per distinct sorted sample: the field is alphabet_sampler's
         law = ([2.0, -1.0, 0.5], [0.5, 0.2, 0.3])
         bare = engine.Sampler("bare", alphabet_sampler(*law).draw, alphabet_sampler(*law).alphabet)
         k = make_kernel("gprod", 2, g="tanh", t_grid=[0.4, 1.3])
@@ -703,7 +717,11 @@ class TestSimulatePanel:
             seen.append(len(X))
             return average(kernel, X, *args, **kwargs)
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew the panel")
+
         monkeypatch.setattr(engine, "u_statistic_panel", counted)
+        monkeypatch.setattr(engine, "draw_data", refuse)
         fld = simulate_panel(k, bare, 6, 300, seed=12)
         want = simulate_panel(k, alphabet_sampler(*law), 6, 300, seed=12)
         assert seen == [len(fld.counts), len(want.counts)] and len(fld.counts) < 300
