@@ -32,31 +32,27 @@ from .entropy import EntropyIntegral, FiniteMetricSpace, entropy_integral
 from .envelopes import DEFAULT_GRID_POINTS, DEFAULT_P_MAX, envelope_norm, rosenthal_lift, tail_curve
 
 def check_beta(beta):
-    """Raises ValueError unless the lower-shape parameter beta is positive."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    """Raises ValueError unless the lower-shape parameter beta is positive and finite: at
+    beta = inf the shape is NaN at every level, which no ordering check can fail."""
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
 
 
-def log_power_exponent(beta, convention="one_plus_beta"):
-    """Exponent E of (ln(1+u))^E for the heavy-log-tail shape.
+def log_power_exponent(beta):
+    """Exponent E = 1 + beta of (ln(1+u))^E for the heavy-log-tail shape.
 
-    Both published conventions are supported; the default adds beta itself,
-    the alternate adds its reciprocal.  They agree only at beta = 1.
+    The other published convention, E = 1 + 1/beta, is this one at 1/beta.
     """
     check_beta(beta)
-    if convention == "one_plus_beta":
-        return 1.0 + beta
-    if convention == "one_plus_inv_beta":
-        return 1.0 + 1.0 / beta
-    raise ValueError(f"unknown exponent convention {convention!r}")
+    return 1.0 + beta
 
 
-def closed_form_tail(family, u, *, coef, m=None, r=0.0, degree=1, beta=None,
-                     exponent="one_plus_beta"):
+def closed_form_tail(family, u, *, coef, m=None, r=0.0, degree=1, beta=None):
     """Reference tail shapes for the two closed-form envelope families.
 
     power_log: exp(-coef * u^l * (ln u)^(-l*(r-degree))) with
-    l = power_log_rate(m, degree), void (value 1) for u <= e.
+    l = power_log_rate(m, degree), void (value 1) for u <= e; no command runs
+    this branch, which serves acceptance criterion 08.
     log_power: exp(-coef * ln(1+u)^E), void for u <= 0.
     """
     if coef <= 0:
@@ -75,7 +71,7 @@ def closed_form_tail(family, u, *, coef, m=None, r=0.0, degree=1, beta=None,
     if family == "log_power":
         if beta is None:
             raise ValueError("log_power shape needs beta")
-        E = log_power_exponent(beta, exponent)
+        E = log_power_exponent(beta)
         out = np.ones_like(u)
         live = u > 0
         out[live] = np.exp(-coef * np.log1p(u[live]) ** E)
@@ -84,20 +80,23 @@ def closed_form_tail(family, u, *, coef, m=None, r=0.0, degree=1, beta=None,
 
 
 def power_log_rate(m, degree):
-    """The u-power l = m / (1 + degree*m) of the power_log tail shape."""
+    """The u-power l = m / (1 + degree*m) of the power_log tail shape.
+
+    No command runs it; it serves acceptance criterion 08.
+    """
     if m <= 0 or degree < 1:
         raise ValueError("need m > 0 and degree >= 1")
     return m / (1.0 + degree * m)
 
 
-def calibrate_log_power(curve, *, beta, exponent="one_plus_beta"):
-    """Largest coef with exp(-coef ln(1+u)^E) <= curve at every usable point.
+def calibrate_log_power(curve, *, beta):
+    """Smallest coef with exp(-coef ln(1+u)^E) <= curve at every usable point.
 
     Usable points have level u > 0 and probability strictly inside (0, 1).
-    The returned coefficient makes the log_power shape a pathwise lower
-    envelope of the curve at those points.
+    The returned coefficient, and any larger one, makes the log_power shape a
+    pathwise lower envelope of the curve at those points.
     """
-    E = log_power_exponent(beta, exponent)
+    E = log_power_exponent(beta)
     u = curve.u_grid
     p = curve.probs
     usable = (u > 0) & (p > 0.0) & (p < 1.0)
@@ -124,7 +123,8 @@ def moment_growth_check(panels, env, degree, p_grid, *, factor=2.0):
     For each panel of normalized deviations, the constant is the largest
     ratio of a column moment to the lifted envelope over the moment grid.
     The check passes when the constants stay within ``factor`` of each other
-    across n, which is what a correct normalization order looks like.
+    across n, which is what a correct normalization order looks like.  No
+    command runs it; it serves acceptance criterion 07.
     """
     tau = rosenthal_lift(env, degree)
     constants = {}
@@ -270,8 +270,8 @@ def index_geometry(
 def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
     """Tail curves of the field supremum, calibrated against a Geometry and on its p grids.
 
-    ``lower``, when given, is a dict with keys ``beta``, optional
-    ``exponent`` convention, and optional calibration ``column`` (default 0).
+    ``lower``, when given, is a dict with keys ``beta`` and optional
+    calibration ``column`` (default 0).
     When that column has no usable point the lower curve is omitted with a note.
     """
     u_grid = np.asarray(u_grid, dtype=float)
@@ -286,20 +286,19 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
     curves = {"empirical": empirical, "upper": upper}
     if lower is not None:
         col = int(lower.get("column", 0))
-        conv = lower.get("exponent", "one_plus_beta")
         beta = float(lower["beta"])
-        log_power_exponent(beta, conv)  # a bad shape is an error; an unusable column is not
+        check_beta(beta)  # a bad shape is an error; an unusable column is not
         col_curve = empirical_tail(field_samples.values[:, col], u_grid, counts)
         try:
-            coef = calibrate_log_power(col_curve, beta=beta, exponent=conv)
+            coef = calibrate_log_power(col_curve, beta=beta)
         except ValueError as exc:
             notes.append(f"lower shape omitted: column {col} has {exc}")
         else:
             curves["lower"] = TailCurve(
                 u_grid,
-                closed_form_tail("log_power", u_grid, coef=coef, beta=beta, exponent=conv),
+                closed_form_tail("log_power", u_grid, coef=coef, beta=beta),
                 "lower_bound",
-                meta={"coef": coef, "beta": beta, "exponent": conv, "column": col},
+                meta={"coef": coef, "beta": beta, "column": col},
             )
             notes.append(f"lower shape calibrated on column {col} with coef {coef!r}")
     diameter = geometry.space.diameter
@@ -325,7 +324,8 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
 def uniform_tail_report(field_samples, p_grid, degree, u_grid, *, lower=None, **geometry):
     """Full bound pipeline for a panel of normalized deviations:
     :func:`index_geometry`, given the keyword options in ``geometry``, followed
-    by :func:`calibrate_tails`.
+    by :func:`calibrate_tails`.  No command runs it; it is kept because the
+    benchmark's tracer (``perfbench/tracing.py``) wraps it by name.
     """
     geometry = index_geometry(field_samples, p_grid, degree, **geometry)
     return calibrate_tails(field_samples, geometry, u_grid, lower=lower)

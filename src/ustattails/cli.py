@@ -75,15 +75,16 @@ VERIFY_REPORT = "verify_report.txt"
 PLOT = "plot.svg"
 
 OUT_ENV_VAR = "USTATTAILS_OUT"
-# the config keys the stages read, as README's config-key table lists them; main refuses others
+# the config keys the stages read, as README's config-key table lists them; main refuses
+# others, and run also refuses a set key that the chosen options do not read
 KEYS = (
     "run.seed", "run.n", "run.reps", "run.rank", "run.mode", "run.subsets", "sampler.name",
     "sampler.lo", "sampler.hi", "sampler.a", "sampler.sigma", "sampler.values", "sampler.weights",
     "kernel.name", "kernel.degree", "kernel.shift", "kernel.g", "kernel.t_grid", "kernel.values",
     "kernel.table", "grids.p", "grids.u", "grids.eps", "psi.family", "psi.m", "psi.r", "psi.coef",
     "psi.expo", "psi.value", "psi.p_sup", "psi.p_max", "psi.points", "entropy.estimator",
-    "entropy.plateau_fraction", "bound.degree", "bound.lower_beta",
-    "bound.lower_exponent", "bound.lower_column", "bound.sigma", "output.dir", "output.plot",
+    "entropy.plateau_fraction", "bound.degree", "bound.lower_beta", "bound.lower_column",
+    "bound.sigma", "output.dir", "output.plot",
 )
 DEFAULT_P_GRID = "log:2:16:8"
 DEFAULT_U_GRID = "quantile:0.5:0.99:16"
@@ -496,8 +497,8 @@ def write_svg(out_dir, curves):
 # -- stages ---------------------------------------------------------------
 
 
-def stage_simulate(cfg, out_dir):
-    # returns the field as written, which ``run`` hands to entropy and bounds
+def _simulate_settings(cfg):
+    """The arguments of ``simulate_panel``, by name."""
     kernel, sampler = build_law(cfg)
     seed = cfg.get_int("run.seed")
     n = cfg.get_int("run.n", check=partial(check_sample_size, degree=kernel.degree))
@@ -505,15 +506,13 @@ def stage_simulate(cfg, out_dir):
     rank = None
     if cfg.get_str("run.rank", "auto") != "auto":
         rank = cfg.get_int("run.rank", check=check_rank)
-    fld = simulate_panel(
-        kernel,
-        sampler,
-        n,
-        reps,
-        seed,
-        rank=rank,
-        subsets=build_mode(cfg),
-    )
+    return {"kernel": kernel, "sampler": sampler, "n": n, "reps": reps, "seed": seed,
+            "rank": rank, "subsets": build_mode(cfg)}
+
+
+def stage_simulate(cfg, out_dir):
+    # returns the field as written, which ``run`` hands to entropy and bounds
+    fld = simulate_panel(**_simulate_settings(cfg))
     written = write_field(out_dir, fld)
     if fld.decomposition is not None:
         write_decomposition(out_dir, fld.decomposition)
@@ -583,11 +582,6 @@ def _bounds_settings(cfg, columns):
     if cfg.has("bound.lower_beta"):
         lower = {
             "beta": cfg.get_float("bound.lower_beta", check=check_beta),
-            "exponent": cfg.get_str(
-                "bound.lower_exponent",
-                "one_plus_beta",
-                choices=("one_plus_beta", "one_plus_inv_beta"),
-            ),
             "column": cfg.get_int("bound.lower_column", 0),
         }
         if not 0 <= lower["column"] < columns:
@@ -651,11 +645,13 @@ def stage_verify(cfg, out_dir):
 
 
 def stage_run(cfg, out_dir):
-    # every key a later stage reads is read here, so a bad one fails before any artifact
-    size = len(build_kernel(cfg).t_grid)
+    # every key a stage reads is read here, so a bad one, or a set one that no stage reads,
+    # fails before any artifact
+    size = len(_simulate_settings(cfg)["kernel"].t_grid)
     _entropy_settings(cfg, size)
     _bounds_settings(cfg, size)
     _verify_sigma(cfg)
+    cfg.check_read()
     fld = stage_simulate(cfg, out_dir)
     stage_entropy(cfg, out_dir, fld)
     return max(stage_bounds(cfg, out_dir, fld), stage_verify(cfg, out_dir))
@@ -696,9 +692,8 @@ def main(argv=None):
                 raise ConfigError(f"--set needs SECTION.KEY=VALUE, got {item!r}")
             key, value = item.split("=", 1)
             cfg.override(key.strip(), value.strip())
-        out_dir = args.out or (
-            cfg.get_str("output.dir", None) or os.environ.get(OUT_ENV_VAR) or "."
-        )
+        configured = cfg.get_str("output.dir", None)  # read, so run accepts it, under --out too
+        out_dir = args.out or configured or os.environ.get(OUT_ENV_VAR) or "."
         os.makedirs(out_dir, exist_ok=True)
         cfg.check_keys(KEYS)
         code = STAGES[args.command](cfg, out_dir)

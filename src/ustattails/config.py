@@ -24,6 +24,7 @@ _MISSING = object()
 class Config:
     path: str
     entries: dict = field(default_factory=dict)
+    read: set = field(default_factory=set, init=False)  # every key a getter was asked for
 
     @classmethod
     def from_text(cls, text, path="<config>"):
@@ -80,9 +81,17 @@ class Config:
             if key not in known:
                 self.fail(key, f"unknown key {key!r}")
 
+    def check_read(self):
+        """Fails naming the first set key that no getter was asked for: the key of an option
+        that was not chosen, which would otherwise be ignored."""
+        for key in self.entries:
+            if key not in self.read:
+                self.fail(key, f"{key} is not read under the chosen options; remove it")
+
     def _get(self, key, default, cast, what=None, check=None):
         """``cast`` of the key's text, or ``default`` if it is absent; a ValueError from
         ``cast``, or from ``check`` on the cast value, fails naming the key."""
+        self.read.add(key)
         if key not in self.entries:
             if default is _MISSING:
                 raise ConfigError(f"{self.path}: missing required key {key!r}")

@@ -190,9 +190,9 @@ def envelope_distance(field, env, *, p_grid):
 
 
 def check_levels(u_grid):
-    """Raises ValueError unless the tail levels increase strictly."""
-    if np.any(np.diff(u_grid) <= 0):
-        raise ValueError("levels must be strictly increasing")
+    """Raises ValueError unless the tail levels are finite and increase strictly."""
+    if not np.all(np.isfinite(u_grid)) or np.any(np.diff(u_grid) <= 0):
+        raise ValueError("levels must be finite and strictly increasing")
 
 
 @dataclass

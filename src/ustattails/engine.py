@@ -167,6 +167,8 @@ def alphabet_sampler(values, weights=None, *, name="alphabet"):
     symbols = _symbols(w)
 
     def draw(rng, size):
+        """No command draws through here: the Generator reference that tests hold
+        ``from_words`` and ``_draw_types`` to."""
         return rng.choice(v, size=size, p=w)
 
     return Sampler(name, draw, (v, w), lambda raw: v.take(symbols(raw)))
@@ -192,6 +194,8 @@ def uniform_sampler(lo=0.0, hi=1.0):
         raise ValueError("need hi > lo")
 
     def draw(rng, size):
+        """No command draws through here: the Generator reference that tests hold
+        ``from_words`` to."""
         return rng.uniform(lo, hi, size)
 
     return Sampler("uniform", draw, from_words=lambda w: lo + (hi - lo) * ((w >> _SH11) * 2.0**-53))
@@ -402,6 +406,9 @@ def make_kernel(name, degree=None, *, shift=0.0, g="sin", t_grid=None, values=No
 
 @lru_cache(maxsize=64)
 def _index_tuples(n, d):
+    """Every index subset of size d, in lexicographic order.  Every CLI kernel has a closed
+    form, so only the gather of ``_exact_rows`` reads it: the brute-force oracle for the
+    closed forms."""
     return np.array(list(combinations(range(n), d)), dtype=np.intp)
 
 
@@ -582,7 +589,8 @@ def variance_value(decomp, n):
 
     The averaged statistic splits into uncorrelated order-c averages of the
     canonical terms, each entering comb(d, c) times and carrying variance
-    zeta_c / comb(n, c), so the pieces add with squared multiplicities.
+    zeta_c / comb(n, c), so the pieces add with squared multiplicities.  No
+    command runs it; it serves acceptance criteria 02 and 03.
     """
     d = len(decomp.zetas)
     if n <= d:
@@ -594,7 +602,8 @@ def variance_value(decomp, n):
 
 
 def variance_u(decomp, n):
-    """Exact variance at n plus the log-log decay slope over ``DEFAULT_SLOPE_GRID``."""
+    """Exact variance at n plus the log-log decay slope over ``DEFAULT_SLOPE_GRID``.  No
+    command runs it; it serves acceptance criteria 02 and 03."""
     var = variance_value(decomp, n)
     grid = np.asarray(DEFAULT_SLOPE_GRID)
     if decomp.degenerate:
@@ -672,7 +681,8 @@ def _ascending_rows(X):
 
 def _exact_rows(kernel, X):
     """Exact U-statistic matrix (rows of X, t_grid): the closed form, else a gather of
-    every index subset.  Both compute each row from that row of X alone."""
+    every index subset.  Both compute each row from that row of X alone.  The gather runs
+    for no CLI kernel: it is the brute-force oracle the closed forms are tested against."""
     out = np.empty((X.shape[0], len(kernel.t_grid)))
     if kernel.closed_form is not None:
         for j, t in enumerate(kernel.t_grid):

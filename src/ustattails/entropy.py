@@ -59,18 +59,6 @@ class FiniteMetricSpace:
         return float(self.dist.max()) if self.size else 0.0
 
 
-def space_from_points(points, labels=None, power=1.0):
-    """Euclidean distances (optionally raised to a power) between rows."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 1 and pts.shape[1] > 1 and np.asarray(points).ndim == 1:
-        pts = pts.T
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2)) ** power
-    if labels is None:
-        labels = tuple(range(pts.shape[0]))
-    return FiniteMetricSpace(labels, dist)
-
-
 def _cover_matrix(space, eps):
     tol = 1e-12 * max(1.0, space.diameter)
     return space.dist <= eps + tol
@@ -136,17 +124,11 @@ def _exact_cover(space, eps):
     return upper
 
 
-def covering_bounds(space, eps, *, exact_threshold=EXACT_THRESHOLD):
-    """(packing lower bound, greedy upper bound, exact or None) at radius eps."""
-    if eps < 0:
-        raise ValueError("radius must be nonnegative")
-    lower = _packing_count(space, eps)
-    upper = _greedy_cover(space, eps)
-    exact = _exact_cover(space, eps) if space.size <= exact_threshold else None
-    return lower, upper, exact
-
-
 def covering_number(space, eps, *, estimator="greedy"):
+    """N(eps) by ``estimator``; a negative or NaN radius raises ValueError, as every
+    estimator would loop forever on it."""
+    if not eps >= 0:
+        raise ValueError(f"radius must be nonnegative, got {eps!r}")
     if estimator == "greedy":
         return _greedy_cover(space, eps)
     if estimator == "packing":
@@ -154,11 +136,6 @@ def covering_number(space, eps, *, estimator="greedy"):
     if estimator == "exact":
         return _exact_cover(space, eps)
     raise ValueError(f"unknown covering estimator {estimator!r}")
-
-
-def _covering_counts(space, eps_grid, estimator):
-    """N(eps) at every radius of the grid, as floats."""
-    return np.array([covering_number(space, e, estimator=estimator) for e in eps_grid], dtype=float)
 
 
 @dataclass
@@ -187,7 +164,7 @@ def default_eps_grid(space):
 def check_eps_grid(eps_grid):
     """The grid as a float array, after checking it lies in (0, 1] and increases strictly."""
     eps = np.asarray(eps_grid, dtype=float)
-    if np.any(eps <= 0) or np.any(eps > 1.0 + 1e-12):
+    if not np.all((eps > 0) & (eps <= 1.0 + 1e-12)):  # false for NaN too
         raise ValueError("eps grid must lie in (0, 1]")
     if np.any(np.diff(eps) <= 0):
         raise ValueError("eps grid must be strictly increasing")
@@ -221,7 +198,7 @@ def entropy_integral(
     if eps_grid is None:
         eps_grid = default_eps_grid(space)
     eps = check_eps_grid(eps_grid)
-    counts = _covering_counts(space, eps, estimator)
+    counts = np.array([covering_number(space, e, estimator=estimator) for e in eps], dtype=float)
     entropies = np.log(counts)
     log_bounds = log_maximum_bound(env, entropies, p_max=p_max, points=points)
     integrand = np.array([math.exp(v) for v in log_bounds])  # libm's exp, as for one value
@@ -233,40 +210,3 @@ def entropy_integral(
         frac = 0.0
     finite = frac < plateau_fraction
     return EntropyIntegral(value, finite, eps, integrand, entropies, frac, space.size)
-
-
-def integral_trend(values):
-    """Classify a sequence of refined integral values.
-
-    "diverging" if every successive refinement multiplies the value by at
-    least 1.5; "stable" otherwise.  Needs two values or more.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.size < 2:
-        raise ValueError("need at least two refinement values")
-    ratios = v[1:] / v[:-1]
-    return "diverging" if np.all(ratios >= 1.5) else "stable"
-
-
-def entropy_dimension(space, eps_grid=None, *, estimator="greedy"):
-    """Least-squares slope of H(eps) against ln(1/eps).
-
-    Only eps with 1 < N(eps) < |T| enter the fit; outside that window the
-    count is pinned at a floor or ceiling and carries no scaling information.
-    Returns (dimension, warnings).
-    """
-    if eps_grid is None:
-        eps_grid = default_eps_grid(space)
-    eps = np.asarray(eps_grid, dtype=float)
-    counts = _covering_counts(space, eps, estimator)
-    usable = (counts > 1) & (counts < space.size)
-    warnings = []
-    if usable.sum() < 2:
-        warnings.append("fewer than 2 eps points in the scaling window; dimension set to 0")
-        return 0.0, warnings
-    if usable.sum() < 4:
-        warnings.append("fewer than 4 eps points in the scaling window; slope is noisy")
-    x = np.log(1.0 / eps[usable])
-    y = np.log(counts[usable])
-    slope = float(np.polyfit(x, y, 1)[0])
-    return max(slope, 0.0), warnings

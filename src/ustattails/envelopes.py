@@ -43,10 +43,11 @@ FAMILIES = ("power_log", "exp_power", "constant", "tabulated")
 
 
 def check_p_grid(p_grid):
-    """The grid as a float array, after checking it increases strictly from p >= 2."""
+    """The grid as a float array, after checking it is finite and increases strictly from
+    p >= 2."""
     p = np.asarray(p_grid, dtype=float)
-    if np.any(p < 2.0 - 1e-12) or np.any(np.diff(p) <= 0):
-        raise ValueError("moment grid must be strictly increasing and start at p >= 2")
+    if not np.all(np.isfinite(p)) or np.any(p < 2.0 - 1e-12) or np.any(np.diff(p) <= 0):
+        raise ValueError("moment grid must be finite, strictly increasing and start at p >= 2")
     return p
 
 
@@ -371,7 +372,8 @@ def tail_curve(env, norm, levels, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_PO
 
 
 def tail_bound(env, norm, y, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
-    """``tail_curve`` at the one level y, as a Python float."""
+    """``tail_curve`` at the one level y, as a Python float.  No command runs it; it is kept
+    because the benchmark's tracer (``perfbench/tracing.py``) wraps it by name."""
     return float(tail_curve(env, norm, [y], p_max=p_max, points=points)[0])
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import ustattails as ut
+from spaces import space_from_points
 from ustattails.cli import main as cli_main
 from ustattails.engine import u_statistic_matrix
 
@@ -125,16 +126,17 @@ def test_criterion_05_covering_number_sandwich():
     for i in range(200):
         rng = np.random.default_rng(5000 + i)
         size = int(rng.integers(2, 13))
-        space = ut.space_from_points(rng.normal(size=(size, 2)))
+        space = space_from_points(rng.normal(size=(size, 2)))
         dvals = space.dist[np.triu_indices(size, 1)]
         for q in (0.2, 0.5, 0.8):
             eps = float(np.quantile(dvals, q))
-            lo, up, exact = ut.covering_bounds(space, eps)
-            if exact is None or not (lo <= exact <= up):
+            lo, exact, up = (ut.covering_number(space, eps, estimator=e)
+                             for e in ("packing", "exact", "greedy"))
+            if not lo <= exact <= up:
                 violations += 1
     assert violations == 0
-    grid = ut.space_from_points(np.linspace(0.0, 1.0, 101)[:, None])
-    lo, up, _ = ut.covering_bounds(grid, 0.25)
+    grid = space_from_points(np.linspace(0.0, 1.0, 101)[:, None])
+    lo, up = (ut.covering_number(grid, 0.25, estimator=e) for e in ("packing", "greedy"))
     assert lo == 2 and up == 2
     ok(5, "0 sandwich violations across 200 random spaces; unit grid pinned at N(0.25) = 2")
 
@@ -143,9 +145,9 @@ def test_criterion_06_constant_envelope_integral_identity():
     rng = np.random.default_rng(99)
     angles = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
     spaces = [
-        ut.space_from_points(np.linspace(0.0, 1.0, 64)[:, None]),
-        ut.space_from_points(np.column_stack([np.cos(angles), np.sin(angles)])),
-        ut.space_from_points(rng.normal(size=(12, 3))),
+        space_from_points(np.linspace(0.0, 1.0, 64)[:, None]),
+        space_from_points(np.column_stack([np.cos(angles), np.sin(angles)])),
+        space_from_points(rng.normal(size=(12, 3))),
     ]
     env = ut.constant_envelope(1.7, 6.0)
     worst = 0.0
@@ -189,14 +191,14 @@ def test_criterion_08_tail_exponent_recovery():
         slope = fit_slope(w, np.log(nu))
         worst = max(worst, abs(slope - l))
         assert slope == pytest.approx(l, abs=0.02)
-    for beta in (1.0, 1.5):
-        for conv in ("one_plus_beta", "one_plus_inv_beta"):
-            E = ut.log_power_exponent(beta, conv)
-            u = np.geomspace(3.0, 1e6, 40)
-            t = ut.closed_form_tail("log_power", u, coef=0.8, beta=beta, exponent=conv)
-            slope = fit_slope(np.log(np.log1p(u)), np.log(-np.log(t)))
-            worst = max(worst, abs(slope - E))
-            assert slope == pytest.approx(E, abs=0.02)
+    # E = 1 + beta; beta = 2/3 gives the exponent 1 + 1/1.5 of the other published convention
+    for beta in (1.0, 1.5, 2.0 / 3.0):
+        E = ut.log_power_exponent(beta)
+        u = np.geomspace(3.0, 1e6, 40)
+        t = ut.closed_form_tail("log_power", u, coef=0.8, beta=beta)
+        slope = fit_slope(np.log(np.log1p(u)), np.log(-np.log(t)))
+        worst = max(worst, abs(slope - E))
+        assert slope == pytest.approx(E, abs=0.02)
     ok(8, f"power and log-power tail exponents recovered, worst abs err {worst:.1e}")
 
 

@@ -79,11 +79,9 @@ class TestClosedFormTail:
 
 class TestLogPowerExponent:
     def test_conventions(self):
+        # E = 1 + beta; the other published convention, 1 + 1/beta, is this one at 1/beta
         assert log_power_exponent(2.0) == 3.0
-        assert log_power_exponent(2.0, "one_plus_inv_beta") == 1.5
-        assert log_power_exponent(1.0) == log_power_exponent(1.0, "one_plus_inv_beta")
-        with pytest.raises(ValueError, match="convention"):
-            log_power_exponent(1.0, "twice")
+        assert log_power_exponent(0.5) == 1.0 + 1.0 / 2.0
         with pytest.raises(ValueError, match="positive"):
             log_power_exponent(0.0)
 
@@ -245,7 +243,7 @@ class TestUniformTailReport:
         assert emp.sample_count == rep.sup_moments.sample_count == 800
         assert emp.probs.tolist() == [max(np.sum(sup > u), np.sum(sup < -u)) / 800 for u in u_grid]
         assert rep.sup_moments.values.tolist() == empirical_moments(sup, p_grid).values.tolist()
-        coef = calibrate_log_power(empirical_tail(col, u_grid), beta=1.0, exponent="one_plus_beta")
+        coef = calibrate_log_power(empirical_tail(col, u_grid), beta=1.0)
         assert rep.curves["lower"].meta["coef"] == coef
 
     def test_lower_curve_attached(self):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import functools
 import hashlib
@@ -60,6 +61,11 @@ grids.u = quantile:0.5:0.97:12
 bound.lower_beta = 1.0
 """
 
+# SMOKE without the keys only gprod reads, for tests that set another kernel: run refuses a
+# set key that the chosen options do not read
+OTHER_KERNEL = "".join(line for line in SMOKE.splitlines(True)
+                       if not line.startswith(("kernel.g ", "kernel.t_grid ")))
+
 RUN_ARTIFACTS = [
     FIELD,
     FIELD_META,
@@ -81,6 +87,13 @@ RUN_ARTIFACTS = [
 def smoke_cfg(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "smoke.cfg"
     path.write_text(SMOKE)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def other_kernel_cfg(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cfg") / "other_kernel.cfg"
+    path.write_text(OTHER_KERNEL)
     return str(path)
 
 
@@ -421,22 +434,23 @@ class TestPipeline:
         assert "bound.lower_column" in capsys.readouterr().err
         assert read_artifacts(out) == read_artifacts(smoke_run[1])
 
-    def test_high_degree_alphabet_law_with_rank(self, smoke_cfg, tmp_path):
+    def test_high_degree_alphabet_law_with_rank(self, other_kernel_cfg, tmp_path):
         # the closed-form decomposition serves any degree, so it is written with run.rank too
         out = tmp_path / "degree5"
         degree5 = ["--set", "kernel.name=product", "--set", "kernel.degree=5",
                    "--set", "run.n=8", "--set", "run.reps=400"]
-        assert main(["run", smoke_cfg, "--out", str(out), "--set", "run.rank=1"] + degree5) in (0, 2)
+        rank = ["--set", "run.rank=1"]
+        assert main(["run", other_kernel_cfg, "--out", str(out)] + rank + degree5) in (0, 2)
         assert sorted(os.listdir(out)) == sorted(RUN_ARTIFACTS)
         meta = key_values(out / FIELD_META)
         assert (meta["mean_source"], meta["rank"]) == ("exact", "1")
 
     @pytest.mark.parametrize("stage", ["run", "decompose"])
-    def test_high_degree_alphabet_law_needs_rank(self, smoke_cfg, tmp_path, stage):
+    def test_high_degree_alphabet_law_needs_rank(self, other_kernel_cfg, tmp_path, stage):
         # no rank is needed: the degree-5 product of Rademacher draws decomposes to rank 5
         out = tmp_path / "degree5"
         degree5 = ["--set", "kernel.name=product", "--set", "kernel.degree=5", "--set", "run.n=8"]
-        assert main([stage, smoke_cfg, "--out", str(out)] + degree5) in (0, 2)
+        assert main([stage, other_kernel_cfg, "--out", str(out)] + degree5) in (0, 2)
         header, row = (out / DECOMP).read_text().splitlines()
         dec = dict(zip(header.split(","), row.split(",")))
         assert (dec["mean"], dec["rank"], dec["degenerate"]) == ("0.0", "5", "false")
@@ -517,9 +531,12 @@ class TestPipeline:
             ("grids.p", "log:1:8:4"),
             ("grids.eps", "log:0.5:2:4"),
             ("grids.u", "lin:5:1:3"),
+            ("grids.eps", "0.1,nan,0.5"),
+            ("grids.p", "2,nan,8"),
+            ("grids.u", "0.5,nan,2"),
         ],
         ids=["u_log_from_0", "p_quantile", "eps_short", "p_below_2", "eps_above_1",
-             "u_decreasing"],
+             "u_decreasing", "eps_nan", "p_nan", "u_nan"],
     )
     def test_bad_grid_fails_before_any_artifact(self, smoke_cfg, tmp_path, capsys, key, spec):
         out = tmp_path / "grid"
@@ -532,7 +549,7 @@ class TestPipeline:
         [
             ("psi.family=power_log", "psi.m"),
             ("psi.family=exp_power", "psi.coef"),
-            ("bound.lower_exponent=bad", "bound.lower_exponent"),
+            ("bound.lower_exponent=one_plus_inv_beta", "bound.lower_exponent"),
             ("bound.sigma=abc", "bound.sigma"),
             ("bound.degree=two", "bound.degree"),
             ("entropy.plateau_fraction=half", "entropy.plateau_fraction"),
@@ -544,6 +561,7 @@ class TestPipeline:
             ("entropy.plateau_fraction=5", "entropy.plateau_fraction"),
             ("entropy.plateau_fraction=-1", "entropy.plateau_fraction"),
             ("bound.lower_beta=0", "bound.lower_beta"),
+            ("bound.lower_beta=inf", "bound.lower_beta"),
             ("bound.sigma=-1", "bound.sigma"),
             ("psi.family=power_log psi.m=-1", "psi.m"),
             ("psi.family=power_log psi.m=nan", "psi.m"),
@@ -584,12 +602,17 @@ class TestPipeline:
              "kernel.values"),
             ("sampler.name=alphabet sampler.values=-1,0.5,1 kernel.name=table "
              "kernel.values=-1,1 kernel.table=0.5,-1,2,0.3", "kernel.values"),
+            ("psi.m=3", "psi.m"),
+            ("psi.p_sup=9", "psi.p_sup"),
+            ("sampler.lo=-3", "sampler.lo"),
+            ("sampler.sigma=2", "sampler.sigma"),
+            ("kernel.shift=0.5", "kernel.shift"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
              "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
              "convention_not_accepted",
              "p_max_not_above_2", "one_psi_point", "plateau_fraction_above_1",
-             "negative_plateau_fraction", "zero_lower_beta", "negative_sigma",
+             "negative_plateau_fraction", "zero_lower_beta", "inf_lower_beta", "negative_sigma",
              "negative_m", "nan_m", "nan_r", "inf_coef", "nan_expo", "zero_value",
              "p_sup_not_above_2", "ragged_table", "zero_subsets", "negative_subsets",
              "subsets_under_exact", "exact_cover_of_17_points", "p_grid_past_p_sup",
@@ -598,14 +621,17 @@ class TestPipeline:
              "n_at_degree", "negative_pareto_index", "uniform_lo_above_hi",
              "uniform_hi_below_lo", "nan_lognormal_sigma", "one_point_alphabet",
              "one_weighted_point", "repeated_value", "zero_rank", "negative_rank",
-             "table_on_a_continuum", "table_law_off_its_values"],
+             "table_on_a_continuum", "table_law_off_its_values", "m_under_natural",
+             "p_sup_under_natural", "lo_under_rademacher", "sigma_under_rademacher",
+             "shift_under_gprod"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, tmp_path, capsys, setting, key
     ):
         # run reads and range-checks the keys of every stage before it simulates, and
-        # rejects a key no stage reads (run.budget, a misspelling) and run.subsets under
-        # exact averaging, which it would not read
+        # rejects a key no stage reads (run.budget, a misspelling) and a set key that the
+        # chosen options do not read (psi.m under the natural envelope, run.subsets under
+        # exact averaging)
         out = tmp_path / "key"
         assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
         assert key in capsys.readouterr().err
@@ -646,24 +672,28 @@ class TestPipeline:
             integral[estimator] = float(summary["integral"])
         assert integral["packing"] <= integral["exact"] <= integral["greedy"]
 
-    def test_non_finite_field_fails_before_any_artifact(self, smoke_cfg, tmp_path, capsys):
+    def test_non_finite_field_fails_before_any_artifact(
+        self, other_kernel_cfg, tmp_path, capsys
+    ):
         # a degree-3 product of Pareto(0.02) draws overflows in every cell
         out = tmp_path / "overflow"
         setting = ("sampler.name=pareto sampler.a=0.02 kernel.name=product kernel.degree=3 "
                    "run.rank=1")
         with np.errstate(all="ignore"):
-            assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
+            assert main(["run", other_kernel_cfg, "--out", str(out)] + overrides(setting)) == 1
         assert "1500 of 1500 field cells are not finite" in capsys.readouterr().err
         assert os.listdir(out) == []
 
-    def test_non_finite_field_refusal_is_the_only_message(self, smoke_cfg, tmp_path, capsys):
+    def test_non_finite_field_refusal_is_the_only_message(
+        self, other_kernel_cfg, tmp_path, capsys
+    ):
         # the overflowing recurrence and the mean of its cells warn nothing before the refusal
         out = tmp_path / "quiet"
         setting = ("sampler.name=pareto sampler.a=0.02 kernel.name=product kernel.degree=3 "
                    "run.rank=1")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
+            assert main(["run", other_kernel_cfg, "--out", str(out)] + overrides(setting)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: 1500 of 1500 field cells are not finite")
         assert err.count("\n") == 1
@@ -689,11 +719,11 @@ class TestPipeline:
         assert err.count("\n") == 1
         assert os.listdir(out) == []
 
-    def test_collapsed_quantile_grid_names_its_key(self, smoke_cfg, tmp_path, capsys):
+    def test_collapsed_quantile_grid_names_its_key(self, other_kernel_cfg, tmp_path, capsys):
         # at this seed the two replications of a sum kernel share |sup|, so every quantile
         # is one level: only the data can show it, after the earlier stages wrote theirs
         setting = "run.reps=2 kernel.name=sum run.seed=1"
-        assert main(["run", smoke_cfg, "--out", str(tmp_path)] + overrides(setting)) == 1
+        assert main(["run", other_kernel_cfg, "--out", str(tmp_path)] + overrides(setting)) == 1
         err = capsys.readouterr().err
         assert "grids.u" in err and "collapsed" in err
 
@@ -811,12 +841,13 @@ class TestPipeline:
         ids=["uniform_law", "half_sq_diff", "table_kernel", "incomplete", "degree_3"],
     )
     def test_builder_paths_finish_consistently(
-        self, smoke_cfg, tmp_path, setting, code, count, record
+        self, smoke_cfg, other_kernel_cfg, tmp_path, setting, code, count, record
     ):
         # each sampler, kernel and averaging builder ends with the artifact set its
         # law and report call for, every stage tied to the field.csv it was run on
         out = tmp_path / "paths"
-        assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == code
+        cfg = other_kernel_cfg if "kernel.name" in setting else smoke_cfg
+        assert main(["run", cfg, "--out", str(out)] + overrides(setting)) == code
         names = set(os.listdir(out))
         assert len(names) == count
         assert set(RUN_ARTIFACTS) - {DECOMP, TAIL_LOWER} <= names
@@ -876,20 +907,20 @@ def test_pipeline_does_not_load_numpy_ma(tmp_path):
     # numpy 2.4 imports numpy.ma lazily from a plain np.unique, np.setdiff1d or np.quantile
     # call (through np.ma.is_masked), which costs every run and every bounds 10-15 ms
     src = os.path.dirname(os.path.dirname(ustattails.__file__))
-    cfg = tmp_path / "smoke.cfg"
-    cfg.write_text(SMOKE)
+    (tmp_path / "smoke.cfg").write_text(SMOKE)
+    (tmp_path / "table.cfg").write_text(OTHER_KERNEL)
     table = "--set kernel.name=table --set kernel.values=-1,1 --set kernel.table=0.5,1,-0.5,2"
     code = (
         "import sys\n"
         "from ustattails.cli import main\n"
-        "cfg, out = sys.argv[1], sys.argv[2]\n"
+        "out = sys.argv[1]\n"
         f"for extra, sub in (([], 'smoke'), ({table.split()!r}, 'table')):\n"
         "    for stage in ('run', 'bounds', 'verify'):\n"
-        "        print(main([stage, cfg, '--out', out + '/' + sub] + extra))\n"
+        "        print(main([stage, f'{out}/{sub}.cfg', '--out', f'{out}/{sub}'] + extra))\n"
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path)], env=env,
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True)
     *codes, loaded = out.stdout.splitlines()
     assert codes == ["0", "0", "0", "2", "2", "0"]  # the table kernel's bound is not certified
@@ -1128,13 +1159,17 @@ SMALL_ENVELOPES = (
     "psi.family=exp_power psi.coef=0.5 psi.expo=1",
     "psi.family=constant psi.value=3 psi.p_sup=16",
 )
-SMALL_U_GRIDS = ("quantile:0.5:0.97:6", "quantile:0.2:0.9:3", "lin:0.5:3:5", "0.1,1,2", "0.7")
+SMALL_U_GRIDS = ("quantile:0.5:0.97:6", "quantile:0.2:0.9:3", "lin:0.5:3:5", "0.1,1,2", "0.7",
+                 "0.5,nan,2")
+# keys that only some options read: run refuses each where the drawn options do not read it
+OPTION_KEYS = ("psi.m=3", "psi.p_sup=9", "sampler.lo=-3", "sampler.sigma=2", "kernel.shift=0.5")
 
 
 @st.composite
 def small_configs(draw):
     """``--set`` text of a small ``run``: any law, kernel, degree, sample size, envelope and
-    level grid, with ``run.rank`` set off the alphabets."""
+    level grid, with ``run.rank`` set off the alphabets, and now and then a key that only
+    some options read."""
     law = draw(st.sampled_from(sorted(SMALL_LAWS)))
     kernel = draw(st.sampled_from(sorted(SMALL_KERNELS)))
     items = [SMALL_LAWS[law], SMALL_KERNELS[kernel], draw(st.sampled_from(SMALL_ENVELOPES)),
@@ -1150,6 +1185,8 @@ def small_configs(draw):
         items.append(f"run.rank={draw(st.integers(1, 2))}")
     if draw(st.booleans()):
         items.append("bound.lower_beta=1.0")
+    if draw(st.integers(0, 4)) == 0:
+        items.append(draw(st.sampled_from(OPTION_KEYS)))
     return " ".join(items)
 
 
@@ -1180,6 +1217,92 @@ def test_small_configs_finish_or_fail_first(setting):
     # simulate refuses a drawn field that is identically zero or not finite before writing
     # it; that is a property of the draw, which no key names
     assert cfg in err or "field is identically zero" in err or "not finite" in err, (setting, err)
+
+
+# what no command runs, and why it stays: the acceptance criteria's paper quantities, the
+# brute-force and Generator references the tests compare against, and the two functions the
+# benchmark's tracer (perfbench/tracing.py) wraps by name
+LIBRARY_ONLY = {
+    "bounds.moment_growth_check", "bounds.power_log_rate", "bounds.uniform_tail_report",
+    "engine.variance_u", "engine.variance_value", "engine._index_tuples",
+    "engine._FactorTerms.__len__", "engine._FactorTerms.__getitem__",
+    "engine.alphabet_sampler.draw", "engine.uniform_sampler.draw",
+    "envelopes.MomentEnvelope.__call__", "envelopes.tail_bound",
+}
+REACH_BASE = "run.seed = 11\nrun.n = 6\nrun.reps = 40\ngrids.p = log:2:8:4\n"
+# together: every sampler, kernel, averaging mode, envelope family and estimator, a lower
+# curve, a plot, half_sq_diff under an alphabet law and a key the options do not read
+REACH_CONFIGS = {
+    "rademacher": "sampler.name = rademacher\nkernel.name = gprod\nkernel.g = tanh\n"
+                  "kernel.t_grid = 0.5,1.5,2.5\nbound.lower_beta = 1.0\noutput.plot = true\n",
+    "alphabet": "sampler.name = alphabet\nsampler.values = -1,0.5,2\n"
+                "sampler.weights = 0.2,0.3,0.5\nkernel.name = half_sq_diff\n"
+                "psi.family = power_log\npsi.m = 2\nentropy.estimator = packing\n",
+    "uniform": "sampler.name = uniform\nsampler.lo = -1\nsampler.hi = 2\nkernel.name = product\n"
+               "kernel.degree = 3\nkernel.shift = 0.2\nrun.rank = 1\npsi.family = exp_power\n"
+               "psi.coef = 0.5\npsi.expo = 1\nentropy.estimator = exact\n",
+    "normal": "sampler.name = normal\nkernel.name = sum\nrun.rank = 1\npsi.family = constant\n"
+              "psi.value = 3\npsi.p_sup = 16\n",
+    "pareto": "sampler.name = pareto\nsampler.a = 3\nkernel.name = gprod\nkernel.t_grid = 0.5,1.5\n"
+              "run.rank = 1\nrun.mode = incomplete\nrun.subsets = 5\n",
+    "lognormal": "sampler.name = lognormal\nsampler.sigma = 0.5\nkernel.name = gprod\n"
+                 "kernel.g = identity\nkernel.t_grid = 0.5,1.5\nrun.rank = 1\n",
+    "table": "sampler.name = alphabet\nsampler.values = -1,1\nkernel.name = table\n"
+             "kernel.values = -1,1\nkernel.table = 0.5,-1,2,0.3\n",
+    "unread": "sampler.name = rademacher\nkernel.name = gprod\nkernel.t_grid = 0.5\npsi.m = 3\n",
+}
+
+
+def package_functions():
+    """The qualified name of every function in the package, keyed by the (file, first line,
+    name) of its code object; a decorated function's code starts at its first decorator."""
+    root = os.path.dirname(os.path.realpath(ustattails.__file__))
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = (child.decorator_list or [child])[0].lineno
+                found[(path, line, child.name)] = prefix + child.name
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                visit(ast.parse(fh.read()), path, name[:-3] + ".")
+    return found
+
+
+def test_every_function_is_on_the_pipeline_or_library_only(tmp_path):
+    # every function of the package runs under some command, or is listed above with why
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno,
+                        frame.f_code.co_name))
+
+    codes = {}
+    sys.setprofile(profile)
+    try:
+        for name, text in REACH_CONFIGS.items():
+            cfg, out = tmp_path / f"{name}.cfg", str(tmp_path / name)
+            cfg.write_text(REACH_BASE + text)
+            for stage in list(cli.STAGES) if name == "rademacher" else ["run"]:  # run first
+                extra = ["--set", f"output.dir={tmp_path}/unused"] if stage == "run" else []
+                with contextlib.redirect_stderr(io.StringIO()):
+                    codes[name, stage] = main([stage, str(cfg), "--out", out] + extra)
+    finally:
+        sys.setprofile(None)
+    assert {key: code for key, code in codes.items() if code != 0} == {("unread", "run"): 1}
+    called = {(os.path.realpath(path), line, name) for path, line, name in called}
+    never = {qualname for key, qualname in package_functions().items() if key not in called}
+    assert never == LIBRARY_ONLY
+    assert not os.path.exists(tmp_path / "unused")
 
 
 def test_benchmark_tracer_wraps_every_layer(smoke_cfg, tmp_path, monkeypatch):

@@ -5,22 +5,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spaces import space_from_points
 from ustattails import (
     FiniteMetricSpace,
     constant_envelope,
-    covering_bounds,
     covering_number,
-    entropy_dimension,
     entropy_integral,
-    integral_trend,
     power_log_envelope,
-    space_from_points,
 )
 from ustattails import entropy
+
+ESTIMATORS = ("packing", "exact", "greedy")
 
 
 def unit_grid(points=101):
     return space_from_points(np.linspace(0.0, 1.0, points))
+
+
+def sandwich(space, eps):
+    """The packing lower bound, the exact count and the greedy upper bound at eps."""
+    return tuple(covering_number(space, eps, estimator=e) for e in ESTIMATORS)
 
 
 class TestSpaceValidation:
@@ -44,13 +48,14 @@ class TestSpaceValidation:
 class TestCoveringNumbers:
     def test_unit_grid_quarter_radius(self):
         sp = unit_grid()
-        lo, up, _ = covering_bounds(sp, 0.25, exact_threshold=0)
+        lo = covering_number(sp, 0.25, estimator="packing")
+        up = covering_number(sp, 0.25)
         assert lo == 2 and up == 2
         assert math.log(covering_number(sp, 0.25)) == pytest.approx(math.log(2.0))
 
     def test_four_point_line(self):
         sp = space_from_points([[0.0], [1.0], [2.0], [3.0]])
-        lo, up, exact = covering_bounds(sp, 1.0)
+        lo, exact, up = sandwich(sp, 1.0)
         assert exact == 2
         assert lo <= exact <= up
 
@@ -77,8 +82,15 @@ class TestCoveringNumbers:
             covering_number(unit_grid(5), 0.1, estimator="magic")
 
     def test_negative_radius(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            covering_bounds(unit_grid(5), -0.1)
+        # every estimator would loop forever on it
+        for estimator in ESTIMATORS:
+            with pytest.raises(ValueError, match="nonnegative"):
+                covering_number(unit_grid(5), -0.1, estimator=estimator)
+
+    def test_nan_radius(self):
+        for estimator in ESTIMATORS:
+            with pytest.raises(ValueError, match="nonnegative"):
+                covering_number(unit_grid(5), float("nan"), estimator=estimator)
 
     @given(st.integers(0, 500))
     def test_sandwich_on_random_clouds(self, seed):
@@ -89,7 +101,7 @@ class TestCoveringNumbers:
         sp = space_from_points(pts)
         for q in (0.15, 0.4, 0.8):
             eps = q * sp.diameter / 2.0
-            lo, up, exact = covering_bounds(sp, eps)
+            lo, exact, up = sandwich(sp, eps)
             assert lo <= exact <= up
 
 
@@ -191,34 +203,3 @@ class TestEntropyIntegral:
         assert np.all(ent.integrand > 0.0)
         assert np.all(np.diff(ent.entropies) <= 1e-12)
 
-
-class TestIntegralTrend:
-    def test_diverging(self):
-        assert integral_trend([1.0, 1.6, 2.6, 4.2]) == "diverging"
-
-    def test_stable(self):
-        assert integral_trend([1.0, 1.2, 1.25]) == "stable"
-
-    def test_needs_two(self):
-        with pytest.raises(ValueError, match="two"):
-            integral_trend([1.0])
-
-
-class TestEntropyDimension:
-    def test_unit_interval(self):
-        sp = space_from_points(np.linspace(0.0, 1.0, 1001))
-        dim, warns = entropy_dimension(sp, np.geomspace(0.002, 0.05, 20))
-        assert abs(dim - 1.0) < 0.1
-        assert not warns
-
-    def test_holder_scaling(self):
-        alpha = 0.6
-        sp = space_from_points(np.linspace(0.0, 1.0, 1001), power=alpha)
-        dim, _ = entropy_dimension(sp, np.geomspace(0.002, 0.05, 20) ** alpha)
-        assert abs(dim - 1.0 / alpha) < 0.15
-
-    def test_degenerate_window_warns(self):
-        sp = space_from_points([[0.0], [1.0]])
-        dim, warns = entropy_dimension(sp, np.array([0.9, 1.0]))
-        assert dim == 0.0
-        assert warns
