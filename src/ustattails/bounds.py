@@ -29,7 +29,7 @@ from .empirics import (
     envelope_distance,
 )
 from .entropy import EntropyIntegral, FiniteMetricSpace, entropy_integral
-from .envelopes import DEFAULT_GRID_POINTS, DEFAULT_P_MAX, envelope_norm, rosenthal_lift, tail_curve
+from .envelopes import envelope_norm, rosenthal_lift, tail_curve
 
 def check_beta(beta):
     """Raises ValueError unless the lower-shape parameter beta is positive and finite: at
@@ -158,12 +158,6 @@ class ComparisonReport:
     notes: list = field(default_factory=list)
 
 
-def check_sigma(sigma):
-    """Raises ValueError unless the binomial slack sigma is nonnegative."""
-    if not sigma >= 0:
-        raise ValueError("sigma must be nonnegative")
-
-
 def compare_curves(empirical, *, upper=None, lower=None, sigma=3.0):
     """Check bound ordering against an empirical curve with binomial slack.
 
@@ -171,7 +165,8 @@ def compare_curves(empirical, *, upper=None, lower=None, sigma=3.0):
     bound, or falls below the lower bound, by more than sigma binomial
     standard errors of the empirical point.
     """
-    check_sigma(sigma)
+    if not sigma >= 0:
+        raise ValueError("sigma must be nonnegative")
     if empirical.kind != "empirical":
         raise ValueError("first curve must be empirical")
     if empirical.sample_count < 1:
@@ -210,8 +205,7 @@ class Geometry:
     ``psi_used`` is the envelope of the field columns and ``tau`` its degree
     lift; ``space`` holds the envelope distances between index points and
     ``entropy`` the covering entropy integral of that space against ``tau``.
-    ``p_grid`` is the moment grid they were measured on, and ``p_max`` and
-    ``points`` set the grid of every optimisation over p.
+    ``p_grid`` is the moment grid they were measured on.
     """
 
     psi_used: object
@@ -219,8 +213,6 @@ class Geometry:
     space: FiniteMetricSpace
     entropy: EntropyIntegral
     p_grid: np.ndarray
-    p_max: float
-    points: int
     notes: list = field(default_factory=list)
 
 
@@ -240,16 +232,7 @@ class BoundReport:
     notes: list = field(default_factory=list)
 
 
-def index_geometry(
-    field_samples,
-    p_grid,
-    degree,
-    *,
-    env=None,
-    p_max=DEFAULT_P_MAX,
-    points=DEFAULT_GRID_POINTS,
-    **integral,
-):
+def index_geometry(field_samples, p_grid, degree, *, env=None, **integral):
     """Envelope, envelope distances and entropy integral of a field's index set.
 
     Without ``env`` the natural envelope of the columns is estimated.
@@ -263,12 +246,12 @@ def index_geometry(
     tau = rosenthal_lift(env, degree)
     dist = envelope_distance(field_samples, env, p_grid=p_grid)
     space = FiniteMetricSpace(field_samples.labels, dist)
-    ent = entropy_integral(space, tau, p_max=p_max, points=points, **integral)
-    return Geometry(env, tau, space, ent, p_grid, p_max, points, notes)
+    ent = entropy_integral(space, tau, **integral)
+    return Geometry(env, tau, space, ent, p_grid, notes)
 
 
 def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
-    """Tail curves of the field supremum, calibrated against a Geometry and on its p grids.
+    """Tail curves of the field supremum, calibrated against a Geometry and on its p grid.
 
     ``lower``, when given, is a dict with keys ``beta`` and optional
     calibration ``column`` (default 0).
@@ -280,8 +263,8 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
     sup_stat, counts = field_samples.sup_abs(), field_samples.counts
     sup_table = empirical_moments(sup_stat, geometry.p_grid, counts)
     sup_norm = envelope_norm(sup_table, tau)
-    upper_probs = tail_curve(tau, sup_norm, u_grid, p_max=geometry.p_max, points=geometry.points)
-    upper = TailCurve(u_grid, upper_probs, "upper_bound", meta={"norm": sup_norm})
+    upper = TailCurve(u_grid, tail_curve(tau, sup_norm, u_grid), "upper_bound",
+                      meta={"norm": sup_norm})
     empirical = empirical_tail(sup_stat, u_grid, counts)
     curves = {"empirical": empirical, "upper": upper}
     if lower is not None:

@@ -28,7 +28,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .bounds import (
-    Geometry, calibrate_tails, check_beta, check_sigma, compare_curves, index_geometry, report_text
+    Geometry, calibrate_tails, check_beta, compare_curves, index_geometry, report_text
 )
 from .config import Config, ConfigError, parse_floats, resolve_grid
 from .empirics import FieldSamples, TailCurve, check_levels, check_sample_count
@@ -50,13 +50,10 @@ from .engine import (
     simulate_panel,
     uniform_sampler,
 )
-from .entropy import (
-    DEFAULT_PLATEAU_FRACTION, EntropyIntegral, FiniteMetricSpace, check_eps_grid,
-    check_estimator, check_plateau_fraction,
-)
+from .entropy import EntropyIntegral, FiniteMetricSpace, check_eps_grid, check_estimator
 from .envelopes import (
-    DEFAULT_GRID_POINTS, DEFAULT_P_MAX, MomentEnvelope, check_family_param, check_lift_degree,
-    check_p_grid, check_p_max, check_points, constant_envelope, make_envelope, rosenthal_lift,
+    MomentEnvelope, check_family_param, check_lift_degree, check_p_grid, constant_envelope,
+    make_envelope, rosenthal_lift,
 )
 
 FIELD = "field.csv"
@@ -74,7 +71,6 @@ BOUND_REPORT = "bound_report.txt"
 VERIFY_REPORT = "verify_report.txt"
 PLOT = "plot.svg"
 
-OUT_ENV_VAR = "USTATTAILS_OUT"
 # the config keys the stages read, as README's config-key table lists them; main refuses
 # others, and run also refuses a set key that the chosen options do not read
 KEYS = (
@@ -82,10 +78,11 @@ KEYS = (
     "sampler.lo", "sampler.hi", "sampler.a", "sampler.sigma", "sampler.values", "sampler.weights",
     "kernel.name", "kernel.degree", "kernel.shift", "kernel.g", "kernel.t_grid", "kernel.values",
     "kernel.table", "grids.p", "grids.u", "grids.eps", "psi.family", "psi.m", "psi.r", "psi.coef",
-    "psi.expo", "psi.value", "psi.p_sup", "psi.p_max", "psi.points", "entropy.estimator",
-    "entropy.plateau_fraction", "bound.degree", "bound.lower_beta", "bound.lower_column",
-    "bound.sigma", "output.dir", "output.plot",
+    "psi.expo", "psi.value", "psi.p_sup", "entropy.estimator", "bound.degree",
+    "bound.lower_beta", "bound.lower_column", "output.dir", "output.plot",
 )
+# ln of the largest double: math.exp overflows past it
+LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 DEFAULT_P_GRID = "log:2:16:8"
 DEFAULT_U_GRID = "quantile:0.5:0.99:16"
 
@@ -286,6 +283,11 @@ def read_pairs(path):
         return [tuple(part.strip() for part in line.split("=", 1)) for line in fh if "=" in line]
 
 
+def _lift_degree(text):
+    """The lift degree a record spells, checked as ``rosenthal_lift`` checks it."""
+    return check_lift_degree(int(text))
+
+
 def read_record(path, casts):
     """A ``key = value`` artifact with ``casts[key]`` applied to each named value.
 
@@ -376,17 +378,24 @@ def write_curve(path, curve):
     write_table(path, ("u", "prob"), rows, comment=f"samples = {curve.sample_count}")
 
 
-def read_curve(path, kind):
-    """A tail curve written by ``write_curve``.  The empirical curve's standard errors divide
-    by its ``# samples``, so a count that is missing, not an integer or below 1 raises
+def read_curve(path, kind, levels=None):
+    """A tail curve written by ``write_curve``, a bound curve on the empirical curve's
+    ``levels``.  Other levels, an invalid curve or, as the empirical curve's standard errors
+    divide by it, a ``# samples`` that is missing, not an integer or below 1 raise
     ConfigError naming the file."""
     u, p = read_columns(path, ("u", "prob"))
-    if kind != "empirical":
-        return TailCurve(u, p, kind)
-    samples = read_record(path, {"# samples": int})["# samples"]
-    if samples < 1:
-        raise ConfigError(f"{path}: the empirical curve records {samples} samples, not at least 1")
-    return TailCurve(u, p, kind, sample_count=samples)
+    samples = 0
+    if kind == "empirical":
+        samples = read_record(path, {"# samples": int})["# samples"]
+        if samples < 1:
+            raise ConfigError(f"{path}: the empirical curve records {samples} samples, "
+                              "not at least 1")
+    elif not np.array_equal(u, levels):
+        raise ConfigError(f"{path}: its levels are not those of {TAIL_EMPIRICAL}")
+    try:
+        return TailCurve(u, p, kind, sample_count=samples)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def write_geometry(out_dir, geo, estimator, field_sha256):
@@ -394,8 +403,7 @@ def write_geometry(out_dir, geo, estimator, field_sha256):
     write_distance(out_dir, geo.space.labels, geo.space.dist)
     p_grid = ",".join(map(_cell, geo.p_grid.tolist()))
     degree = geo.tau.lift - geo.psi_used.lift
-    psi = [("psi", geo.psi_used.to_text()), ("degree", degree), ("p_grid", p_grid),
-           ("p_max", geo.p_max), ("points", geo.points)]
+    psi = [("psi", geo.psi_used.to_text()), ("degree", degree), ("p_grid", p_grid)]
     write_pairs(os.path.join(out_dir, PSI_USED), psi)
     ent = geo.entropy
     counts = [int(round(math.exp(h))) for h in ent.entropies.tolist()]
@@ -432,10 +440,8 @@ def read_geometry(out_dir, stage, field_sha256):
         raise ConfigError(f"{DISTANCE} was measured on another {FIELD}; rerun stage 'entropy'")
     psi = read_record(_need(out_dir, PSI_USED, stage), {
         "psi": MomentEnvelope.from_text,
-        "degree": int,
+        "degree": _lift_degree,
         "p_grid": lambda text: check_p_grid(parse_floats(text)),
-        "p_max": lambda text: check_p_max(float(text)),
-        "points": lambda text: check_points(int(text)),
     })
     eps, entropies, integrand = read_columns(
         _need(out_dir, ENTROPY, stage), ("eps", "entropy", "integrand")
@@ -451,7 +457,7 @@ def read_geometry(out_dir, stage, field_sha256):
     )
     env, space = psi["psi"], read_distance(out_dir, stage)
     tau = rosenthal_lift(env, psi["degree"])
-    return Geometry(env, tau, space, ent, psi["p_grid"], psi["p_max"], psi["points"])
+    return Geometry(env, tau, space, ent, psi["p_grid"])
 
 
 def write_svg(out_dir, curves):
@@ -536,37 +542,47 @@ def stage_decompose(cfg, out_dir):
     return 0
 
 
-def _entropy_settings(cfg, size):
-    """The configured degree (or None), and the arguments of ``index_geometry`` but the field,
-    whose index has ``size`` points."""
+def _entropy_settings(cfg, size, field_degree):
+    """The lift degree, ``bound.degree`` or else ``field_degree``, and the arguments of
+    ``index_geometry`` but the field, whose index has ``size`` points.  A configured envelope
+    whose lift passes the largest double at every point of its optimisation grid, so that
+    every entropy integrand overflows, fails naming the family's scale key."""
     p_grid = resolve_grid(cfg.get_grid("grids.p", DEFAULT_P_GRID, check=check_p_grid))
     eps = cfg.get_grid("grids.eps", None, check=check_eps_grid)
+    env = build_envelope(cfg, p_grid)
     options = {
         "p_grid": p_grid,
-        "env": build_envelope(cfg, p_grid),
+        "env": env,
         "eps_grid": None if eps is None else resolve_grid(eps),
         "estimator": cfg.get_str(
             "entropy.estimator", "greedy", choices=("greedy", "packing", "exact"),
             check=partial(check_estimator, points=size),
         ),
-        "plateau_fraction": cfg.get_float(
-            "entropy.plateau_fraction", DEFAULT_PLATEAU_FRACTION, check=check_plateau_fraction
-        ),
-        "p_max": cfg.get_float("psi.p_max", DEFAULT_P_MAX, check=check_p_max),
-        "points": cfg.get_int("psi.points", DEFAULT_GRID_POINTS, check=check_points),
     }
-    return cfg.get_int("bound.degree", None, check=check_lift_degree), options
+    degree = cfg.get_int("bound.degree", field_degree, check=check_lift_degree)
+    if env is not None:
+        tau = rosenthal_lift(env, degree)
+        low = float(np.min(tau.log_value(tau.opt_grid()[0])))
+        if low > LOG_MAX_DOUBLE:
+            key = {"power_log": "psi.m", "exp_power": "psi.coef"}.get(env.family, "psi.value")
+            cfg.fail(key, f"{key}: lifted by degree {degree}, the envelope is at least "
+                     f"exp({low!r}), past the largest double, so the entropy integral overflows")
+    return degree, options
+
+
+def _field_degree(out_dir, fld):
+    """The degree field_meta.txt records for the field's kernel; the config's ``kernel.degree``
+    need not be that one."""
+    if "degree" not in fld.meta:
+        raise ConfigError(f"{FIELD_META} gives no kernel degree; set bound.degree")
+    return read_record(os.path.join(out_dir, FIELD_META), {"degree": _lift_degree})["degree"]
 
 
 def stage_entropy(cfg, out_dir, fld=None):
     if fld is None:
         fld = read_field(out_dir, "entropy")
-    degree, options = _entropy_settings(cfg, len(fld.labels))
-    if degree is None:
-        # the field's own degree, never the config's: it need not be the one that produced it
-        if "degree" not in fld.meta:
-            raise ConfigError(f"{FIELD_META} gives no kernel degree; set bound.degree")
-        degree = int(fld.meta["degree"])
+    field_degree = None if cfg.has("bound.degree") else _field_degree(out_dir, fld)
+    degree, options = _entropy_settings(cfg, len(fld.labels), field_degree)
     geo = index_geometry(fld, degree=degree, **options)
     write_geometry(out_dir, geo, options["estimator"], fld.meta["field_sha256"])
     return 0
@@ -619,16 +635,14 @@ def stage_bounds(cfg, out_dir, fld=None):
     return 0 if report.certified else 2
 
 
-def _verify_sigma(cfg):
-    return cfg.get_float("bound.sigma", 3.0, check=check_sigma)
-
-
 def stage_verify(cfg, out_dir):
     emp = read_curve(_need(out_dir, TAIL_EMPIRICAL, "verify"), "empirical")
-    upper = read_curve(_need(out_dir, TAIL_UPPER, "verify"), "upper_bound")
+    upper = read_curve(_need(out_dir, TAIL_UPPER, "verify"), "upper_bound", emp.u_grid)
     lower_path = os.path.join(out_dir, TAIL_LOWER)
-    lower = read_curve(lower_path, "lower_bound") if os.path.exists(lower_path) else None
-    cmp = compare_curves(emp, upper=upper, lower=lower, sigma=_verify_sigma(cfg))
+    lower = None
+    if os.path.exists(lower_path):
+        lower = read_curve(lower_path, "lower_bound", emp.u_grid)
+    cmp = compare_curves(emp, upper=upper, lower=lower)
     write_pairs(
         os.path.join(out_dir, VERIFY_REPORT),
         [
@@ -647,10 +661,9 @@ def stage_verify(cfg, out_dir):
 def stage_run(cfg, out_dir):
     # every key a stage reads is read here, so a bad one, or a set one that no stage reads,
     # fails before any artifact
-    size = len(_simulate_settings(cfg)["kernel"].t_grid)
-    _entropy_settings(cfg, size)
-    _bounds_settings(cfg, size)
-    _verify_sigma(cfg)
+    kernel = _simulate_settings(cfg)["kernel"]
+    _entropy_settings(cfg, len(kernel.t_grid), kernel.degree)
+    _bounds_settings(cfg, len(kernel.t_grid))
     cfg.check_read()
     fld = stage_simulate(cfg, out_dir)
     stage_entropy(cfg, out_dir, fld)
@@ -693,7 +706,7 @@ def main(argv=None):
             key, value = item.split("=", 1)
             cfg.override(key.strip(), value.strip())
         configured = cfg.get_str("output.dir", None)  # read, so run accepts it, under --out too
-        out_dir = args.out or configured or os.environ.get(OUT_ENV_VAR) or "."
+        out_dir = args.out or configured or "."
         os.makedirs(out_dir, exist_ok=True)
         cfg.check_keys(KEYS)
         code = STAGES[args.command](cfg, out_dir)

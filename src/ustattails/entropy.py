@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .envelopes import DEFAULT_GRID_POINTS, DEFAULT_P_MAX, log_maximum_bound
+from .envelopes import log_maximum_bound
 
 EXACT_THRESHOLD = 16
 # integrand mass on saturated eps above this fraction means the eps grid sees
@@ -171,42 +171,32 @@ def check_eps_grid(eps_grid):
     return eps
 
 
-def check_plateau_fraction(fraction):
-    """Raises ValueError unless the certification share lies in (0, 1]."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("plateau fraction must lie in (0, 1]")
-
-
-def entropy_integral(
-    space,
-    env,
-    eps_grid=None,
-    *,
-    estimator="greedy",
-    plateau_fraction=DEFAULT_PLATEAU_FRACTION,
-    p_max=DEFAULT_P_MAX,
-    points=DEFAULT_GRID_POINTS,
-):
+def entropy_integral(space, env, eps_grid=None, *, estimator="greedy"):
     """Trapezoid integral of exp(inf_p (H(eps)/p + ln psi(p))) d eps.
 
     ``finite`` certifies that the mass contributed by eps where the covering
-    saturates at |T| stays below ``plateau_fraction`` of the integral: that
-    is the regime where the finite index set is standing in for a richer one
-    and the integral value is geometry-driven rather than floor-driven.
+    saturates at |T| stays below DEFAULT_PLATEAU_FRACTION of the integral:
+    that is the regime where the finite index set is standing in for a richer
+    one and the integral value is geometry-driven rather than floor-driven.
+    An integrand or integral past the largest double raises ValueError.
     """
-    check_plateau_fraction(plateau_fraction)
     if eps_grid is None:
         eps_grid = default_eps_grid(space)
     eps = check_eps_grid(eps_grid)
     counts = np.array([covering_number(space, e, estimator=estimator) for e in eps], dtype=float)
     entropies = np.log(counts)
-    log_bounds = log_maximum_bound(env, entropies, p_max=p_max, points=points)
-    integrand = np.array([math.exp(v) for v in log_bounds])  # libm's exp, as for one value
-    value = float(np.trapezoid(integrand, eps))
+    log_bounds = log_maximum_bound(env, entropies)
+    try:
+        integrand = np.array([math.exp(v) for v in log_bounds])  # libm's exp, as for one value
+        with np.errstate(over="raise"):
+            value = float(np.trapezoid(integrand, eps))
+    except (OverflowError, FloatingPointError):
+        raise ValueError("the entropy integral overflows a double: the lifted envelope's "
+                         f"integrand reaches exp({float(log_bounds.max())!r})") from None
     saturated = (counts >= space.size) & (space.size > 1)
     if value > 0 and saturated.any():
         frac = float(np.trapezoid(np.where(saturated, integrand, 0.0), eps)) / value
     else:
         frac = 0.0
-    finite = frac < plateau_fraction
+    finite = frac < DEFAULT_PLATEAU_FRACTION
     return EntropyIntegral(value, finite, eps, integrand, entropies, frac, space.size)

@@ -51,20 +51,6 @@ def check_p_grid(p_grid):
     return p
 
 
-def check_p_max(p_max):
-    """The largest moment order, after checking it exceeds 2, where every range starts."""
-    if not p_max > 2.0:
-        raise ValueError("p_max must exceed 2")
-    return p_max
-
-
-def check_points(points):
-    """The size of an optimisation grid, after checking it has both ends."""
-    if not points >= 2:
-        raise ValueError("points must be at least 2")
-    return points
-
-
 @dataclass
 class MomentEnvelope:
     """A moment envelope psi(p) on [2, b), optionally lifted.
@@ -120,11 +106,6 @@ class MomentEnvelope:
             out = out + self.lift * (np.log(p) - np.log(np.log(p)))
         return out
 
-    def __call__(self, p):
-        # may overflow to inf for extreme exp_power parameters; internal
-        # consumers stay in log space
-        return np.exp(self.log_value(p))
-
     # -- optimisation grid ---------------------------------------------
 
     def opt_grid(self, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
@@ -135,8 +116,10 @@ class MomentEnvelope:
         a golden-section pass between grid points is meaningful (it is not
         for tabulated envelopes, which are only defined at their nodes).
         """
-        check_p_max(p_max)
-        check_points(points)
+        if not p_max > 2.0:  # every range starts at 2
+            raise ValueError("p_max must exceed 2")
+        if not points >= 2:
+            raise ValueError("points must be at least 2")
         if self.family == "tabulated":
             nodes = np.asarray(self.params[0], dtype=float)
             keep = nodes <= p_max * (1.0 + 1e-12)
@@ -258,9 +241,10 @@ def make_envelope(family, **params):
 
 
 def check_lift_degree(degree):
-    """Raises ValueError unless the lift degree is a nonnegative integer."""
+    """The lift degree, after checking it is a nonnegative integer."""
     if int(degree) != degree or degree < 0:
         raise ValueError("lift degree must be a nonnegative integer")
+    return degree
 
 
 def rosenthal_lift(env, degree):

@@ -287,10 +287,9 @@ class TestPipeline:
         assert (tmp_path / DECOMP).exists()
 
     def test_bounds_reads_moment_grids_back(self, smoke_cfg, smoke_run, tmp_path):
-        # bounds calibrates on the grids the envelope was tabulated on, not on the config's
+        # bounds calibrates on the moment grid the envelope was tabulated on, not on the config's
         out = copy_artifacts(smoke_run[1], tmp_path / "regrid")
-        other = ["--set", "grids.p=log:2:6:4", "--set", "psi.p_max=32", "--set", "psi.points=65"]
-        assert main(["bounds", smoke_cfg, "--out", str(out)] + other) == 0
+        assert main(["bounds", smoke_cfg, "--out", str(out), "--set", "grids.p=log:2:6:4"]) == 0
         assert (out / BOUND_REPORT).read_bytes() == (smoke_run[1] / BOUND_REPORT).read_bytes()
 
     def test_staged_matches_run(self, smoke_cfg, smoke_run, tmp_path):
@@ -333,7 +332,6 @@ class TestPipeline:
         # each stage in its own interpreter parses field.csv, and writes what run wrote
         src = os.path.dirname(os.path.dirname(ustattails.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        env.pop("USTATTAILS_OUT", None)
         out = tmp_path / "processes"
         for stage in ("simulate", "entropy", "bounds", "verify"):
             subprocess.run(
@@ -498,18 +496,17 @@ class TestPipeline:
             (ENTROPY_SUMMARY, replace_line("points = ", "points = 2.5")),
             (ENTROPY_SUMMARY, replace_line("certified = ", "certified = maybe")),
             (PSI_USED, replace_line("degree = ", "degree = x")),
+            (PSI_USED, replace_line("degree = ", "degree = -2")),
             (PSI_USED, replace_line("psi = ", "psi = tabulated lift=0 p=2.0")),
             (PSI_USED, replace_line("p_grid = ", "p_grid = 2.0,1.5")),
             (ENTROPY, lambda line: line.rsplit(",", 1)[0]),
             (DISTANCE, edit_distances(lambda cell: "inf" if cell != "0.0" else cell)),
             (DISTANCE, edit_distances(lambda cell: "nan" if cell == "0.0" else cell)),
-            (PSI_USED, replace_line("p_max = ", "p_max = 1.5")),
-            (PSI_USED, replace_line("points = ", "points = 1")),
         ],
         ids=[
-            "no_integral", "fractional_points", "bad_certified", "bad_degree", "envelope_no_v",
-            "decreasing_p_grid", "no_integrand_column", "infinite_distances", "nan_diagonal",
-            "p_max_below_2", "one_point",
+            "no_integral", "fractional_points", "bad_certified", "bad_degree", "negative_degree",
+            "envelope_no_v", "decreasing_p_grid", "no_integrand_column", "infinite_distances",
+            "nan_diagonal",
         ],
     )
     def test_corrupt_geometry_record_exits_1_naming_it(
@@ -521,6 +518,23 @@ class TestPipeline:
         (out / name).write_text("".join(line + "\n" for line in lines if line is not None))
         assert main(["bounds", smoke_cfg, "--out", str(out)]) == 1
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("degree", ["x", "2.5", "-2"])
+    def test_corrupt_field_degree_exits_1_naming_it(
+        self, smoke_cfg, smoke_run, tmp_path, capsys, degree
+    ):
+        # entropy lifts by the degree field_meta.txt records; one that is not a nonnegative
+        # integer fails naming the file and the key, and entropy writes nothing
+        out = copy_artifacts(smoke_run[1], tmp_path / "degree")
+        lines = (out / FIELD_META).read_text().splitlines()
+        assert "degree = 2" in lines
+        edit = replace_line("degree = ", f"degree = {degree}")
+        (out / FIELD_META).write_text("".join(edit(line) + "\n" for line in lines))
+        before = read_artifacts(out)
+        assert main(["entropy", smoke_cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert FIELD_META in err and "'degree'" in err
+        assert read_artifacts(out) == before
 
     @pytest.mark.parametrize(
         "key, spec",
@@ -550,19 +564,16 @@ class TestPipeline:
             ("psi.family=power_log", "psi.m"),
             ("psi.family=exp_power", "psi.coef"),
             ("bound.lower_exponent=one_plus_inv_beta", "bound.lower_exponent"),
-            ("bound.sigma=abc", "bound.sigma"),
+            ("bound.sigma=3.0", "bound.sigma"),
             ("bound.degree=two", "bound.degree"),
-            ("entropy.plateau_fraction=half", "entropy.plateau_fraction"),
+            ("entropy.plateau_fraction=0.9", "entropy.plateau_fraction"),
             ("output.plot=maybe", "output.plot"),
             ("run.budget=1000", "run.budget"),
             ("bound.convention=multiply", "bound.convention"),
-            ("psi.p_max=1", "psi.p_max"),
-            ("psi.points=1", "psi.points"),
-            ("entropy.plateau_fraction=5", "entropy.plateau_fraction"),
-            ("entropy.plateau_fraction=-1", "entropy.plateau_fraction"),
+            ("psi.p_max=64", "psi.p_max"),
+            ("psi.points=257", "psi.points"),
             ("bound.lower_beta=0", "bound.lower_beta"),
             ("bound.lower_beta=inf", "bound.lower_beta"),
-            ("bound.sigma=-1", "bound.sigma"),
             ("psi.family=power_log psi.m=-1", "psi.m"),
             ("psi.family=power_log psi.m=nan", "psi.m"),
             ("psi.family=power_log psi.m=2 psi.r=nan", "psi.r"),
@@ -607,31 +618,34 @@ class TestPipeline:
             ("sampler.lo=-3", "sampler.lo"),
             ("sampler.sigma=2", "sampler.sigma"),
             ("kernel.shift=0.5", "kernel.shift"),
+            ("psi.family=exp_power psi.coef=400 psi.expo=1", "psi.coef"),
+            ("psi.family=power_log psi.m=0.0009", "psi.m"),
+            ("psi.family=constant psi.value=1e308 psi.p_sup=16", "psi.value"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
              "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
-             "convention_not_accepted",
-             "p_max_not_above_2", "one_psi_point", "plateau_fraction_above_1",
-             "negative_plateau_fraction", "zero_lower_beta", "inf_lower_beta", "negative_sigma",
-             "negative_m", "nan_m", "nan_r", "inf_coef", "nan_expo", "zero_value",
-             "p_sup_not_above_2", "ragged_table", "zero_subsets", "negative_subsets",
-             "subsets_under_exact", "exact_cover_of_17_points", "p_grid_past_p_sup",
-             "negative_degree", "misspelled_family", "misspelled_sigma", "unknown_shape",
+             "convention_not_accepted", "p_max_not_accepted", "points_not_accepted",
+             "zero_lower_beta", "inf_lower_beta", "negative_m", "nan_m", "nan_r", "inf_coef",
+             "nan_expo", "zero_value", "p_sup_not_above_2", "ragged_table", "zero_subsets",
+             "negative_subsets", "subsets_under_exact", "exact_cover_of_17_points",
+             "p_grid_past_p_sup", "negative_degree", "misspelled_family", "misspelled_sigma", "unknown_shape",
              "zero_degree", "half_sq_diff_degree_3", "table_degree_3", "zero_reps", "one_rep",
              "n_at_degree", "negative_pareto_index", "uniform_lo_above_hi",
              "uniform_hi_below_lo", "nan_lognormal_sigma", "one_point_alphabet",
              "one_weighted_point", "repeated_value", "zero_rank", "negative_rank",
              "table_on_a_continuum", "table_law_off_its_values", "m_under_natural",
              "p_sup_under_natural", "lo_under_rademacher", "sigma_under_rademacher",
-             "shift_under_gprod"],
+             "shift_under_gprod", "exp_power_overflows", "power_log_overflows",
+             "constant_overflows"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, tmp_path, capsys, setting, key
     ):
         # run reads and range-checks the keys of every stage before it simulates, and
-        # rejects a key no stage reads (run.budget, a misspelling) and a set key that the
-        # chosen options do not read (psi.m under the natural envelope, run.subsets under
-        # exact averaging)
+        # rejects a key no stage reads (run.budget, psi.p_max, a misspelling) and a set key
+        # that the chosen options do not read (psi.m under the natural envelope, run.subsets
+        # under exact averaging); an envelope whose lift passes the largest double on its
+        # whole moment range, where every entropy integrand would overflow, names its scale key
         out = tmp_path / "key"
         assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
         assert key in capsys.readouterr().err
@@ -798,6 +812,33 @@ class TestPipeline:
         assert main(["simulate", cfg.as_posix(), "--out", str(tmp_path)]) == 1
         assert "run.seed" in capsys.readouterr().err
 
+    def test_out_dir_ignores_the_environment(self, smoke_cfg, tmp_path, monkeypatch):
+        # with neither --out nor output.dir, run writes into the working directory
+        monkeypatch.setenv("USTATTAILS_OUT", str(tmp_path / "env"))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["run", smoke_cfg]) == 0
+        assert sorted(os.listdir(cwd)) == sorted(RUN_ARTIFACTS)
+        assert not (tmp_path / "env").exists()
+
+    @pytest.mark.parametrize("setting, code", [
+        ("psi.family=exp_power psi.coef=350 psi.expo=1", 0),
+        ("bound.degree=1000", 1),
+    ], ids=["largest_coef_below_overflow", "natural_lift_overflows"])
+    def test_envelope_near_overflow(self, smoke_cfg, tmp_path, capsys, setting, code):
+        # under the natural envelope only the data tell whether the lifted integrand passes
+        # the largest double: entropy then exits 1 with one error line, after simulate wrote
+        out = tmp_path / "overflow"
+        assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert sorted(os.listdir(out)) == sorted(RUN_ARTIFACTS)
+        else:
+            assert err.startswith("error: the entropy integral overflows a double")
+            assert err.count("\n") == 1
+            assert sorted(os.listdir(out)) == sorted([FIELD, FIELD_META, DECOMP])
+
     def test_verify_flags_tampered_curve(self, smoke_cfg, smoke_run, tmp_path):
         _, good = smoke_run
         out = tmp_path / "tampered"
@@ -827,6 +868,27 @@ class TestPipeline:
         (out / TAIL_EMPIRICAL).write_text("\n".join(lines) + "\n")
         assert main(["verify", smoke_cfg, "--out", str(out)]) == 1
         assert TAIL_EMPIRICAL in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [TAIL_UPPER, TAIL_LOWER])
+    @pytest.mark.parametrize("how", ["prob_above_1", "last_row_deleted"])
+    def test_verify_names_an_invalid_bound_curve(
+        self, smoke_cfg, smoke_run, tmp_path, capsys, name, how
+    ):
+        # a bound curve that is no tail curve, or on other levels than the empirical one
+        out = tmp_path / "bound"
+        out.mkdir()
+        for file in (TAIL_EMPIRICAL, TAIL_UPPER, TAIL_LOWER):
+            (out / file).write_bytes((smoke_run[1] / file).read_bytes())
+        lines = (out / name).read_text().splitlines()
+        assert lines[1] == "u,prob"
+        if how == "prob_above_1":
+            lines[2] = lines[2].split(",")[0] + ",1.5"
+        else:
+            del lines[-1]
+        (out / name).write_text("\n".join(lines) + "\n")
+        assert main(["verify", smoke_cfg, "--out", str(out)]) == 1
+        assert name in capsys.readouterr().err
+        assert not (out / VERIFY_REPORT).exists()
 
     @pytest.mark.parametrize(
         "setting, code, count, record",
@@ -1227,7 +1289,7 @@ LIBRARY_ONLY = {
     "engine.variance_u", "engine.variance_value", "engine._index_tuples",
     "engine._FactorTerms.__len__", "engine._FactorTerms.__getitem__",
     "engine.alphabet_sampler.draw", "engine.uniform_sampler.draw",
-    "envelopes.MomentEnvelope.__call__", "envelopes.tail_bound",
+    "envelopes.tail_bound",
 }
 REACH_BASE = "run.seed = 11\nrun.n = 6\nrun.reps = 40\ngrids.p = log:2:8:4\n"
 # together: every sampler, kernel, averaging mode, envelope family and estimator, a lower

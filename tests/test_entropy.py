@@ -11,6 +11,7 @@ from ustattails import (
     constant_envelope,
     covering_number,
     entropy_integral,
+    exp_power_envelope,
     power_log_envelope,
 )
 from ustattails import entropy
@@ -185,10 +186,14 @@ class TestEntropyIntegral:
         with pytest.raises(ValueError, match="increasing"):
             entropy_integral(sp, env, np.array([0.5, 0.5]))
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.5, float("nan")])
-    def test_plateau_fraction_validation(self, fraction):
-        with pytest.raises(ValueError, match=r"plateau fraction must lie in \(0, 1\]"):
-            entropy_integral(unit_grid(11), power_log_envelope(2.0), plateau_fraction=fraction)
+    @pytest.mark.parametrize("coef", [400.0, 354.7])
+    def test_overflow_raises_value_error(self, coef):
+        # both radii cover the grid with one ball, so the integrand is psi(2) = exp(2 * coef)
+        # at each: past ln(DBL_MAX) ~ 709.78 math.exp overflows, and past ln(DBL_MAX / 2)
+        # the trapezoid sum of the two does
+        env = exp_power_envelope(coef, 1.0)
+        with pytest.raises(ValueError, match="entropy integral overflows a double"):
+            entropy_integral(unit_grid(11), env, np.array([0.5, 1.0]))
 
     def test_single_point_is_trivial(self):
         sp = space_from_points([[0.0]])

@@ -32,16 +32,16 @@ def normal_abs_moment(p):
 class TestFamilies:
     def test_power_log_value(self):
         env = power_log_envelope(2.0, 0.0)
-        assert abs(env(4.0) - 2.0) < TOL
+        assert abs(np.exp(env.log_value(4.0)) - 2.0) < TOL
 
     def test_power_log_with_log_factor(self):
         env = power_log_envelope(2.0, 1.5)
         p = 7.3
-        assert abs(env(p) - p ** 0.5 * math.log(p) ** 1.5) < TOL
+        assert abs(np.exp(env.log_value(p)) - p ** 0.5 * math.log(p) ** 1.5) < TOL
 
     def test_exp_power_value(self):
         env = exp_power_envelope(1.0, 1.0)
-        assert abs(env(4.0) - math.exp(4.0)) < 1e-9 * math.exp(4.0)
+        assert abs(np.exp(env.log_value(4.0)) - math.exp(4.0)) < 1e-9 * math.exp(4.0)
 
     def test_exp_power_huge_stays_finite_in_log(self):
         env = exp_power_envelope(2.0, 1.0)
@@ -49,24 +49,24 @@ class TestFamilies:
 
     def test_constant_value(self):
         env = constant_envelope(1.0, 5.0)
-        assert env(3.0) == pytest.approx(1.0)
-        assert env(5.0) == pytest.approx(1.0)  # closed at the top
+        assert np.exp(env.log_value(3.0)) == pytest.approx(1.0)
+        assert np.exp(env.log_value(5.0)) == pytest.approx(1.0)  # closed at the top
 
     def test_constant_rejects_past_support(self):
         env = constant_envelope(1.0, 5.0)
         with pytest.raises(ValueError, match="support"):
-            env(5.1)
+            np.exp(env.log_value(5.1))
 
     def test_below_two_rejected(self):
         env = power_log_envelope(2.0)
         with pytest.raises(ValueError, match="p = 2"):
-            env(1.5)
+            np.exp(env.log_value(1.5))
 
     def test_tabulated_interpolates_loglinear(self):
         env = tabulated_envelope([2.0, 8.0], [1.0, 4.0])
         # log-linear in ln p: at p = 4, halfway in ln space
         want = math.exp(math.log(4.0) * math.log(2.0) / math.log(4.0))
-        assert abs(env(4.0) - want) < TOL
+        assert abs(np.exp(env.log_value(4.0)) - want) < TOL
 
     def test_tabulated_validation(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -112,7 +112,7 @@ class TestLift:
     def test_lift_value(self):
         env = rosenthal_lift(power_log_envelope(2.0, 0.0), 2)
         want = (4.0 / math.log(4.0)) ** 2 * 2.0
-        assert abs(env(4.0) - want) < TOL * want
+        assert abs(np.exp(env.log_value(4.0)) - want) < TOL * want
 
     def test_lift_composes_additively(self):
         env = power_log_envelope(3.0, 1.0)
