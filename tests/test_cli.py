@@ -621,6 +621,9 @@ class TestPipeline:
             ("psi.family=exp_power psi.coef=400 psi.expo=1", "psi.coef"),
             ("psi.family=power_log psi.m=0.0009", "psi.m"),
             ("psi.family=constant psi.value=1e308 psi.p_sup=16", "psi.value"),
+            ("entropy.plateau_fraction=5", "entropy.plateau_fraction"),
+            ("entropy.plateau_fraction=-1", "entropy.plateau_fraction"),
+            ("bound.sigma=-1", "bound.sigma"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
              "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
@@ -636,7 +639,8 @@ class TestPipeline:
              "table_on_a_continuum", "table_law_off_its_values", "m_under_natural",
              "p_sup_under_natural", "lo_under_rademacher", "sigma_under_rademacher",
              "shift_under_gprod", "exp_power_overflows", "power_log_overflows",
-             "constant_overflows"],
+             "constant_overflows", "plateau_fraction_above_1", "negative_plateau_fraction",
+             "negative_sigma"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, tmp_path, capsys, setting, key
