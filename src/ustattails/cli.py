@@ -50,7 +50,7 @@ from .engine import (
     simulate_panel,
     uniform_sampler,
 )
-from .entropy import EntropyIntegral, FiniteMetricSpace, check_eps_grid, check_estimator
+from .entropy import EntropyIntegral, FiniteMetricSpace, check_eps_grid
 from .envelopes import (
     MomentEnvelope, check_family_param, check_lift_degree, check_p_grid, constant_envelope,
     make_envelope, rosenthal_lift,
@@ -78,8 +78,8 @@ KEYS = (
     "sampler.lo", "sampler.hi", "sampler.a", "sampler.sigma", "sampler.values", "sampler.weights",
     "kernel.name", "kernel.degree", "kernel.shift", "kernel.g", "kernel.t_grid", "kernel.values",
     "kernel.table", "grids.p", "grids.u", "grids.eps", "psi.family", "psi.m", "psi.r", "psi.coef",
-    "psi.expo", "psi.value", "psi.p_sup", "entropy.estimator", "bound.degree",
-    "bound.lower_beta", "bound.lower_column", "output.dir", "output.plot",
+    "psi.expo", "psi.value", "psi.p_sup", "bound.degree", "bound.lower_beta",
+    "bound.lower_column", "output.dir", "output.plot",
 )
 # ln of the largest double: math.exp overflows past it
 LOG_MAX_DOUBLE = math.log(sys.float_info.max)
@@ -398,7 +398,7 @@ def read_curve(path, kind, levels=None):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def write_geometry(out_dir, geo, estimator, field_sha256):
+def write_geometry(out_dir, geo, field_sha256):
     """The entropy stage's artifacts, tied to the field.csv bytes they were measured on."""
     write_distance(out_dir, geo.space.labels, geo.space.dist)
     p_grid = ",".join(map(_cell, geo.p_grid.tolist()))
@@ -412,10 +412,10 @@ def write_geometry(out_dir, geo, estimator, field_sha256):
     write_pairs(
         os.path.join(out_dir, ENTROPY_SUMMARY),
         [
-            ("estimator", estimator),
             ("points", geo.space.size),
             ("diameter", geo.space.diameter),
             ("integral", ent.value),
+            ("integral_lower", ent.lower),
             ("saturated_fraction", ent.saturated_fraction),
             ("certified", bool(ent.finite)),
             ("field_sha256", field_sha256),
@@ -433,6 +433,7 @@ def read_geometry(out_dir, stage, field_sha256):
         "field_sha256": str,
         "points": int,
         "integral": float,
+        "integral_lower": float,
         "saturated_fraction": float,
         "certified": {"true": True, "false": False}.__getitem__,
     })
@@ -448,6 +449,7 @@ def read_geometry(out_dir, stage, field_sha256):
     )
     ent = EntropyIntegral(
         value=summary["integral"],
+        lower=summary["integral_lower"],
         finite=summary["certified"],
         eps_grid=eps,
         integrand=integrand,
@@ -542,32 +544,25 @@ def stage_decompose(cfg, out_dir):
     return 0
 
 
-def _entropy_settings(cfg, size, field_degree):
+def _entropy_settings(cfg, field_degree):
     """The lift degree, ``bound.degree`` or else ``field_degree``, and the arguments of
-    ``index_geometry`` but the field, whose index has ``size`` points.  A configured envelope
-    whose lift passes the largest double at every point of its optimisation grid, so that
-    every entropy integrand overflows, fails naming the family's scale key."""
+    ``index_geometry`` but the field.  A configured envelope whose lift passes the largest
+    double on all its optimisation grid (half of it if two integrands are summed, on two
+    or more radii) fails naming the family's scale key: no integrand is any smaller."""
     p_grid = resolve_grid(cfg.get_grid("grids.p", DEFAULT_P_GRID, check=check_p_grid))
     eps = cfg.get_grid("grids.eps", None, check=check_eps_grid)
+    eps = None if eps is None else resolve_grid(eps)
     env = build_envelope(cfg, p_grid)
-    options = {
-        "p_grid": p_grid,
-        "env": env,
-        "eps_grid": None if eps is None else resolve_grid(eps),
-        "estimator": cfg.get_str(
-            "entropy.estimator", "greedy", choices=("greedy", "packing", "exact"),
-            check=partial(check_estimator, points=size),
-        ),
-    }
     degree = cfg.get_int("bound.degree", field_degree, check=check_lift_degree)
     if env is not None:
         tau = rosenthal_lift(env, degree)
         low = float(np.min(tau.log_value(tau.opt_grid()[0])))
-        if low > LOG_MAX_DOUBLE:
+        limit = LOG_MAX_DOUBLE - (math.log(2.0) if eps is None or eps.size > 1 else 0.0)
+        if low > limit:  # the default grid has 64 radii
             key = {"power_log": "psi.m", "exp_power": "psi.coef"}.get(env.family, "psi.value")
             cfg.fail(key, f"{key}: lifted by degree {degree}, the envelope is at least "
-                     f"exp({low!r}), past the largest double, so the entropy integral overflows")
-    return degree, options
+                     f"exp({low!r}), past exp({limit!r}): the entropy integral overflows")
+    return degree, {"p_grid": p_grid, "env": env, "eps_grid": eps}
 
 
 def _field_degree(out_dir, fld):
@@ -582,9 +577,9 @@ def stage_entropy(cfg, out_dir, fld=None):
     if fld is None:
         fld = read_field(out_dir, "entropy")
     field_degree = None if cfg.has("bound.degree") else _field_degree(out_dir, fld)
-    degree, options = _entropy_settings(cfg, len(fld.labels), field_degree)
+    degree, options = _entropy_settings(cfg, field_degree)
     geo = index_geometry(fld, degree=degree, **options)
-    write_geometry(out_dir, geo, options["estimator"], fld.meta["field_sha256"])
+    write_geometry(out_dir, geo, fld.meta["field_sha256"])
     return 0
 
 
@@ -662,7 +657,7 @@ def stage_run(cfg, out_dir):
     # every key a stage reads is read here, so a bad one, or a set one that no stage reads,
     # fails before any artifact
     kernel = _simulate_settings(cfg)["kernel"]
-    _entropy_settings(cfg, len(kernel.t_grid), kernel.degree)
+    _entropy_settings(cfg, kernel.degree)
     _bounds_settings(cfg, len(kernel.t_grid))
     cfg.check_read()
     fld = stage_simulate(cfg, out_dir)

@@ -2,16 +2,16 @@
 
 Covering numbers are for closed balls with centers restricted to the space
 itself.  Three estimators are provided: a greedy set-cover upper bound, a
-2eps-separation packing lower bound, and exact minimum cover by subset
-enumeration for spaces of at most 16 points.  The sandwich
-packing <= exact <= greedy holds whenever the distance matrix is a true
-semi-metric; the estimators themselves only require symmetry.
+2eps-separation packing lower bound from one farthest-point traversal, and
+exact minimum cover by subset enumeration for spaces of at most 16 points.
+The sandwich packing <= exact <= greedy holds whenever the distance matrix
+is a true semi-metric; the estimators themselves only require symmetry.
 
 The entropy integral integrates exp(log_maximum_bound(env, H(eps))) over eps
-by the trapezoid rule, where H = ln N is the metric entropy.  On a finite
-space H saturates at ln |T| as eps -> 0, so the integral is always finite;
-whether it has stabilised below the saturation plateau is reported as the
-certification flag instead.
+by the trapezoid rule, H = ln N the greedy counts' metric entropy, beside the
+same integral of the packing counts.  On a finite space H saturates at ln |T|
+as eps -> 0, so the integral is always finite; whether it has stabilised below
+the saturation plateau is reported as the certification flag instead.
 """
 
 import math
@@ -84,33 +84,33 @@ def _greedy_cover(space, eps):
     return count
 
 
-def _packing_count(space, eps):
-    """Greedy 2eps-separated set, grown farthest-point from index 0."""
-    if space.size == 0:
-        return 0
-    tol = 1e-12 * max(1.0, space.diameter)
-    chosen = [0]
+def farthest_point_radii(space):
+    """The m - 1 nonincreasing insertion radii of the farthest-point traversal from index 0
+    (Gonzalez 1985): each point's distance to those before it, the farthest next (ties: first)."""
+    radii = np.empty(space.size - 1)
     mind = space.dist[0].copy()
-    while True:
-        k = int(np.argmax(mind))
-        if mind[k] <= 2.0 * eps + tol:
-            break
-        chosen.append(k)
-        mind = np.minimum(mind, space.dist[k])
-    return len(chosen)
+    for k in range(radii.size):
+        far = int(np.argmax(mind))
+        radii[k] = mind[far]
+        mind = np.minimum(mind, space.dist[far])
+    return radii
 
 
-def check_estimator(estimator, points):
-    """Raises ValueError unless ``estimator`` can count the covers of a space of ``points``
-    points: ``exact`` enumerates at most EXACT_THRESHOLD."""
-    if estimator == "exact" and points > EXACT_THRESHOLD:
-        raise ValueError(f"exact covering is limited to {EXACT_THRESHOLD} points, got {points}")
+def _packing_counts(space, eps):
+    """1 + #{k : r_k > 2eps} at each radius of ``eps``, r the farthest-point radii: the
+    points the traversal inserts before its first radius within 2eps are 2eps-separated."""
+    tol = 1e-12 * max(1.0, space.diameter)
+    radii = farthest_point_radii(space)
+    return 1 + np.count_nonzero(radii > 2.0 * np.asarray(eps)[..., None] + tol, axis=-1)
 
 
 def _exact_cover(space, eps):
-    check_estimator("exact", space.size)
-    covers = _cover_matrix(space, eps)
+    """The minimum cover, by enumerating subsets of at most EXACT_THRESHOLD points.  No
+    command runs it; it is the oracle of acceptance criterion 05's covering sandwich."""
     n = space.size
+    if n > EXACT_THRESHOLD:
+        raise ValueError(f"exact covering is limited to {EXACT_THRESHOLD} points, got {n}")
+    covers = _cover_matrix(space, eps)
     masks = [sum(1 << j for j in range(n) if covers[i, j]) for i in range(n)]
     full = (1 << n) - 1
     upper = _greedy_cover(space, eps)  # a cover of this size exists: look for a smaller one
@@ -125,14 +125,14 @@ def _exact_cover(space, eps):
 
 
 def covering_number(space, eps, *, estimator="greedy"):
-    """N(eps) by ``estimator``; a negative or NaN radius raises ValueError, as every
-    estimator would loop forever on it."""
+    """N(eps) by ``estimator``; a negative or NaN radius raises ValueError, as the greedy
+    cover would loop forever on it."""
     if not eps >= 0:
         raise ValueError(f"radius must be nonnegative, got {eps!r}")
     if estimator == "greedy":
         return _greedy_cover(space, eps)
     if estimator == "packing":
-        return _packing_count(space, eps)
+        return int(_packing_counts(space, eps))
     if estimator == "exact":
         return _exact_cover(space, eps)
     raise ValueError(f"unknown covering estimator {estimator!r}")
@@ -141,6 +141,7 @@ def covering_number(space, eps, *, estimator="greedy"):
 @dataclass
 class EntropyIntegral:
     value: float
+    lower: float  # the same integral of the packing counts, a lower bound on the exact one
     finite: bool
     eps_grid: np.ndarray
     integrand: np.ndarray
@@ -156,9 +157,8 @@ class EntropyIntegral:
 
 
 def default_eps_grid(space):
-    hi = 1.0
     lo = min(space.diameter, 1.0) / 1024.0 if space.diameter > 0 else 1.0 / 1024.0
-    return np.geomspace(lo, hi, 64)
+    return np.geomspace(lo, 1.0, 64)
 
 
 def check_eps_grid(eps_grid):
@@ -171,8 +171,9 @@ def check_eps_grid(eps_grid):
     return eps
 
 
-def entropy_integral(space, env, eps_grid=None, *, estimator="greedy"):
-    """Trapezoid integral of exp(inf_p (H(eps)/p + ln psi(p))) d eps.
+def entropy_integral(space, env, eps_grid=None):
+    """Trapezoid integral of exp(inf_p (H(eps)/p + ln psi(p))) d eps, H the log of the greedy
+    counts, and as ``lower`` that of the packing counts.
 
     ``finite`` certifies that the mass contributed by eps where the covering
     saturates at |T| stays below DEFAULT_PLATEAU_FRACTION of the integral:
@@ -183,13 +184,15 @@ def entropy_integral(space, env, eps_grid=None, *, estimator="greedy"):
     if eps_grid is None:
         eps_grid = default_eps_grid(space)
     eps = check_eps_grid(eps_grid)
-    counts = np.array([covering_number(space, e, estimator=estimator) for e in eps], dtype=float)
+    counts = np.array([covering_number(space, e) for e in eps], dtype=float)
     entropies = np.log(counts)
-    log_bounds = log_maximum_bound(env, entropies)
+    # one pass over p bounds both sides: the greedy entropies, then the packing ones
+    packings = np.log(_packing_counts(space, eps))
+    log_bounds = log_maximum_bound(env, np.concatenate([entropies, packings]))
     try:
-        integrand = np.array([math.exp(v) for v in log_bounds])  # libm's exp, as for one value
+        integrand, packed = np.array([math.exp(v) for v in log_bounds]).reshape(2, -1)  # libm's exp
         with np.errstate(over="raise"):
-            value = float(np.trapezoid(integrand, eps))
+            value, lower = (float(np.trapezoid(y, eps)) for y in (integrand, packed))
     except (OverflowError, FloatingPointError):
         raise ValueError("the entropy integral overflows a double: the lifted envelope's "
                          f"integrand reaches exp({float(log_bounds.max())!r})") from None
@@ -199,4 +202,4 @@ def entropy_integral(space, env, eps_grid=None, *, estimator="greedy"):
     else:
         frac = 0.0
     finite = frac < DEFAULT_PLATEAU_FRACTION
-    return EntropyIntegral(value, finite, eps, integrand, entropies, frac, space.size)
+    return EntropyIntegral(value, lower, finite, eps, integrand, entropies, frac, space.size)

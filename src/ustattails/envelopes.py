@@ -340,16 +340,17 @@ def envelope_norm_rows(values, log_psi):
 def tail_curve(env, norm, levels, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
     """Two-sided tail bounds at each level y for a variable of envelope norm ``norm``.
 
-    exp(-max(0, fenchel_exponent(ln(y/norm)))) where y > e * norm, else the void
-    bound 1.0 (also at y = e * norm).  The log and exp are ``math``'s, as libm's
-    last bit differs from numpy's.
+    exp(-max(0, fenchel_exponent(ln(y/norm)))) where y > e * norm, else the void bound 1.0
+    (also at y = e * norm); ln(y/norm) is ln y - ln norm where y/norm passes the largest
+    double.  The log and exp are ``math``'s, as libm's last bit differs from numpy's.
     """
     if norm <= 0:
         raise ValueError("envelope norm must be positive")
     levels = np.asarray(levels, dtype=float)
     out = np.ones(levels.shape)
     live = levels > math.e * norm
-    u = [math.log(y / norm) for y in levels[live]]
+    ratios = ((y, y / float(norm)) for y in levels[live].tolist())  # inf, not a warning
+    u = [math.log(r) if r < math.inf else math.log(y) - math.log(norm) for y, r in ratios]
     expo = fenchel_exponent(env, u, p_max=p_max, points=points)
     out[live] = [math.exp(-max(0.0, e)) for e in expo]
     return out

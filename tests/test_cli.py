@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ustattails
-from ustattails import cli, engine
+from spaces import packing_count
+from ustattails import cli, engine, entropy
 from ustattails.cli import (
     BOUND_REPORT,
     DECOMP,
@@ -47,6 +48,8 @@ from ustattails.cli import (
 )
 from ustattails.config import Config, ConfigError, parse_grid, resolve_grid
 from ustattails.empirics import FieldSamples, distinct_rows
+from ustattails.entropy import covering_number
+from ustattails.envelopes import log_maximum_bound
 
 SMOKE = """\
 run.seed = 11
@@ -493,6 +496,8 @@ class TestPipeline:
         "name, edit",
         [
             (ENTROPY_SUMMARY, replace_line("integral = ", None)),
+            (ENTROPY_SUMMARY, replace_line("integral_lower = ", None)),
+            (ENTROPY_SUMMARY, replace_line("integral_lower = ", "integral_lower = low")),
             (ENTROPY_SUMMARY, replace_line("points = ", "points = 2.5")),
             (ENTROPY_SUMMARY, replace_line("certified = ", "certified = maybe")),
             (PSI_USED, replace_line("degree = ", "degree = x")),
@@ -504,9 +509,9 @@ class TestPipeline:
             (DISTANCE, edit_distances(lambda cell: "nan" if cell == "0.0" else cell)),
         ],
         ids=[
-            "no_integral", "fractional_points", "bad_certified", "bad_degree", "negative_degree",
-            "envelope_no_v", "decreasing_p_grid", "no_integrand_column", "infinite_distances",
-            "nan_diagonal",
+            "no_integral", "no_integral_lower", "bad_integral_lower", "fractional_points",
+            "bad_certified", "bad_degree", "negative_degree", "envelope_no_v", "decreasing_p_grid",
+            "no_integrand_column", "infinite_distances", "nan_diagonal",
         ],
     )
     def test_corrupt_geometry_record_exits_1_naming_it(
@@ -585,8 +590,6 @@ class TestPipeline:
             ("run.mode=incomplete run.subsets=0", "run.subsets"),
             ("run.mode=incomplete run.subsets=-3", "run.subsets"),
             ("run.subsets=50", "run.subsets"),
-            ("entropy.estimator=exact kernel.t_grid=" + ",".join(map(str, range(1, 18))),
-             "entropy.estimator"),
             ("psi.family=constant psi.value=1 psi.p_sup=4", "psi.p_sup"),
             ("bound.degree=-1", "bound.degree"),
             ("psi.famly=constant", "psi.famly"),
@@ -624,14 +627,18 @@ class TestPipeline:
             ("entropy.plateau_fraction=5", "entropy.plateau_fraction"),
             ("entropy.plateau_fraction=-1", "entropy.plateau_fraction"),
             ("bound.sigma=-1", "bound.sigma"),
+            ("entropy.estimator=greedy", "entropy.estimator"),
+            ("psi.family=exp_power psi.coef=353.5 psi.expo=1", "psi.coef"),
+            ("psi.family=exp_power psi.coef=353.8 psi.expo=1", "psi.coef"),
+            ("psi.family=exp_power psi.coef=353.83 psi.expo=1", "psi.coef"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
              "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
              "convention_not_accepted", "p_max_not_accepted", "points_not_accepted",
              "zero_lower_beta", "inf_lower_beta", "negative_m", "nan_m", "nan_r", "inf_coef",
              "nan_expo", "zero_value", "p_sup_not_above_2", "ragged_table", "zero_subsets",
-             "negative_subsets", "subsets_under_exact", "exact_cover_of_17_points",
-             "p_grid_past_p_sup", "negative_degree", "misspelled_family", "misspelled_sigma", "unknown_shape",
+             "negative_subsets", "subsets_under_exact", "p_grid_past_p_sup", "negative_degree",
+             "misspelled_family", "misspelled_sigma", "unknown_shape",
              "zero_degree", "half_sq_diff_degree_3", "table_degree_3", "zero_reps", "one_rep",
              "n_at_degree", "negative_pareto_index", "uniform_lo_above_hi",
              "uniform_hi_below_lo", "nan_lognormal_sigma", "one_point_alphabet",
@@ -640,7 +647,8 @@ class TestPipeline:
              "p_sup_under_natural", "lo_under_rademacher", "sigma_under_rademacher",
              "shift_under_gprod", "exp_power_overflows", "power_log_overflows",
              "constant_overflows", "plateau_fraction_above_1", "negative_plateau_fraction",
-             "negative_sigma"],
+             "negative_sigma", "estimator_not_accepted", "exp_power_sum_overflows_353_5",
+             "exp_power_sum_overflows_353_8", "exp_power_sum_overflows_353_83"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, tmp_path, capsys, setting, key
@@ -649,7 +657,8 @@ class TestPipeline:
         # rejects a key no stage reads (run.budget, psi.p_max, a misspelling) and a set key
         # that the chosen options do not read (psi.m under the natural envelope, run.subsets
         # under exact averaging); an envelope whose lift passes the largest double on its
-        # whole moment range, where every entropy integrand would overflow, names its scale key
+        # whole moment range, where every entropy integrand would overflow, or half of it,
+        # where the trapezoid sum of two would, names its scale key
         out = tmp_path / "key"
         assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
         assert key in capsys.readouterr().err
@@ -663,32 +672,20 @@ class TestPipeline:
         assert f"{cfg}:11: unknown key 'psi.famly'" in capsys.readouterr().err
         assert os.listdir(out) == []
 
-    def test_exact_cover_checked_against_field(self, smoke_cfg, tmp_path, capsys):
-        # a standalone entropy stage counts the index points of the field it reads
-        out = tmp_path / "wide"
-        wide = ["--set", "kernel.t_grid=" + ",".join(map(str, range(1, 18))), "--set",
-                "run.reps=200"]
-        assert main(["simulate", smoke_cfg, "--out", str(out)] + wide) == 0
-        written = sorted(os.listdir(out))
-        exact = ["--set", "entropy.estimator=exact"]
-        assert main(["entropy", smoke_cfg, "--out", str(out)] + exact) == 1
-        err = capsys.readouterr().err
-        assert "entropy.estimator: exact covering is limited to 16 points, got 17" in err
-        assert sorted(os.listdir(out)) == written
-
-    def test_covering_estimators_finish_in_order(self, smoke_cfg, tmp_path):
-        # every estimator ends with the full artifact set, and the packing lower bound,
-        # exact count and greedy upper bound order their integrals
-        integral = {}
-        for estimator in ("greedy", "packing", "exact"):
-            out = tmp_path / estimator
-            setting = ["--set", f"entropy.estimator={estimator}"]
-            assert main(["run", smoke_cfg, "--out", str(out)] + setting) == 0
-            assert sorted(os.listdir(out)) == sorted(RUN_ARTIFACTS)
-            summary = key_values(out / ENTROPY_SUMMARY)
-            assert summary["estimator"] == estimator
-            integral[estimator] = float(summary["integral"])
-        assert integral["packing"] <= integral["exact"] <= integral["greedy"]
+    def test_entropy_summary_brackets_exact_cover(self, smoke_run):
+        # the packing integral, the exact-cover integral of the library and the greedy
+        # integral are ordered on the 5-point smoke index
+        _rc, out = smoke_run
+        summary = key_values(out / ENTROPY_SUMMARY)
+        geo = cli.read_geometry(str(out), "bounds", summary["field_sha256"])
+        assert geo.space.size == 5
+        eps = geo.entropy.eps_grid
+        counts = [covering_number(geo.space, e, estimator="exact") for e in eps]
+        exact = np.trapezoid(np.exp(log_maximum_bound(geo.tau, np.log(counts))), eps)
+        lower, upper = float(summary["integral_lower"]), float(summary["integral"])
+        assert (lower, upper) == (geo.entropy.lower, geo.entropy.value)
+        assert lower <= exact <= upper
+        assert lower < upper
 
     def test_non_finite_field_fails_before_any_artifact(
         self, other_kernel_cfg, tmp_path, capsys
@@ -829,10 +826,15 @@ class TestPipeline:
     @pytest.mark.parametrize("setting, code", [
         ("psi.family=exp_power psi.coef=350 psi.expo=1", 0),
         ("bound.degree=1000", 1),
-    ], ids=["largest_coef_below_overflow", "natural_lift_overflows"])
+        ("psi.family=exp_power psi.coef=353 psi.expo=1", 0),
+        ("psi.family=exp_power psi.coef=353.83 psi.expo=1 grids.eps=0.5", 0),
+    ], ids=["largest_coef_below_overflow", "natural_lift_overflows", "coef_below_half_overflow",
+            "one_radius_has_no_sum"])
     def test_envelope_near_overflow(self, smoke_cfg, tmp_path, capsys, setting, code):
         # under the natural envelope only the data tell whether the lifted integrand passes
-        # the largest double: entropy then exits 1 with one error line, after simulate wrote
+        # the largest double: entropy then exits 1 with one error line, after simulate wrote;
+        # a configured envelope just under run's refusal finishes, as does one past half the
+        # largest double on a one-radius grid, whose trapezoid adds no two integrands
         out = tmp_path / "overflow"
         assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == code
         err = capsys.readouterr().err
@@ -842,6 +844,22 @@ class TestPipeline:
             assert err.startswith("error: the entropy integral overflows a double")
             assert err.count("\n") == 1
             assert sorted(os.listdir(out)) == sorted([FIELD, FIELD_META, DECOMP])
+
+    def test_tail_curve_past_the_largest_ratio(self, smoke_cfg, tmp_path):
+        # the exp_power envelope at coef 350 calibrates sup_norm ~ 1.7e-305, so y / sup_norm
+        # passes the largest double at the two top levels: their bound comes from
+        # ln y - ln sup_norm, where it read 0.0 after an overflow warning
+        out = tmp_path / "tiny_norm"
+        setting = "psi.family=exp_power psi.coef=350 psi.expo=1 grids.u=lin:0.5:5000:4"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 0
+        assert float(key_values(out / BOUND_REPORT)["sup_norm"]) < 1e-304
+        u, p = cli.read_columns(str(out / TAIL_UPPER), ("u", "prob"))
+        assert u.tolist() == [0.5, 1667.0, 3333.5, 5000.0]
+        assert np.all(p > 0) and np.all(np.diff(p) <= 0)
+        assert p[1] == 7.186083899044107e-07  # the finite ratio keeps its bits
+        assert p[3] < p[2] < p[1]
 
     def test_verify_flags_tampered_curve(self, smoke_cfg, smoke_run, tmp_path):
         _, good = smoke_run
@@ -1286,27 +1304,27 @@ def test_small_configs_finish_or_fail_first(setting):
 
 
 # what no command runs, and why it stays: the acceptance criteria's paper quantities, the
-# brute-force and Generator references the tests compare against, and the two functions the
-# benchmark's tracer (perfbench/tracing.py) wraps by name
+# brute-force, exact-cover and Generator references the tests compare against, and the two
+# functions the benchmark's tracer (perfbench/tracing.py) wraps by name
 LIBRARY_ONLY = {
     "bounds.moment_growth_check", "bounds.power_log_rate", "bounds.uniform_tail_report",
     "engine.variance_u", "engine.variance_value", "engine._index_tuples",
     "engine._FactorTerms.__len__", "engine._FactorTerms.__getitem__",
     "engine.alphabet_sampler.draw", "engine.uniform_sampler.draw",
-    "envelopes.tail_bound",
+    "envelopes.tail_bound", "entropy._exact_cover",
 }
 REACH_BASE = "run.seed = 11\nrun.n = 6\nrun.reps = 40\ngrids.p = log:2:8:4\n"
-# together: every sampler, kernel, averaging mode, envelope family and estimator, a lower
-# curve, a plot, half_sq_diff under an alphabet law and a key the options do not read
+# together: every sampler, kernel, averaging mode and envelope family, a lower curve, a plot,
+# half_sq_diff under an alphabet law and a key the options do not read
 REACH_CONFIGS = {
     "rademacher": "sampler.name = rademacher\nkernel.name = gprod\nkernel.g = tanh\n"
                   "kernel.t_grid = 0.5,1.5,2.5\nbound.lower_beta = 1.0\noutput.plot = true\n",
     "alphabet": "sampler.name = alphabet\nsampler.values = -1,0.5,2\n"
                 "sampler.weights = 0.2,0.3,0.5\nkernel.name = half_sq_diff\n"
-                "psi.family = power_log\npsi.m = 2\nentropy.estimator = packing\n",
+                "psi.family = power_log\npsi.m = 2\n",
     "uniform": "sampler.name = uniform\nsampler.lo = -1\nsampler.hi = 2\nkernel.name = product\n"
                "kernel.degree = 3\nkernel.shift = 0.2\nrun.rank = 1\npsi.family = exp_power\n"
-               "psi.coef = 0.5\npsi.expo = 1\nentropy.estimator = exact\n",
+               "psi.coef = 0.5\npsi.expo = 1\n",
     "normal": "sampler.name = normal\nkernel.name = sum\nrun.rank = 1\npsi.family = constant\n"
               "psi.value = 3\npsi.p_sup = 16\n",
     "pareto": "sampler.name = pareto\nsampler.a = 3\nkernel.name = gprod\nkernel.t_grid = 0.5,1.5\n"
@@ -1391,10 +1409,17 @@ def test_benchmark_tracer_wraps_every_layer(smoke_cfg, tmp_path, monkeypatch):
     assert tracing.installed_wrappers() == []
 
 
+# the packing-count integral of each workload at seed 11
+INTEGRAL_LOWER = {"narrow_exact": 16.2889018680359, "wide_index": 17.16260805145174,
+                  "heavy_incomplete": 129.43277295405053}
+
+
 @pytest.mark.parametrize("name", ["narrow_exact", "wide_index", "heavy_incomplete"])
 def test_benchmark_gate_passes(name, tmp_path, monkeypatch):
     # the gate perfbench applies to every run: exit code, artifact set, verify PASS and
-    # the seed-11 reference values within 1e-9, so a numeric drift fails here too
+    # the seed-11 reference values within 1e-9, so a numeric drift fails here too; beside
+    # them the covering bracket, with the traversal's packing counts checked against the
+    # per-radius search at every default radius
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
     workloads = importlib.import_module("workloads")
@@ -1406,6 +1431,14 @@ def test_benchmark_gate_passes(name, tmp_path, monkeypatch):
     seed = workloads.REFERENCE_SEED
     rc = main(["run", str(cfg), "--out", str(out), "--set", f"run.seed={seed}"])
     assert gate.check_artifacts(workload, str(out), rc, seed) == []
+    summary = key_values(out / ENTROPY_SUMMARY)
+    lower = float(summary["integral_lower"])
+    assert lower <= float(summary["integral"])
+    assert lower == pytest.approx(INTEGRAL_LOWER[name], rel=1e-12)
+    space = cli.read_distance(str(out), "bounds")
+    eps = entropy.default_eps_grid(space)
+    counts = entropy._packing_counts(space, eps)
+    assert counts.tolist() == [packing_count(space, e) for e in eps]
     # a bounds rerun parses field.csv cold and must rewrite the same bytes
     before = gate.digests(str(out))
     rc = main(["bounds", str(cfg), "--out", str(out), "--set", f"run.seed={seed}"])

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spaces import space_from_points
+from spaces import packing_count, space_from_points
 from ustattails import (
     FiniteMetricSpace,
     constant_envelope,
     covering_number,
     entropy_integral,
     exp_power_envelope,
+    log_maximum_bound,
     power_log_envelope,
 )
 from ustattails import entropy
@@ -83,7 +84,7 @@ class TestCoveringNumbers:
             covering_number(unit_grid(5), 0.1, estimator="magic")
 
     def test_negative_radius(self):
-        # every estimator would loop forever on it
+        # the greedy cover would loop forever on it, and every estimator refuses it
         for estimator in ESTIMATORS:
             with pytest.raises(ValueError, match="nonnegative"):
                 covering_number(unit_grid(5), -0.1, estimator=estimator)
@@ -142,6 +143,82 @@ class TestGreedyCover:
         for sp in (unit_grid(), space_from_points(np.random.default_rng(5).uniform(size=(289, 2)))):
             for eps in entropy.default_eps_grid(sp):
                 assert covering_number(sp, eps) == recomputed_greedy_cover(sp, eps), eps
+
+
+def radii_counts(space, eps_grid):
+    """The packing counts the farthest-point radii give at each radius of ``eps_grid``."""
+    radii = entropy.farthest_point_radii(space)
+    assert radii.shape == (space.size - 1,)
+    assert np.all(np.diff(radii) <= 0)
+    return entropy._packing_counts(space, np.asarray(eps_grid, dtype=float)).tolist()
+
+
+def on_distances(space):
+    """Radii eps at which 2eps plus the counts' tolerance is exactly a distance of ``space``:
+    there a point at that distance is not separated."""
+    tol = 1e-12 * max(1.0, space.diameter)
+    near = [(d - tol) / 2.0 for d in np.unique(space.dist) if d > tol]
+    found = [e for x in near for e in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0))
+             if 2.0 * e + tol in space.dist]
+    assert found
+    return found
+
+
+class TestFarthestPointRadii:
+    # one traversal gives, at every radius, the count the per-radius search finds
+
+    def check(self, space, eps_grid):
+        want = [packing_count(space, eps) for eps in eps_grid]
+        assert radii_counts(space, eps_grid) == want
+        assert [covering_number(space, eps, estimator="packing") for eps in eps_grid] == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_clouds(self, seed):
+        rng = np.random.default_rng(seed)
+        for m in (3, 17, int(rng.integers(50, 301))):
+            sp = space_from_points(rng.normal(size=(m, int(rng.integers(1, 4)))))
+            self.check(sp, [0.0, *rng.uniform(0.0, 0.7 * sp.diameter, 12)])
+            self.check(sp, entropy.default_eps_grid(sp))
+
+    def test_ties(self):
+        # (-2, -1) and (-2, 1) are both farthest from (3, 0); taking the first, as the
+        # per-radius search does, makes the next radius sqrt(5), where taking the second
+        # would make it sqrt(13), and the count at eps = 1.5 three
+        sp = space_from_points([[3, 0], [0, -1], [-2, -1], [2, -2], [-2, 1], [0, -2]])
+        assert radii_counts(sp, [1.5]) == [2]
+        # evenly spaced points and a regular polygon: many points at the farthest distance
+        angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        for space in (sp, unit_grid(33),
+                      space_from_points(np.column_stack([np.cos(angles), np.sin(angles)]))):
+            self.check(space, np.concatenate([np.unique(space.dist), on_distances(space)]))
+
+    def test_zero_off_diagonal_distances(self):
+        rng = np.random.default_rng(3)
+        sp = space_from_points(rng.integers(0, 4, size=(60, 2)).astype(float))
+        assert np.count_nonzero(sp.dist == 0.0) > 60
+        self.check(sp, [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 3.0, 5.0])
+        same = space_from_points(np.zeros((4, 1)))
+        assert entropy.farthest_point_radii(same).tolist() == [0.0, 0.0, 0.0]
+        self.check(same, [0.0, 0.5])
+
+    def test_one_and_two_points(self):
+        one = space_from_points([[5.0]])
+        assert entropy.farthest_point_radii(one).shape == (0,)
+        self.check(one, [0.0, 0.5, 1.0])
+        two = space_from_points([[0.0], [1.0]])
+        assert entropy.farthest_point_radii(two).tolist() == [1.0]
+        self.check(two, [0.0, 0.25, 0.5 - 1e-9, 0.5, 0.75])
+
+    def test_integral_lower_integrates_the_packing_counts(self):
+        sp = space_from_points(np.random.default_rng(7).normal(size=(14, 2)))
+        env = power_log_envelope(2.0, 1.0)
+        ent = entropy_integral(sp, env)
+        counts = [packing_count(sp, eps) for eps in ent.eps_grid]
+        direct = np.trapezoid(np.exp(log_maximum_bound(env, np.log(counts))), ent.eps_grid)
+        assert ent.lower == pytest.approx(direct, rel=1e-12)
+        exact = [covering_number(sp, eps, estimator="exact") for eps in ent.eps_grid]
+        bound = np.trapezoid(np.exp(log_maximum_bound(env, np.log(exact))), ent.eps_grid)
+        assert ent.lower <= bound <= ent.value
 
 
 class TestEntropyIntegral:
