@@ -232,11 +232,10 @@ class BoundReport:
     notes: list = field(default_factory=list)
 
 
-def index_geometry(field_samples, p_grid, degree, *, env=None, **integral):
+def index_geometry(field_samples, p_grid, degree, *, env=None):
     """Envelope, envelope distances and entropy integral of a field's index set.
 
     Without ``env`` the natural envelope of the columns is estimated.
-    ``integral`` holds the other keyword options of :func:`entropy_integral`.
     """
     p_grid = np.asarray(p_grid, dtype=float)
     notes = []
@@ -246,7 +245,7 @@ def index_geometry(field_samples, p_grid, degree, *, env=None, **integral):
     tau = rosenthal_lift(env, degree)
     dist = envelope_distance(field_samples, env, p_grid=p_grid)
     space = FiniteMetricSpace(field_samples.labels, dist)
-    ent = entropy_integral(space, tau, **integral)
+    ent = entropy_integral(space, tau)
     return Geometry(env, tau, space, ent, p_grid, notes)
 
 
@@ -277,9 +276,11 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
         except ValueError as exc:
             notes.append(f"lower shape omitted: column {col} has {exc}")
         else:
+            # the supremum dominates the column pathwise, so no more than its tail is claimed
+            shape = closed_form_tail("log_power", u_grid, coef=coef, beta=beta)
             curves["lower"] = TailCurve(
                 u_grid,
-                closed_form_tail("log_power", u_grid, coef=coef, beta=beta),
+                np.minimum(shape, col_curve.probs),
                 "lower_bound",
                 meta={"coef": coef, "beta": beta, "column": col},
             )
@@ -304,13 +305,13 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
     )
 
 
-def uniform_tail_report(field_samples, p_grid, degree, u_grid, *, lower=None, **geometry):
+def uniform_tail_report(field_samples, p_grid, degree, u_grid, *, env=None, lower=None):
     """Full bound pipeline for a panel of normalized deviations:
-    :func:`index_geometry`, given the keyword options in ``geometry``, followed
-    by :func:`calibrate_tails`.  No command runs it; it is kept because the
-    benchmark's tracer (``perfbench/tracing.py``) wraps it by name.
+    :func:`index_geometry` of envelope ``env`` followed by :func:`calibrate_tails`.  No
+    command runs it; it is kept because the benchmark's tracer (``perfbench/tracing.py``)
+    wraps it by name.
     """
-    geometry = index_geometry(field_samples, p_grid, degree, **geometry)
+    geometry = index_geometry(field_samples, p_grid, degree, env=env)
     return calibrate_tails(field_samples, geometry, u_grid, lower=lower)
 
 

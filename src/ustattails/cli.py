@@ -50,7 +50,7 @@ from .engine import (
     simulate_panel,
     uniform_sampler,
 )
-from .entropy import EntropyIntegral, FiniteMetricSpace, check_eps_grid
+from .entropy import EntropyIntegral, FiniteMetricSpace
 from .envelopes import (
     MomentEnvelope, check_family_param, check_lift_degree, check_p_grid, constant_envelope,
     make_envelope, rosenthal_lift,
@@ -77,12 +77,12 @@ KEYS = (
     "run.seed", "run.n", "run.reps", "run.rank", "run.mode", "run.subsets", "sampler.name",
     "sampler.lo", "sampler.hi", "sampler.a", "sampler.sigma", "sampler.values", "sampler.weights",
     "kernel.name", "kernel.degree", "kernel.shift", "kernel.g", "kernel.t_grid", "kernel.values",
-    "kernel.table", "grids.p", "grids.u", "grids.eps", "psi.family", "psi.m", "psi.r", "psi.coef",
-    "psi.expo", "psi.value", "psi.p_sup", "bound.degree", "bound.lower_beta",
-    "bound.lower_column", "output.dir", "output.plot",
+    "kernel.table", "grids.p", "grids.u", "psi.family", "psi.m", "psi.r", "psi.coef",
+    "psi.expo", "psi.value", "psi.p_sup", "bound.lower_beta", "bound.lower_column",
+    "output.dir", "output.plot",
 )
-# ln of the largest double: math.exp overflows past it
-LOG_MAX_DOUBLE = math.log(sys.float_info.max)
+# ln of half the largest double: past it the trapezoid sum of two entropy integrands overflows
+LOG_HALF_MAX_DOUBLE = math.log(sys.float_info.max / 2.0)
 DEFAULT_P_GRID = "log:2:16:8"
 DEFAULT_U_GRID = "quantile:0.5:0.99:16"
 
@@ -353,8 +353,7 @@ def read_field(out_dir, stage):
         raise ConfigError(f"{path}: the first column is {header[0]!r}, not 'count'; "
                           "rerun stage 'simulate'")
     _finite(path, values)
-    meta_path = os.path.join(out_dir, FIELD_META)
-    pairs = read_pairs(meta_path) if os.path.exists(meta_path) else []
+    pairs = read_pairs(_need(out_dir, FIELD_META, stage))
     return _field_samples(path, header[1:], values[:, 1:], values[:, 0], pairs,
                           digest.hexdigest())
 
@@ -544,41 +543,30 @@ def stage_decompose(cfg, out_dir):
     return 0
 
 
-def _entropy_settings(cfg, field_degree):
-    """The lift degree, ``bound.degree`` or else ``field_degree``, and the arguments of
-    ``index_geometry`` but the field.  A configured envelope whose lift passes the largest
-    double on all its optimisation grid (half of it if two integrands are summed, on two
-    or more radii) fails naming the family's scale key: no integrand is any smaller."""
+def _entropy_settings(cfg, degree):
+    """The arguments of ``index_geometry`` but the field and ``degree``.  A configured
+    envelope whose lift by ``degree`` passes half the largest double on all its optimisation
+    grid fails naming the family's scale key: no integrand is any smaller, and the trapezoid
+    sum of two overflows."""
     p_grid = resolve_grid(cfg.get_grid("grids.p", DEFAULT_P_GRID, check=check_p_grid))
-    eps = cfg.get_grid("grids.eps", None, check=check_eps_grid)
-    eps = None if eps is None else resolve_grid(eps)
     env = build_envelope(cfg, p_grid)
-    degree = cfg.get_int("bound.degree", field_degree, check=check_lift_degree)
     if env is not None:
         tau = rosenthal_lift(env, degree)
         low = float(np.min(tau.log_value(tau.opt_grid()[0])))
-        limit = LOG_MAX_DOUBLE - (math.log(2.0) if eps is None or eps.size > 1 else 0.0)
-        if low > limit:  # the default grid has 64 radii
+        if low > LOG_HALF_MAX_DOUBLE:
             key = {"power_log": "psi.m", "exp_power": "psi.coef"}.get(env.family, "psi.value")
             cfg.fail(key, f"{key}: lifted by degree {degree}, the envelope is at least "
-                     f"exp({low!r}), past exp({limit!r}): the entropy integral overflows")
-    return degree, {"p_grid": p_grid, "env": env, "eps_grid": eps}
-
-
-def _field_degree(out_dir, fld):
-    """The degree field_meta.txt records for the field's kernel; the config's ``kernel.degree``
-    need not be that one."""
-    if "degree" not in fld.meta:
-        raise ConfigError(f"{FIELD_META} gives no kernel degree; set bound.degree")
-    return read_record(os.path.join(out_dir, FIELD_META), {"degree": _lift_degree})["degree"]
+                     f"exp({low!r}), past exp({LOG_HALF_MAX_DOUBLE!r}): the entropy integral "
+                     "overflows")
+    return {"p_grid": p_grid, "env": env}
 
 
 def stage_entropy(cfg, out_dir, fld=None):
     if fld is None:
         fld = read_field(out_dir, "entropy")
-    field_degree = None if cfg.has("bound.degree") else _field_degree(out_dir, fld)
-    degree, options = _entropy_settings(cfg, field_degree)
-    geo = index_geometry(fld, degree=degree, **options)
+    # the degree of the kernel that drew the field; the config's kernel.degree need not be it
+    degree = read_record(os.path.join(out_dir, FIELD_META), {"degree": _lift_degree})["degree"]
+    geo = index_geometry(fld, degree=degree, **_entropy_settings(cfg, degree))
     write_geometry(out_dir, geo, fld.meta["field_sha256"])
     return 0
 

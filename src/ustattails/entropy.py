@@ -162,8 +162,11 @@ def default_eps_grid(space):
 
 
 def check_eps_grid(eps_grid):
-    """The grid as a float array, after checking it lies in (0, 1] and increases strictly."""
+    """The grid as a float array, after checking it has two or more radii, lies in (0, 1] and
+    increases strictly: the trapezoid over one radius is 0 whatever the integrand."""
     eps = np.asarray(eps_grid, dtype=float)
+    if eps.size < 2:
+        raise ValueError("eps grid needs at least 2 radii")
     if not np.all((eps > 0) & (eps <= 1.0 + 1e-12)):  # false for NaN too
         raise ValueError("eps grid must lie in (0, 1]")
     if np.any(np.diff(eps) <= 0):

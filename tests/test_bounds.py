@@ -259,6 +259,19 @@ class TestUniformTailReport:
                               lower=lo, sigma=3.0)
         assert comp.ok
 
+    def test_lower_curve_capped_by_its_column(self):
+        # at the column's maximum its tail is 0 while the fitted shape is not: the curve
+        # claims no more than the column it was calibrated on, at every level
+        fld = self.small_field()
+        p_grid = np.geomspace(2, 8, 6)
+        col = np.abs(fld.values[:, 0])
+        u_grid = np.unique(np.quantile(col, np.linspace(0.5, 1.0, 8)))
+        assert u_grid[-1] == col.max()
+        rep = uniform_tail_report(fld, p_grid, 2, u_grid, lower={"beta": 1.0})
+        col_tail = empirical_tail(fld.values[:, 0], u_grid, fld.counts).probs
+        assert col_tail[-1] == 0.0
+        assert np.all(rep.curves["lower"].probs <= col_tail)
+
     def test_report_text_deterministic(self):
         fld = self.small_field(reps=300)
         p_grid = np.geomspace(2, 8, 5)

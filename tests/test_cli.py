@@ -553,11 +553,14 @@ class TestPipeline:
             ("grids.eps", "0.1,nan,0.5"),
             ("grids.p", "2,nan,8"),
             ("grids.u", "0.5,nan,2"),
+            ("grids.eps", "log:0.01:1:8"),
         ],
         ids=["u_log_from_0", "p_quantile", "eps_short", "p_below_2", "eps_above_1",
-             "u_decreasing", "eps_nan", "p_nan", "u_nan"],
+             "u_decreasing", "eps_nan", "p_nan", "u_nan", "eps_not_accepted"],
     )
     def test_bad_grid_fails_before_any_artifact(self, smoke_cfg, tmp_path, capsys, key, spec):
+        # the covering radii are always the 64 that the diameter gives: grids.eps is no key,
+        # so a valid spec is refused as a malformed one is
         out = tmp_path / "grid"
         assert main(["run", smoke_cfg, "--out", str(out), "--set", f"{key}={spec}"]) == 1
         assert key in capsys.readouterr().err
@@ -631,6 +634,7 @@ class TestPipeline:
             ("psi.family=exp_power psi.coef=353.5 psi.expo=1", "psi.coef"),
             ("psi.family=exp_power psi.coef=353.8 psi.expo=1", "psi.coef"),
             ("psi.family=exp_power psi.coef=353.83 psi.expo=1", "psi.coef"),
+            ("bound.degree=2", "bound.degree"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
              "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
@@ -648,7 +652,8 @@ class TestPipeline:
              "shift_under_gprod", "exp_power_overflows", "power_log_overflows",
              "constant_overflows", "plateau_fraction_above_1", "negative_plateau_fraction",
              "negative_sigma", "estimator_not_accepted", "exp_power_sum_overflows_353_5",
-             "exp_power_sum_overflows_353_8", "exp_power_sum_overflows_353_83"],
+             "exp_power_sum_overflows_353_8", "exp_power_sum_overflows_353_83",
+             "degree_not_accepted"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, tmp_path, capsys, setting, key
@@ -763,15 +768,46 @@ class TestPipeline:
         assert "level u (0.5 to 1.5)" in svg
 
     def test_field_degree_or_bound_degree(self, smoke_cfg, smoke_run, tmp_path, capsys):
-        # the lift degree comes from bound.degree or field_meta.txt, never from kernel.degree
+        # the lift degree comes from field_meta.txt alone, never from kernel.degree
         out = copy_artifacts(smoke_run[1], tmp_path / "nodegree")
         lines = (out / FIELD_META).read_text().splitlines(keepends=True)
         (out / FIELD_META).write_text("".join(l for l in lines if not l.startswith("degree = ")))
+        before = read_artifacts(out)
         rc = main(["entropy", smoke_cfg, "--out", str(out), "--set", "kernel.degree=2"])
         assert rc == 1
-        assert "field_meta.txt gives no kernel degree; set bound.degree" in capsys.readouterr().err
-        assert main(["entropy", smoke_cfg, "--out", str(out), "--set", "bound.degree=2"]) == 0
-        assert (out / PSI_USED).read_bytes() == (smoke_run[1] / PSI_USED).read_bytes()
+        assert f"{FIELD_META}: missing or bad 'degree'" in capsys.readouterr().err
+        assert read_artifacts(out) == before
+
+    @pytest.mark.parametrize("stage", ["entropy", "bounds"])
+    def test_missing_field_meta_exits_1_naming_it(
+        self, smoke_cfg, smoke_run, tmp_path, capsys, stage
+    ):
+        # field_meta.txt is a required input of every stage that reads the field
+        out = copy_artifacts(smoke_run[1], tmp_path / "nometa")
+        os.remove(out / FIELD_META)
+        before = read_artifacts(out)
+        assert main([stage, smoke_cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert FIELD_META in err and "earlier stage" in err
+        assert read_artifacts(out) == before
+
+    @pytest.mark.parametrize("setting", [
+        "grids.u=quantile:0.5:1:12",
+        "run.n=25 kernel.name=product grids.u=quantile:0:0.97:12",
+    ], ids=["level_at_the_sup_maximum", "level_zero"])
+    def test_lower_curve_never_exceeds_its_column(
+        self, smoke_cfg, other_kernel_cfg, tmp_path, setting
+    ):
+        # at the top level of the supremum the column's tail is 0, and at u = 0 the fitted
+        # shape is 1: the lower curve is capped by the column's own tail, which the
+        # supremum's dominates, so verify passes
+        out = tmp_path / "lower"
+        cfg = other_kernel_cfg if "kernel.name" in setting else smoke_cfg
+        assert main(["run", cfg, "--out", str(out)] + overrides(setting)) == 0
+        assert "ordering = PASS" in (out / VERIFY_REPORT).read_text()
+        _, lower = cli.read_columns(str(out / TAIL_LOWER), ("u", "prob"))
+        _, emp = cli.read_columns(str(out / TAIL_EMPIRICAL), ("u", "prob"))
+        assert np.all(lower <= emp)
 
     def test_collapsed_quantile_grid_is_noted(self, smoke_run):
         # quantiles of a supremum with few atoms share levels; the report says how many
@@ -825,18 +861,20 @@ class TestPipeline:
 
     @pytest.mark.parametrize("setting, code", [
         ("psi.family=exp_power psi.coef=350 psi.expo=1", 0),
-        ("bound.degree=1000", 1),
+        ("kernel.name=sum kernel.degree=800 run.n=801", 1),
+        ("kernel.name=sum kernel.degree=700 run.n=701", 0),
         ("psi.family=exp_power psi.coef=353 psi.expo=1", 0),
-        ("psi.family=exp_power psi.coef=353.83 psi.expo=1 grids.eps=0.5", 0),
-    ], ids=["largest_coef_below_overflow", "natural_lift_overflows", "coef_below_half_overflow",
-            "one_radius_has_no_sum"])
-    def test_envelope_near_overflow(self, smoke_cfg, tmp_path, capsys, setting, code):
-        # under the natural envelope only the data tell whether the lifted integrand passes
-        # the largest double: entropy then exits 1 with one error line, after simulate wrote;
-        # a configured envelope just under run's refusal finishes, as does one past half the
-        # largest double on a one-radius grid, whose trapezoid adds no two integrands
+    ], ids=["largest_coef_below_overflow", "natural_lift_overflows", "natural_lift_below_overflow",
+            "coef_below_half_overflow"])
+    def test_envelope_near_overflow(
+        self, smoke_cfg, other_kernel_cfg, tmp_path, capsys, setting, code
+    ):
+        # under the natural envelope only the data tell whether the integrand lifted by the
+        # kernel's degree passes the largest double: entropy then exits 1 with one error line,
+        # after simulate wrote; a configured envelope just under run's refusal finishes
         out = tmp_path / "overflow"
-        assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == code
+        cfg = other_kernel_cfg if "kernel.name" in setting else smoke_cfg
+        assert main(["run", cfg, "--out", str(out)] + overrides(setting)) == code
         err = capsys.readouterr().err
         if code == 0:
             assert sorted(os.listdir(out)) == sorted(RUN_ARTIFACTS)
@@ -920,7 +958,7 @@ class TestPipeline:
             ("kernel.name=table kernel.values=-1,1 kernel.table=0.5,1,-0.5,2", 2, 13, None),
             ("run.mode=incomplete run.subsets=50", 0, 12,
              (FIELD_META, {"mode": "incomplete", "subsets": "50"})),
-            ("bound.degree=3", 0, 13, (PSI_USED, {"degree": "3"})),
+            ("kernel.degree=3", 0, 13, (PSI_USED, {"degree": "3"})),
         ],
         ids=["uniform_law", "half_sq_diff", "table_kernel", "incomplete", "degree_3"],
     )

@@ -262,6 +262,8 @@ class TestEntropyIntegral:
             entropy_integral(sp, env, np.array([0.5, 1.5]))
         with pytest.raises(ValueError, match="increasing"):
             entropy_integral(sp, env, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="at least 2 radii"):
+            entropy_integral(sp, env, np.array([0.5]))  # a one-point trapezoid is 0
 
     @pytest.mark.parametrize("coef", [400.0, 354.7])
     def test_overflow_raises_value_error(self, coef):
