@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .empirics import (
-    FieldSamples,
     TailCurve,
     column_moments,
     empirical_moments,
@@ -47,42 +46,25 @@ def log_power_exponent(beta):
     return 1.0 + beta
 
 
-def closed_form_tail(family, u, *, coef, m=None, r=0.0, degree=1, beta=None):
-    """Reference tail shapes for the two closed-form envelope families.
-
-    power_log: exp(-coef * u^l * (ln u)^(-l*(r-degree))) with
-    l = power_log_rate(m, degree), void (value 1) for u <= e; no command runs
-    this branch, which serves acceptance criterion 08.
-    log_power: exp(-coef * ln(1+u)^E), void for u <= 0.
-    """
+def log_power_tail(u, *, coef, beta):
+    """The heavy-log-tail shape exp(-coef * ln(1+u)^E), E = log_power_exponent(beta), at each
+    level u; void (value 1) for u <= 0."""
     if coef <= 0:
         raise ValueError("coef must be positive")
+    E = log_power_exponent(beta)
     u = np.asarray(u, dtype=float)
-    if family == "power_log":
-        if m is None:
-            raise ValueError("power_log shape needs m > 0")
-        l = power_log_rate(m, degree)
-        g = r - degree
-        out = np.ones_like(u)
-        live = u > math.e
-        lu = np.log(u[live])
-        out[live] = np.exp(-coef * u[live] ** l * lu ** (-l * g))
-        return out if out.ndim else float(out)
-    if family == "log_power":
-        if beta is None:
-            raise ValueError("log_power shape needs beta")
-        E = log_power_exponent(beta)
-        out = np.ones_like(u)
-        live = u > 0
-        out[live] = np.exp(-coef * np.log1p(u[live]) ** E)
-        return out if out.ndim else float(out)
-    raise ValueError(f"unknown closed-form family {family!r}")
+    out = np.ones_like(u)
+    live = u > 0
+    out[live] = np.exp(-coef * np.log1p(u[live]) ** E)
+    return out if out.ndim else float(out)
 
 
 def power_log_rate(m, degree):
-    """The u-power l = m / (1 + degree*m) of the power_log tail shape.
+    """The u-power l = m / (1 + degree*m) of the tail exp(-c u^l ...) of a variable whose
+    envelope is the power_log envelope of power m lifted by ``degree``.
 
-    No command runs it; it serves acceptance criterion 08.
+    No command runs it; it serves acceptance criterion 08, which recovers it from
+    ``fenchel_exponent``.
     """
     if m <= 0 or degree < 1:
         raise ValueError("need m > 0 and degree >= 1")
@@ -155,10 +137,9 @@ class ComparisonReport:
     max_lower_excess: float
     ok: bool
     sigma: float
-    notes: list = field(default_factory=list)
 
 
-def compare_curves(empirical, *, upper=None, lower=None, sigma=3.0):
+def compare_curves(empirical, upper, *, lower=None, sigma=3.0):
     """Check bound ordering against an empirical curve with binomial slack.
 
     Violations are counted where the empirical probability exceeds the upper
@@ -174,25 +155,20 @@ def compare_curves(empirical, *, upper=None, lower=None, sigma=3.0):
     u = empirical.u_grid
     p = empirical.probs
     se = np.sqrt(p * (1.0 - p) / empirical.sample_count)
-    up_viol, up_excess = 0, 0.0
+    if not np.array_equal(upper.u_grid, u):
+        raise ValueError("upper bound curve is on a different level grid")
+    excess = p - (upper.probs + sigma * se)
+    up_viol = int(np.sum(excess > 0))
+    up_excess = float(max(0.0, excess.max()))
     lo_viol, lo_excess = 0, 0.0
-    notes = []
-    if upper is not None:
-        if not np.array_equal(upper.u_grid, u):
-            raise ValueError("upper bound curve is on a different level grid")
-        excess = p - (upper.probs + sigma * se)
-        up_viol = int(np.sum(excess > 0))
-        up_excess = float(max(0.0, excess.max()))
     if lower is not None:
         if not np.array_equal(lower.u_grid, u):
             raise ValueError("lower bound curve is on a different level grid")
         excess = lower.probs - (p + sigma * se)
         lo_viol = int(np.sum(excess > 0))
         lo_excess = float(max(0.0, excess.max()))
-    if upper is None and lower is None:
-        notes.append("no bound curves supplied; nothing to compare")
     ok = up_viol == 0 and lo_viol == 0
-    return ComparisonReport(u, up_viol, lo_viol, up_excess, lo_excess, ok, sigma, notes)
+    return ComparisonReport(u, up_viol, lo_viol, up_excess, lo_excess, ok, sigma)
 
 
 # -- the full pipeline ---------------------------------------------------
@@ -213,23 +189,21 @@ class Geometry:
     space: FiniteMetricSpace
     entropy: EntropyIntegral
     p_grid: np.ndarray
-    notes: list = field(default_factory=list)
 
 
 @dataclass
 class BoundReport:
-    psi_used: object
-    tau: object
-    entropy: object
-    diameter: float
+    """The tail curves of a field's supremum and the ``geometry`` they were calibrated
+    against; the report is certified when ``geometry.entropy.finite`` holds."""
+
+    geometry: Geometry
     sup_moments: object
     sup_norm: float
     curves: dict
-    certified: bool
     scalar_degenerate: bool
     replications: int
-    index_size: int = 0
-    notes: list = field(default_factory=list)
+    index_size: int
+    notes: list
 
 
 def index_geometry(field_samples, p_grid, degree, *, env=None):
@@ -238,15 +212,12 @@ def index_geometry(field_samples, p_grid, degree, *, env=None):
     Without ``env`` the natural envelope of the columns is estimated.
     """
     p_grid = np.asarray(p_grid, dtype=float)
-    notes = []
     if env is None:
         env = natural_envelope(field_samples, p_grid)
-        notes.append("envelope estimated from column moments")
     tau = rosenthal_lift(env, degree)
     dist = envelope_distance(field_samples, env, p_grid=p_grid)
     space = FiniteMetricSpace(field_samples.labels, dist)
-    ent = entropy_integral(space, tau)
-    return Geometry(env, tau, space, ent, p_grid, notes)
+    return Geometry(env, tau, space, entropy_integral(space, tau), p_grid)
 
 
 def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
@@ -258,12 +229,11 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
     """
     u_grid = np.asarray(u_grid, dtype=float)
     tau = geometry.tau
-    notes = geometry.notes + geometry.entropy.notes
+    notes = list(geometry.entropy.notes)
     sup_stat, counts = field_samples.sup_abs(), field_samples.counts
     sup_table = empirical_moments(sup_stat, geometry.p_grid, counts)
     sup_norm = envelope_norm(sup_table, tau)
-    upper = TailCurve(u_grid, tail_curve(tau, sup_norm, u_grid), "upper_bound",
-                      meta={"norm": sup_norm})
+    upper = TailCurve(u_grid, tail_curve(tau, sup_norm, u_grid), "upper_bound")
     empirical = empirical_tail(sup_stat, u_grid, counts)
     curves = {"empirical": empirical, "upper": upper}
     if lower is not None:
@@ -277,7 +247,7 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
             notes.append(f"lower shape omitted: column {col} has {exc}")
         else:
             # the supremum dominates the column pathwise, so no more than its tail is claimed
-            shape = closed_form_tail("log_power", u_grid, coef=coef, beta=beta)
+            shape = log_power_tail(u_grid, coef=coef, beta=beta)
             curves["lower"] = TailCurve(
                 u_grid,
                 np.minimum(shape, col_curve.probs),
@@ -285,19 +255,14 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
                 meta={"coef": coef, "beta": beta, "column": col},
             )
             notes.append(f"lower shape calibrated on column {col} with coef {coef!r}")
-    diameter = geometry.space.diameter
-    scalar_degenerate = field_samples.size == 1 or diameter == 0.0
+    scalar_degenerate = field_samples.size == 1 or geometry.space.diameter == 0.0
     if scalar_degenerate:
         notes.append("single effective index point; report reduces to the moment tail bound")
     return BoundReport(
-        psi_used=geometry.psi_used,
-        tau=tau,
-        entropy=geometry.entropy,
-        diameter=diameter,
+        geometry=geometry,
         sup_moments=sup_table,
         sup_norm=sup_norm,
         curves=curves,
-        certified=geometry.entropy.finite,
         scalar_degenerate=scalar_degenerate,
         replications=field_samples.replications,
         index_size=field_samples.size,
@@ -317,17 +282,18 @@ def uniform_tail_report(field_samples, p_grid, degree, u_grid, *, env=None, lowe
 
 def report_text(report):
     """Deterministic text rendering of a BoundReport."""
+    geo = report.geometry
     lines = []
     lines.append("[envelope]")
-    lines.append(f"psi = {report.psi_used.to_text()}")
-    lines.append(f"tau = {report.tau.to_text()}")
+    lines.append(f"psi = {geo.psi_used.to_text()}")
+    lines.append(f"tau = {geo.tau.to_text()}")
     lines.append("")
     lines.append("[geometry]")
     lines.append(f"index_points = {report.index_size}")
-    lines.append(f"diameter = {report.diameter!r}")
-    lines.append(f"entropy_integral = {report.entropy.value!r}")
-    lines.append(f"saturated_fraction = {report.entropy.saturated_fraction!r}")
-    lines.append(f"certified = {'true' if report.certified else 'false'}")
+    lines.append(f"diameter = {geo.space.diameter!r}")
+    lines.append(f"entropy_integral = {geo.entropy.value!r}")
+    lines.append(f"saturated_fraction = {geo.entropy.saturated_fraction!r}")
+    lines.append(f"certified = {'true' if geo.entropy.finite else 'false'}")
     lines.append(f"scalar_degenerate = {'true' if report.scalar_degenerate else 'false'}")
     lines.append("")
     lines.append("[calibration]")

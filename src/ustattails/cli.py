@@ -52,8 +52,8 @@ from .engine import (
 )
 from .entropy import EntropyIntegral, FiniteMetricSpace
 from .envelopes import (
-    MomentEnvelope, check_family_param, check_lift_degree, check_p_grid, constant_envelope,
-    make_envelope, rosenthal_lift,
+    DEFAULT_P_MAX, MomentEnvelope, check_family_param, check_lift_degree, check_p_grid,
+    constant_envelope, make_envelope, rosenthal_lift,
 )
 
 FIELD = "field.csv"
@@ -256,15 +256,6 @@ def read_table(path, labelled=False, digest=None):
     return header, values[:, labelled:]
 
 
-def _finite(path, values):
-    """``values``, read from the table at ``path``; a NaN or infinite cell raises ConfigError
-    naming it."""
-    bad = np.count_nonzero(~np.isfinite(values))
-    if bad:
-        raise ConfigError(f"{path}: {bad} non-finite cells")
-    return values
-
-
 def read_columns(path, names):
     """The named columns of a CSV table; a missing one raises ConfigError naming the table."""
     header, data = read_table(path)
@@ -352,7 +343,9 @@ def read_field(out_dir, stage):
     if header[0] != "count":
         raise ConfigError(f"{path}: the first column is {header[0]!r}, not 'count'; "
                           "rerun stage 'simulate'")
-    _finite(path, values)
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise ConfigError(f"{path}: {bad} non-finite cells")
     pairs = read_pairs(_need(out_dir, FIELD_META, stage))
     return _field_samples(path, header[1:], values[:, 1:], values[:, 0], pairs,
                           digest.hexdigest())
@@ -367,7 +360,7 @@ def read_distance(out_dir, stage):
     path = _need(out_dir, DISTANCE, stage)
     header, dist = read_table(path, labelled=True)
     try:
-        return FiniteMetricSpace(header[1:], _finite(path, dist))
+        return FiniteMetricSpace(header[1:], dist)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -544,12 +537,18 @@ def stage_decompose(cfg, out_dir):
 
 
 def _entropy_settings(cfg, degree):
-    """The arguments of ``index_geometry`` but the field and ``degree``.  A configured
-    envelope whose lift by ``degree`` passes half the largest double on all its optimisation
-    grid fails naming the family's scale key: no integrand is any smaller, and the trapezoid
-    sum of two overflows."""
+    """The arguments of ``index_geometry`` but the field and ``degree``.  The natural
+    envelope's nodes are ``grids.p`` and every optimisation over p reads those up to
+    DEFAULT_P_MAX, so a grid whose first node lies above it fails naming ``grids.p``.  A
+    configured envelope whose lift by ``degree`` passes half the largest double on all its
+    optimisation grid fails naming the family's scale key: no integrand is any smaller, and
+    the trapezoid sum of two overflows."""
     p_grid = resolve_grid(cfg.get_grid("grids.p", DEFAULT_P_GRID, check=check_p_grid))
     env = build_envelope(cfg, p_grid)
+    if env is None and p_grid[0] > DEFAULT_P_MAX:
+        cfg.fail("grids.p", f"grids.p: the natural envelope needs a node at or below "
+                 f"{DEFAULT_P_MAX!r}, the largest order optimised over; the first is "
+                 f"{float(p_grid[0])!r}")
     if env is not None:
         tau = rosenthal_lift(env, degree)
         low = float(np.min(tau.log_value(tau.opt_grid()[0])))
@@ -615,7 +614,7 @@ def stage_bounds(cfg, out_dir, fld=None):
     _write(os.path.join(out_dir, BOUND_REPORT), report_text(report))
     if plot:
         write_svg(out_dir, report.curves)
-    return 0 if report.certified else 2
+    return 0 if geo.entropy.finite else 2
 
 
 def stage_verify(cfg, out_dir):
@@ -625,7 +624,7 @@ def stage_verify(cfg, out_dir):
     lower = None
     if os.path.exists(lower_path):
         lower = read_curve(lower_path, "lower_bound", emp.u_grid)
-    cmp = compare_curves(emp, upper=upper, lower=lower)
+    cmp = compare_curves(emp, upper, lower=lower)
     write_pairs(
         os.path.join(out_dir, VERIFY_REPORT),
         [

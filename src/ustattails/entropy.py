@@ -41,6 +41,9 @@ class FiniteMetricSpace:
         n = len(self.labels)
         if self.dist.shape != (n, n):
             raise ValueError("distance matrix shape must match the label count")
+        bad = np.count_nonzero(~np.isfinite(self.dist))
+        if bad:
+            raise ValueError(f"{bad} distances are NaN or past the largest double")
         if np.any(self.dist < 0):
             raise ValueError("distances must be nonnegative")
         if np.any(np.abs(np.diagonal(self.dist)) > 1e-12 * max(1.0, self.dist.max())):
@@ -178,8 +181,9 @@ def entropy_integral(space, env, eps_grid=None):
     """Trapezoid integral of exp(inf_p (H(eps)/p + ln psi(p))) d eps, H the log of the greedy
     counts, and as ``lower`` that of the packing counts.
 
-    ``finite`` certifies that the mass contributed by eps where the covering
-    saturates at |T| stays below DEFAULT_PLATEAU_FRACTION of the integral:
+    ``finite`` certifies that the integral is positive (one of 0 measured nothing) and that
+    the mass contributed by eps where the covering saturates at |T| stays below
+    DEFAULT_PLATEAU_FRACTION of it:
     that is the regime where the finite index set is standing in for a richer
     one and the integral value is geometry-driven rather than floor-driven.
     An integrand or integral past the largest double raises ValueError.
@@ -204,5 +208,5 @@ def entropy_integral(space, env, eps_grid=None):
         frac = float(np.trapezoid(np.where(saturated, integrand, 0.0), eps)) / value
     else:
         frac = 0.0
-    finite = frac < DEFAULT_PLATEAU_FRACTION
+    finite = value > 0 and frac < DEFAULT_PLATEAU_FRACTION
     return EntropyIntegral(value, lower, finite, eps, integrand, entropies, frac, space.size)

@@ -332,8 +332,9 @@ def envelope_norm(moments, env):
 
 
 def envelope_norm_rows(values, log_psi):
-    """envelope_norm of each row of moment values, given ln psi on their grid."""
-    with np.errstate(divide="ignore"):
+    """envelope_norm of each row of moment values, given ln psi on their grid; inf past the
+    largest double."""
+    with np.errstate(divide="ignore", over="ignore"):
         return np.exp(np.max(np.log(values) - log_psi, axis=-1))
 
 

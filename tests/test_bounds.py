@@ -7,12 +7,12 @@ from ustattails import (
     FieldSamples,
     TailCurve,
     calibrate_log_power,
-    closed_form_tail,
     compare_curves,
     constant_envelope,
     empirical_moments,
     empirical_tail,
     log_power_exponent,
+    log_power_tail,
     make_kernel,
     moment_growth_check,
     power_log_rate,
@@ -32,43 +32,18 @@ def make_field(values, labels=None):
 
 
 class TestClosedFormTail:
-    def test_power_log_void_region(self):
-        assert closed_form_tail("power_log", math.e, coef=1.0, m=2.0) == 1.0
-        assert closed_form_tail("power_log", 0.5, coef=1.0, m=2.0) == 1.0
-
-    def test_power_log_pure_power(self):
-        # r = degree kills the log factor entirely
-        u = 20.0
-        got = closed_form_tail("power_log", u, coef=0.5, m=2.0, r=1.0, degree=1)
-        assert got == pytest.approx(math.exp(-0.5 * u ** (2.0 / 3.0)), rel=1e-12)
-
-    def test_power_log_regressor_recovery(self):
-        # ln(-ln T) is linear in (1, ln u, ln ln u); recover all three weights
-        coef, m, r, degree = 0.7, 2.0, 3.0, 1
-        u = np.geomspace(5.0, 200.0, 40)
-        t = closed_form_tail("power_log", u, coef=coef, m=m, r=r, degree=degree)
-        y = np.log(-np.log(t))
-        A = np.column_stack([np.ones_like(u), np.log(u), np.log(np.log(u))])
-        w = np.linalg.lstsq(A, y, rcond=None)[0]
-        l = power_log_rate(m, degree)
-        assert w[0] == pytest.approx(math.log(coef), abs=1e-9)
-        assert w[1] == pytest.approx(l, abs=1e-9)
-        assert w[2] == pytest.approx(-l * (r - degree), abs=1e-9)
-
     def test_log_power_value_and_void(self):
-        got = closed_form_tail("log_power", 3.0, coef=0.4, beta=2.0)
+        got = log_power_tail(3.0, coef=0.4, beta=2.0)
         assert got == pytest.approx(math.exp(-0.4 * math.log(4.0) ** 3.0), rel=1e-12)
-        assert closed_form_tail("log_power", 0.0, coef=0.4, beta=2.0) == 1.0
+        assert log_power_tail(0.0, coef=0.4, beta=2.0) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="coef"):
-            closed_form_tail("power_log", 5.0, coef=0.0, m=1.0)
-        with pytest.raises(ValueError, match="m > 0"):
-            closed_form_tail("power_log", 5.0, coef=1.0)
+            log_power_tail(5.0, coef=0.0, beta=1.0)
         with pytest.raises(ValueError, match="beta"):
-            closed_form_tail("log_power", 5.0, coef=1.0)
-        with pytest.raises(ValueError, match="family"):
-            closed_form_tail("gauss", 5.0, coef=1.0)
+            log_power_tail(5.0, coef=1.0, beta=0.0)
+        with pytest.raises(ValueError, match="beta"):
+            log_power_tail(5.0, coef=1.0, beta=math.inf)
 
     def test_rate_values(self):
         assert power_log_rate(2.0, 1) == pytest.approx(2.0 / 3.0)
@@ -90,7 +65,7 @@ class TestCalibrateLogPower:
     def test_round_trip(self):
         u = np.geomspace(0.5, 30.0, 25)
         coef = 0.37
-        probs = closed_form_tail("log_power", u, coef=coef, beta=1.5)
+        probs = log_power_tail(u, coef=coef, beta=1.5)
         curve = TailCurve(u, probs, "empirical", sample_count=1000)
         got = calibrate_log_power(curve, beta=1.5)
         assert got == pytest.approx(coef, rel=1e-12)
@@ -101,7 +76,7 @@ class TestCalibrateLogPower:
         probs = np.sort(rng.uniform(0.01, 0.9, 20))[::-1]
         curve = TailCurve(u, probs, "empirical", sample_count=500)
         coef = calibrate_log_power(curve, beta=1.0)
-        shape = closed_form_tail("log_power", u, coef=coef, beta=1.0)
+        shape = log_power_tail(u, coef=coef, beta=1.0)
         assert np.all(shape <= probs + 1e-12)
         assert np.any(np.isclose(shape, probs, rtol=1e-9))
 
@@ -155,10 +130,10 @@ class TestCompareCurves:
         u = np.array([1.0, 2.0])
         c = TailCurve(u, np.array([0.5, 0.2]), "upper_bound")
         with pytest.raises(ValueError, match="empirical"):
-            compare_curves(c)
+            compare_curves(c, c)
         emp = TailCurve(u, np.array([0.5, 0.2]), "empirical", sample_count=0)
         with pytest.raises(ValueError, match="sample count"):
-            compare_curves(emp)
+            compare_curves(emp, c)
 
     def test_grid_mismatch(self):
         emp = TailCurve(
@@ -189,13 +164,6 @@ class TestCompareCurves:
         with pytest.raises(ValueError, match="sigma must be nonnegative"):
             compare_curves(emp, upper=up, sigma=-1.0)
 
-    def test_no_bounds_noted(self):
-        emp = TailCurve(
-            np.array([1.0]), np.array([0.5]), "empirical", sample_count=100
-        )
-        rep = compare_curves(emp)
-        assert rep.ok and rep.notes
-
 
 class TestUniformTailReport:
     def small_field(self, reps=800, seed=3):
@@ -209,11 +177,11 @@ class TestUniformTailReport:
         u_grid = np.quantile(np.abs(fld.values[:, 0]), [0.5, 0.9, 0.99])
         rep = uniform_tail_report(fld, p_grid, 1, u_grid)
         assert rep.scalar_degenerate
-        assert rep.diameter == 0.0
+        assert rep.geometry.space.diameter == 0.0
         up = rep.curves["upper"]
         for u, prob in zip(up.u_grid, up.probs):
             assert prob == pytest.approx(
-                tail_bound(rep.tau, rep.sup_norm, u), abs=1e-12
+                tail_bound(rep.geometry.tau, rep.sup_norm, u), abs=1e-12
             )
 
     def test_natural_envelope_dominates_exactly(self):
@@ -225,7 +193,6 @@ class TestUniformTailReport:
         emp = rep.curves["empirical"].probs
         up = rep.curves["upper"].probs
         assert np.all(emp <= up + 1e-12)
-        assert any("column moments" in note for note in rep.notes)
         assert rep.index_size == fld.size
         assert rep.replications == fld.replications
 

@@ -554,16 +554,21 @@ class TestPipeline:
             ("grids.p", "2,nan,8"),
             ("grids.u", "0.5,nan,2"),
             ("grids.eps", "log:0.01:1:8"),
+            ("grids.p", "70,80"),
         ],
         ids=["u_log_from_0", "p_quantile", "eps_short", "p_below_2", "eps_above_1",
-             "u_decreasing", "eps_nan", "p_nan", "u_nan", "eps_not_accepted"],
+             "u_decreasing", "eps_nan", "p_nan", "u_nan", "eps_not_accepted", "p_above_p_max"],
     )
     def test_bad_grid_fails_before_any_artifact(self, smoke_cfg, tmp_path, capsys, key, spec):
         # the covering radii are always the 64 that the diameter gives: grids.eps is no key,
-        # so a valid spec is refused as a malformed one is
+        # so a valid spec is refused as a malformed one is; the natural envelope's nodes are
+        # grids.p, and the optimisation over p reads none above 64
         out = tmp_path / "grid"
         assert main(["run", smoke_cfg, "--out", str(out), "--set", f"{key}={spec}"]) == 1
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        if spec == "70,80":
+            assert "the first is 70.0" in err
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize(
@@ -882,6 +887,31 @@ class TestPipeline:
             assert err.startswith("error: the entropy integral overflows a double")
             assert err.count("\n") == 1
             assert sorted(os.listdir(out)) == sorted([FIELD, FIELD_META, DECOMP])
+
+    def test_distances_past_the_largest_double_exit_1(self, smoke_cfg, tmp_path, capsys):
+        # psi(64) ~ exp(-1424) under r = -1000, so the envelope norms of column differences
+        # pass the largest double: only the drawn data decide it, so entropy exits 1 with one
+        # error line and no warning after simulate wrote, and no geometry artifact is written
+        out = tmp_path / "inf_distance"
+        setting = "psi.family=power_log psi.m=2 psi.r=-1000"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "distances are NaN or past the largest double" in err
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(out)) == sorted([FIELD, FIELD_META, DECOMP])
+
+    def test_underflowing_integral_is_not_certified(self, smoke_cfg, tmp_path):
+        # on grids.p = 2,2.5 the distances are finite, but every entropy integrand underflows
+        # to 0: an integral of 0 measured nothing, so neither artifact certifies it
+        out = tmp_path / "zero_integral"
+        setting = "psi.family=power_log psi.m=2 psi.r=-1000 grids.p=2,2.5"
+        assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 2
+        summary = key_values(out / ENTROPY_SUMMARY)
+        assert summary["integral"] == "0.0" and summary["certified"] == "false"
+        assert key_values(out / BOUND_REPORT)["certified"] == "false"
 
     def test_tail_curve_past_the_largest_ratio(self, smoke_cfg, tmp_path):
         # the exp_power envelope at coef 350 calibrates sup_norm ~ 1.7e-305, so y / sup_norm
@@ -1285,18 +1315,22 @@ SMALL_U_GRIDS = ("quantile:0.5:0.97:6", "quantile:0.2:0.9:3", "lin:0.5:3:5", "0.
                  "0.5,nan,2")
 # keys that only some options read: run refuses each where the drawn options do not read it
 OPTION_KEYS = ("psi.m=3", "psi.p_sup=9", "sampler.lo=-3", "sampler.sigma=2", "kernel.shift=0.5")
+# the second lies wholly above 64, the largest order optimised over: the natural envelope,
+# whose nodes these are, is refused on it, a configured one is optimised on [2, 64]
+SMALL_P_GRIDS = ("log:2:8:4", "70,80")
 
 
 @st.composite
 def small_configs(draw):
-    """``--set`` text of a small ``run``: any law, kernel, degree, sample size, envelope and
-    level grid, with ``run.rank`` set off the alphabets, and now and then a key that only
-    some options read."""
+    """``--set`` text of a small ``run``: any law, kernel, degree, sample size, envelope,
+    moment grid and level grid, with ``run.rank`` set off the alphabets, and now and then a
+    key that only some options read."""
     law = draw(st.sampled_from(sorted(SMALL_LAWS)))
     kernel = draw(st.sampled_from(sorted(SMALL_KERNELS)))
     items = [SMALL_LAWS[law], SMALL_KERNELS[kernel], draw(st.sampled_from(SMALL_ENVELOPES)),
              f"run.n={draw(st.sampled_from(range(2, 11)))}",
              f"run.reps={draw(st.sampled_from(range(1, 61)))}",
+             f"grids.p={draw(st.sampled_from(SMALL_P_GRIDS))}",
              f"grids.u={draw(st.sampled_from(SMALL_U_GRIDS))}"]
     degree = draw(st.sampled_from([None, None, None, 0, 1, 2, 3, 4, 5]))  # None: the default
     if degree is not None:
@@ -1321,7 +1355,7 @@ def test_small_configs_finish_or_fail_first(setting):
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = os.path.join(tmp, "small.cfg"), os.path.join(tmp, "out")
         with open(cfg, "w") as fh:
-            fh.write("run.seed = 11\ngrids.p = log:2:8:4\n")
+            fh.write("run.seed = 11\n")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = main(["run", cfg, "--out", out] + overrides(setting))

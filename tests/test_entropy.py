@@ -38,6 +38,12 @@ class TestSpaceValidation:
         with pytest.raises(ValueError, match="zero"):
             FiniteMetricSpace(("a", "b"), np.array([[0.5, 1.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("cell", [math.inf, math.nan])
+    def test_rejects_non_finite_off_diagonal(self, cell):
+        # checked first, so an infinite distance never reaches the symmetry tolerance
+        with pytest.raises(ValueError, match="2 distances are NaN or past the largest double"):
+            FiniteMetricSpace(("a", "b"), np.array([[0.0, cell], [cell, 0.0]]))
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             FiniteMetricSpace(("a", "b"), np.array([[0.0, -1.0], [-1.0, 0.0]]))
@@ -273,6 +279,13 @@ class TestEntropyIntegral:
         env = exp_power_envelope(coef, 1.0)
         with pytest.raises(ValueError, match="entropy integral overflows a double"):
             entropy_integral(unit_grid(11), env, np.array([0.5, 1.0]))
+
+    def test_underflowing_integral_is_not_certified(self):
+        # lifted by nothing, psi(64) ~ exp(-1424): every integrand underflows to 0, and an
+        # integral of 0 measured nothing
+        ent = entropy_integral(unit_grid(11), power_log_envelope(2.0, -1000.0))
+        assert ent.value == 0.0
+        assert ent.finite is False
 
     def test_single_point_is_trivial(self):
         sp = space_from_points([[0.0]])
