@@ -229,7 +229,7 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
     """
     u_grid = np.asarray(u_grid, dtype=float)
     tau = geometry.tau
-    notes = list(geometry.entropy.notes)
+    notes = []
     sup_stat, counts = field_samples.sup_abs(), field_samples.counts
     sup_table = empirical_moments(sup_stat, geometry.p_grid, counts)
     sup_norm = envelope_norm(sup_table, tau)

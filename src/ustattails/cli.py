@@ -81,6 +81,8 @@ KEYS = (
     "psi.expo", "psi.value", "psi.p_sup", "bound.lower_beta", "bound.lower_column",
     "output.dir", "output.plot",
 )
+# the key that scales each configured envelope family, named when its lift overflows
+SCALE_KEYS = {"power_log": "psi.m", "exp_power": "psi.coef", "constant": "psi.value"}
 # ln of half the largest double: past it the trapezoid sum of two entropy integrands overflows
 LOG_HALF_MAX_DOUBLE = math.log(sys.float_info.max / 2.0)
 DEFAULT_P_GRID = "log:2:16:8"
@@ -423,7 +425,6 @@ def read_geometry(out_dir, stage, field_sha256):
     """
     summary = read_record(_need(out_dir, ENTROPY_SUMMARY, stage), {
         "field_sha256": str,
-        "points": int,
         "integral": float,
         "integral_lower": float,
         "saturated_fraction": float,
@@ -447,7 +448,6 @@ def read_geometry(out_dir, stage, field_sha256):
         integrand=integrand,
         entropies=entropies,
         saturated_fraction=summary["saturated_fraction"],
-        points=summary["points"],
     )
     env, space = psi["psi"], read_distance(out_dir, stage)
     tau = rosenthal_lift(env, psi["degree"])
@@ -522,7 +522,7 @@ def stage_simulate(cfg, out_dir):
 def write_decomposition(out_dir, decomps):
     zetas = [f"zeta_{c}" for c in range(1, len(decomps[0].zetas) + 1)]
     rows = (
-        [dec.t, float(dec.mean), dec.rank, bool(dec.degenerate)] + dec.zetas.tolist()
+        [dec.t, float(dec.mean), dec.rank, int(dec.degenerate)] + dec.zetas.tolist()
         for dec in decomps
     )
     write_table(os.path.join(out_dir, DECOMP), ["t", "mean", "rank", "degenerate"] + zetas, rows)
@@ -553,10 +553,9 @@ def _entropy_settings(cfg, degree):
         tau = rosenthal_lift(env, degree)
         low = float(np.min(tau.log_value(tau.opt_grid()[0])))
         if low > LOG_HALF_MAX_DOUBLE:
-            key = {"power_log": "psi.m", "exp_power": "psi.coef"}.get(env.family, "psi.value")
-            cfg.fail(key, f"{key}: lifted by degree {degree}, the envelope is at least "
-                     f"exp({low!r}), past exp({LOG_HALF_MAX_DOUBLE!r}): the entropy integral "
-                     "overflows")
+            cfg.fail(key := SCALE_KEYS[env.family], f"{key}: lifted by degree {degree}, the "
+                     f"envelope is at least exp({low!r}), past exp({LOG_HALF_MAX_DOUBLE!r}): the "
+                     "entropy integral overflows")
     return {"p_grid": p_grid, "env": env}
 
 
@@ -593,17 +592,15 @@ def stage_bounds(cfg, out_dir, fld=None):
         fld = read_field(out_dir, "bounds")
     u_spec, lower, plot = _bounds_settings(cfg, len(fld.labels))
     geo = read_geometry(out_dir, "bounds", fld.meta["field_sha256"])
-    try:
-        u_grid = resolve_grid(u_spec, fld.sup_abs(), fld.counts)
-    except ValueError as exc:  # quantiles of a supremum with too few atoms
-        cfg.fail("grids.u", f"grids.u: {exc}")
+    u_grid = resolve_grid(u_spec, fld.sup_abs(), fld.counts)
     report = calibrate_tails(fld, geo, u_grid, lower=lower)
     kind, asked = u_spec
     if kind == "quantile" and u_grid.size < asked[2]:
         # quantiles that land on one atom of the supremum give one level
         report.notes.append(f"grids.u: {asked[2]} quantiles gave {u_grid.size} distinct levels")
     sup = report.sup_moments
-    rows = zip(sup.p_grid.tolist(), sup.values.tolist(), sup.low_confidence.tolist())
+    flags = sup.low_confidence.astype(int).tolist()  # 0/1, so the table parses as numbers
+    rows = zip(sup.p_grid.tolist(), sup.values.tolist(), flags)
     write_table(os.path.join(out_dir, MOMENTS_SUP), ("p", "value", "low_confidence"), rows)
     for name, file in (("empirical", TAIL_EMPIRICAL), ("upper", TAIL_UPPER), ("lower", TAIL_LOWER)):
         path = os.path.join(out_dir, file)

@@ -194,7 +194,4 @@ def resolve_grid(grid, data=None, counts=None):
         raise ValueError("quantile grid used where no calibration data exists")
     qlo, qhi, k = payload
     levels = np.sort(law_quantiles(data, np.linspace(qlo, qhi, k), counts))
-    grid = levels[np.append(True, levels[1:] != levels[:-1])]
-    if grid.size < 2:
-        raise ValueError("quantile grid collapsed to fewer than 2 distinct levels")
-    return grid
+    return levels[np.append(True, levels[1:] != levels[:-1])]

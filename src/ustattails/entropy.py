@@ -1,11 +1,12 @@
 """Covering numbers and entropy integrals on finite semi-metric spaces.
 
 Covering numbers are for closed balls with centers restricted to the space
-itself.  Three estimators are provided: a greedy set-cover upper bound, a
-2eps-separation packing lower bound from one farthest-point traversal, and
-exact minimum cover by subset enumeration for spaces of at most 16 points.
-The sandwich packing <= exact <= greedy holds whenever the distance matrix
-is a true semi-metric; the estimators themselves only require symmetry.
+itself.  Two counts are kept: the greedy set-cover count, an upper bound on
+the minimum cover, which is integrated, and the 2eps-separation packing count
+of one farthest-point traversal, a lower bound, which gives the integral's
+``lower``.  The sandwich packing <= minimum <= greedy holds whenever the
+distance matrix is a true semi-metric; the counts themselves only require
+symmetry.
 
 The entropy integral integrates exp(log_maximum_bound(env, H(eps))) over eps
 by the trapezoid rule, H = ln N the greedy counts' metric entropy, beside the
@@ -17,13 +18,11 @@ the saturation plateau is reported as the certification flag instead.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
 from .envelopes import log_maximum_bound
 
-EXACT_THRESHOLD = 16
 # integrand mass on saturated eps above this fraction means the eps grid sees
 # mostly the finite-space floor, not the geometry, and the integral cannot be
 # trusted as a proxy for a continuous-index limit
@@ -107,56 +106,24 @@ def _packing_counts(space, eps):
     return 1 + np.count_nonzero(radii > 2.0 * np.asarray(eps)[..., None] + tol, axis=-1)
 
 
-def _exact_cover(space, eps):
-    """The minimum cover, by enumerating subsets of at most EXACT_THRESHOLD points.  No
-    command runs it; it is the oracle of acceptance criterion 05's covering sandwich."""
-    n = space.size
-    if n > EXACT_THRESHOLD:
-        raise ValueError(f"exact covering is limited to {EXACT_THRESHOLD} points, got {n}")
-    covers = _cover_matrix(space, eps)
-    masks = [sum(1 << j for j in range(n) if covers[i, j]) for i in range(n)]
-    full = (1 << n) - 1
-    upper = _greedy_cover(space, eps)  # a cover of this size exists: look for a smaller one
-    for k in range(1, upper):
-        for combo in combinations(range(n), k):
-            m = 0
-            for i in combo:
-                m |= masks[i]
-            if m == full:
-                return k
-    return upper
-
-
-def covering_number(space, eps, *, estimator="greedy"):
-    """N(eps) by ``estimator``; a negative or NaN radius raises ValueError, as the greedy
-    cover would loop forever on it."""
+def covering_number(space, eps):
+    """N(eps), the greedy cover's size: an upper bound on the minimum cover, as the packing
+    count of ``_packing_counts`` is a lower one.  A negative or NaN radius raises
+    ValueError, as the greedy cover would loop forever on it."""
     if not eps >= 0:
         raise ValueError(f"radius must be nonnegative, got {eps!r}")
-    if estimator == "greedy":
-        return _greedy_cover(space, eps)
-    if estimator == "packing":
-        return int(_packing_counts(space, eps))
-    if estimator == "exact":
-        return _exact_cover(space, eps)
-    raise ValueError(f"unknown covering estimator {estimator!r}")
+    return _greedy_cover(space, eps)
 
 
 @dataclass
 class EntropyIntegral:
     value: float
-    lower: float  # the same integral of the packing counts, a lower bound on the exact one
+    lower: float  # the same integral of the packing counts, a lower bound on the minimum cover's
     finite: bool
     eps_grid: np.ndarray
     integrand: np.ndarray
     entropies: np.ndarray
     saturated_fraction: float
-    points: int
-
-    @property
-    def notes(self):
-        if self.points <= 1:
-            return ["single-point index set; entropy integral is trivial"]
-        return []
 
 
 def default_eps_grid(space):
@@ -164,22 +131,10 @@ def default_eps_grid(space):
     return np.geomspace(lo, 1.0, 64)
 
 
-def check_eps_grid(eps_grid):
-    """The grid as a float array, after checking it has two or more radii, lies in (0, 1] and
-    increases strictly: the trapezoid over one radius is 0 whatever the integrand."""
-    eps = np.asarray(eps_grid, dtype=float)
-    if eps.size < 2:
-        raise ValueError("eps grid needs at least 2 radii")
-    if not np.all((eps > 0) & (eps <= 1.0 + 1e-12)):  # false for NaN too
-        raise ValueError("eps grid must lie in (0, 1]")
-    if np.any(np.diff(eps) <= 0):
-        raise ValueError("eps grid must be strictly increasing")
-    return eps
-
-
-def entropy_integral(space, env, eps_grid=None):
-    """Trapezoid integral of exp(inf_p (H(eps)/p + ln psi(p))) d eps, H the log of the greedy
-    counts, and as ``lower`` that of the packing counts.
+def entropy_integral(space, env):
+    """Trapezoid integral of exp(inf_p (H(eps)/p + ln psi(p))) d eps over the radii of
+    ``default_eps_grid``, H the log of the greedy counts, and as ``lower`` that of the
+    packing counts.
 
     ``finite`` certifies that the integral is positive (one of 0 measured nothing) and that
     the mass contributed by eps where the covering saturates at |T| stays below
@@ -188,9 +143,7 @@ def entropy_integral(space, env, eps_grid=None):
     one and the integral value is geometry-driven rather than floor-driven.
     An integrand or integral past the largest double raises ValueError.
     """
-    if eps_grid is None:
-        eps_grid = default_eps_grid(space)
-    eps = check_eps_grid(eps_grid)
+    eps = default_eps_grid(space)
     counts = np.array([covering_number(space, e) for e in eps], dtype=float)
     entropies = np.log(counts)
     # one pass over p bounds both sides: the greedy entropies, then the packing ones
@@ -209,4 +162,4 @@ def entropy_integral(space, env, eps_grid=None):
     else:
         frac = 0.0
     finite = value > 0 and frac < DEFAULT_PLATEAU_FRACTION
-    return EntropyIntegral(value, lower, finite, eps, integrand, entropies, frac, space.size)
+    return EntropyIntegral(value, lower, finite, eps, integrand, entropies, frac)

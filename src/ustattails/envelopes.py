@@ -97,10 +97,8 @@ class MomentEnvelope:
         hi = self.b * (1.0 + 1e-12) if self.closed else self.b
         bad = p > hi if self.closed else p >= hi
         if np.any(bad):
-            bracket = "]" if self.closed else ")"
-            raise ValueError(
-                f"envelope evaluated outside its support [2, {self.b}{bracket}"
-            )
+            raise ValueError(f"envelope evaluated outside its support "
+                             f"[2, {self.b}{']' if self.closed else ')'}")
         out = self._log_base(p)
         if self.lift:
             out = out + self.lift * (np.log(p) - np.log(np.log(p)))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ustattails as ut
-from spaces import space_from_points
+from spaces import exact_cover, space_from_points
 from ustattails.cli import main as cli_main
 from ustattails.engine import u_statistic_matrix
 
@@ -130,13 +130,13 @@ def test_criterion_05_covering_number_sandwich():
         dvals = space.dist[np.triu_indices(size, 1)]
         for q in (0.2, 0.5, 0.8):
             eps = float(np.quantile(dvals, q))
-            lo, exact, up = (ut.covering_number(space, eps, estimator=e)
-                             for e in ("packing", "exact", "greedy"))
+            lo = int(ut.entropy._packing_counts(space, eps))
+            exact, up = exact_cover(space, eps), ut.covering_number(space, eps)
             if not lo <= exact <= up:
                 violations += 1
     assert violations == 0
     grid = space_from_points(np.linspace(0.0, 1.0, 101)[:, None])
-    lo, up = (ut.covering_number(grid, 0.25, estimator=e) for e in ("packing", "greedy"))
+    lo, up = int(ut.entropy._packing_counts(grid, 0.25)), ut.covering_number(grid, 0.25)
     assert lo == 2 and up == 2
     ok(5, "0 sandwich violations across 200 random spaces; unit grid pinned at N(0.25) = 2")
 
@@ -152,9 +152,9 @@ def test_criterion_06_constant_envelope_integral_identity():
     env = ut.constant_envelope(1.7, 6.0)
     worst = 0.0
     for space in spaces:
-        eps = np.geomspace(space.diameter / 512.0, min(space.diameter, 1.0), 48)
-        ent = ut.entropy_integral(space, env, eps)
-        counts = np.array([ut.covering_number(space, e, estimator="greedy") for e in eps])
+        ent = ut.entropy_integral(space, env)
+        eps = ent.eps_grid
+        counts = np.array([ut.covering_number(space, e) for e in eps])
         direct = float(np.trapezoid(1.7 * counts ** (1.0 / 6.0), eps))
         rel = abs(ent.value - direct) / direct
         worst = max(worst, rel)
