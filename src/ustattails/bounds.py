@@ -30,6 +30,10 @@ from .empirics import (
 from .entropy import EntropyIntegral, FiniteMetricSpace, entropy_integral
 from .envelopes import envelope_norm, rosenthal_lift, tail_curve
 
+# the binomial standard errors of slack an empirical point has against a bound curve
+SIGMA = 3.0
+
+
 def check_beta(beta):
     """Raises ValueError unless the lower-shape parameter beta is positive and finite: at
     beta = inf the shape is NaN at every level, which no ordering check can fail."""
@@ -99,12 +103,12 @@ class MomentGrowth:
     notes: list = field(default_factory=list)
 
 
-def moment_growth_check(panels, env, degree, p_grid, *, factor=2.0):
+def moment_growth_check(panels, env, degree, p_grid):
     """Fit the degree-lifted envelope constant across sample sizes.
 
     For each panel of normalized deviations, the constant is the largest
     ratio of a column moment to the lifted envelope over the moment grid.
-    The check passes when the constants stay within ``factor`` of each other
+    The check passes when the constants stay within a factor 2 of each other
     across n, which is what a correct normalization order looks like.  No
     command runs it; it serves acceptance criterion 07.
     """
@@ -122,7 +126,7 @@ def moment_growth_check(panels, env, degree, p_grid, *, factor=2.0):
         notes.append("some panels are identically zero while others are not")
         return MomentGrowth(constants, math.inf, False, notes)
     ratio = float(vals.max() / vals.min())
-    return MomentGrowth(constants, ratio, ratio < factor, notes)
+    return MomentGrowth(constants, ratio, ratio < 2.0, notes)
 
 
 # -- curve comparison ----------------------------------------------------
@@ -136,18 +140,15 @@ class ComparisonReport:
     max_upper_excess: float
     max_lower_excess: float
     ok: bool
-    sigma: float
 
 
-def compare_curves(empirical, upper, *, lower=None, sigma=3.0):
+def compare_curves(empirical, upper, *, lower=None):
     """Check bound ordering against an empirical curve with binomial slack.
 
     Violations are counted where the empirical probability exceeds the upper
-    bound, or falls below the lower bound, by more than sigma binomial
+    bound, or falls below the lower bound, by more than SIGMA binomial
     standard errors of the empirical point.
     """
-    if not sigma >= 0:
-        raise ValueError("sigma must be nonnegative")
     if empirical.kind != "empirical":
         raise ValueError("first curve must be empirical")
     if empirical.sample_count < 1:
@@ -157,18 +158,18 @@ def compare_curves(empirical, upper, *, lower=None, sigma=3.0):
     se = np.sqrt(p * (1.0 - p) / empirical.sample_count)
     if not np.array_equal(upper.u_grid, u):
         raise ValueError("upper bound curve is on a different level grid")
-    excess = p - (upper.probs + sigma * se)
+    excess = p - (upper.probs + SIGMA * se)
     up_viol = int(np.sum(excess > 0))
     up_excess = float(max(0.0, excess.max()))
     lo_viol, lo_excess = 0, 0.0
     if lower is not None:
         if not np.array_equal(lower.u_grid, u):
             raise ValueError("lower bound curve is on a different level grid")
-        excess = lower.probs - (p + sigma * se)
+        excess = lower.probs - (p + SIGMA * se)
         lo_viol = int(np.sum(excess > 0))
         lo_excess = float(max(0.0, excess.max()))
     ok = up_viol == 0 and lo_viol == 0
-    return ComparisonReport(u, up_viol, lo_viol, up_excess, lo_excess, ok, sigma)
+    return ComparisonReport(u, up_viol, lo_viol, up_excess, lo_excess, ok)
 
 
 # -- the full pipeline ---------------------------------------------------

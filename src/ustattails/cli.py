@@ -16,6 +16,7 @@ floor, or bound ordering violated).
 """
 
 import argparse
+import contextlib
 import hashlib
 import io
 import math
@@ -28,7 +29,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .bounds import (
-    Geometry, calibrate_tails, check_beta, compare_curves, index_geometry, report_text
+    SIGMA, Geometry, calibrate_tails, check_beta, compare_curves, index_geometry, report_text
 )
 from .config import Config, ConfigError, parse_floats, resolve_grid
 from .empirics import FieldSamples, TailCurve, check_levels, check_sample_count
@@ -41,6 +42,7 @@ from .engine import (
     check_sample_size,
     check_subsets,
     check_table_law,
+    check_table_values,
     decompose_field,
     lognormal_sampler,
     make_kernel,
@@ -94,6 +96,12 @@ def _write(path, text):
         fh.write(text)
 
 
+def _discard(out_dir, name):
+    # an optional artifact that an earlier config wrote and this one does not must not stay
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, name))
+
+
 def _need(out_dir, name, stage):
     path = os.path.join(out_dir, name)
     if not os.path.exists(path):
@@ -141,7 +149,7 @@ def build_kernel(cfg):
         t_grid = cfg.get_floats("kernel.t_grid")
         g = cfg.get_str("kernel.g", "sin", choices=tuple(GPROD_SHAPES))
         return make_kernel(name, degree, g=g, t_grid=t_grid)
-    values = cfg.get_floats("kernel.values")
+    values = cfg.get_floats("kernel.values", check=check_table_values)
     rows = cfg.get_floats("kernel.table")
     cols = len(rows) // len(values)
     if cols * len(values) != len(rows):
@@ -188,10 +196,11 @@ def build_envelope(cfg, p_grid):
     if family == "exp_power":
         return make_envelope("exp_power", coef=param("coef"), expo=param("expo"))
     value = param("value")
-    # the envelope is evaluated on p_grid, so its support must hold the grid
-    p_sup = cfg.get_float(
-        "psi.p_sup", check=lambda p_sup: constant_envelope(value, p_sup).log_value(p_grid)
-    )
+    # the envelope is evaluated on p_grid, so its support must hold the grid; the support
+    # [2, inf] is the one config number that may be infinite, so its text is cast here
+    p_sup = float(cfg.get_str(
+        "psi.p_sup", check=lambda text: constant_envelope(value, float(text)).log_value(p_grid)
+    ))
     return make_envelope("constant", value=value, p_sup=p_sup)
 
 
@@ -411,7 +420,7 @@ def write_geometry(out_dir, geo, field_sha256):
             ("integral", ent.value),
             ("integral_lower", ent.lower),
             ("saturated_fraction", ent.saturated_fraction),
-            ("certified", bool(ent.finite)),
+            ("certified", ent.finite),
             ("field_sha256", field_sha256),
         ],
     )
@@ -428,7 +437,6 @@ def read_geometry(out_dir, stage, field_sha256):
         "integral": float,
         "integral_lower": float,
         "saturated_fraction": float,
-        "certified": {"true": True, "false": False}.__getitem__,
     })
     if summary["field_sha256"] != field_sha256:
         raise ConfigError(f"{DISTANCE} was measured on another {FIELD}; rerun stage 'entropy'")
@@ -443,7 +451,6 @@ def read_geometry(out_dir, stage, field_sha256):
     ent = EntropyIntegral(
         value=summary["integral"],
         lower=summary["integral_lower"],
-        finite=summary["certified"],
         eps_grid=eps,
         integrand=integrand,
         entropies=entropies,
@@ -516,6 +523,8 @@ def stage_simulate(cfg, out_dir):
     written = write_field(out_dir, fld)
     if fld.decomposition is not None:
         write_decomposition(out_dir, fld.decomposition)
+    else:
+        _discard(out_dir, DECOMP)
     return written
 
 
@@ -603,14 +612,15 @@ def stage_bounds(cfg, out_dir, fld=None):
     rows = zip(sup.p_grid.tolist(), sup.values.tolist(), flags)
     write_table(os.path.join(out_dir, MOMENTS_SUP), ("p", "value", "low_confidence"), rows)
     for name, file in (("empirical", TAIL_EMPIRICAL), ("upper", TAIL_UPPER), ("lower", TAIL_LOWER)):
-        path = os.path.join(out_dir, file)
         if name in report.curves:
-            write_curve(path, report.curves[name])
-        elif os.path.exists(path):
-            os.remove(path)  # a lower curve left by an earlier config must not reach verify
+            write_curve(os.path.join(out_dir, file), report.curves[name])
+        else:
+            _discard(out_dir, file)  # verify reads whichever lower curve it finds
     _write(os.path.join(out_dir, BOUND_REPORT), report_text(report))
     if plot:
         write_svg(out_dir, report.curves)
+    else:
+        _discard(out_dir, PLOT)
     return 0 if geo.entropy.finite else 2
 
 
@@ -625,7 +635,7 @@ def stage_verify(cfg, out_dir):
     write_pairs(
         os.path.join(out_dir, VERIFY_REPORT),
         [
-            ("sigma", cmp.sigma),
+            ("sigma", SIGMA),
             ("levels", cmp.u_grid.size),
             ("upper_violations", cmp.upper_violations),
             ("lower_violations", cmp.lower_violations),

@@ -3,9 +3,10 @@
 One ``section.key = value`` assignment per line, ``#`` starts a comment,
 blank lines are ignored.  Errors carry the file path and line number of the
 offending entry.  Values stay strings until a stage asks for them with a
-typed getter.
+typed getter.  Numbers are finite: the getters refuse NaN and ±inf.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,7 +119,7 @@ class Config:
         return self._get(key, default, int, "an integer", check)
 
     def get_float(self, key, default=_MISSING, *, check=None):
-        return self._get(key, default, float, "a number", check)
+        return self._get(key, default, parse_number, "a finite number", check)
 
     def get_bool(self, key, default=_MISSING, *, check=None):
         def cast(raw):
@@ -132,7 +133,7 @@ class Config:
         return self._get(key, default, cast, "a boolean (true/false)", check)
 
     def get_floats(self, key, default=_MISSING, *, check=None):
-        return self._get(key, default, parse_floats, "a comma list of numbers", check)
+        return self._get(key, default, parse_floats, "a comma list of finite numbers", check)
 
     def get_grid(self, key, default=_MISSING, *, quantile=False, check=np.asarray):
         """The :func:`parse_grid` result of a grid spec (``default``: a spec or None): quantile
@@ -148,9 +149,17 @@ class Config:
         return self._get(key, default, cast)
 
 
+def parse_number(text):
+    """The number ``text`` spells; ValueError unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return value
+
+
 def parse_floats(text):
-    """The numbers of a comma list, empty items skipped; ValueError if there is none."""
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    """The finite numbers of a comma list, empty items skipped; ValueError if there is none."""
+    values = [parse_number(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError(f"empty list {text!r}")
     return values

@@ -14,17 +14,12 @@ the empirical law, so it is nondecreasing in p (the power-mean inequality)
 up to rounding, which ``MomentTable`` checks.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .envelopes import MomentTable, envelope_norm_rows, tabulated_envelope
-
-# moment orders beyond kappa * ln(n) are dominated by the sample maximum and
-# carry little information; tables flag them rather than refuse them
-DEFAULT_KAPPA = 4.0
 
 
 def distinct_rows(X, counts=None):
@@ -150,11 +145,8 @@ class FieldSamples:
 def column_moments(field, p_grid):
     """One MomentTable per field column."""
     p = np.asarray(p_grid, dtype=float)
-    low = p > DEFAULT_KAPPA * math.log(field.replications)
-    return [
-        MomentTable(p, values, field.replications, low_confidence=low)
-        for values in _atom_moments(field.values, field.counts, p)
-    ]
+    return [MomentTable(p, values, field.replications)
+            for values in _atom_moments(field.values, field.counts, p)]
 
 
 def natural_envelope(field, p_grid):

@@ -276,6 +276,12 @@ def check_degree(degree, name):
         raise ValueError("degree must be at least 1")
 
 
+def check_table_values(values):
+    """Raises ValueError unless the alphabet a table kernel is defined on increases strictly."""
+    if np.any(np.diff(values) <= 0):
+        raise ValueError("table alphabet values must be strictly increasing")
+
+
 def check_table_law(values, sampler):
     """Raises ValueError unless ``sampler`` takes only ``values``, the alphabet a table
     kernel is defined on; the exact decomposition reads the table at every value of the law."""
@@ -381,8 +387,7 @@ def make_kernel(name, degree=None, *, shift=0.0, g="sin", t_grid=None, values=No
             raise ValueError("table kernels need alphabet values and a value table")
         v = np.asarray(values, dtype=float)
         tab = np.atleast_2d(np.asarray(table, dtype=float))
-        if np.any(np.diff(v) <= 0):
-            raise ValueError("table alphabet values must be strictly increasing")
+        check_table_values(v)
         if tab.shape[0] != v.size:
             raise ValueError("table must have one row per alphabet value")
         grid = tuple(t_grid) if t_grid is not None else tuple(

@@ -119,11 +119,19 @@ def covering_number(space, eps):
 class EntropyIntegral:
     value: float
     lower: float  # the same integral of the packing counts, a lower bound on the minimum cover's
-    finite: bool
     eps_grid: np.ndarray
     integrand: np.ndarray
     entropies: np.ndarray
     saturated_fraction: float
+
+    @property
+    def finite(self):
+        """The certification flag: the integral is positive (one of 0 measured nothing) and
+        the mass contributed by eps where the covering saturates at |T| stays below
+        DEFAULT_PLATEAU_FRACTION of it.  That is the regime where the finite index set is
+        standing in for a richer one and the integral value is geometry-driven rather than
+        floor-driven."""
+        return self.value > 0 and self.saturated_fraction < DEFAULT_PLATEAU_FRACTION
 
 
 def default_eps_grid(space):
@@ -134,14 +142,8 @@ def default_eps_grid(space):
 def entropy_integral(space, env):
     """Trapezoid integral of exp(inf_p (H(eps)/p + ln psi(p))) d eps over the radii of
     ``default_eps_grid``, H the log of the greedy counts, and as ``lower`` that of the
-    packing counts.
-
-    ``finite`` certifies that the integral is positive (one of 0 measured nothing) and that
-    the mass contributed by eps where the covering saturates at |T| stays below
-    DEFAULT_PLATEAU_FRACTION of it:
-    that is the regime where the finite index set is standing in for a richer
-    one and the integral value is geometry-driven rather than floor-driven.
-    An integrand or integral past the largest double raises ValueError.
+    packing counts, with the fraction of the integral contributed where the covering
+    saturates at |T|.  An integrand or integral past the largest double raises ValueError.
     """
     eps = default_eps_grid(space)
     counts = np.array([covering_number(space, e) for e in eps], dtype=float)
@@ -161,5 +163,4 @@ def entropy_integral(space, env):
         frac = float(np.trapezoid(np.where(saturated, integrand, 0.0), eps)) / value
     else:
         frac = 0.0
-    finite = value > 0 and frac < DEFAULT_PLATEAU_FRACTION
-    return EntropyIntegral(value, lower, finite, eps, integrand, entropies, frac)
+    return EntropyIntegral(value, lower, eps, integrand, entropies, frac)

@@ -18,7 +18,7 @@ four primitives on envelopes:
 
 The transforms take a scalar (and return a float) or a 1-d array of
 arguments.  Suprema and infima over p are taken for all arguments at once on
-a log-spaced grid (default 257 points on [2, min(b, p_max)]), followed by a
+a log-spaced grid (257 points on [2, min(b, p_max)]), followed by a
 golden-section refinement of each one's bracketing cell, in lockstep.
 Tabulated envelopes are optimised over their own nodes only: they carry no
 information between nodes, and restricting the search to nodes keeps the
@@ -30,7 +30,7 @@ resolve to the smallest index.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class MomentEnvelope:
 
     # -- optimisation grid ---------------------------------------------
 
-    def opt_grid(self, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
+    def opt_grid(self, p_max=DEFAULT_P_MAX):
         """Grid for sup/inf over p.
 
         Returns ``(grid, truncated, refine)``.  ``truncated`` flags that the
@@ -116,8 +116,6 @@ class MomentEnvelope:
         """
         if not p_max > 2.0:  # every range starts at 2
             raise ValueError("p_max must exceed 2")
-        if not points >= 2:
-            raise ValueError("points must be at least 2")
         if self.family == "tabulated":
             nodes = np.asarray(self.params[0], dtype=float)
             keep = nodes <= p_max * (1.0 + 1e-12)
@@ -126,7 +124,7 @@ class MomentEnvelope:
             return nodes[keep], bool((~keep).any()), False
         hi = min(self.b, p_max)
         truncated = self.b > p_max
-        grid = np.geomspace(2.0, hi, int(points))
+        grid = np.geomspace(2.0, hi, DEFAULT_GRID_POINTS)
         return grid, truncated, True
 
     # -- serialization -------------------------------------------------
@@ -258,7 +256,7 @@ def rosenthal_lift(env, degree):
 # -- transforms --------------------------------------------------------
 
 
-def _minimise_over_p(env, f, args, p_max, points):
+def _minimise_over_p(env, f, args, p_max):
     """min over p of f(a, p, ln psi(p)) for each a of ``args``, as a 1-d array.
 
     One (args x grid) pass takes each grid minimum (ties to the smallest
@@ -268,7 +266,7 @@ def _minimise_over_p(env, f, args, p_max, points):
     when its bracket closes.
     """
     args = np.asarray(args, dtype=float).reshape(-1)
-    grid, _trunc, refine = env.opt_grid(p_max, points)
+    grid, _trunc, refine = env.opt_grid(p_max)
     obj = f(args[:, None], grid, env.log_value(grid))
     k = np.argmin(obj, axis=1)
     best = obj[np.arange(args.size), k]
@@ -295,18 +293,18 @@ def _minimise_over_p(env, f, args, p_max, points):
     return best
 
 
-def fenchel_exponent(env, u, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
+def fenchel_exponent(env, u, *, p_max=DEFAULT_P_MAX):
     """sup over p of (u*p - p*ln psi(p)), for a scalar u or each u of a 1-d array.
 
     Convex and nondecreasing in u (a supremum of linear functions with
     positive slopes).  The value may be negative for small u; ``tail_curve``
     clamps it at zero where it is used as an exponent.
     """
-    out = -_minimise_over_p(env, lambda u, p, log_psi: -p * (u - log_psi), u, p_max, points)
+    out = -_minimise_over_p(env, lambda u, p, log_psi: -p * (u - log_psi), u, p_max)
     return float(out[0]) if np.ndim(u) == 0 else out
 
 
-def log_maximum_bound(env, x, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
+def log_maximum_bound(env, x, *, p_max=DEFAULT_P_MAX):
     """inf over p of (x/p + ln psi(p)), for a scalar x >= 0 or each x of a 1-d array.
 
     exp of the result bounds the envelope norm of a maximum of exp(x)
@@ -315,7 +313,7 @@ def log_maximum_bound(env, x, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS
     """
     if np.any(np.asarray(x) < 0):
         raise ValueError("x must be nonnegative")
-    out = _minimise_over_p(env, lambda x, p, log_psi: x / p + log_psi, x, p_max, points)
+    out = _minimise_over_p(env, lambda x, p, log_psi: x / p + log_psi, x, p_max)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -336,7 +334,7 @@ def envelope_norm_rows(values, log_psi):
         return np.exp(np.max(np.log(values) - log_psi, axis=-1))
 
 
-def tail_curve(env, norm, levels, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
+def tail_curve(env, norm, levels, *, p_max=DEFAULT_P_MAX):
     """Two-sided tail bounds at each level y for a variable of envelope norm ``norm``.
 
     exp(-max(0, fenchel_exponent(ln(y/norm)))) where y > e * norm, else the void bound 1.0
@@ -350,32 +348,31 @@ def tail_curve(env, norm, levels, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_PO
     live = levels > math.e * norm
     ratios = ((y, y / float(norm)) for y in levels[live].tolist())  # inf, not a warning
     u = [math.log(r) if r < math.inf else math.log(y) - math.log(norm) for y, r in ratios]
-    expo = fenchel_exponent(env, u, p_max=p_max, points=points)
+    expo = fenchel_exponent(env, u, p_max=p_max)
     out[live] = [math.exp(-max(0.0, e)) for e in expo]
     return out
 
 
-def tail_bound(env, norm, y, *, p_max=DEFAULT_P_MAX, points=DEFAULT_GRID_POINTS):
+def tail_bound(env, norm, y, *, p_max=DEFAULT_P_MAX):
     """``tail_curve`` at the one level y, as a Python float.  No command runs it; it is kept
     because the benchmark's tracer (``perfbench/tracing.py``) wraps it by name."""
-    return float(tail_curve(env, norm, [y], p_max=p_max, points=points)[0])
+    return float(tail_curve(env, norm, [y], p_max=p_max)[0])
 
 
 # -- moment tables -----------------------------------------------------
 
+# moment orders beyond kappa * ln(n) are dominated by the sample maximum and
+# carry little information; tables flag them rather than refuse them
+DEFAULT_KAPPA = 4.0
+
 
 @dataclass
 class MomentTable:
-    """L_p norms of one sample over a grid of moment orders.
-
-    ``low_confidence`` marks grid points beyond the usable moment range for
-    the sample size (p > kappa * ln(count)).
-    """
+    """L_p norms of one sample over a grid of moment orders."""
 
     p_grid: np.ndarray
     values: np.ndarray
     sample_count: int
-    low_confidence: np.ndarray | None = None
 
     def __post_init__(self):
         self.p_grid = np.asarray(self.p_grid, dtype=float)
@@ -390,5 +387,9 @@ class MomentTable:
         scale = max(1.0, float(self.values.max(initial=0.0)))
         if np.any(np.diff(self.values) < -1e-9 * scale):
             raise ValueError("moment values must be nondecreasing in p")
-        if self.low_confidence is None:
-            self.low_confidence = np.zeros(self.p_grid.size, dtype=bool)
+
+    @property
+    def low_confidence(self):
+        """The grid points beyond the usable moment range for the sample size:
+        p > DEFAULT_KAPPA * ln(sample_count)."""
+        return self.p_grid > DEFAULT_KAPPA * math.log(self.sample_count)

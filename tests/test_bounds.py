@@ -156,13 +156,14 @@ class TestCompareCurves:
         assert rep.max_upper_excess == pytest.approx(0.5 - 0.2 - 3 * se0)
 
     def test_sigma_slack_rescues(self):
+        # the slack is 3 standard errors of the empirical point, 0.15 at p = 0.5 and n = 100
         u = np.array([1.0, 2.0])
         emp = TailCurve(u, np.array([0.5, 0.3]), "empirical", sample_count=100)
-        up = TailCurve(u, np.array([0.45, 0.31]), "upper_bound")
-        assert not compare_curves(emp, upper=up, sigma=0.5).ok
-        assert compare_curves(emp, upper=up, sigma=3.0).ok
-        with pytest.raises(ValueError, match="sigma must be nonnegative"):
-            compare_curves(emp, upper=up, sigma=-1.0)
+        within = TailCurve(u, np.array([0.36, 0.31]), "upper_bound")
+        beyond = TailCurve(u, np.array([0.34, 0.31]), "upper_bound")
+        assert compare_curves(emp, upper=within).ok
+        rep = compare_curves(emp, upper=beyond)
+        assert not rep.ok and rep.upper_violations == 1
 
 
 class TestUniformTailReport:
@@ -222,8 +223,7 @@ class TestUniformTailReport:
         lo = rep.curves["lower"]
         assert lo.kind == "lower_bound"
         assert lo.meta["beta"] == 1.0
-        comp = compare_curves(rep.curves["empirical"], upper=rep.curves["upper"],
-                              lower=lo, sigma=3.0)
+        comp = compare_curves(rep.curves["empirical"], upper=rep.curves["upper"], lower=lo)
         assert comp.ok
 
     def test_lower_curve_capped_by_its_column(self):

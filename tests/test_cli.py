@@ -520,7 +520,6 @@ class TestPipeline:
             (ENTROPY_SUMMARY, replace_line("integral = ", None)),
             (ENTROPY_SUMMARY, replace_line("integral_lower = ", None)),
             (ENTROPY_SUMMARY, replace_line("integral_lower = ", "integral_lower = low")),
-            (ENTROPY_SUMMARY, replace_line("certified = ", "certified = maybe")),
             (PSI_USED, replace_line("degree = ", "degree = x")),
             (PSI_USED, replace_line("degree = ", "degree = -2")),
             (PSI_USED, replace_line("psi = ", "psi = tabulated lift=0 p=2.0")),
@@ -530,7 +529,7 @@ class TestPipeline:
             (DISTANCE, edit_distances(lambda cell: "nan" if cell == "0.0" else cell)),
         ],
         ids=[
-            "no_integral", "no_integral_lower", "bad_integral_lower", "bad_certified", "bad_degree",
+            "no_integral", "no_integral_lower", "bad_integral_lower", "bad_degree",
             "negative_degree", "envelope_no_v", "decreasing_p_grid", "no_integrand_column",
             "infinite_distances", "nan_diagonal",
         ],
@@ -661,6 +660,18 @@ class TestPipeline:
             ("psi.family=exp_power psi.coef=353.8 psi.expo=1", "psi.coef"),
             ("psi.family=exp_power psi.coef=353.83 psi.expo=1", "psi.coef"),
             ("bound.degree=2", "bound.degree"),
+            ("sampler.name=alphabet sampler.values=nan,1", "sampler.values"),
+            ("sampler.name=alphabet sampler.values=-1,1 sampler.weights=nan,1", "sampler.weights"),
+            ("kernel.t_grid=nan", "kernel.t_grid"),
+            ("kernel.name=product kernel.shift=nan", "kernel.shift"),
+            ("kernel.name=product kernel.shift=inf", "kernel.shift"),
+            ("kernel.name=product sampler.name=alphabet sampler.values=-1,inf", "sampler.values"),
+            ("sampler.name=uniform run.rank=1 sampler.lo=-inf", "sampler.lo"),
+            ("sampler.name=lognormal sampler.sigma=inf run.rank=1", "sampler.sigma"),
+            ("sampler.name=pareto sampler.a=inf run.rank=1", "sampler.a"),
+            ("kernel.t_grid=inf,1", "kernel.t_grid"),
+            ("psi.family=power_log psi.m=inf", "psi.m"),
+            ("kernel.name=table kernel.values=1,-1 kernel.table=0.5,-1,2,0.3", "kernel.values"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
              "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
@@ -679,19 +690,24 @@ class TestPipeline:
              "constant_overflows", "plateau_fraction_above_1", "negative_plateau_fraction",
              "negative_sigma", "estimator_not_accepted", "exp_power_sum_overflows_353_5",
              "exp_power_sum_overflows_353_8", "exp_power_sum_overflows_353_83",
-             "degree_not_accepted"],
+             "degree_not_accepted", "nan_alphabet_value", "nan_alphabet_weight", "nan_t_grid",
+             "nan_shift", "inf_shift", "inf_alphabet_value", "infinite_uniform_lo",
+             "inf_lognormal_sigma", "inf_pareto_index", "inf_t_grid", "inf_m",
+             "decreasing_table_values"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
-        self, smoke_cfg, tmp_path, capsys, setting, key
+        self, smoke_cfg, other_kernel_cfg, tmp_path, capsys, setting, key
     ):
         # run reads and range-checks the keys of every stage before it simulates, and
         # rejects a key no stage reads (run.budget, psi.p_max, a misspelling) and a set key
         # that the chosen options do not read (psi.m under the natural envelope, run.subsets
         # under exact averaging); an envelope whose lift passes the largest double on its
         # whole moment range, where every entropy integrand would overflow, or half of it,
-        # where the trapezoid sum of two would, names its scale key
+        # where the trapezoid sum of two would, names its scale key; so does a NaN or infinite
+        # number (a product kernel is set on the base without gprod's keys)
         out = tmp_path / "key"
-        assert main(["run", smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
+        cfg = other_kernel_cfg if "kernel.name=product" in setting else smoke_cfg
+        assert main(["run", cfg, "--out", str(out)] + overrides(setting)) == 1
         assert key in capsys.readouterr().err
         assert os.listdir(out) == []
 
@@ -856,6 +872,18 @@ class TestPipeline:
         ])
         assert rc == 2
         assert "certified = false" in (out / ENTROPY_SUMMARY).read_text()
+
+    def test_certified_is_derived_from_the_summary(self, smoke_cfg, smoke_run, tmp_path):
+        # bounds reads the integral and its saturated fraction, not the certified line: a
+        # summary whose fraction passes the plateau is not certified, whatever that line says
+        out = copy_artifacts(smoke_run[1], tmp_path / "saturated")
+        edit = replace_line("saturated_fraction = ", "saturated_fraction = 0.95")
+        lines = (out / ENTROPY_SUMMARY).read_text().splitlines()
+        (out / ENTROPY_SUMMARY).write_text("".join(edit(line) + "\n" for line in lines))
+        assert key_values(out / ENTROPY_SUMMARY)["certified"] == "true"
+        assert main(["bounds", smoke_cfg, "--out", str(out)]) == 2
+        report = key_values(out / BOUND_REPORT)
+        assert (report["saturated_fraction"], report["certified"]) == ("0.95", "false")
 
     def test_missing_artifact_exits_1(self, smoke_cfg, tmp_path, capsys):
         rc = main(["bounds", smoke_cfg, "--out", str(tmp_path / "empty")])
@@ -1335,6 +1363,7 @@ SMALL_ENVELOPES = (
     "psi.family=power_log psi.m=2",
     "psi.family=exp_power psi.coef=0.5 psi.expo=1",
     "psi.family=constant psi.value=3 psi.p_sup=16",
+    "psi.family=constant psi.value=3 psi.p_sup=inf",
 )
 SMALL_U_GRIDS = ("quantile:0.5:0.97:6", "quantile:0.2:0.9:3", "lin:0.5:3:5", "0.1,1,2", "0.7",
                  "0.5,nan,2")
@@ -1345,11 +1374,21 @@ OPTION_KEYS = ("psi.m=3", "psi.p_sup=9", "sampler.lo=-3", "sampler.sigma=2", "ke
 SMALL_P_GRIDS = ("log:2:8:4", "70,80")
 
 
+def is_number_list(text):
+    """Whether ``text`` is a comma list of numbers."""
+    try:
+        [float(tok) for tok in text.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
 @st.composite
 def small_configs(draw):
     """``--set`` text of a small ``run``: any law, kernel, degree, sample size, envelope,
     moment grid and level grid, with ``run.rank`` set off the alphabets, and now and then a
-    key that only some options read."""
+    key that only some options read; beside it, now and then, the ``key=value`` that sets one
+    of its numeric keys to NaN or an infinity (else None)."""
     law = draw(st.sampled_from(sorted(SMALL_LAWS)))
     kernel = draw(st.sampled_from(sorted(SMALL_KERNELS)))
     items = [SMALL_LAWS[law], SMALL_KERNELS[kernel], draw(st.sampled_from(SMALL_ENVELOPES)),
@@ -1368,14 +1407,16 @@ def small_configs(draw):
         items.append("bound.lower_beta=1.0")
     if draw(st.integers(0, 4)) == 0:
         items.append(draw(st.sampled_from(OPTION_KEYS)))
-    return " ".join(items)
+    numeric = sorted(key for key, value in (item.split("=", 1) for item in " ".join(items).split())
+                     if is_number_list(value))
+    poison = None
+    if draw(st.booleans()):
+        poison = f"{draw(st.sampled_from(numeric))}={draw(st.sampled_from(['nan', 'inf', '-inf']))}"
+    return " ".join(items), poison
 
 
-@settings(max_examples=300)
-@given(small_configs())
-def test_small_configs_finish_or_fail_first(setting):
-    # every config finishes with the full artifact set, or exits 1 before writing anything,
-    # naming where in the config it went wrong
+def run_small(setting):
+    """The exit code, the artifact names and the error text of a small ``run``."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = os.path.join(tmp, "small.cfg"), os.path.join(tmp, "out")
         with open(cfg, "w") as fh:
@@ -1383,17 +1424,37 @@ def test_small_configs_finish_or_fail_first(setting):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = main(["run", cfg, "--out", out] + overrides(setting))
-        written = set(os.listdir(out))
-    err = err.getvalue()
+        return rc, set(os.listdir(out)), err.getvalue().replace(cfg, "<config>")
+
+
+@settings(max_examples=300)
+@given(small_configs())
+def test_small_configs_finish_or_fail_first(config):
+    # every config finishes with the full artifact set, or exits 1 before writing anything,
+    # naming where in the config it went wrong; one that finishes fails first naming a
+    # numeric key set to NaN or an infinity, but for psi.p_sup = inf, which still finishes
+    setting, poison = config
+    rc, written, err = run_small(setting)
     event(f"exit {rc}")
+    finished = _base_artifacts() | {BOUND_REPORT, VERIFY_REPORT}
     if rc in (0, 2):
-        assert _base_artifacts() | {BOUND_REPORT, VERIFY_REPORT} <= written, setting
+        assert finished <= written, setting
+        if poison is not None:
+            key = poison.split("=")[0]
+            event(f"non-finite {key}")
+            rc, written, err = run_small(f"{setting} {poison}")
+            if poison == "psi.p_sup=inf":
+                assert rc in (0, 2) and finished <= written, (setting, poison, err)
+            else:
+                assert (rc, written) == (1, set()), (setting, poison, err)
+                assert f"<config> (--set {key}): {key}" in err, (setting, poison, err)
         return
     assert rc == 1, (setting, err)
     assert written == set(), (setting, err)
     # simulate refuses a drawn field that is identically zero or not finite before writing
     # it; that is a property of the draw, which no key names
-    assert cfg in err or "field is identically zero" in err or "not finite" in err, (setting, err)
+    assert "<config>" in err or "field is identically zero" in err or "not finite" in err, \
+        (setting, err)
 
 
 # what no command runs, and why it stays: the acceptance criteria's paper quantities, the
@@ -1413,7 +1474,6 @@ LIBRARY_BRANCHES = {
     "engine._ascending_rows": "the sort, for caller rows that are not ascending",
     "engine._tensor_decomposition": "the broadcast, for a constant kernel",
     "engine.hoeffding_decompose": "the default index point and the degenerate component",
-    "envelopes.MomentTable.__post_init__": "the default flags, for a caller's table",
     "config.Config._where": "a key left at its default, which only error messages name",
 }
 REACH_BASE = "# the keys every config below shares\n\nrun.seed = 11\nrun.n = 6\nrun.reps = 40\n" \
@@ -1455,6 +1515,20 @@ def test_staged_matches_run_on_every_law(name, tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert run_staged(cfg, tmp_path / "staged") == [0, 0, 0, 0]
     assert read_artifacts(tmp_path / "run") == read_artifacts(tmp_path / "staged")
+
+
+def test_shared_directory_holds_each_configs_artifacts(tmp_path):
+    # a run into a directory an earlier config wrote leaves what a run into an empty one
+    # leaves: the optional decomposition, lower curve and plot of the earlier config go
+    shared = tmp_path / "shared"
+    for name, text in REACH_CONFIGS.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(REACH_BASE + text)
+        before = read_artifacts(shared) if shared.exists() else {}
+        code = main(["run", str(cfg), "--out", str(shared)])
+        assert code == main(["run", str(cfg), "--out", str(tmp_path / name)]), name
+        want = before if code == 1 else read_artifacts(tmp_path / name)
+        assert read_artifacts(shared) == want, name
 
 
 def package_functions():

@@ -194,7 +194,7 @@ class TestSamplers:
             sampler_from("sampler.name = cauchy")
         with pytest.raises(ConfigError, match="missing required key 'sampler.a'"):
             sampler_from("sampler.name = pareto")
-        with pytest.raises(ConfigError, match="cfg:2: sampler.a must be a number"):
+        with pytest.raises(ConfigError, match="cfg:2: sampler.a must be a finite number"):
             sampler_from("sampler.name = pareto\nsampler.a = a=3")
 
     def test_uniform_bounds(self):

@@ -268,6 +268,14 @@ class TestEntropyIntegral:
         assert ent.value == 0.0
         assert ent.finite is False
 
+    def test_certification_is_derived_from_the_record(self):
+        # the flag is a function of the integral and its saturated share, so no record holds
+        # a flag that contradicts them
+        eps = np.geomspace(1e-3, 1.0, 4)
+        for value, frac, want in ((1.0, 0.89, True), (1.0, 0.95, False), (0.0, 0.0, False)):
+            record = entropy.EntropyIntegral(value, value, eps, eps, eps, frac)
+            assert record.finite is want
+
     def test_single_point_is_trivial(self):
         sp = space_from_points([[0.0]])
         ent = entropy_integral(sp, power_log_envelope(2.0))

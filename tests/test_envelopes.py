@@ -186,8 +186,6 @@ class TestLogMaximumBound:
         env = power_log_envelope(2.0)
         with pytest.raises(ValueError, match="p_max must exceed 2"):
             log_maximum_bound(env, 1.0, p_max=2.0)
-        with pytest.raises(ValueError, match="points must be at least 2"):
-            log_maximum_bound(env, 1.0, points=1)
 
     @given(st.floats(0.0, 20.0), st.floats(0.0, 20.0))
     def test_nondecreasing(self, x1, x2):
@@ -294,9 +292,9 @@ def _golden_min(f, lo, hi):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _scalar_minimise_over_p(env, f, p_max, points):
+def _scalar_minimise_over_p(env, f, p_max):
     """min over p of f(p, ln psi(p)) for one argument: grid minimum, then golden section."""
-    grid, _trunc, refine = env.opt_grid(p_max, points)
+    grid, _trunc, refine = env.opt_grid(p_max)
     obj = f(grid, env.log_value(grid))
     k = int(np.argmin(obj))
     best = float(obj[k])
@@ -334,7 +332,7 @@ ORACLE_ENVELOPES = {
 class TestBatchedMinimiserMatchesScalarReference:
     """The lockstep search gives every argument the bits its own scalar search gives."""
 
-    GRID = {"p_max": 40.0, "points": 129}
+    GRID = {"p_max": 40.0}
     NORM = 0.37
 
     def levels(self):
@@ -420,3 +418,8 @@ class TestMomentTable:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError, match="nonnegative"):
             MomentTable(np.array([2.0, 4.0]), np.array([-1.0, 2.0]), 10)
+
+    def test_low_confidence_is_the_tables_own(self):
+        # p > 4 ln(count): 4 ln 20 ~ 11.98, so of these orders only 12 is flagged
+        table = MomentTable(np.array([2.0, 11.9, 12.0]), np.array([1.0, 2.0, 3.0]), 20)
+        assert table.low_confidence.tolist() == [False, False, True]
