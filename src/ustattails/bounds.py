@@ -80,7 +80,9 @@ def calibrate_log_power(curve, *, beta):
 
     Usable points have level u > 0 and probability strictly inside (0, 1).
     The returned coefficient, and any larger one, makes the log_power shape a
-    pathwise lower envelope of the curve at those points.
+    pathwise lower envelope of the curve at those points.  Raises ValueError
+    when no point is usable, or when the coefficient is 0 or infinite, as a
+    huge beta makes it: the shape is then NaN where 0 * inf is taken.
     """
     E = log_power_exponent(beta)
     u = curve.u_grid
@@ -88,8 +90,11 @@ def calibrate_log_power(curve, *, beta):
     usable = (u > 0) & (p > 0.0) & (p < 1.0)
     if not usable.any():
         raise ValueError("no usable points to calibrate a lower tail shape")
-    coefs = -np.log(p[usable]) / np.log1p(u[usable]) ** E
-    return float(np.max(coefs))
+    with np.errstate(divide="ignore", over="ignore"):  # a huge E sends log1p(u)^E to 0 or inf
+        coef = float(np.max(-np.log(p[usable]) / np.log1p(u[usable]) ** E))
+    if not 0 < coef < math.inf:
+        raise ValueError(f"no positive finite coefficient at beta = {beta!r}")
+    return coef
 
 
 # -- moment growth audit -------------------------------------------------
@@ -195,7 +200,12 @@ class Geometry:
 @dataclass
 class BoundReport:
     """The tail curves of a field's supremum and the ``geometry`` they were calibrated
-    against; the report is certified when ``geometry.entropy.finite`` holds."""
+    against; the report is certified when ``geometry.entropy.finite`` holds.
+
+    ``sup_columns``, ``sup_top_share`` and ``uniformity`` say whether the supremum moves
+    over the index set (:func:`sup_attainment`; max_p |sup|_p / psi(p) over the p grid):
+    on a field whose supremum is one column's modulus, psi natural, all three are 1.
+    """
 
     geometry: Geometry
     sup_moments: object
@@ -205,6 +215,21 @@ class BoundReport:
     replications: int
     index_size: int
     notes: list
+    sup_columns: int
+    sup_top_share: float
+    uniformity: float
+
+
+def sup_attainment(field_samples):
+    """Over the rows whose supremum of |field| passes 1e-12 of the largest: how many index
+    points attain it on some row, and the largest share of those rows, weighted by their
+    counts, that one point attains.  A row at or below that is rounding around a centred
+    atom at 0, where points tie by chance."""
+    sup = field_samples.sup_abs()
+    live = sup > 1e-12 * sup.max()
+    counts = field_samples.counts[live]
+    attained = counts @ (np.abs(field_samples.values[live]) == sup[live, None])
+    return int(np.count_nonzero(attained)), float(attained.max() / counts.sum())
 
 
 def index_geometry(field_samples, p_grid, degree, *, env=None):
@@ -259,6 +284,7 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
     scalar_degenerate = field_samples.size == 1 or geometry.space.diameter == 0.0
     if scalar_degenerate:
         notes.append("single effective index point; report reduces to the moment tail bound")
+    sup_columns, sup_top_share = sup_attainment(field_samples)
     return BoundReport(
         geometry=geometry,
         sup_moments=sup_table,
@@ -268,6 +294,9 @@ def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):
         replications=field_samples.replications,
         index_size=field_samples.size,
         notes=notes,
+        sup_columns=sup_columns,
+        sup_top_share=sup_top_share,
+        uniformity=envelope_norm(sup_table, geometry.psi_used),
     )
 
 
@@ -296,6 +325,9 @@ def report_text(report):
     lines.append(f"saturated_fraction = {geo.entropy.saturated_fraction!r}")
     lines.append(f"certified = {'true' if geo.entropy.finite else 'false'}")
     lines.append(f"scalar_degenerate = {'true' if report.scalar_degenerate else 'false'}")
+    lines.append(f"sup_columns = {report.sup_columns}")
+    lines.append(f"sup_top_share = {report.sup_top_share!r}")
+    lines.append(f"uniformity = {report.uniformity!r}")
     lines.append("")
     lines.append("[calibration]")
     lines.append(f"sup_norm = {report.sup_norm!r}")

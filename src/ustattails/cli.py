@@ -238,11 +238,10 @@ def write_table(path, header, rows, comment=None, digest=None):
                 digest.update(data)
 
 
-def read_table(path, labelled=False, digest=None):
+def read_table(path, digest=None):
     """Header cells and float matrix of a CSV table, ``#`` lines skipped.
 
-    With ``labelled`` the first column holds row labels and stays out of the
-    matrix.  The matrix and any error are np.loadtxt's; a malformed, empty or
+    The matrix and any error are np.loadtxt's; a malformed, empty or
     too wide table raises ConfigError naming it.  ``digest``, a hashlib
     object, is fed the bytes parsed.
     """
@@ -256,15 +255,14 @@ def read_table(path, labelled=False, digest=None):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # an empty table is rejected below
-                values = np.loadtxt(fh, delimiter=",", ndmin=2,
-                                    converters={0: lambda label: 0.0} if labelled else None)
+                values = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     if not len(values):
         raise ConfigError(f"{path}: no data rows")
     if values.shape[1] != len(header):  # loadtxt has checked that all rows are equally wide
         raise ConfigError(f"{path}: rows have {values.shape[1]} cells, the header {len(header)}")
-    return header, values[:, labelled:]
+    return header, values
 
 
 def read_columns(path, names):
@@ -363,15 +361,32 @@ def read_field(out_dir, stage):
 
 
 def write_distance(out_dir, labels, dist):
-    rows = ([lbl] + row for lbl, row in zip(labels, dist.tolist()))
-    write_table(os.path.join(out_dir, DISTANCE), ("label",) + tuple(labels), rows)
+    """distance.csv: the labels on a ``# labels`` line, then one ``distance`` row per pair
+    i < j of the symmetric, zero-diagonal ``dist``, in row-major upper-triangle order."""
+    rows = ([d] for d in dist[np.triu_indices(len(labels), 1)].tolist())
+    write_table(os.path.join(out_dir, DISTANCE), ("distance",), rows,
+                comment=f"labels = {','.join(map(_cell, labels))}")
 
 
 def read_distance(out_dir, stage):
+    """The FiniteMetricSpace that ``write_distance`` wrote.  A missing ``# labels`` line, a
+    pair count other than m(m - 1)/2 or distances the space refuses raise ConfigError
+    naming the file."""
     path = _need(out_dir, DISTANCE, stage)
-    header, dist = read_table(path, labelled=True)
+    labels = read_record(path, {"# labels": lambda text: text.split(",")})["# labels"]
+    m = len(labels)
+    if m > 1:
+        (pairs,) = read_columns(path, ("distance",))
+    else:  # one point has no pair, and read_table refuses a table with no rows
+        with open(path) as fh:
+            pairs = [line for line in fh if line.strip() and not line.startswith("#")][1:]
+    if len(pairs) != m * (m - 1) // 2:
+        raise ConfigError(f"{path}: {len(pairs)} distances, but {m} labels need "
+                          f"{m * (m - 1) // 2}")
+    dist, upper = np.zeros((m, m)), np.triu_indices(m, 1)
+    dist[upper] = dist[upper[::-1]] = pairs
     try:
-        return FiniteMetricSpace(header[1:], dist)
+        return FiniteMetricSpace(labels, dist)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -601,6 +616,9 @@ def stage_bounds(cfg, out_dir, fld=None):
         fld = read_field(out_dir, "bounds")
     u_spec, lower, plot = _bounds_settings(cfg, len(fld.labels))
     geo = read_geometry(out_dir, "bounds", fld.meta["field_sha256"])
+    if geo.space.size != fld.size:  # a cut distance.csv can still be a metric space
+        raise ConfigError(f"{os.path.join(out_dir, DISTANCE)}: {geo.space.size} index points, "
+                          f"but {FIELD} has {fld.size}; rerun stage 'entropy'")
     u_grid = resolve_grid(u_spec, fld.sup_abs(), fld.counts)
     report = calibrate_tails(fld, geo, u_grid, lower=lower)
     kind, asked = u_spec

@@ -210,7 +210,7 @@ class TailCurve:
         if self.kind not in ("empirical", "upper_bound", "lower_bound"):
             raise ValueError(f"unknown tail curve kind {self.kind!r}")
         check_levels(self.u_grid)
-        if np.any(self.probs < -1e-12) or np.any(self.probs > 1 + 1e-12):
+        if not np.all((self.probs >= -1e-12) & (self.probs <= 1 + 1e-12)):  # NaN fails too
             raise ValueError("probabilities must lie in [0, 1]")
         if np.any(np.diff(self.probs) > 1e-12):
             raise ValueError("tail curves must be nonincreasing in the level")

@@ -192,6 +192,8 @@ def normal_sampler():
 def uniform_sampler(lo=0.0, hi=1.0):
     if not hi > lo:
         raise ValueError("need hi > lo")
+    if not math.isfinite(hi - lo):  # the draw scales by hi - lo
+        raise ValueError(f"need a finite hi - lo, got {hi!r} - {lo!r}")
 
     def draw(rng, size):
         """No command draws through here: the Generator reference that tests hold

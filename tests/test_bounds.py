@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ustattails import (
     tail_bound,
     uniform_tail_report,
 )
+from ustattails.bounds import sup_attainment
 
 
 def make_field(values, labels=None):
@@ -86,6 +88,19 @@ class TestCalibrateLogPower:
         )
         with pytest.raises(ValueError, match="usable"):
             calibrate_log_power(curve, beta=1.0)
+
+    def test_coefficient_past_a_double(self):
+        # at beta = 1e308, ln(1+u)^E is 0 below u = e - 1 and inf above it: the coefficient
+        # is inf, or 0, and the shape NaN, so the calibration refuses it without a warning
+        curve = TailCurve(np.array([0.5, 1.0, 3.0]), np.array([0.4, 0.2, 0.1]), "empirical",
+                          sample_count=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no positive finite coefficient"):
+                calibrate_log_power(curve, beta=1e308)
+            with pytest.raises(ValueError, match="no positive finite coefficient"):
+                calibrate_log_power(TailCurve(curve.u_grid[2:], curve.probs[2:], "empirical",
+                                              sample_count=10), beta=1e308)
 
 
 class TestMomentGrowth:
@@ -179,11 +194,20 @@ class TestUniformTailReport:
         rep = uniform_tail_report(fld, p_grid, 1, u_grid)
         assert rep.scalar_degenerate
         assert rep.geometry.space.diameter == 0.0
+        assert (rep.sup_columns, rep.sup_top_share) == (1, 1.0)
+        assert rep.uniformity == pytest.approx(1.0, abs=1e-12)
         up = rep.curves["upper"]
         for u, prob in zip(up.u_grid, up.probs):
             assert prob == pytest.approx(
                 tail_bound(rep.geometry.tau, rep.sup_norm, u), abs=1e-12
             )
+
+    def test_sup_attainment(self):
+        # the rounding-level first row is left out; the tied third row credits two points;
+        # each share weighs the rows' counts
+        rows = [[1e-17, -1e-17, 0.0], [0.5, -2.0, 1.0], [3.0, -1.0, 3.0], [0.5, 2.0, 0.0]]
+        fld = FieldSamples(("a", "b", "c"), rows, counts=[5, 2, 1, 1])
+        assert sup_attainment(fld) == (3, 0.75)
 
     def test_natural_envelope_dominates_exactly(self):
         fld = self.small_field()

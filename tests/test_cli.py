@@ -164,14 +164,8 @@ def overrides(setting):
 
 
 def edit_distances(edit):
-    """Line edit of distance.csv: ``edit`` applied to each distance cell of a data line."""
-    def apply(line):
-        if line.startswith("label,"):
-            return line
-        label, *cells = line.split(",")
-        return ",".join([label] + [edit(cell) for cell in cells])
-
-    return apply
+    """Line edit of distance.csv: ``edit`` applied to the distance of each data line."""
+    return lambda line: line if line.startswith(("#", "distance")) else edit(line)
 
 
 def replace_line(prefix, new):
@@ -431,15 +425,20 @@ class TestPipeline:
         assert "distance.csv" in err and "rerun stage 'entropy'" in err
 
     def test_uncalibratable_lower_curve_is_omitted(self, smoke_cfg, smoke_run, tmp_path):
-        # Column 0 of this grid has no level strictly inside (0, 1); the run
-        # goes on without a lower curve and drops the one an earlier run left.
-        out = copy_artifacts(smoke_run[1], tmp_path / "nolower")
-        rc = main(["run", smoke_cfg, "--out", str(out), "--set", "kernel.t_grid=0.2,0.5,0.9"])
-        assert rc == 0
-        assert not (out / TAIL_LOWER).exists()
-        report = (out / BOUND_REPORT).read_text()
-        assert "- lower shape omitted: column 0 has no usable points" in report
-        assert "ordering = PASS" in (out / VERIFY_REPORT).read_text()
+        # Column 0 of this grid has no level strictly inside (0, 1), and at beta = 1e308 the
+        # coefficient is infinite, where the shape read NaN; the run goes on without a lower
+        # curve, warning nothing, and drops the one an earlier run left.
+        for setting, why in (("kernel.t_grid=0.2,0.5,0.9", "no usable points"),
+                             ("bound.lower_beta=1e308",
+                              "no positive finite coefficient at beta = 1e+308")):
+            out = copy_artifacts(smoke_run[1], tmp_path / setting.split("=")[0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["run", smoke_cfg, "--out", str(out), "--set", setting]) == 0
+            assert not (out / TAIL_LOWER).exists()
+            report = (out / BOUND_REPORT).read_text()
+            assert f"- lower shape omitted: column 0 has {why}" in report
+            assert "ordering = PASS" in (out / VERIFY_REPORT).read_text()
 
     @pytest.mark.parametrize("column", ["9", "-1"])
     def test_bad_lower_column_fails_before_any_artifact(self, smoke_cfg, tmp_path, capsys, column):
@@ -526,12 +525,12 @@ class TestPipeline:
             (PSI_USED, replace_line("p_grid = ", "p_grid = 2.0,1.5")),
             (ENTROPY, lambda line: line.rsplit(",", 1)[0]),
             (DISTANCE, edit_distances(lambda cell: "inf" if cell != "0.0" else cell)),
-            (DISTANCE, edit_distances(lambda cell: "nan" if cell == "0.0" else cell)),
+            (DISTANCE, edit_distances(lambda cell: "nan")),
         ],
         ids=[
             "no_integral", "no_integral_lower", "bad_integral_lower", "bad_degree",
             "negative_degree", "envelope_no_v", "decreasing_p_grid", "no_integrand_column",
-            "infinite_distances", "nan_diagonal",
+            "infinite_distances", "nan_distance",
         ],
     )
     def test_corrupt_geometry_record_exits_1_naming_it(
@@ -672,6 +671,7 @@ class TestPipeline:
             ("kernel.t_grid=inf,1", "kernel.t_grid"),
             ("psi.family=power_log psi.m=inf", "psi.m"),
             ("kernel.name=table kernel.values=1,-1 kernel.table=0.5,-1,2,0.3", "kernel.values"),
+            ("sampler.name=uniform sampler.lo=-1e308 sampler.hi=1e308 run.rank=1", "sampler.lo"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
              "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
@@ -693,7 +693,7 @@ class TestPipeline:
              "degree_not_accepted", "nan_alphabet_value", "nan_alphabet_weight", "nan_t_grid",
              "nan_shift", "inf_shift", "inf_alphabet_value", "infinite_uniform_lo",
              "inf_lognormal_sigma", "inf_pareto_index", "inf_t_grid", "inf_m",
-             "decreasing_table_values"],
+             "decreasing_table_values", "uniform_range_overflows"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, other_kernel_cfg, tmp_path, capsys, setting, key
@@ -1187,6 +1187,51 @@ def test_table_codec_round_trips_bits(tmp_path):
     assert read_pairs(path) == [("# samples", "2")]
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 100])
+def test_distance_codec_round_trips_bits(tmp_path, m):
+    # distance.csv holds the labels and each pair i < j once, row k the k-th pair in
+    # row-major upper-triangle order; read back, the matrix has the bits written, exact
+    # zeros included (one point: the labels line and the header alone)
+    rng = np.random.default_rng(m)
+    upper = np.triu(rng.exponential(size=(m, m)) * (rng.random((m, m)) < 0.8), 1)
+    dist = upper + upper.T
+    labels = [f"t{j}" for j in range(m)]
+    cli.write_distance(str(tmp_path), labels, dist)
+    space = cli.read_distance(str(tmp_path), "test")
+    assert space.labels == tuple(labels)
+    assert np.array_equal(space.dist.view(np.uint64), dist.view(np.uint64))
+    lines = (tmp_path / DISTANCE).read_text().splitlines()
+    assert lines[:2] == [f"# labels = {','.join(labels)}", "distance"]
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    assert lines[2:] == [repr(float(dist[i, j])) for i, j in pairs]
+
+
+def _cut_labels(lines, k, rows):
+    """distance.csv lines with the labels line cut to its first ``k`` labels and the
+    first ``rows`` data rows kept."""
+    return [",".join(lines[0].split(",")[:k]).rstrip("\n") + "\n"] + lines[1:2 + rows]
+
+
+DISTANCE_DAMAGE = {
+    "missing_pair": lambda lines: lines[:2] + lines[3:],
+    "no_labels": lambda lines: lines[1:],
+    "one_label": lambda lines: _cut_labels(lines, 1, len(lines)),
+    "two_labels": lambda lines: _cut_labels(lines, 2, 1),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DISTANCE_DAMAGE))
+def test_damaged_distance_exits_1_naming_it(smoke_cfg, smoke_run, tmp_path, capsys, damage):
+    # a deleted distance row leaves a pair count the labels do not give, without the
+    # labels line the pairs have no points, one label has no pair however many rows
+    # follow, and a whole space of fewer points than the field's is not the field's
+    out = copy_artifacts(smoke_run[1], tmp_path / "damaged")
+    lines = (out / DISTANCE).read_text().splitlines(True)
+    (out / DISTANCE).write_text("".join(DISTANCE_DAMAGE[damage](lines)))
+    assert main(["bounds", smoke_cfg, "--out", str(out)]) == 1
+    assert DISTANCE in capsys.readouterr().err
+
+
 FIELD_CELLS = st.sampled_from([
     0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
     1e308, -1.7976931348623157e308, np.inf, -np.inf, 0.37139524701577833,
@@ -1244,7 +1289,8 @@ TABLE_EDITS = {
 @pytest.mark.parametrize("edit", sorted(TABLE_EDITS))
 def test_table_parser_matches_loadtxt(tmp_path, edit, labelled):
     # a table reads as np.loadtxt reads the whole file: blank and # lines skipped wherever
-    # they stand, any other bad line refused with its message and the file's row numbers
+    # they stand, any other bad line refused with its message and the file's row numbers;
+    # labelled rows lead with their integer number, a column like field.csv's counts
     header = ["rep", "a", "b"] if labelled else ["a", "b"]
     rows = [f"{i},{row}" if labelled else row for i, row in enumerate(TABLE_ROWS)]
     lines = ["# samples = 6", ",".join(header)] + rows[:3] + TABLE_EDITS[edit](rows[3]) + rows[4:]
@@ -1253,16 +1299,15 @@ def test_table_parser_matches_loadtxt(tmp_path, edit, labelled):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            want = np.loadtxt(lines[2:], delimiter=",", ndmin=2,
-                              converters={0: lambda label: 0.0} if labelled else None)
+            want = np.loadtxt(lines[2:], delimiter=",", ndmin=2)
     except ValueError as exc:
         with pytest.raises(ConfigError) as caught:
-            read_table(path, labelled=labelled)
+            read_table(path)
         assert str(caught.value) == f"{path}: {exc}"  # the row numbers of the file itself
         return
-    got_header, got = read_table(path, labelled=labelled)
+    got_header, got = read_table(path)
     assert got_header == header
-    assert np.array_equal(got.view(np.uint64), want[:, labelled:].view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_field_parses_each_distinct_line_once(smoke_run, tmp_path, monkeypatch):
@@ -1515,6 +1560,9 @@ def test_staged_matches_run_on_every_law(name, tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert run_staged(cfg, tmp_path / "staged") == [0, 0, 0, 0]
     assert read_artifacts(tmp_path / "run") == read_artifacts(tmp_path / "staged")
+    # one distance row per pair of the field's index points
+    m = len(read_field(str(tmp_path / "run"), "test").labels)
+    assert len((tmp_path / "run" / DISTANCE).read_text().splitlines()) == 2 + m * (m - 1) // 2
 
 
 def test_shared_directory_holds_each_configs_artifacts(tmp_path):
@@ -1688,6 +1736,17 @@ def test_benchmark_gate_passes(name, tmp_path, monkeypatch):
     lower = float(summary["integral_lower"])
     assert lower <= float(summary["integral"])
     assert lower == pytest.approx(INTEGRAL_LOWER[name], rel=1e-12)
+    # the gated fields are rank one, so their supremum is one column's modulus; the
+    # incomplete average of a continuous law moves it over the index set
+    report = key_values(out / BOUND_REPORT)
+    columns, share, uniformity = (float(report[key]) for key in
+                                  ("sup_columns", "sup_top_share", "uniformity"))
+    if name == "heavy_incomplete":
+        assert columns > 1 and uniformity > 1
+    else:
+        assert columns == 1
+        assert share == pytest.approx(1.0, abs=1e-12)
+        assert uniformity == pytest.approx(1.0, abs=1e-12)
     space = cli.read_distance(str(out), "bounds")
     eps = entropy.default_eps_grid(space)
     counts = entropy._packing_counts(space, eps)

@@ -405,3 +405,5 @@ class TestTailCurve:
             TailCurve(np.array([1.0, 2.0]), np.array([0.4, 0.5]), "empirical")
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             TailCurve(np.array([1.0, 2.0]), np.array([1.5, 0.5]), "empirical")
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):  # NaN fails the range check too
+            TailCurve(np.array([1.0, 2.0]), np.array([np.nan, 0.5]), "upper_bound")
