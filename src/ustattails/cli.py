@@ -17,7 +17,6 @@ floor, or bound ordering violated).
 
 import argparse
 import contextlib
-import hashlib
 import io
 import math
 import os
@@ -27,6 +26,14 @@ from functools import partial
 from itertools import chain, islice
 
 import numpy as np
+
+try:  # CPython's own SHA-256: hashlib loads OpenSSL, 3.6 MiB of every run's peak RSS
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:  # a Python built without them
+        from hashlib import sha256
 
 from .bounds import (
     SIGMA, Geometry, calibrate_tails, check_beta, compare_curves, index_geometry, report_text
@@ -226,7 +233,7 @@ def write_table(path, header, rows, comment=None, digest=None):
     """CSV table; ``comment`` becomes a leading ``# `` line (read by read_pairs).
 
     The lines are streamed to the file in blocks of ``_WRITE_BLOCK_LINES``;
-    ``digest``, a hashlib object, is fed the bytes written.
+    ``digest``, a SHA-256 object, is fed the bytes written.
     """
     lines = chain([] if comment is None else [f"# {comment}"],
                   (",".join(map(_cell, cells)) for cells in chain([header], rows)))
@@ -242,7 +249,7 @@ def read_table(path, digest=None):
     """Header cells and float matrix of a CSV table, ``#`` lines skipped.
 
     The matrix and any error are np.loadtxt's; a malformed, empty or
-    too wide table raises ConfigError naming it.  ``digest``, a hashlib
+    too wide table raises ConfigError naming it.  ``digest``, a SHA-256
     object, is fed the bytes parsed.
     """
     with open(path, "rb") as raw:
@@ -329,7 +336,7 @@ def write_field(out_dir, fld):
     the field.csv bytes, hashed as they are written.
     """
     path, header = os.path.join(out_dir, FIELD), ("count",) + tuple(fld.labels)
-    digest = hashlib.sha256()
+    digest = sha256()
     rows = ([int(c)] + row.tolist() for c, row in zip(fld.counts.tolist(), fld.values))
     write_table(path, header, rows, digest=digest)
     pairs = [(k, _cell(v)) for k, v in sorted(fld.meta.items()) if k != "notes"]
@@ -347,7 +354,7 @@ def read_field(out_dir, stage):
     ``reps`` raise ConfigError naming the file.
     """
     path = _need(out_dir, FIELD, stage)
-    digest = hashlib.sha256()
+    digest = sha256()
     header, values = read_table(path, digest=digest)
     if header[0] != "count":
         raise ConfigError(f"{path}: the first column is {header[0]!r}, not 'count'; "

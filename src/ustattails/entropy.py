@@ -49,7 +49,8 @@ class FiniteMetricSpace:
             raise ValueError("self-distances must be zero")
         if not np.allclose(self.dist, self.dist.T, rtol=0, atol=1e-12 * max(1.0, self.dist.max())):
             raise ValueError("distance matrix must be symmetric")
-        self.dist = (self.dist + self.dist.T) / 2.0
+        # (d + dT) / 2 would overflow for a distance past DBL_MAX / 2
+        self.dist = self.dist + (self.dist.T - self.dist) / 2.0
         np.fill_diagonal(self.dist, 0.0)
 
     @property

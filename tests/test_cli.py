@@ -543,6 +543,18 @@ class TestPipeline:
         assert main(["bounds", smoke_cfg, "--out", str(out)]) == 1
         assert name in capsys.readouterr().err
 
+    def test_huge_distance_keeps_a_finite_diameter(self, smoke_cfg, smoke_run, tmp_path):
+        # a finite distance past DBL_MAX/2 is symmetrised without overflowing to inf
+        out = copy_artifacts(smoke_run[1], tmp_path / "huge")
+        lines = (out / DISTANCE).read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if not line.startswith(("#", "distance")))
+        lines[first] = "1e308"
+        (out / DISTANCE).write_text("".join(line + "\n" for line in lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", smoke_cfg, "--out", str(out)]) in (0, 2)
+        assert key_values(out / BOUND_REPORT)["diameter"] == "1e+308"
+
     @pytest.mark.parametrize("degree", ["x", "2.5", "-2"])
     def test_corrupt_field_degree_exits_1_naming_it(
         self, smoke_cfg, smoke_run, tmp_path, capsys, degree
@@ -1106,6 +1118,25 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_run_does_not_load_openssl(tmp_path):
+    # hashlib loads _hashlib and OpenSSL's libcrypto, 3.6 MiB of a run's 37 MiB peak RSS;
+    # numpy.random loads it too, through secrets and hmac
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this Python has no builtin SHA-256, so field.csv is hashed by hashlib")
+    src = os.path.dirname(os.path.dirname(ustattails.__file__))
+    (tmp_path / "smoke.cfg").write_text(SMOKE)
+    code = (
+        "import sys\n"
+        "from ustattails.cli import main\n"
+        "print(main(['run', sys.argv[1] + '/smoke.cfg', '--out', sys.argv[1] + '/out']))\n"
+        "print(sorted(m for m in sys.modules if m in ('_hashlib', 'numpy.random')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["0", "[]"]
 
 
 def test_pipeline_does_not_load_numpy_ma(tmp_path):
