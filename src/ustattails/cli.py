@@ -40,30 +40,13 @@ from .bounds import (
 )
 from .config import Config, ConfigError, parse_floats, resolve_grid
 from .empirics import FieldSamples, TailCurve, check_levels, check_sample_count
-from .engine import (
-    GPROD_SHAPES,
-    alphabet_sampler,
-    check_alphabet_law,
-    check_degree,
-    check_rank,
-    check_sample_size,
-    check_subsets,
-    check_table_law,
-    check_table_values,
-    decompose_field,
-    lognormal_sampler,
-    make_kernel,
-    normal_sampler,
-    pareto_sampler,
-    rademacher_sampler,
-    simulate_panel,
-    uniform_sampler,
-)
 from .entropy import EntropyIntegral, FiniteMetricSpace
 from .envelopes import (
     DEFAULT_P_MAX, MomentEnvelope, check_family_param, check_lift_degree, check_p_grid,
     constant_envelope, make_envelope, rosenthal_lift,
 )
+# engine is imported inside the builders and stages that simulate, so that a bounds, entropy
+# or verify process neither compiles nor runs it
 
 FIELD = "field.csv"
 FIELD_META = "field_meta.txt"
@@ -120,6 +103,11 @@ def _need(out_dir, name, stage):
 
 
 def build_sampler(cfg):
+    from .engine import (
+        alphabet_sampler, check_alphabet_law, lognormal_sampler, normal_sampler, pareto_sampler,
+        rademacher_sampler, uniform_sampler,
+    )
+
     name = cfg.get_str(
         "sampler.name",
         choices=("normal", "uniform", "rademacher", "pareto", "lognormal", "alphabet"),
@@ -144,6 +132,8 @@ def build_sampler(cfg):
 
 
 def build_kernel(cfg):
+    from .engine import GPROD_SHAPES, check_degree, check_table_values, make_kernel
+
     name = cfg.get_str(
         "kernel.name", choices=("product", "sum", "half_sq_diff", "gprod", "table")
     )
@@ -168,6 +158,8 @@ def build_kernel(cfg):
 def build_law(cfg):
     """The configured kernel and sampler; a table kernel is defined on ``kernel.values``
     alone, so a sampler that takes another value fails naming that key."""
+    from .engine import check_table_law
+
     kernel, sampler = build_kernel(cfg), build_sampler(cfg)
     if kernel.name == "table":
         cfg.get_floats("kernel.values", check=partial(check_table_law, sampler=sampler))
@@ -176,6 +168,8 @@ def build_law(cfg):
 
 def build_mode(cfg):
     """The tuples averaged per replication, or None for exact averaging."""
+    from .engine import check_subsets
+
     mode = cfg.get_str("run.mode", "exact", choices=("exact", "incomplete"))
     if mode == "incomplete":
         return cfg.get_int("run.subsets", check=check_subsets)
@@ -526,8 +520,24 @@ def write_svg(out_dir, curves):
 # -- stages ---------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _law_overflow_names_keys(cfg):
+    """Re-raises an overflowing decomposition as a ConfigError naming the kernel and sampler
+    keys the config sets and the stage read: the law they build alone decides it."""
+    from .engine import LawOverflow
+
+    try:
+        yield
+    except LawOverflow as exc:
+        keys = sorted(key for key in cfg.entries
+                      if key in cfg.read and key.startswith(("kernel.", "sampler.")))
+        raise ConfigError(f"{cfg.path}: {', '.join(keys)}: {exc}") from None
+
+
 def _simulate_settings(cfg):
     """The arguments of ``simulate_panel``, by name."""
+    from .engine import check_rank, check_sample_size
+
     kernel, sampler = build_law(cfg)
     seed = cfg.get_int("run.seed")
     n = cfg.get_int("run.n", check=partial(check_sample_size, degree=kernel.degree))
@@ -541,7 +551,11 @@ def _simulate_settings(cfg):
 
 def stage_simulate(cfg, out_dir):
     # returns the field as written, which ``run`` hands to entropy and bounds
-    fld = simulate_panel(**_simulate_settings(cfg))
+    from .engine import simulate_panel
+
+    settings = _simulate_settings(cfg)
+    with _law_overflow_names_keys(cfg):
+        fld = simulate_panel(**settings)
     written = write_field(out_dir, fld)
     if fld.decomposition is not None:
         write_decomposition(out_dir, fld.decomposition)
@@ -560,10 +574,14 @@ def write_decomposition(out_dir, decomps):
 
 
 def stage_decompose(cfg, out_dir):
+    from .engine import decompose_field
+
     kernel, sampler = build_law(cfg)
     if sampler.alphabet is None:
         cfg.fail("sampler.name", "decomposition needs a finite alphabet sampler")
-    write_decomposition(out_dir, decompose_field(kernel, sampler))
+    with _law_overflow_names_keys(cfg):
+        decomps = decompose_field(kernel, sampler)
+    write_decomposition(out_dir, decomps)
     return 0
 
 

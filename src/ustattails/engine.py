@@ -488,6 +488,11 @@ def u_statistic_matrix(kernel, X, idx):
 # -- exact decomposition ------------------------------------------------
 
 
+class LawOverflow(ValueError):
+    """A kernel whose mean or projection moments under a finite alphabet are not finite: the
+    kernel and the law alone decide it, before any draw."""
+
+
 @dataclass
 class Decomposition:
     """Canonical decomposition of one kernel component.
@@ -555,7 +560,7 @@ def hoeffding_decompose(kernel, sampler, t=None):
     the largest count as zero.  A degenerate (almost surely constant)
     component carries ``rank = degree``, so the rank of a field is the
     smallest rank of its components.  A mean or projection moment that is not
-    finite raises ValueError.
+    finite raises LawOverflow, a ValueError.
     """
     if sampler.alphabet is None:
         raise ValueError(f"sampler {sampler.name!r} has no finite alphabet")
@@ -567,7 +572,7 @@ def hoeffding_decompose(kernel, sampler, t=None):
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
         mean, zetas, terms = decompose(*sampler.alphabet, t)
     if not (math.isfinite(mean) and np.isfinite(zetas).all()):
-        raise ValueError(f"the decomposition at t = {t} is not finite (mean {mean!r}, zetas "
+        raise LawOverflow(f"the decomposition at t = {t} is not finite (mean {mean!r}, zetas "
                          f"{zetas.tolist()!r}): the kernel overflows on this alphabet")
     scale = float(zetas.max(initial=0.0))
     if scale <= 0.0:

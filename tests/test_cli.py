@@ -9,6 +9,7 @@ import io
 import os
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -775,23 +776,30 @@ class TestPipeline:
 
     @pytest.mark.parametrize("stage", ["decompose", "simulate"])
     def test_overflowing_decomposition_fails_before_any_draw(
-        self, smoke_cfg, tmp_path, capsys, monkeypatch, stage
+        self, smoke_cfg, other_kernel_cfg, tmp_path, capsys, monkeypatch, stage
     ):
-        # the law's exact mean and projection moments overflow: refused quietly, undrawn
+        # the law's exact mean and projection moments overflow: refused quietly, undrawn,
+        # naming the kernel and sampler keys that decide the law
         def no_draw(*args):
             raise AssertionError("drew the panel")
 
         monkeypatch.setattr(engine, "draw_data", no_draw)
-        out = tmp_path / stage
-        setting = "sampler.name=alphabet sampler.values=-1e200,1e200,3 kernel.name=product"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main([stage, smoke_cfg, "--out", str(out)] + overrides(setting)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: the decomposition at t = ")
-        assert "is not finite (mean inf" in err
-        assert err.count("\n") == 1
-        assert os.listdir(out) == []
+        monkeypatch.setattr(engine, "_draw_types", no_draw)
+        for cfg, setting, keys in (
+            (smoke_cfg, "sampler.name=alphabet sampler.values=-1e200,1e200,3 kernel.name=product",
+             "kernel.name, sampler.name, sampler.values"),
+            (other_kernel_cfg, "kernel.name=product kernel.shift=1e308",
+             "kernel.name, kernel.shift, sampler.name"),
+        ):
+            out = tmp_path / keys
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([stage, cfg, "--out", str(out)] + overrides(setting)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {cfg}: {keys}: the decomposition at t = ")
+            assert "is not finite (mean inf" in err
+            assert err.count("\n") == 1
+            assert os.listdir(out) == []
 
     def test_collapsed_quantile_grid_finishes(self, other_kernel_cfg, tmp_path):
         # at this seed the two replications of a sum kernel share |sup|, so every quantile
@@ -1165,6 +1173,94 @@ def test_pipeline_does_not_load_numpy_ma(tmp_path):
         "np.setdiff1d and np.quantile, so a new call of one of them brings the import back")
 
 
+def test_only_commands_that_simulate_load_engine(smoke_run, tmp_path):
+    # engine is 816 lines that a fresh process compiles; bounds, entropy and verify do not
+    # need it, and the package itself loads no layer and no numpy until a name is asked for
+    src = os.path.dirname(os.path.dirname(ustattails.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "import ustattails\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('ustattails.', 'numpy'))))\n"
+        "names = ('MomentEnvelope', 'FieldSamples', 'FiniteMetricSpace', 'simulate_panel',\n"
+        "         'calibrate_log_power')\n"
+        "print([getattr(ustattails, name).__module__ for name in names])\n"
+        "from ustattails import engine\n"
+        "print(engine.simulate_panel is ustattails.simulate_panel)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines() == [
+        "[]",
+        "['ustattails.envelopes', 'ustattails.empirics', 'ustattails.entropy', "
+        "'ustattails.engine', 'ustattails.bounds']",
+        "True",
+    ]
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        ustattails.no_such_name
+
+    assert smoke_run[0] == 0
+    shutil.copytree(smoke_run[1], tmp_path / "out")
+    (tmp_path / "smoke.cfg").write_text(SMOKE)
+    code = (
+        "import sys\n"
+        "from ustattails.cli import main\n"
+        "args = [sys.argv[1] + '/smoke.cfg', '--out', sys.argv[1] + '/out']\n"
+        "for stage in ('entropy', 'bounds', 'verify', 'simulate'):\n"
+        "    print(stage, main([stage] + args), 'ustattails.engine' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "entropy 0 False", "bounds 0 False", "verify 0 False", "simulate 0 True"
+    ]
+    assert read_artifacts(tmp_path / "out") == read_artifacts(smoke_run[1])
+
+
+def test_process_entry_matches_main_and_freezes_imports(smoke_run, tmp_path, capsys):
+    # python -m ustattails runs __main__.main, which exits as cli.main returns and writes the
+    # same bytes; when cli.main starts, the collector is on and the imports are frozen
+    src = os.path.dirname(os.path.dirname(ustattails.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    (tmp_path / "smoke.cfg").write_text(SMOKE)
+    (tmp_path / "table.cfg").write_text(OTHER_KERNEL)
+    table = "kernel.name=table kernel.values=-1,1 kernel.table=0.5,1,-0.5,2"
+    for cfg, setting, want in (("smoke", "", 0), ("smoke", "psi.m=3", 1), ("table", table, 2)):
+        args = ["run", str(tmp_path / f"{cfg}.cfg")] + overrides(setting)
+        child_dir, main_dir = tmp_path / f"child-{want}", tmp_path / f"main-{want}"
+        child = subprocess.run([sys.executable, "-m", "ustattails", *args, "--out", str(child_dir)],
+                               env=env, capture_output=True, text=True)
+        capsys.readouterr()
+        assert main(args + ["--out", str(main_dir)]) == child.returncode == want
+        err = capsys.readouterr().err
+        assert child.stderr == err
+        if want == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert read_artifacts(child_dir) == read_artifacts(main_dir)
+
+    code = (
+        "import gc, runpy, sys\n"
+        "seen = []\n"
+        "def probe(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == 'main' \\\n"
+        "            and frame.f_code.co_filename.endswith('cli.py'):\n"
+        "        seen.append((gc.isenabled(), gc.get_freeze_count() > 0))\n"
+        "sys.argv[1:] = ['verify', sys.argv[1], '--out', sys.argv[2]]\n"
+        "sys.setprofile(probe)\n"
+        "try:\n"
+        "    runpy.run_module('ustattails', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "sys.setprofile(None)\n"
+        "print(code, seen)\n"
+    )
+    shutil.copytree(smoke_run[1], tmp_path / "out")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "smoke.cfg"),
+                          str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines() == ["0 [(True, True)]"]
+
+
 def test_readme_library_example_places_levels_on_the_law(capsys):
     # the "Library in five lines" block runs, and its levels are the quantiles of the
     # supremum over the replications, each distinct row repeated by its count
@@ -1534,14 +1630,22 @@ def test_small_configs_finish_or_fail_first(config):
 
 
 # what no command runs, and why it stays: the acceptance criteria's paper quantities, the
-# brute-force and Generator references the tests compare against, and the two
-# functions the benchmark's tracer (perfbench/tracing.py) wraps by name
+# brute-force and Generator references the tests compare against, the two
+# functions the benchmark's tracer (perfbench/tracing.py) wraps by name, and the two
+# functions that run only in a fresh process or for a caller of the library, which this
+# test's in-process cli.main calls do not reach
 LIBRARY_ONLY = {
     "bounds.moment_growth_check", "bounds.power_log_rate", "bounds.uniform_tail_report",
     "engine.variance_u", "engine.variance_value", "engine._index_tuples",
     "engine._FactorTerms.__len__", "engine._FactorTerms.__getitem__",
     "engine.alphabet_sampler.draw", "engine.uniform_sampler.draw",
     "envelopes.tail_bound",
+    # the package's lazy exports, resolved before any command runs; run by
+    # test_only_commands_that_simulate_load_engine
+    "__init__.__getattr__",
+    # the process entry of python -m ustattails and of the script; run by
+    # test_process_entry_matches_main_and_freezes_imports
+    "__main__.main",
 }
 # what only a caller of the library reaches, by function, and why it stays
 LIBRARY_BRANCHES = {
