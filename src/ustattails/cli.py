@@ -38,9 +38,9 @@ except ImportError:
 from .bounds import (
     SIGMA, Geometry, calibrate_tails, check_beta, compare_curves, index_geometry, report_text
 )
-from .config import Config, ConfigError, parse_floats, resolve_grid
+from .config import Config, ConfigError, parse_floats, parse_number, resolve_grid
 from .empirics import FieldSamples, TailCurve, check_levels, check_sample_count
-from .entropy import EntropyIntegral, FiniteMetricSpace
+from .entropy import FiniteMetricSpace
 from .envelopes import (
     DEFAULT_P_MAX, MomentEnvelope, check_family_param, check_lift_degree, check_p_grid,
     constant_envelope, make_envelope, rosenthal_lift,
@@ -294,7 +294,12 @@ def read_record(path, casts):
 
     A missing key or a value its cast rejects raises ConfigError naming the file.
     """
-    record = dict(read_pairs(path))
+    return cast_record(path, read_pairs(path), casts)
+
+
+def cast_record(path, pairs, casts):
+    """``read_record`` of the record at ``path`` whose ``key = value`` pairs are ``pairs``."""
+    record = dict(pairs)
     for key, cast in casts.items():
         try:
             record[key] = cast(record[key])
@@ -417,64 +422,59 @@ def read_curve(path, kind, levels=None):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def write_geometry(out_dir, geo, field_sha256):
-    """The entropy stage's artifacts, tied to the field.csv bytes they were measured on."""
-    write_distance(out_dir, geo.space.labels, geo.space.dist)
+def write_geometry(out_dir, geo, space, ent, field_sha256):
+    """The entropy stage's artifacts, tied to the field.csv bytes they were measured on: ``geo``
+    for bounds, and ``space`` and ``ent``, which it was measured from, for readers."""
+    write_distance(out_dir, space.labels, space.dist)
     p_grid = ",".join(map(_cell, geo.p_grid.tolist()))
     degree = geo.tau.lift - geo.psi_used.lift
     psi = [("psi", geo.psi_used.to_text()), ("degree", degree), ("p_grid", p_grid)]
     write_pairs(os.path.join(out_dir, PSI_USED), psi)
-    ent = geo.entropy
     counts = [int(round(math.exp(h))) for h in ent.entropies.tolist()]
     rows = zip(ent.eps_grid.tolist(), counts, ent.entropies.tolist(), ent.integrand.tolist())
     write_table(os.path.join(out_dir, ENTROPY), ("eps", "count", "entropy", "integrand"), rows)
     write_pairs(
         os.path.join(out_dir, ENTROPY_SUMMARY),
         [
-            ("points", geo.space.size),
-            ("diameter", geo.space.diameter),
-            ("integral", ent.value),
+            ("points", space.size),
+            ("diameter", geo.diameter),
+            ("integral", geo.integral),
             ("integral_lower", ent.lower),
-            ("saturated_fraction", ent.saturated_fraction),
-            ("certified", ent.finite),
+            ("saturated_fraction", geo.saturated_fraction),
+            ("certified", geo.certified),
             ("field_sha256", field_sha256),
         ],
     )
 
 
 def read_geometry(out_dir, stage, field_sha256):
-    """The Geometry the entropy stage wrote, rebuilt from its artifacts.
+    """The Geometry that the entropy stage recorded in psi_used.txt and entropy_summary.txt.
 
-    Raises ConfigError when they were measured on a field.csv whose bytes do
-    not hash to ``field_sha256``.
+    Raises ConfigError naming entropy_summary.txt when it was measured on a field.csv whose
+    bytes do not hash to ``field_sha256``, or when a number it records is missing, not
+    finite, or outside [0, inf] (diameter, integral) or [0, 1] (saturated_fraction).
     """
-    summary = read_record(_need(out_dir, ENTROPY_SUMMARY, stage), {
+    path = _need(out_dir, ENTROPY_SUMMARY, stage)
+    summary = read_record(path, {
         "field_sha256": str,
-        "integral": float,
-        "integral_lower": float,
-        "saturated_fraction": float,
+        "diameter": parse_number,
+        "integral": parse_number,
+        "saturated_fraction": parse_number,
     })
+    for key, hi in (("diameter", math.inf), ("integral", math.inf), ("saturated_fraction", 1.0)):
+        if not 0 <= summary[key] <= hi:
+            raise ConfigError(f"{path}: {key} = {summary[key]!r} lies outside [0, {hi!r}]")
     if summary["field_sha256"] != field_sha256:
-        raise ConfigError(f"{DISTANCE} was measured on another {FIELD}; rerun stage 'entropy'")
+        raise ConfigError(f"{ENTROPY_SUMMARY} was measured on another {FIELD}; "
+                          "rerun stage 'entropy'")
     psi = read_record(_need(out_dir, PSI_USED, stage), {
         "psi": MomentEnvelope.from_text,
         "degree": _lift_degree,
         "p_grid": lambda text: check_p_grid(parse_floats(text)),
     })
-    eps, entropies, integrand = read_columns(
-        _need(out_dir, ENTROPY, stage), ("eps", "entropy", "integrand")
-    )
-    ent = EntropyIntegral(
-        value=summary["integral"],
-        lower=summary["integral_lower"],
-        eps_grid=eps,
-        integrand=integrand,
-        entropies=entropies,
-        saturated_fraction=summary["saturated_fraction"],
-    )
-    env, space = psi["psi"], read_distance(out_dir, stage)
-    tau = rosenthal_lift(env, psi["degree"])
-    return Geometry(env, tau, space, ent, psi["p_grid"])
+    tau = rosenthal_lift(psi["psi"], psi["degree"])
+    return Geometry(psi["psi"], tau, psi["p_grid"], summary["diameter"], summary["integral"],
+                    summary["saturated_fraction"])
 
 
 def write_svg(out_dir, curves):
@@ -612,9 +612,10 @@ def stage_entropy(cfg, out_dir, fld=None):
     if fld is None:
         fld = read_field(out_dir, "entropy")
     # the degree of the kernel that drew the field; the config's kernel.degree need not be it
-    degree = read_record(os.path.join(out_dir, FIELD_META), {"degree": _lift_degree})["degree"]
-    geo = index_geometry(fld, degree=degree, **_entropy_settings(cfg, degree))
-    write_geometry(out_dir, geo, fld.meta["field_sha256"])
+    path = os.path.join(out_dir, FIELD_META)
+    degree = cast_record(path, fld.meta, {"degree": _lift_degree})["degree"]
+    geo, space, ent = index_geometry(fld, degree=degree, **_entropy_settings(cfg, degree))
+    write_geometry(out_dir, geo, space, ent, fld.meta["field_sha256"])
     return 0
 
 
@@ -641,9 +642,6 @@ def stage_bounds(cfg, out_dir, fld=None):
         fld = read_field(out_dir, "bounds")
     u_spec, lower, plot = _bounds_settings(cfg, len(fld.labels))
     geo = read_geometry(out_dir, "bounds", fld.meta["field_sha256"])
-    if geo.space.size != fld.size:  # a cut distance.csv can still be a metric space
-        raise ConfigError(f"{os.path.join(out_dir, DISTANCE)}: {geo.space.size} index points, "
-                          f"but {FIELD} has {fld.size}; rerun stage 'entropy'")
     u_grid = resolve_grid(u_spec, fld.sup_abs(), fld.counts)
     report = calibrate_tails(fld, geo, u_grid, lower=lower)
     kind, asked = u_spec
@@ -664,7 +662,7 @@ def stage_bounds(cfg, out_dir, fld=None):
         write_svg(out_dir, report.curves)
     else:
         _discard(out_dir, PLOT)
-    return 0 if geo.entropy.finite else 2
+    return 0 if geo.certified else 2
 
 
 def stage_verify(cfg, out_dir):

@@ -11,8 +11,8 @@ symmetry.
 The entropy integral integrates exp(log_maximum_bound(env, H(eps))) over eps
 by the trapezoid rule, H = ln N the greedy counts' metric entropy, beside the
 same integral of the packing counts.  On a finite space H saturates at ln |T|
-as eps -> 0, so the integral is always finite; whether it has stabilised below
-the saturation plateau is reported as the certification flag instead.
+as eps -> 0, so the integral is always finite; the share of it contributed on
+that saturation plateau is recorded, and ``bounds.Geometry`` certifies from it.
 """
 
 import math
@@ -22,11 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from .envelopes import log_maximum_bound
-
-# integrand mass on saturated eps above this fraction means the eps grid sees
-# mostly the finite-space floor, not the geometry, and the integral cannot be
-# trusted as a proxy for a continuous-index limit
-DEFAULT_PLATEAU_FRACTION = 0.9
 
 
 @dataclass
@@ -124,15 +119,6 @@ class EntropyIntegral:
     integrand: np.ndarray
     entropies: np.ndarray
     saturated_fraction: float
-
-    @property
-    def finite(self):
-        """The certification flag: the integral is positive (one of 0 measured nothing) and
-        the mass contributed by eps where the covering saturates at |T| stays below
-        DEFAULT_PLATEAU_FRACTION of it.  That is the regime where the finite index set is
-        standing in for a richer one and the integral value is geometry-driven rather than
-        floor-driven."""
-        return self.value > 0 and self.saturated_fraction < DEFAULT_PLATEAU_FRACTION
 
 
 def default_eps_grid(space):

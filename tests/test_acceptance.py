@@ -225,7 +225,7 @@ def test_criterion_09_heavy_tail_ordering():
     )
     assert comp.ok
     assert comp.upper_violations == 0 and comp.lower_violations == 0
-    assert report.geometry.entropy.finite
+    assert report.geometry.certified
     assert report.curves["lower"].meta["beta"] == 1.0
     ok(9, f"lower/empirical/upper ordering holds at 3 sigma on all {u_grid.size} levels, certified")
 

@@ -23,7 +23,7 @@ from ustattails import (
     tail_bound,
     uniform_tail_report,
 )
-from ustattails.bounds import sup_attainment
+from ustattails.bounds import Geometry, sup_attainment
 
 
 def make_field(values, labels=None):
@@ -193,7 +193,7 @@ class TestUniformTailReport:
         u_grid = np.quantile(np.abs(fld.values[:, 0]), [0.5, 0.9, 0.99])
         rep = uniform_tail_report(fld, p_grid, 1, u_grid)
         assert rep.scalar_degenerate
-        assert rep.geometry.space.diameter == 0.0
+        assert rep.geometry.diameter == 0.0
         assert (rep.sup_columns, rep.sup_top_share) == (1, 1.0)
         assert rep.uniformity == pytest.approx(1.0, abs=1e-12)
         up = rep.curves["upper"]
@@ -276,3 +276,11 @@ class TestUniformTailReport:
         assert text1 == text2
         for section in ("[envelope]", "[geometry]", "[calibration]", "[curves]", "[notes]"):
             assert section in text1
+
+
+class TestGeometry:
+    def test_certification_is_derived_from_the_record(self):
+        # the flag is a function of the integral and its saturated share, so no record holds
+        # a flag that contradicts them
+        for integral, frac, want in ((1.0, 0.89, True), (1.0, 0.95, False), (0.0, 0.0, False)):
+            assert Geometry(None, None, None, 0.0, integral, frac).certified is want

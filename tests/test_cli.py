@@ -165,8 +165,9 @@ def overrides(setting):
 
 
 def edit_distances(edit):
-    """Line edit of distance.csv: ``edit`` applied to the distance of each data line."""
-    return lambda line: line if line.startswith(("#", "distance")) else edit(line)
+    """distance.csv damage: ``edit`` applied to the distance of each data line."""
+    return lambda lines: [line if line.startswith(("#", "distance")) else edit(line.rstrip("\n"))
+                          + "\n" for line in lines]
 
 
 def replace_line(prefix, new):
@@ -334,7 +335,9 @@ class TestPipeline:
         monkeypatch.setattr(cli, "read_table", counted)
         assert main(["run", smoke_cfg, "--out", str(tmp_path)]) == 0
         assert FIELD not in parsed
-        assert DISTANCE in parsed  # the wrapper sees the tables that are parsed
+        # nor are the distances or the entropy table: bounds reads entropy_summary.txt
+        assert DISTANCE not in parsed and ENTROPY not in parsed
+        assert TAIL_EMPIRICAL in parsed  # the wrapper sees the tables that are parsed
 
     def test_run_calls_each_stage_through_the_module(self, smoke_cfg, tmp_path, monkeypatch):
         # perfbench times the stages by wrapping these module names, so run looks them up there
@@ -414,7 +417,7 @@ class TestPipeline:
         assert main(["simulate", smoke_cfg, "--out", str(out)] + other) == 0
         assert main(["bounds", smoke_cfg, "--out", str(out)] + other) == 1
         err = capsys.readouterr().err
-        assert "distance.csv" in err and "rerun stage 'entropy'" in err
+        assert ENTROPY_SUMMARY in err and "rerun stage 'entropy'" in err
 
     def test_bounds_rejects_field_of_other_seed(self, smoke_cfg, smoke_run, tmp_path, capsys):
         # Same index labels, other draws: only the field digest tells them apart.
@@ -423,7 +426,40 @@ class TestPipeline:
         assert main(["simulate", smoke_cfg, "--out", str(out)] + seed) == 0
         assert main(["bounds", smoke_cfg, "--out", str(out)] + seed) == 1
         err = capsys.readouterr().err
-        assert "distance.csv" in err and "rerun stage 'entropy'" in err
+        assert ENTROPY_SUMMARY in err and "rerun stage 'entropy'" in err
+
+    @pytest.mark.parametrize("edit", ["foreign_distance", "no_distance_or_entropy_table"])
+    def test_bounds_reads_only_the_geometry_records(self, smoke_cfg, tmp_path, monkeypatch, edit):
+        # bounds takes its geometry from psi_used.txt and entropy_summary.txt, which the field
+        # digest ties to field.csv, and opens no other artifact of the entropy stage: a
+        # distance.csv of another kernel's field, or none and no entropy.csv, leaves its exit
+        # code and report as they were, the diameter the summary's
+        law = overrides("sampler.name=uniform kernel.t_grid=0.4,0.8,1.3,1.9 run.rank=1")
+        ours, other = tmp_path / "sin", tmp_path / "tanh"
+        for out in (ours, other):
+            g = ["--set", f"kernel.g={out.name}"]
+            assert main(["run", smoke_cfg, "--out", str(out)] + g + law) in (0, 2)
+        summary, foreign = (key_values(out / ENTROPY_SUMMARY) for out in (ours, other))
+        assert summary["diameter"] != foreign["diameter"]
+        bounds = ["bounds", smoke_cfg, "--out", str(ours), "--set", "kernel.g=sin"] + law
+        code, report = main(bounds), (ours / BOUND_REPORT).read_bytes()
+        if edit == "foreign_distance":
+            shutil.copyfile(other / DISTANCE, ours / DISTANCE)
+        else:
+            (ours / DISTANCE).unlink()
+            (ours / ENTROPY).unlink()
+        opened = set()
+
+        def reading(path, mode="r", *args, **kwargs):
+            if "w" not in mode:
+                opened.add(os.path.basename(path))
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", reading, raising=False)
+        assert main(bounds) == code
+        assert opened == {FIELD, FIELD_META, PSI_USED, ENTROPY_SUMMARY}
+        assert (ours / BOUND_REPORT).read_bytes() == report
+        assert key_values(ours / BOUND_REPORT)["diameter"] == summary["diameter"]
 
     def test_uncalibratable_lower_curve_is_omitted(self, smoke_cfg, smoke_run, tmp_path):
         # Column 0 of this grid has no level strictly inside (0, 1), and at beta = 1e308 the
@@ -515,37 +551,45 @@ class TestPipeline:
             assert not caught, (stage, [str(w.message) for w in caught])
 
     @pytest.mark.parametrize(
-        "name, edit",
+        "name, key, value",
         [
-            (ENTROPY_SUMMARY, replace_line("integral = ", None)),
-            (ENTROPY_SUMMARY, replace_line("integral_lower = ", None)),
-            (ENTROPY_SUMMARY, replace_line("integral_lower = ", "integral_lower = low")),
-            (PSI_USED, replace_line("degree = ", "degree = x")),
-            (PSI_USED, replace_line("degree = ", "degree = -2")),
-            (PSI_USED, replace_line("psi = ", "psi = tabulated lift=0 p=2.0")),
-            (PSI_USED, replace_line("p_grid = ", "p_grid = 2.0,1.5")),
-            (ENTROPY, lambda line: line.rsplit(",", 1)[0]),
-            (DISTANCE, edit_distances(lambda cell: "inf" if cell != "0.0" else cell)),
-            (DISTANCE, edit_distances(lambda cell: "nan")),
+            (ENTROPY_SUMMARY, "integral", None),
+            (ENTROPY_SUMMARY, "integral", "inf"),
+            (ENTROPY_SUMMARY, "saturated_fraction", "-5"),
+            (ENTROPY_SUMMARY, "saturated_fraction", "1.5"),
+            (ENTROPY_SUMMARY, "diameter", "nan"),
+            (ENTROPY_SUMMARY, "diameter", None),
+            (PSI_USED, "degree", "x"),
+            (PSI_USED, "degree", "-2"),
+            (PSI_USED, "psi", "tabulated lift=0 p=2.0"),
+            (PSI_USED, "p_grid", "2.0,1.5"),
         ],
         ids=[
-            "no_integral", "no_integral_lower", "bad_integral_lower", "bad_degree",
-            "negative_degree", "envelope_no_v", "decreasing_p_grid", "no_integrand_column",
-            "infinite_distances", "nan_distance",
+            "no_integral", "infinite_integral", "negative_saturated_fraction",
+            "saturated_fraction_above_1", "nan_diameter", "no_diameter", "bad_degree",
+            "negative_degree", "envelope_no_v", "decreasing_p_grid",
         ],
     )
     def test_corrupt_geometry_record_exits_1_naming_it(
-        self, smoke_cfg, smoke_run, tmp_path, capsys, name, edit
+        self, smoke_cfg, smoke_run, tmp_path, capsys, name, key, value
     ):
-        # a deleted or unparsable line or column of an artifact bounds reads back
+        # a deleted line of a record bounds reads back, or a value it cannot use, such as a
+        # summary number that would certify a bound it cannot support, fails naming the
+        # file and the key before bounds writes anything
         out = copy_artifacts(smoke_run[1], tmp_path / "record")
+        edit = replace_line(f"{key} = ", value if value is None else f"{key} = {value}")
         lines = [edit(line) for line in (out / name).read_text().splitlines()]
         (out / name).write_text("".join(line + "\n" for line in lines if line is not None))
+        written = (MOMENTS_SUP, TAIL_EMPIRICAL, TAIL_UPPER, TAIL_LOWER, BOUND_REPORT)
+        for artifact in written:
+            (out / artifact).unlink()
         assert main(["bounds", smoke_cfg, "--out", str(out)]) == 1
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert name in err and key in err
+        assert not any((out / artifact).exists() for artifact in written)
 
-    def test_huge_distance_keeps_a_finite_diameter(self, smoke_cfg, smoke_run, tmp_path):
-        # a finite distance past DBL_MAX/2 is symmetrised without overflowing to inf
+    def test_huge_distance_keeps_a_finite_diameter(self, smoke_run, tmp_path):
+        # read_distance symmetrises a finite distance past DBL_MAX/2 without overflowing to inf
         out = copy_artifacts(smoke_run[1], tmp_path / "huge")
         lines = (out / DISTANCE).read_text().splitlines()
         first = next(i for i, line in enumerate(lines) if not line.startswith(("#", "distance")))
@@ -553,8 +597,7 @@ class TestPipeline:
         (out / DISTANCE).write_text("".join(line + "\n" for line in lines))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["bounds", smoke_cfg, "--out", str(out)]) in (0, 2)
-        assert key_values(out / BOUND_REPORT)["diameter"] == "1e+308"
+            assert cli.read_distance(str(out), "test").diameter == 1e308
 
     @pytest.mark.parametrize("degree", ["x", "2.5", "-2"])
     def test_corrupt_field_degree_exits_1_naming_it(
@@ -738,12 +781,14 @@ class TestPipeline:
         _rc, out = smoke_run
         summary = key_values(out / ENTROPY_SUMMARY)
         geo = cli.read_geometry(str(out), "bounds", summary["field_sha256"])
-        assert geo.space.size == 5
-        eps = geo.entropy.eps_grid
-        counts = [exact_cover(geo.space, e) for e in eps]
+        space = cli.read_distance(str(out), "test")
+        assert space.size == 5
+        eps = entropy.default_eps_grid(space)
+        assert eps.tolist() == cli.read_columns(out / ENTROPY, ("eps",))[0].tolist()
+        counts = [exact_cover(space, e) for e in eps]
         exact = np.trapezoid(np.exp(log_maximum_bound(geo.tau, np.log(counts))), eps)
         lower, upper = float(summary["integral_lower"]), float(summary["integral"])
-        assert (lower, upper) == (geo.entropy.lower, geo.entropy.value)
+        assert upper == geo.integral
         assert lower <= exact <= upper
         assert lower < upper
 
@@ -1343,20 +1388,22 @@ DISTANCE_DAMAGE = {
     "missing_pair": lambda lines: lines[:2] + lines[3:],
     "no_labels": lambda lines: lines[1:],
     "one_label": lambda lines: _cut_labels(lines, 1, len(lines)),
-    "two_labels": lambda lines: _cut_labels(lines, 2, 1),
+    "infinite_distances": edit_distances(lambda cell: "inf" if cell != "0.0" else cell),
+    "nan_distance": edit_distances(lambda cell: "nan"),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(DISTANCE_DAMAGE))
-def test_damaged_distance_exits_1_naming_it(smoke_cfg, smoke_run, tmp_path, capsys, damage):
-    # a deleted distance row leaves a pair count the labels do not give, without the
-    # labels line the pairs have no points, one label has no pair however many rows
-    # follow, and a whole space of fewer points than the field's is not the field's
+def test_damaged_distance_exits_1_naming_it(smoke_run, tmp_path, damage):
+    # read_distance raises the ConfigError a command exits 1 on, naming the file: a deleted
+    # distance row leaves a pair count the labels do not give, without the labels line the
+    # pairs have no points, one label has no pair however many rows follow, and the space
+    # refuses a distance that is NaN or past the largest double
     out = copy_artifacts(smoke_run[1], tmp_path / "damaged")
     lines = (out / DISTANCE).read_text().splitlines(True)
     (out / DISTANCE).write_text("".join(DISTANCE_DAMAGE[damage](lines)))
-    assert main(["bounds", smoke_cfg, "--out", str(out)]) == 1
-    assert DISTANCE in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=DISTANCE):
+        cli.read_distance(str(out), "test")
 
 
 FIELD_CELLS = st.sampled_from([
@@ -1630,7 +1677,7 @@ def test_small_configs_finish_or_fail_first(config):
 
 
 # what no command runs, and why it stays: the acceptance criteria's paper quantities, the
-# brute-force and Generator references the tests compare against, the two
+# brute-force and Generator references the tests compare against, the three
 # functions the benchmark's tracer (perfbench/tracing.py) wraps by name, and the two
 # functions that run only in a fresh process or for a caller of the library, which this
 # test's in-process cli.main calls do not reach
@@ -1640,6 +1687,9 @@ LIBRARY_ONLY = {
     "engine._FactorTerms.__len__", "engine._FactorTerms.__getitem__",
     "engine.alphabet_sampler.draw", "engine.uniform_sampler.draw",
     "envelopes.tail_bound",
+    # distance.csv is written for readers, and bounds reads entropy_summary.txt; the
+    # tracer wraps read_distance, and the tests read distance.csv back through it
+    "cli.read_distance",
     # the package's lazy exports, resolved before any command runs; run by
     # test_only_commands_that_simulate_load_engine
     "__init__.__getattr__",
