@@ -187,18 +187,24 @@ def compare_curves(empirical, upper, *, lower=None):
 @dataclass
 class Geometry:
     """The index-set geometry a bound is calibrated against, as psi_used.txt and
-    entropy_summary.txt record it: ``psi_used``, the envelope of the field columns, its
-    degree lift ``tau`` and their moment grid ``p_grid``; the largest envelope distance
-    between index points, ``diameter``; and the covering entropy ``integral`` against
-    ``tau``, with its ``saturated_fraction`` from eps where the covering saturates at |T|.
+    entropy_summary.txt record it: ``psi_used``, the envelope of the field columns, the
+    integer kernel ``degree`` it is lifted by and their moment grid ``p_grid``; the largest
+    envelope distance between index points, ``diameter``; and the covering entropy
+    ``integral`` against ``tau``, with its ``saturated_fraction`` from eps where the covering
+    saturates at |T|.
     """
 
     psi_used: object
-    tau: object
+    degree: int
     p_grid: np.ndarray
     diameter: float
     integral: float
     saturated_fraction: float
+
+    @property
+    def tau(self):
+        """``psi_used`` lifted by ``degree``: the envelope of the degree-d deviation field."""
+        return rosenthal_lift(self.psi_used, self.degree)
 
     @property
     def certified(self):
@@ -250,11 +256,12 @@ def index_geometry(field_samples, p_grid, degree, *, env=None):
     p_grid = np.asarray(p_grid, dtype=float)
     if env is None:
         env = natural_envelope(field_samples, p_grid)
-    tau = rosenthal_lift(env, degree)
+    tau = rosenthal_lift(env, degree)  # which checks the degree is an integer
     dist = envelope_distance(field_samples, env, p_grid=p_grid)
     space = FiniteMetricSpace(field_samples.labels, dist)
     ent = entropy_integral(space, tau)
-    return Geometry(env, tau, p_grid, space.diameter, ent.value, ent.saturated_fraction), space, ent
+    geo = Geometry(env, int(degree), p_grid, space.diameter, ent.value, ent.saturated_fraction)
+    return geo, space, ent
 
 
 def calibrate_tails(field_samples, geometry, u_grid, *, lower=None):

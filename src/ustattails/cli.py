@@ -68,8 +68,8 @@ PLOT = "plot.svg"
 KEYS = (
     "run.seed", "run.n", "run.reps", "run.rank", "run.mode", "run.subsets", "sampler.name",
     "sampler.lo", "sampler.hi", "sampler.a", "sampler.sigma", "sampler.values", "sampler.weights",
-    "kernel.name", "kernel.degree", "kernel.shift", "kernel.g", "kernel.t_grid", "kernel.values",
-    "kernel.table", "grids.p", "grids.u", "psi.family", "psi.m", "psi.r", "psi.coef",
+    "kernel.name", "kernel.degree", "kernel.shift", "kernel.g", "kernel.t_grid", "kernel.table",
+    "grids.p", "grids.u", "psi.family", "psi.m", "psi.r", "psi.coef",
     "psi.expo", "psi.value", "psi.p_sup", "bound.lower_beta", "bound.lower_column",
     "output.dir", "output.plot",
 )
@@ -131,39 +131,35 @@ def build_sampler(cfg):
     return alphabet_sampler(values, weights)
 
 
-def build_kernel(cfg):
-    from .engine import GPROD_SHAPES, check_degree, check_table_values, make_kernel
+def build_law(cfg):
+    """The configured kernel and sampler.  A table kernel is defined on the sampler's
+    alphabet, one ``kernel.table`` row per value in ascending order, so a sampler without
+    one fails naming ``sampler.name``."""
+    from .engine import GPROD_SHAPES, check_degree, make_kernel
 
+    sampler = build_sampler(cfg)
     name = cfg.get_str(
         "kernel.name", choices=("product", "sum", "half_sq_diff", "gprod", "table")
     )
     degree = cfg.get_int("kernel.degree", None, check=partial(check_degree, name=name))
     if name in ("product", "sum"):
-        return make_kernel(name, degree, shift=cfg.get_float("kernel.shift", 0.0))
+        return make_kernel(name, degree, shift=cfg.get_float("kernel.shift", 0.0)), sampler
     if name == "half_sq_diff":
-        return make_kernel(name, degree)
+        return make_kernel(name, degree), sampler
     if name == "gprod":
         t_grid = cfg.get_floats("kernel.t_grid")
         g = cfg.get_str("kernel.g", "sin", choices=tuple(GPROD_SHAPES))
-        return make_kernel(name, degree, g=g, t_grid=t_grid)
-    values = cfg.get_floats("kernel.values", check=check_table_values)
+        return make_kernel(name, degree, g=g, t_grid=t_grid), sampler
+    if sampler.alphabet is None:
+        cfg.fail("sampler.name", f"sampler.name: a table kernel needs an alphabet law, and "
+                 f"{sampler.name!r} draws from a continuum")
+    values = np.sort(sampler.alphabet[0])
     rows = cfg.get_floats("kernel.table")
     cols = len(rows) // len(values)
     if cols * len(values) != len(rows):
         cfg.fail("kernel.table", "table length must be a multiple of the value count")
     table = np.asarray(rows).reshape(len(values), cols)
-    return make_kernel("table", degree, values=values, table=table)
-
-
-def build_law(cfg):
-    """The configured kernel and sampler; a table kernel is defined on ``kernel.values``
-    alone, so a sampler that takes another value fails naming that key."""
-    from .engine import check_table_law
-
-    kernel, sampler = build_kernel(cfg), build_sampler(cfg)
-    if kernel.name == "table":
-        cfg.get_floats("kernel.values", check=partial(check_table_law, sampler=sampler))
-    return kernel, sampler
+    return make_kernel("table", degree, values=values, table=table), sampler
 
 
 def build_mode(cfg):
@@ -427,11 +423,10 @@ def write_geometry(out_dir, geo, space, ent, field_sha256):
     for bounds, and ``space`` and ``ent``, which it was measured from, for readers."""
     write_distance(out_dir, space.labels, space.dist)
     p_grid = ",".join(map(_cell, geo.p_grid.tolist()))
-    degree = geo.tau.lift - geo.psi_used.lift
-    psi = [("psi", geo.psi_used.to_text()), ("degree", degree), ("p_grid", p_grid)]
+    psi = [("psi", geo.psi_used.to_text()), ("degree", geo.degree), ("p_grid", p_grid)]
     write_pairs(os.path.join(out_dir, PSI_USED), psi)
-    counts = [int(round(math.exp(h))) for h in ent.entropies.tolist()]
-    rows = zip(ent.eps_grid.tolist(), counts, ent.entropies.tolist(), ent.integrand.tolist())
+    entropies = np.log(ent.counts).tolist()
+    rows = zip(ent.eps_grid.tolist(), ent.counts.tolist(), entropies, ent.integrand.tolist())
     write_table(os.path.join(out_dir, ENTROPY), ("eps", "count", "entropy", "integrand"), rows)
     write_pairs(
         os.path.join(out_dir, ENTROPY_SUMMARY),
@@ -472,9 +467,8 @@ def read_geometry(out_dir, stage, field_sha256):
         "degree": _lift_degree,
         "p_grid": lambda text: check_p_grid(parse_floats(text)),
     })
-    tau = rosenthal_lift(psi["psi"], psi["degree"])
-    return Geometry(psi["psi"], tau, psi["p_grid"], summary["diameter"], summary["integral"],
-                    summary["saturated_fraction"])
+    return Geometry(psi["psi"], psi["degree"], psi["p_grid"], summary["diameter"],
+                    summary["integral"], summary["saturated_fraction"])
 
 
 def write_svg(out_dir, curves):

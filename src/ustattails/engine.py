@@ -278,24 +278,6 @@ def check_degree(degree, name):
         raise ValueError("degree must be at least 1")
 
 
-def check_table_values(values):
-    """Raises ValueError unless the alphabet a table kernel is defined on increases strictly."""
-    if np.any(np.diff(values) <= 0):
-        raise ValueError("table alphabet values must be strictly increasing")
-
-
-def check_table_law(values, sampler):
-    """Raises ValueError unless ``sampler`` takes only ``values``, the alphabet a table
-    kernel is defined on; the exact decomposition reads the table at every value of the law."""
-    if sampler.alphabet is None:
-        raise ValueError(f"a table kernel is defined on its values alone, and sampler "
-                         f"{sampler.name!r} draws from a continuum")
-    off = sorted(set(sampler.alphabet[0].tolist()) - set(values))
-    if off:
-        raise ValueError(f"a table kernel is defined on its values alone, and sampler "
-                         f"{sampler.name!r} also takes {', '.join(map(repr, off))}")
-
-
 def _alternating_order(n):
     """Positions 0, n-1, 1, n-2, ...: smallest, largest, second smallest, ... of a sorted row."""
     order = np.empty(n, dtype=np.intp)
@@ -389,7 +371,8 @@ def make_kernel(name, degree=None, *, shift=0.0, g="sin", t_grid=None, values=No
             raise ValueError("table kernels need alphabet values and a value table")
         v = np.asarray(values, dtype=float)
         tab = np.atleast_2d(np.asarray(table, dtype=float))
-        check_table_values(v)
+        if np.any(np.diff(v) <= 0):
+            raise ValueError("table alphabet values must be strictly increasing")
         if tab.shape[0] != v.size:
             raise ValueError("table must have one row per alphabet value")
         grid = tuple(t_grid) if t_grid is not None else tuple(
@@ -497,18 +480,27 @@ class LawOverflow(ValueError):
 class Decomposition:
     """Canonical decomposition of one kernel component.
 
-    ``zetas[c-1]`` is the second moment of the order-c canonical projection;
-    ``rank`` is the smallest order with nonzero projection, and the variance
-    of the corresponding U-statistic decays like n^(-rank).  ``terms[c-1]``
-    holds the order-c projection on the alphabet grid, for diagnostics.
+    ``zetas[c-1]`` is the second moment of the order-c canonical projection,
+    and ``terms[c-1]`` the projection on the alphabet grid, for diagnostics.
+    ``rank`` and ``degenerate`` follow from the zetas.
     """
 
     t: object
     mean: float
     zetas: np.ndarray
-    rank: int
-    degenerate: bool
     terms: Sequence
+
+    @property
+    def degenerate(self):
+        """Every projection vanishes: the component is almost surely constant."""
+        return not self.zetas.any()
+
+    @property
+    def rank(self):
+        """The smallest order with nonzero projection (Hoeffding 1948), the variance of the
+        U-statistic decaying like n^(-rank); the degree for a degenerate component, so the
+        rank of a field is the smallest rank of its components."""
+        return int(np.argmax(self.zetas > 0.0)) + 1 if self.zetas.any() else len(self.zetas)
 
 
 def _tensor_decomposition(kernel, values, probs, t):
@@ -557,9 +549,7 @@ def hoeffding_decompose(kernel, sampler, t=None):
     A kernel's ``alphabet_decomposition`` gives it in closed form; any other
     kernel is tabulated on the alphabet grid, up to degree
     ``DECOMP_MAX_DEGREE``.  Projection moments at most ``RANK_TOL`` times
-    the largest count as zero.  A degenerate (almost surely constant)
-    component carries ``rank = degree``, so the rank of a field is the
-    smallest rank of its components.  A mean or projection moment that is not
+    the largest count as zero.  A mean or projection moment that is not
     finite raises LawOverflow, a ValueError.
     """
     if sampler.alphabet is None:
@@ -574,12 +564,8 @@ def hoeffding_decompose(kernel, sampler, t=None):
     if not (math.isfinite(mean) and np.isfinite(zetas).all()):
         raise LawOverflow(f"the decomposition at t = {t} is not finite (mean {mean!r}, zetas "
                          f"{zetas.tolist()!r}): the kernel overflows on this alphabet")
-    scale = float(zetas.max(initial=0.0))
-    if scale <= 0.0:
-        return Decomposition(t, mean, np.zeros(kernel.degree), kernel.degree, True, terms)
-    zetas[zetas <= RANK_TOL * scale] = 0.0
-    rank = int(np.argmax(zetas > 0.0)) + 1
-    return Decomposition(t, mean, zetas, rank, False, terms)
+    zetas[zetas <= RANK_TOL * zetas.max(initial=0.0)] = 0.0
+    return Decomposition(t, mean, zetas, terms)
 
 
 def decompose_field(kernel, sampler):

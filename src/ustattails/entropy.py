@@ -113,11 +113,16 @@ def covering_number(space, eps):
 
 @dataclass
 class EntropyIntegral:
+    """The integral ``value`` of the greedy covering ``counts`` at each radius of ``eps_grid``,
+    whose metric entropies are their logs, with its ``integrand`` there; ``lower``, the same
+    integral of the packing counts, a lower bound on the minimum cover's; and the
+    ``saturated_fraction`` of ``value`` contributed where the counts saturate at |T|."""
+
     value: float
-    lower: float  # the same integral of the packing counts, a lower bound on the minimum cover's
+    lower: float
     eps_grid: np.ndarray
     integrand: np.ndarray
-    entropies: np.ndarray
+    counts: np.ndarray
     saturated_fraction: float
 
 
@@ -133,11 +138,10 @@ def entropy_integral(space, env):
     saturates at |T|.  An integrand or integral past the largest double raises ValueError.
     """
     eps = default_eps_grid(space)
-    counts = np.array([covering_number(space, e) for e in eps], dtype=float)
-    entropies = np.log(counts)
+    counts = np.array([covering_number(space, e) for e in eps])
     # one pass over p bounds both sides: the greedy entropies, then the packing ones
-    packings = np.log(_packing_counts(space, eps))
-    log_bounds = log_maximum_bound(env, np.concatenate([entropies, packings]))
+    entropies = np.log(np.concatenate([counts, _packing_counts(space, eps)]))
+    log_bounds = log_maximum_bound(env, entropies)
     try:
         integrand, packed = np.array([math.exp(v) for v in log_bounds]).reshape(2, -1)  # libm's exp
         with np.errstate(over="raise"):
@@ -150,4 +154,4 @@ def entropy_integral(space, env):
         frac = float(np.trapezoid(np.where(saturated, integrand, 0.0), eps)) / value
     else:
         frac = 0.0
-    return EntropyIntegral(value, lower, eps, integrand, entropies, frac)
+    return EntropyIntegral(value, lower, eps, integrand, counts, frac)

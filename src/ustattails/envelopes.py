@@ -1,7 +1,7 @@
 """Moment-envelope calculus.
 
 A moment envelope is a positive function psi(p) defined for moment orders p
-in [2, b) (closed at b for the constant and tabulated families) that is meant
+in [2, b), closed at a finite b (the constant and tabulated families), that is meant
 to dominate the growth of the L_p norms of a random quantity.  Everything
 downstream (tail bounds, entropy integrals, distance matrices) is built from
 four primitives on envelopes:
@@ -53,7 +53,7 @@ def check_p_grid(p_grid):
 
 @dataclass
 class MomentEnvelope:
-    """A moment envelope psi(p) on [2, b), optionally lifted.
+    """A moment envelope psi(p) on [2, b), closed at a finite b, optionally lifted.
 
     ``lift`` applies the degree-d moment inflation factor (p / ln p)^d on top
     of the base family; it is what turns the envelope of a kernel into the
@@ -64,7 +64,6 @@ class MomentEnvelope:
     family: str
     params: tuple
     b: float
-    closed: bool
     lift: int = 0
 
     def __post_init__(self):
@@ -94,11 +93,10 @@ class MomentEnvelope:
         p = np.asarray(p, dtype=float)
         if np.any(p < 2.0 - 1e-9):
             raise ValueError("envelope evaluated below the moment range start p = 2")
-        hi = self.b * (1.0 + 1e-12) if self.closed else self.b
-        bad = p > hi if self.closed else p >= hi
-        if np.any(bad):
+        closed = self.b < math.inf
+        if np.any(p > self.b * (1.0 + 1e-12) if closed else p >= self.b):
             raise ValueError(f"envelope evaluated outside its support "
-                             f"[2, {self.b}{']' if self.closed else ')'}")
+                             f"[2, {self.b}{']' if closed else ')'}")
         out = self._log_base(p)
         if self.lift:
             out = out + self.lift * (np.log(p) - np.log(np.log(p)))
@@ -189,21 +187,21 @@ def power_log_envelope(m, r=0.0):
     """psi(p) = p^(1/m) * (ln p)^r on [2, inf)."""
     check_family_param("m", m)
     check_family_param("r", r)
-    return MomentEnvelope("power_log", (float(m), float(r)), math.inf, False)
+    return MomentEnvelope("power_log", (float(m), float(r)), math.inf)
 
 
 def exp_power_envelope(coef, expo):
     """psi(p) = exp(coef * p^expo) on [2, inf)."""
     check_family_param("coef", coef)
     check_family_param("expo", expo)
-    return MomentEnvelope("exp_power", (float(coef), float(expo)), math.inf, False)
+    return MomentEnvelope("exp_power", (float(coef), float(expo)), math.inf)
 
 
 def constant_envelope(value, p_sup):
     """psi(p) = value on [2, p_sup]; the finite-moment-range family."""
     check_family_param("value", value)
     check_family_param("p_sup", p_sup)
-    return MomentEnvelope("constant", (float(value),), float(p_sup), True)
+    return MomentEnvelope("constant", (float(value),), float(p_sup))
 
 
 def tabulated_envelope(p_grid, values):
@@ -218,9 +216,7 @@ def tabulated_envelope(p_grid, values):
     check_p_grid(p)
     if not np.all(np.isfinite(v)) or np.any(v <= 0):
         raise ValueError("invalid value: tabulated envelope values must be positive")
-    return MomentEnvelope(
-        "tabulated", (p.copy(), np.log(v)), float(p[-1]), True
-    )
+    return MomentEnvelope("tabulated", (p.copy(), np.log(v)), float(p[-1]))
 
 
 def make_envelope(family, **params):

@@ -40,7 +40,7 @@ from ustattails.cli import (
     TAIL_LOWER,
     TAIL_UPPER,
     VERIFY_REPORT,
-    build_kernel,
+    build_law,
     main,
     read_field,
     read_pairs,
@@ -288,7 +288,7 @@ class TestPipeline:
 
         monkeypatch.setattr(engine, "hoeffding_decompose", counted)
         assert main(["simulate", smoke_cfg, "--out", str(tmp_path)]) == 0
-        assert len(calls) == len(build_kernel(Config.from_file(smoke_cfg)).t_grid)
+        assert len(calls) == len(build_law(Config.from_file(smoke_cfg))[0].t_grid)
         assert (tmp_path / DECOMP).exists()
 
     def test_bounds_reads_moment_grids_back(self, smoke_cfg, smoke_run, tmp_path):
@@ -669,7 +669,7 @@ class TestPipeline:
             ("psi.family=exp_power psi.coef=1 psi.expo=nan", "psi.expo"),
             ("psi.family=constant psi.value=0 psi.p_sup=8", "psi.value"),
             ("psi.family=constant psi.value=1 psi.p_sup=2", "psi.p_sup"),
-            ("kernel.name=table kernel.values=-1,1 kernel.table=0.5,1,-0.5", "kernel.table"),
+            ("kernel.name=table kernel.table=0.5,1,-0.5", "kernel.table"),
             ("run.mode=incomplete run.subsets=0", "run.subsets"),
             ("run.mode=incomplete run.subsets=-3", "run.subsets"),
             ("run.subsets=50", "run.subsets"),
@@ -680,8 +680,7 @@ class TestPipeline:
             ("kernel.g=cosh", "kernel.g"),
             ("kernel.degree=0", "kernel.degree"),
             ("kernel.name=half_sq_diff kernel.degree=3", "kernel.degree"),
-            ("kernel.name=table kernel.degree=3 kernel.values=-1,1 kernel.table=0.5,1",
-             "kernel.degree"),
+            ("kernel.name=table kernel.degree=3 kernel.table=0.5,1", "kernel.degree"),
             ("run.reps=0", "run.reps"),
             ("run.reps=1", "run.reps"),
             ("run.n=2", "run.n"),
@@ -695,10 +694,9 @@ class TestPipeline:
             ("run.rank=0", "run.rank"),
             ("run.rank=-3", "run.rank"),
             ("sampler.name=uniform sampler.lo=-1 sampler.hi=2 kernel.name=table "
-             "kernel.values=-1,1 kernel.table=0.5,-1,2,0.3 run.n=3 run.reps=27 run.rank=1",
-             "kernel.values"),
+             "kernel.table=0.5,-1,2,0.3 run.n=3 run.reps=27 run.rank=1", "sampler.name"),
             ("sampler.name=alphabet sampler.values=-1,0.5,1 kernel.name=table "
-             "kernel.values=-1,1 kernel.table=0.5,-1,2,0.3", "kernel.values"),
+             "kernel.table=0.5,-1,2,0.3", "kernel.table"),
             ("psi.m=3", "psi.m"),
             ("psi.p_sup=9", "psi.p_sup"),
             ("sampler.lo=-3", "sampler.lo"),
@@ -726,7 +724,6 @@ class TestPipeline:
             ("sampler.name=pareto sampler.a=inf run.rank=1", "sampler.a"),
             ("kernel.t_grid=inf,1", "kernel.t_grid"),
             ("psi.family=power_log psi.m=inf", "psi.m"),
-            ("kernel.name=table kernel.values=1,-1 kernel.table=0.5,-1,2,0.3", "kernel.values"),
             ("sampler.name=uniform sampler.lo=-1e308 sampler.hi=1e308 run.rank=1", "sampler.lo"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
@@ -749,7 +746,7 @@ class TestPipeline:
              "degree_not_accepted", "nan_alphabet_value", "nan_alphabet_weight", "nan_t_grid",
              "nan_shift", "inf_shift", "inf_alphabet_value", "infinite_uniform_lo",
              "inf_lognormal_sigma", "inf_pareto_index", "inf_t_grid", "inf_m",
-             "decreasing_table_values", "uniform_range_overflows"],
+             "uniform_range_overflows"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, other_kernel_cfg, tmp_path, capsys, setting, key
@@ -1103,7 +1100,7 @@ class TestPipeline:
         [
             ("sampler.name=uniform run.rank=1", 0, 11, None),
             ("kernel.name=half_sq_diff", 0, 13, None),
-            ("kernel.name=table kernel.values=-1,1 kernel.table=0.5,1,-0.5,2", 2, 13, None),
+            ("kernel.name=table kernel.table=0.5,1,-0.5,2", 2, 13, None),
             ("run.mode=incomplete run.subsets=50", 0, 12,
              (FIELD_META, {"mode": "incomplete", "subsets": "50"})),
             ("kernel.degree=3", 0, 13, (PSI_USED, {"degree": "3"})),
@@ -1131,6 +1128,45 @@ class TestPipeline:
             name, want = record
             got = key_values(out / name)
             assert {k: got[k] for k in want} == want
+
+    def test_table_kernel_rows_follow_the_ascending_alphabet(self, other_kernel_cfg, tmp_path):
+        # a table kernel is defined on the sampler's alphabet: one kernel.table row per value
+        # in ascending order, whatever order sampler.values lists them in
+        setting = ("sampler.name=alphabet sampler.values=2,-1,0.5 sampler.weights=0.5,0.2,0.3 "
+                   "kernel.name=table kernel.table=0.5,-1,2,0.3,1,-0.7")
+        out, lib = tmp_path / "cli", tmp_path / "lib"
+        assert main(["simulate", other_kernel_cfg, "--out", str(out)] + overrides(setting)) == 0
+        kernel = engine.make_kernel("table", values=[-1, 0.5, 2],
+                                    table=[[0.5, -1], [2, 0.3], [1, -0.7]])
+        sampler = engine.alphabet_sampler([2, -1, 0.5], [0.5, 0.2, 0.3])
+        lib.mkdir()
+        write_field(str(lib), engine.simulate_panel(kernel, sampler, 24, 1500, 11))
+        for name in (FIELD, FIELD_META):
+            assert (out / name).read_bytes() == (lib / name).read_bytes(), name
+
+    @pytest.mark.parametrize("where", ["file", "set"])
+    def test_kernel_values_is_refused(self, tmp_path, capsys, where):
+        # the values of a table kernel are the sampler's: the key that restated them is gone
+        text = OTHER_KERNEL.replace("kernel.name = gprod\n",
+                                    "kernel.name = table\nkernel.table = 0.5,1,-0.5,2\n")
+        extra = ["--set", "kernel.values=-1,1"]
+        if where == "file":
+            text, extra = text + "kernel.values = -1,1\n", []
+        cfg, out = tmp_path / "values.cfg", tmp_path / "values"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--out", str(out)] + extra) == 1
+        assert "unknown key 'kernel.values'" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("stage", ["simulate", "decompose"])
+    def test_table_kernel_needs_an_alphabet_law(self, other_kernel_cfg, tmp_path, capsys, stage):
+        # run refuses it in test_bad_stage_key_fails_before_any_artifact[table_on_a_continuum]
+        setting = "sampler.name=uniform kernel.name=table kernel.table=0.5,1,-0.5,2 run.rank=1"
+        out = tmp_path / "continuum"
+        assert main([stage, other_kernel_cfg, "--out", str(out)] + overrides(setting)) == 1
+        err = capsys.readouterr().err
+        assert "(--set sampler.name): sampler.name: a table kernel needs an alphabet law" in err
+        assert os.listdir(out) == []
 
     def test_plot_toggle(self, smoke_cfg, tmp_path):
         out = tmp_path / "plot"
@@ -1198,7 +1234,7 @@ def test_pipeline_does_not_load_numpy_ma(tmp_path):
     src = os.path.dirname(os.path.dirname(ustattails.__file__))
     (tmp_path / "smoke.cfg").write_text(SMOKE)
     (tmp_path / "table.cfg").write_text(OTHER_KERNEL)
-    table = "--set kernel.name=table --set kernel.values=-1,1 --set kernel.table=0.5,1,-0.5,2"
+    table = "--set kernel.name=table --set kernel.table=0.5,1,-0.5,2"
     code = (
         "import sys\n"
         "from ustattails.cli import main\n"
@@ -1269,7 +1305,7 @@ def test_process_entry_matches_main_and_freezes_imports(smoke_run, tmp_path, cap
     env = dict(os.environ, PYTHONPATH=src)
     (tmp_path / "smoke.cfg").write_text(SMOKE)
     (tmp_path / "table.cfg").write_text(OTHER_KERNEL)
-    table = "kernel.name=table kernel.values=-1,1 kernel.table=0.5,1,-0.5,2"
+    table = "kernel.name=table kernel.table=0.5,1,-0.5,2"
     for cfg, setting, want in (("smoke", "", 0), ("smoke", "psi.m=3", 1), ("table", table, 2)):
         args = ["run", str(tmp_path / f"{cfg}.cfg")] + overrides(setting)
         child_dir, main_dir = tmp_path / f"child-{want}", tmp_path / f"main-{want}"
@@ -1575,7 +1611,7 @@ SMALL_KERNELS = {
     "sum": "kernel.name=sum",
     "half_sq_diff": "kernel.name=half_sq_diff",
     "gprod": "kernel.name=gprod kernel.t_grid=0.5,1.5,2.5",
-    "table": "kernel.name=table kernel.values=-1,1 kernel.table=0.5,-1,2,0.3",
+    "table": "kernel.name=table kernel.table=0.5,-1,2,0.3",
 }
 SMALL_ENVELOPES = (
     "psi.family=natural",
@@ -1703,7 +1739,7 @@ LIBRARY_BRANCHES = {
     "engine._exact_rows": "the gather over index tuples, the closed forms' oracle",
     "engine._ascending_rows": "the sort, for caller rows that are not ascending",
     "engine._tensor_decomposition": "the broadcast, for a constant kernel",
-    "engine.hoeffding_decompose": "the default index point and the degenerate component",
+    "engine.hoeffding_decompose": "the default index point",
     "config.Config._where": "a key left at its default, which only error messages name",
 }
 REACH_BASE = "# the keys every config below shares\n\nrun.seed = 11\nrun.n = 6\nrun.reps = 40\n" \
@@ -1728,7 +1764,7 @@ REACH_CONFIGS = {
                  "kernel.g = identity\nkernel.t_grid = 0.5,1.5\nrun.rank = 1\n"
                  "grids.u = log:0.1:1:3\n",
     "table": "sampler.name = alphabet\nsampler.values = -1,1\nkernel.name = table\n"
-             "kernel.values = -1,1\nkernel.table = 0.5,-1,2,0.3\n",
+             "kernel.table = 0.5,-1,2,0.3\n",
     # the supremum has few atoms, and both quantiles fall on one of them
     "atoms": "sampler.name = alphabet\nsampler.values = -1,1\nkernel.name = sum\n"
              "run.mode = incomplete\nrun.subsets = 15\ngrids.u = quantile:0.5:0.6:2\n"
@@ -1762,6 +1798,25 @@ def test_shared_directory_holds_each_configs_artifacts(tmp_path):
         assert code == main(["run", str(cfg), "--out", str(tmp_path / name)]), name
         want = before if code == 1 else read_artifacts(tmp_path / name)
         assert read_artifacts(shared) == want, name
+
+
+def test_every_key_is_read_by_some_reach_run(tmp_path, monkeypatch):
+    # a key that no stage reads any more, but that KEYS and README still list, would be
+    # accepted and ignored; together the REACH_CONFIGS runs ask for every key
+    configs, from_file = [], Config.from_file
+
+    def recorded(path):
+        configs.append(from_file(path))
+        return configs[-1]
+
+    monkeypatch.setattr(Config, "from_file", recorded)
+    for name, text in REACH_CONFIGS.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(REACH_BASE + text)
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(["run", str(cfg), "--out", str(tmp_path / name)])
+    assert len(configs) == len(REACH_CONFIGS)
+    assert sorted(set(cli.KEYS) - set().union(*(cfg.read for cfg in configs))) == []
 
 
 def package_functions():

@@ -28,7 +28,7 @@ from ustattails import (
     variance_value,
 )
 from ustattails import engine
-from ustattails.cli import build_kernel, build_sampler
+from ustattails.cli import build_law, build_sampler
 from ustattails.config import Config, ConfigError
 from ustattails.empirics import FieldSamples, distinct_rows
 from ustattails.engine import _LANE_SALTS, _philox_chunks, _sample_tuples, _stream
@@ -236,15 +236,6 @@ class TestKernels:
         for x in (0.5, -3.0, 2.0, np.nan):
             with pytest.raises(ValueError, match="table kernel"):
                 k.fn((np.array([1.0, x]),), "t0")
-
-    def test_table_law_check(self):
-        values = [-1.0, 0.5, 1.0]
-        engine.check_table_law(values, rademacher_sampler())
-        engine.check_table_law(values, alphabet_sampler([0.5, 1.0], [0.3, 0.7]))
-        with pytest.raises(ValueError, match="also takes 2.0"):
-            engine.check_table_law(values, alphabet_sampler([-1.0, 2.0]))
-        with pytest.raises(ValueError, match="continuum"):
-            engine.check_table_law(values, uniform_sampler(-1.0, 2.0))
 
 
 class TestUStatistic:
@@ -465,7 +456,7 @@ class TestDistinctSamples:
         monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
         workload = importlib.import_module("workloads").WORKLOADS["narrow_exact"]
         cfg = Config.from_text(workload.config_text(), path="narrow_exact")
-        kernel, sampler = build_kernel(cfg), build_sampler(cfg)
+        kernel, sampler = build_law(cfg)
         n, reps, seed = (cfg.get_int(key) for key in ("run.n", "run.reps", "run.seed"))
         rows = []
 
