@@ -31,15 +31,14 @@ _LAYER = {
         ("EntropyIntegral", "FiniteMetricSpace", "covering_number", "entropy_integral"), "entropy"
     ),
     **dict.fromkeys((
-        "Decomposition", "Kernel", "Sampler", "UVariance", "alphabet_sampler", "decompose_field",
+        "Decomposition", "Kernel", "Sampler", "alphabet_sampler", "decompose_field",
         "deviation_scale", "draw_data", "hoeffding_decompose", "lognormal_sampler", "make_kernel",
         "normal_sampler", "pareto_sampler", "rademacher_sampler", "simulate_panel",
-        "u_statistic_panel", "uniform_sampler", "variance_u", "variance_value",
+        "u_statistic_panel", "uniform_sampler", "variance_value",
     ), "engine"),
     **dict.fromkeys((
-        "BoundReport", "ComparisonReport", "MomentGrowth", "calibrate_log_power",
-        "compare_curves", "log_power_exponent", "log_power_tail", "moment_growth_check",
-        "power_log_rate", "report_text", "uniform_tail_report",
+        "BoundReport", "ComparisonReport", "calibrate_log_power", "compare_curves",
+        "log_power_exponent", "log_power_tail", "report_text", "uniform_tail_report",
     ), "bounds"),
 }
 

@@ -15,13 +15,12 @@ about a richer index set.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .empirics import (
     TailCurve,
-    column_moments,
     empirical_moments,
     empirical_tail,
     natural_envelope,
@@ -67,18 +66,6 @@ def log_power_tail(u, *, coef, beta):
     return out if out.ndim else float(out)
 
 
-def power_log_rate(m, degree):
-    """The u-power l = m / (1 + degree*m) of the tail exp(-c u^l ...) of a variable whose
-    envelope is the power_log envelope of power m lifted by ``degree``.
-
-    No command runs it; it serves acceptance criterion 08, which recovers it from
-    ``fenchel_exponent``.
-    """
-    if m <= 0 or degree < 1:
-        raise ValueError("need m > 0 and degree >= 1")
-    return m / (1.0 + degree * m)
-
-
 def calibrate_log_power(curve, *, beta):
     """Smallest coef with exp(-coef ln(1+u)^E) <= curve at every usable point.
 
@@ -99,43 +86,6 @@ def calibrate_log_power(curve, *, beta):
     if not 0 < coef < math.inf:
         raise ValueError(f"no positive finite coefficient at beta = {beta!r}")
     return coef
-
-
-# -- moment growth audit -------------------------------------------------
-
-
-@dataclass
-class MomentGrowth:
-    constants: dict
-    ratio: float
-    passed: bool
-    notes: list = field(default_factory=list)
-
-
-def moment_growth_check(panels, env, degree, p_grid):
-    """Fit the degree-lifted envelope constant across sample sizes.
-
-    For each panel of normalized deviations, the constant is the largest
-    ratio of a column moment to the lifted envelope over the moment grid.
-    The check passes when the constants stay within a factor 2 of each other
-    across n, which is what a correct normalization order looks like.  No
-    command runs it; it serves acceptance criterion 07.
-    """
-    tau = rosenthal_lift(env, degree)
-    constants = {}
-    notes = []
-    for n in sorted(panels):
-        norms = [envelope_norm(tab, tau) for tab in column_moments(panels[n], p_grid)]
-        constants[n] = max([0.0] + norms)
-    vals = np.array([constants[n] for n in sorted(constants)])
-    if np.all(vals == 0.0):
-        notes.append("all panels are identically zero; growth check is vacuous")
-        return MomentGrowth(constants, 1.0, True, notes)
-    if np.any(vals == 0.0):
-        notes.append("some panels are identically zero while others are not")
-        return MomentGrowth(constants, math.inf, False, notes)
-    ratio = float(vals.max() / vals.min())
-    return MomentGrowth(constants, ratio, ratio < 2.0, notes)
 
 
 # -- curve comparison ----------------------------------------------------

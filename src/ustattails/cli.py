@@ -365,9 +365,9 @@ def read_field(out_dir, stage):
 def write_distance(out_dir, labels, dist):
     """distance.csv: the labels on a ``# labels`` line, then one ``distance`` row per pair
     i < j of the symmetric, zero-diagonal ``dist``, in row-major upper-triangle order."""
-    rows = ([d] for d in dist[np.triu_indices(len(labels), 1)].tolist())
-    write_table(os.path.join(out_dir, DISTANCE), ("distance",), rows,
-                comment=f"labels = {','.join(map(_cell, labels))}")
+    pairs = dist[np.triu_indices(len(labels), 1)].tolist()
+    _write(os.path.join(out_dir, DISTANCE), f"# labels = {','.join(map(_cell, labels))}\n"
+           "distance\n" + "".join(map("{!r}\n".format, pairs)))
 
 
 def read_distance(out_dir, stage):
@@ -543,11 +543,13 @@ def _simulate_settings(cfg):
             "rank": rank, "subsets": build_mode(cfg)}
 
 
-def stage_simulate(cfg, out_dir):
-    # returns the field as written, which ``run`` hands to entropy and bounds
+def stage_simulate(cfg, out_dir, settings=None):
+    # returns the field as written, which ``run`` hands to entropy and bounds; ``run`` also
+    # hands over the settings it checked, which a stage run on its own reads here
     from .engine import simulate_panel
 
-    settings = _simulate_settings(cfg)
+    if settings is None:
+        settings = _simulate_settings(cfg)
     with _law_overflow_names_keys(cfg):
         fld = simulate_panel(**settings)
     written = write_field(out_dir, fld)
@@ -602,13 +604,15 @@ def _entropy_settings(cfg, degree):
     return {"p_grid": p_grid, "env": env}
 
 
-def stage_entropy(cfg, out_dir, fld=None):
+def stage_entropy(cfg, out_dir, fld=None, settings=None):
     if fld is None:
         fld = read_field(out_dir, "entropy")
     # the degree of the kernel that drew the field; the config's kernel.degree need not be it
     path = os.path.join(out_dir, FIELD_META)
     degree = cast_record(path, fld.meta, {"degree": _lift_degree})["degree"]
-    geo, space, ent = index_geometry(fld, degree=degree, **_entropy_settings(cfg, degree))
+    if settings is None:
+        settings = _entropy_settings(cfg, degree)
+    geo, space, ent = index_geometry(fld, degree=degree, **settings)
     write_geometry(out_dir, geo, space, ent, fld.meta["field_sha256"])
     return 0
 
@@ -631,10 +635,12 @@ def _bounds_settings(cfg, columns):
     return u_spec, lower, cfg.get_bool("output.plot", False)
 
 
-def stage_bounds(cfg, out_dir, fld=None):
+def stage_bounds(cfg, out_dir, fld=None, settings=None):
     if fld is None:
         fld = read_field(out_dir, "bounds")
-    u_spec, lower, plot = _bounds_settings(cfg, len(fld.labels))
+    if settings is None:
+        settings = _bounds_settings(cfg, len(fld.labels))
+    u_spec, lower, plot = settings
     geo = read_geometry(out_dir, "bounds", fld.meta["field_sha256"])
     u_grid = resolve_grid(u_spec, fld.sup_abs(), fld.counts)
     report = calibrate_tails(fld, geo, u_grid, lower=lower)
@@ -684,14 +690,15 @@ def stage_verify(cfg, out_dir):
 
 def stage_run(cfg, out_dir):
     # every key a stage reads is read here, so a bad one, or a set one that no stage reads,
-    # fails before any artifact
-    kernel = _simulate_settings(cfg)["kernel"]
-    _entropy_settings(cfg, kernel.degree)
-    _bounds_settings(cfg, len(kernel.t_grid))
+    # fails before any artifact; each stage then takes the settings read for it
+    simulate = _simulate_settings(cfg)
+    kernel = simulate["kernel"]
+    entropy = _entropy_settings(cfg, kernel.degree)
+    bounds = _bounds_settings(cfg, len(kernel.t_grid))
     cfg.check_read()
-    fld = stage_simulate(cfg, out_dir)
-    stage_entropy(cfg, out_dir, fld)
-    return max(stage_bounds(cfg, out_dir, fld), stage_verify(cfg, out_dir))
+    fld = stage_simulate(cfg, out_dir, simulate)
+    stage_entropy(cfg, out_dir, fld, entropy)
+    return max(stage_bounds(cfg, out_dir, fld, bounds), stage_verify(cfg, out_dir))
 
 
 STAGES = {

@@ -163,18 +163,31 @@ def natural_envelope(field, p_grid):
     return tabulated_envelope(np.asarray(p_grid, dtype=float), values)
 
 
+# cells of column differences taken per ``_power_means`` call in ``envelope_distance``
+_DISTANCE_BLOCK_CELLS = 2 ** 19
+
+
 def envelope_distance(field, env, *, p_grid):
     """Matrix of envelope norms over ``p_grid`` of pairwise column differences, each
-    read over the field's distinct rows weighted by their counts."""
+    read over the field's distinct rows weighted by their counts.
+
+    The pairs i < j are differenced in row-major order, as many per block as
+    fit in ``_DISTANCE_BLOCK_CELLS`` cells (at least one); each pair's power
+    means reduce its own row, so the blocking does not move a bit.
+    """
     p = np.asarray(p_grid, dtype=float)
     log_psi = env.log_value(p)
     cols = np.ascontiguousarray(field.values.T)
-    m = field.size
-    dist = np.zeros((m, m))
-    for i in range(m - 1):
-        diff = cols[i] - cols[i + 1:]
-        row = envelope_norm_rows(_power_means(np.abs(diff, out=diff), field.counts, p), log_psi)
-        dist[i, i + 1:] = dist[i + 1:, i] = row
+    upper = np.triu_indices(field.size, 1)
+    pairs = np.empty(upper[0].size)
+    step = max(1, _DISTANCE_BLOCK_CELLS // cols.shape[1])
+    for start in range(0, pairs.size, step):
+        i, j = (k[start:start + step] for k in upper)
+        diff = cols[i] - cols[j]
+        means = _power_means(np.abs(diff, out=diff), field.counts, p)
+        pairs[start:start + step] = envelope_norm_rows(means, log_psi)
+    dist = np.zeros((field.size, field.size))
+    dist[upper] = dist[upper[::-1]] = pairs
     return dist
 
 

@@ -573,15 +573,6 @@ def decompose_field(kernel, sampler):
     return [hoeffding_decompose(kernel, sampler, t) for t in kernel.t_grid]
 
 
-DEFAULT_SLOPE_GRID = (16, 32, 64, 128, 256)
-
-
-@dataclass
-class UVariance:
-    var: float
-    slope: float
-
-
 def variance_value(decomp, n):
     """Exact Var(U_n) from the canonical projection second moments.
 
@@ -597,20 +588,6 @@ def variance_value(decomp, n):
     for c in range(1, d + 1):
         acc += math.comb(d, c) ** 2 * decomp.zetas[c - 1] / math.comb(n, c)
     return acc
-
-
-def variance_u(decomp, n):
-    """Exact variance at n plus the log-log decay slope over ``DEFAULT_SLOPE_GRID``.  No
-    command runs it; it serves acceptance criteria 02 and 03."""
-    var = variance_value(decomp, n)
-    grid = np.asarray(DEFAULT_SLOPE_GRID)
-    if decomp.degenerate:
-        return UVariance(var, 0.0)
-    vals = np.array([variance_value(decomp, int(m)) for m in grid])
-    if np.any(vals <= 0):
-        return UVariance(var, 0.0)
-    slope = float(np.polyfit(np.log(grid.astype(float)), np.log(vals), 1)[0])
-    return UVariance(var, slope)
 
 
 # -- normalization and panels -------------------------------------------

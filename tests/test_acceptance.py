@@ -60,8 +60,12 @@ def test_criterion_02_variance_decay_slopes(rademacher_panels):
     rad = ut.rademacher_sampler()
     dec_prod = ut.hoeffding_decompose(ut.make_kernel("product"), rad)
     dec_sum = ut.hoeffding_decompose(ut.make_kernel("sum"), rad)
-    an_prod = ut.variance_u(dec_prod, 64).slope
-    an_sum = ut.variance_u(dec_sum, 64).slope
+    # the exact Var(U_n) decays as n^-2 for the degenerate product and n^-1 for the sum
+    grid = (16, 32, 64, 128, 256)
+    an_prod, an_sum = (
+        fit_slope(np.log(grid), [math.log(ut.variance_value(dec, n)) for n in grid])
+        for dec in (dec_prod, dec_sum)
+    )
     assert abs(an_prod - (-2.0)) <= 0.05
     assert abs(an_sum - (-1.0)) <= 0.05
     elapsed = time.monotonic() - t0 + rademacher_panels["build_seconds"]
@@ -168,23 +172,30 @@ def test_criterion_07_normalized_moment_growth(rademacher_panels):
     for n in (16, 64, 256):
         dev = float(n) * rademacher_panels["U_prod"][n]
         panels[n] = ut.FieldSamples(("t0",), dev, meta={"n": n})
-    env = ut.constant_envelope(1.0, 10.0)
     p_grid = np.geomspace(2.0, 10.0, 9)
-    res = ut.moment_growth_check(panels, env, 2, p_grid)
-    assert res.passed
-    assert res.ratio < 2.0
-    res2 = ut.moment_growth_check(panels, ut.constant_envelope(2.0, 10.0), 2, p_grid)
-    for n, c in res.constants.items():
-        assert res2.constants[n] == pytest.approx(c / 2.0, rel=1e-12)
+
+    def constants(env):
+        # per panel, the largest column norm against the envelope lifted by the degree 2
+        tau = ut.rosenthal_lift(env, 2)
+        return {n: max(ut.envelope_norm(tab, tau) for tab in ut.column_moments(panel, p_grid))
+                for n, panel in panels.items()}
+
+    consts = constants(ut.constant_envelope(1.0, 10.0))
+    assert min(consts.values()) > 0.0
+    ratio = max(consts.values()) / min(consts.values())
+    assert ratio < 2.0
+    halved = constants(ut.constant_envelope(2.0, 10.0))
+    for n, c in consts.items():
+        assert halved[n] == pytest.approx(c / 2.0, rel=1e-12)
     elapsed = time.monotonic() - t0 + rademacher_panels["build_seconds"]
     assert elapsed < 120.0
-    ok(7, f"lifted-envelope constants {'/'.join(f'{c:.3f}' for c in res.constants.values())} ratio {res.ratio:.3f} < 2 in {elapsed:.1f}s")
+    ok(7, f"lifted-envelope constants {'/'.join(f'{c:.3f}' for c in consts.values())} ratio {ratio:.3f} < 2 in {elapsed:.1f}s")
 
 
 def test_criterion_08_tail_exponent_recovery():
     worst = 0.0
     for m, d, window_hi in ((2.0, 1, 10.5), (3.0, 2, 15.0)):
-        l = ut.power_log_rate(m, d)
+        l = m / (1.0 + d * m)  # the u-power of the tail of the power_log(m) envelope lifted by d
         tau = ut.rosenthal_lift(ut.power_log_envelope(m, float(d)), d)
         w = np.linspace(5.0, window_hi, 12)
         nu = np.array([ut.fenchel_exponent(tau, x, p_max=1e6) for x in w])

@@ -9,14 +9,11 @@ from ustattails import (
     TailCurve,
     calibrate_log_power,
     compare_curves,
-    constant_envelope,
     empirical_moments,
     empirical_tail,
     log_power_exponent,
     log_power_tail,
     make_kernel,
-    moment_growth_check,
-    power_log_rate,
     rademacher_sampler,
     report_text,
     simulate_panel,
@@ -46,12 +43,6 @@ class TestClosedFormTail:
             log_power_tail(5.0, coef=1.0, beta=0.0)
         with pytest.raises(ValueError, match="beta"):
             log_power_tail(5.0, coef=1.0, beta=math.inf)
-
-    def test_rate_values(self):
-        assert power_log_rate(2.0, 1) == pytest.approx(2.0 / 3.0)
-        assert power_log_rate(3.0, 2) == pytest.approx(3.0 / 7.0)
-        with pytest.raises(ValueError):
-            power_log_rate(0.0, 1)
 
 
 class TestLogPowerExponent:
@@ -101,43 +92,6 @@ class TestCalibrateLogPower:
             with pytest.raises(ValueError, match="no positive finite coefficient"):
                 calibrate_log_power(TailCurve(curve.u_grid[2:], curve.probs[2:], "empirical",
                                               sample_count=10), beta=1e308)
-
-
-class TestMomentGrowth:
-    def grow_panels(self, scale_by_n=1.0):
-        rng = np.random.default_rng(42)
-        panels = {}
-        for n in (16, 64):
-            panels[n] = make_field(rng.standard_normal((4000, 2)) * scale_by_n)
-        return panels
-
-    def test_stable_panels_pass(self):
-        panels = self.grow_panels()
-        env = constant_envelope(1.0, 12.0)
-        res = moment_growth_check(panels, env, 2, np.geomspace(2, 8, 5))
-        assert res.passed
-        assert res.ratio < 1.1
-
-    def test_doubled_envelope_halves_constants(self):
-        panels = self.grow_panels()
-        p_grid = np.geomspace(2, 8, 5)
-        res1 = moment_growth_check(panels, constant_envelope(1.0, 12.0), 2, p_grid)
-        res2 = moment_growth_check(panels, constant_envelope(2.0, 12.0), 2, p_grid)
-        for n in res1.constants:
-            assert res2.constants[n] == pytest.approx(res1.constants[n] / 2.0, rel=1e-12)
-
-    def test_vacuous_all_zero(self):
-        panels = {8: make_field(np.zeros((50, 2))), 16: make_field(np.zeros((50, 2)))}
-        res = moment_growth_check(panels, constant_envelope(1.0, 12.0), 2, [2.0, 4.0])
-        assert res.passed and res.ratio == 1.0 and res.notes
-
-    def test_mixed_zero_fails(self):
-        panels = {
-            8: make_field(np.zeros((50, 2))),
-            16: make_field(np.ones((50, 2))),
-        }
-        res = moment_growth_check(panels, constant_envelope(1.0, 12.0), 2, [2.0, 4.0])
-        assert not res.passed and math.isinf(res.ratio)
 
 
 class TestCompareCurves:

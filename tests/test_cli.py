@@ -1414,6 +1414,20 @@ def test_distance_codec_round_trips_bits(tmp_path, m):
     assert lines[2:] == [repr(float(dist[i, j])) for i, j in pairs]
 
 
+@pytest.mark.parametrize("m", [1, 4])
+def test_distance_write_matches_the_table_writer(tmp_path, m):
+    # write_distance spells distance.csv as write_table spells its one-cell rows under the
+    # labels comment, zero, subnormal and huge distances included (one point: no row)
+    cells = [0.0, 5e-324, 1e308, 0.1, 2.5, 1.0 / 3.0][:m * (m - 1) // 2]
+    dist, upper = np.zeros((m, m)), np.triu_indices(m, 1)
+    dist[upper] = dist[upper[::-1]] = cells
+    labels = [f"t{j}" for j in range(m)]
+    cli.write_distance(str(tmp_path), labels, dist)
+    write_table(tmp_path / "table.csv", ("distance",), [[d] for d in cells],
+                comment=f"labels = {','.join(labels)}")
+    assert (tmp_path / DISTANCE).read_bytes() == (tmp_path / "table.csv").read_bytes()
+
+
 def _cut_labels(lines, k, rows):
     """distance.csv lines with the labels line cut to its first ``k`` labels and the
     first ``rows`` data rows kept."""
@@ -1712,14 +1726,13 @@ def test_small_configs_finish_or_fail_first(config):
         (setting, err)
 
 
-# what no command runs, and why it stays: the acceptance criteria's paper quantities, the
-# brute-force and Generator references the tests compare against, the three
+# what no command runs, and why it stays: the exact variance that acceptance criteria 02
+# and 03 check, the brute-force and Generator references the tests compare against, the three
 # functions the benchmark's tracer (perfbench/tracing.py) wraps by name, and the two
 # functions that run only in a fresh process or for a caller of the library, which this
 # test's in-process cli.main calls do not reach
 LIBRARY_ONLY = {
-    "bounds.moment_growth_check", "bounds.power_log_rate", "bounds.uniform_tail_report",
-    "engine.variance_u", "engine.variance_value", "engine._index_tuples",
+    "bounds.uniform_tail_report", "engine.variance_value", "engine._index_tuples",
     "engine._FactorTerms.__len__", "engine._FactorTerms.__getitem__",
     "engine.alphabet_sampler.draw", "engine.uniform_sampler.draw",
     "envelopes.tail_bound",
@@ -1771,6 +1784,22 @@ REACH_CONFIGS = {
              "output.plot = true\n",
     "unread": "sampler.name = rademacher\nkernel.name = gprod\nkernel.t_grid = 0.5\npsi.m = 3\n",
 }
+
+
+def test_run_reads_each_setting_once(tmp_path, monkeypatch):
+    # run reads every key before any artifact and hands each stage what it read, so the law
+    # is built once, and so is a configured envelope's lift with its overflow probe
+    calls = []
+    for name in ("build_law", "rosenthal_lift"):
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    cfg = tmp_path / "uniform.cfg"
+    cfg.write_text(REACH_BASE + REACH_CONFIGS["uniform"])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert sorted(calls) == ["build_law", "rosenthal_lift"]
 
 
 @pytest.mark.parametrize("name", [name for name in REACH_CONFIGS if name != "unread"])

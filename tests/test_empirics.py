@@ -20,9 +20,10 @@ from ustattails import (
     natural_envelope,
     power_log_envelope,
 )
+from ustattails import empirics
 from ustattails.config import resolve_grid
 from ustattails.empirics import _atom_moments, _power_means, distinct_rows
-from ustattails.envelopes import MomentTable, make_envelope
+from ustattails.envelopes import MomentTable, envelope_norm_rows, make_envelope
 from ustattails.engine import _stream
 
 
@@ -341,6 +342,29 @@ class TestEnvelopeDistance:
                 diff = values[:, i] - values[:, j]
                 own = envelope_norm(empirical_moments(diff, p), env)
                 assert d[i, j] == pytest.approx(own, rel=1e-15, abs=0.0), (i, j)
+
+
+    @pytest.mark.parametrize("case", ["alphabet_odd_m", "two_points", "continuous_blocks"])
+    def test_blocks_match_per_row_reference_bit_for_bit(self, case, monkeypatch):
+        # the pairs i < j are differenced many to a block; each distance has the bits of one
+        # power-means call per row i over the columns j > i
+        rng = _stream(16, 0)
+        if case == "alphabet_odd_m":
+            fld = FieldSamples(tuple("abcdefg"), rng.choice([0.0, -1.0, 0.5, 2.0], (400, 7)))
+        elif case == "two_points":
+            fld = FieldSamples(("a", "b"), rng.choice([-1.0, 1.0], (50, 2)))
+        else:
+            # 300 distinct rows, so a block holds 3 pairs: 12 blocks, most across two rows i
+            monkeypatch.setattr(empirics, "_DISTANCE_BLOCK_CELLS", 1000)
+            fld = FieldSamples(tuple("abcdefghi"), rng.standard_normal((300, 9)))
+        p = np.geomspace(2.0, 8.0, 5)
+        env = power_log_envelope(2.0, 0.5)
+        cols = np.ascontiguousarray(fld.values.T)
+        want = np.zeros((fld.size, fld.size))
+        for i in range(fld.size - 1):
+            means = _power_means(np.abs(cols[i] - cols[i + 1:]), fld.counts, p)
+            want[i, i + 1:] = want[i + 1:, i] = envelope_norm_rows(means, env.log_value(p))
+        assert envelope_distance(fld, env, p_grid=p).tobytes() == want.tobytes()
 
 
 class TestLawQuantiles:

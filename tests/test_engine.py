@@ -24,7 +24,6 @@ from ustattails import (
     simulate_panel,
     u_statistic_panel,
     uniform_sampler,
-    variance_u,
     variance_value,
 )
 from ustattails import engine
@@ -580,14 +579,14 @@ class TestVariance:
     def test_degenerate_product_values(self):
         dec = hoeffding_decompose(make_kernel("product"), rademacher_sampler())
         assert variance_value(dec, 4) == pytest.approx(1.0 / 6.0, abs=1e-15)
-        uv = variance_u(dec, 4)
-        assert uv.slope == pytest.approx(-2.0, abs=0.05)
 
     def test_rank_one_sum_slope(self):
-        uv = variance_u(hoeffding_decompose(make_kernel("sum"), rademacher_sampler()), 64)
-        # U reduces to twice the sample mean, so Var = 4/n exactly
-        assert uv.var == pytest.approx(4.0 / 64.0, abs=1e-15)
-        assert uv.slope == pytest.approx(-1.0, abs=0.05)
+        dec = hoeffding_decompose(make_kernel("sum"), rademacher_sampler())
+        # U reduces to twice the sample mean, so Var = 4/n exactly, a log-log slope of -1
+        assert variance_value(dec, 64) == pytest.approx(4.0 / 64.0, abs=1e-15)
+        grid = np.array([16, 32, 64, 128, 256])
+        logs = np.log([variance_value(dec, int(n)) for n in grid])
+        assert np.polyfit(np.log(grid), logs, 1)[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_needs_n_beyond_degree(self):
         dec = hoeffding_decompose(make_kernel("product"), rademacher_sampler())
