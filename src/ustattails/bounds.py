@@ -21,16 +21,21 @@ import numpy as np
 
 from .empirics import (
     TailCurve,
+    column_moments,
     empirical_moments,
     empirical_tail,
     natural_envelope,
     envelope_distance,
 )
-from .entropy import FiniteMetricSpace, entropy_integral
-from .envelopes import envelope_norm, rosenthal_lift, tail_curve
+from .envelopes import envelope_norm, envelope_norm_rows, rosenthal_lift, tail_curve
 
 # the binomial standard errors of slack an empirical point has against a bound curve
 SIGMA = 3.0
+# the relative slack, for rounding, of the invariants verify re-derives from the artifacts: the
+# recorded sup_norm and the Markov floor of the upper curve, then the reverse triangle, which a
+# rank-one field meets with equality
+REDERIVE_RTOL = 1e-12
+TRIANGLE_RTOL = 1e-9
 # integrand mass on saturated eps above this fraction means the eps grid sees
 # mostly the finite-space floor, not the geometry, and the integral cannot be
 # trusted as a proxy for a continuous-index limit
@@ -131,6 +136,41 @@ def compare_curves(empirical, upper, *, lower=None):
     return ComparisonReport(u, up_viol, lo_viol, up_excess, lo_excess, ok)
 
 
+def markov_bound(p_grid, moments, u_grid):
+    """min(1, min_p (|Y|_p / u)^p) at each level u of ``u_grid``, from the L_p norms
+    ``moments`` of Y over ``p_grid``: plain Markov, the sharpest tail bound those moments
+    give alone; 1 at u <= 0."""
+    with np.errstate(divide="ignore"):  # a level of 0 gives the exponent inf
+        logs = np.log(moments) - np.log(np.maximum(u_grid, 0.0))[:, None]
+    return np.exp(np.minimum(np.min(p_grid * logs, axis=1), 0.0))
+
+
+def rederived_invariants(geometry, sup_moments, sup_norm, upper, field_samples, dist):
+    """``PASS``, ``FAIL`` or ``n/a`` for each invariant that verify re-derives from the
+    artifacts a Geometry gave, by name.
+
+    * ``sup_norm_rederived``: ``sup_norm`` is the envelope norm of the supremum's moments
+      ``sup_moments`` (on the geometry's p grid) under ``geometry.tau``.
+    * ``markov``: no probability of the ``upper`` curve lies below the plain Markov bound of
+      ``sup_moments``; ``n/a`` under a configured envelope, whose Fenchel supremum runs
+      between the nodes.
+    * ``reverse_triangle``: each distance of ``dist`` is at least max_p |‖X_s‖_p -
+      ‖X_t‖_p| / psi(p), from the moments of the columns of ``field_samples``.
+    """
+    p_grid, psi = geometry.p_grid, geometry.psi_used
+    norm = float(envelope_norm_rows(sup_moments, geometry.tau.log_value(p_grid)))
+    checks = {"sup_norm_rederived": math.isclose(sup_norm, norm, rel_tol=REDERIVE_RTOL),
+              "markov": None}
+    if psi.family == "tabulated":
+        floor = markov_bound(p_grid, sup_moments, upper.u_grid)
+        checks["markov"] = bool(np.all(upper.probs >= floor * (1.0 - REDERIVE_RTOL)))
+    columns = np.array([table.values for table in column_moments(field_samples, p_grid)])
+    i, j = np.triu_indices(field_samples.size, 1)
+    floor = envelope_norm_rows(np.abs(columns[i] - columns[j]), psi.log_value(p_grid))
+    checks["reverse_triangle"] = bool(np.all(dist[i, j] >= floor * (1.0 - TRIANGLE_RTOL)))
+    return {name: {True: "PASS", False: "FAIL", None: "n/a"}[ok] for name, ok in checks.items()}
+
+
 # -- the full pipeline ---------------------------------------------------
 
 
@@ -203,6 +243,9 @@ def index_geometry(field_samples, p_grid, degree, *, env=None):
     """The Geometry of a field's index set, the FiniteMetricSpace of its envelope distances
     and the EntropyIntegral measured on that space.  Without ``env`` the natural envelope of
     the columns is estimated."""
+    # imported here, so that a bounds process, which reads the geometry back, never loads it
+    from .entropy import FiniteMetricSpace, entropy_integral
+
     p_grid = np.asarray(p_grid, dtype=float)
     if env is None:
         env = natural_envelope(field_samples, p_grid)

@@ -4,8 +4,8 @@ Subcommands are stages of one pipeline; ``run`` executes them in order.  A
 stage run on its own reads its inputs from the artifact files the previous
 stage wrote into the output directory, field.csv included (the field's
 law: one line per distinct row, led by its count); within ``run``,
-``simulate`` hands the field it wrote to ``entropy`` and ``bounds`` in
-memory, exactly as they would parse it.  Running the stages separately
+``simulate`` hands the field it wrote to ``entropy``, ``bounds`` and
+``verify`` in memory, exactly as they would parse it.  Running the stages separately
 therefore produces byte-identical artifacts to one ``run``.  All floats are
 written with repr, nothing records wall-clock time, and every random draw is
 keyed by the configured seed, so identical configs give identical bytes.
@@ -36,17 +36,18 @@ except ImportError:
         from hashlib import sha256
 
 from .bounds import (
-    SIGMA, Geometry, calibrate_tails, check_beta, compare_curves, index_geometry, report_text
+    SIGMA, Geometry, calibrate_tails, check_beta, compare_curves, index_geometry,
+    rederived_invariants, report_text,
 )
 from .config import Config, ConfigError, parse_floats, parse_number, resolve_grid
 from .empirics import FieldSamples, TailCurve, check_levels, check_sample_count
-from .entropy import FiniteMetricSpace
 from .envelopes import (
-    DEFAULT_P_MAX, MomentEnvelope, check_family_param, check_lift_degree, check_p_grid,
-    constant_envelope, make_envelope, rosenthal_lift,
+    DEFAULT_P_MAX, FAMILY_PARAMS, MomentEnvelope, check_family_param, check_lift_degree,
+    check_p_grid, constant_envelope, make_envelope, rosenthal_lift,
 )
 # engine is imported inside the builders and stages that simulate, so that a bounds, entropy
-# or verify process neither compiles nor runs it
+# or verify process neither compiles nor runs it; entropy is imported inside read_distance
+# and bounds.index_geometry, which a bounds process does not run
 
 FIELD = "field.csv"
 FIELD_META = "field_meta.txt"
@@ -73,8 +74,6 @@ KEYS = (
     "psi.expo", "psi.value", "psi.p_sup", "bound.lower_beta", "bound.lower_column",
     "output.dir", "output.plot",
 )
-# the key that scales each configured envelope family, named when its lift overflows
-SCALE_KEYS = {"power_log": "psi.m", "exp_power": "psi.coef", "constant": "psi.value"}
 # ln of half the largest double: past it the trapezoid sum of two entropy integrands overflows
 LOG_HALF_MAX_DOUBLE = math.log(sys.float_info.max / 2.0)
 DEFAULT_P_GRID = "log:2:16:8"
@@ -177,28 +176,22 @@ def build_mode(cfg):
 
 def build_envelope(cfg, p_grid):
     """The configured envelope, or None for the natural one; its support holds ``p_grid``."""
-    family = cfg.get_str(
-        "psi.family",
-        "natural",
-        choices=("natural", "power_log", "exp_power", "constant"),
-    )
+    family = cfg.get_str("psi.family", "natural", choices=("natural", *FAMILY_PARAMS))
     if family == "natural":
         return None
-
-    def param(name, *default):
-        return cfg.get_float(f"psi.{name}", *default, check=partial(check_family_param, name))
-
-    if family == "power_log":
-        return make_envelope("power_log", m=param("m"), r=param("r", 0.0))
-    if family == "exp_power":
-        return make_envelope("exp_power", coef=param("coef"), expo=param("expo"))
-    value = param("value")
-    # the envelope is evaluated on p_grid, so its support must hold the grid; the support
-    # [2, inf] is the one config number that may be infinite, so its text is cast here
-    p_sup = float(cfg.get_str(
-        "psi.p_sup", check=lambda text: constant_envelope(value, float(text)).log_value(p_grid)
-    ))
-    return make_envelope("constant", value=value, p_sup=p_sup)
+    params = {}
+    for name in FAMILY_PARAMS[family]:
+        if name == "p_sup":
+            # the envelope is evaluated on p_grid, so its support must hold the grid; the support
+            # [2, inf] is the one config number that may be infinite, so its text is cast here
+            constant = partial(constant_envelope, params["value"])
+            params[name] = float(cfg.get_str(
+                "psi.p_sup", check=lambda text: constant(float(text)).log_value(p_grid)))
+        else:
+            default = (0.0,) if name == "r" else ()
+            params[name] = cfg.get_float(f"psi.{name}", *default,
+                                         check=partial(check_family_param, name))
+    return make_envelope(family, **params)
 
 
 # -- artifact IO ---------------------------------------------------------
@@ -235,19 +228,27 @@ def write_table(path, header, rows, comment=None, digest=None):
                 digest.update(data)
 
 
-def read_table(path, digest=None):
-    """Header cells and float matrix of a CSV table, ``#`` lines skipped.
+def read_table(path, digest=None, empty=False):
+    """Header cells, float matrix and leading ``# key = value`` pairs of a CSV table.
 
-    The matrix and any error are np.loadtxt's; a malformed, empty or
-    too wide table raises ConfigError naming it.  ``digest``, a SHA-256
-    object, is fed the bytes parsed.
+    The ``#`` lines before the header are skipped, and those with a ``=``
+    give the pairs as ``read_pairs`` reads them.  The matrix and any error
+    are np.loadtxt's; a malformed or too wide table, or an empty one unless
+    ``empty``, raises ConfigError naming it.  ``digest``, a SHA-256 object,
+    is fed the bytes parsed.
     """
     with open(path, "rb") as raw:
         data = raw.read()
     if digest is not None:
         digest.update(data)
     with io.TextIOWrapper(io.BytesIO(data)) as fh:
-        header = next((line for line in fh if not line.startswith("#")), "")
+        pairs, header = [], ""
+        for line in fh:
+            if not line.startswith("#"):
+                header = line
+                break
+            if "=" in line:
+                pairs.append(_pair(line))
         header = header.rstrip("\n").split(",")
         try:
             with warnings.catch_warnings():
@@ -255,16 +256,21 @@ def read_table(path, digest=None):
                 values = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    if not len(values):
+    if not (len(values) or empty):
         raise ConfigError(f"{path}: no data rows")
     if values.shape[1] != len(header):  # loadtxt has checked that all rows are equally wide
         raise ConfigError(f"{path}: rows have {values.shape[1]} cells, the header {len(header)}")
-    return header, values
+    return header, values, pairs
 
 
 def read_columns(path, names):
     """The named columns of a CSV table; a missing one raises ConfigError naming the table."""
-    header, data = read_table(path)
+    return _columns(path, *read_table(path)[:2], names)
+
+
+def _columns(path, header, data, names):
+    """The named columns of the table at ``path`` that ``read_table`` read as ``header`` and
+    ``data``."""
     if not set(names) <= set(header):
         raise ConfigError(f"{path}: needs columns {', '.join(names)}, has {', '.join(header)}")
     return [data[:, header.index(name)] for name in names]
@@ -274,10 +280,14 @@ def write_pairs(path, pairs):
     _write(path, "".join(f"{k} = {_cell(v)}\n" for k, v in pairs))
 
 
+def _pair(line):
+    return tuple(part.strip() for part in line.split("=", 1))
+
+
 def read_pairs(path):
     """(key, value) of every ``key = value`` line of a text artifact."""
     with open(path) as fh:
-        return [tuple(part.strip() for part in line.split("=", 1)) for line in fh if "=" in line]
+        return [_pair(line) for line in fh if "=" in line]
 
 
 def _lift_degree(text):
@@ -350,7 +360,7 @@ def read_field(out_dir, stage):
     """
     path = _need(out_dir, FIELD, stage)
     digest = sha256()
-    header, values = read_table(path, digest=digest)
+    header, values, _ = read_table(path, digest=digest)
     if header[0] != "count":
         raise ConfigError(f"{path}: the first column is {header[0]!r}, not 'count'; "
                           "rerun stage 'simulate'")
@@ -374,14 +384,13 @@ def read_distance(out_dir, stage):
     """The FiniteMetricSpace that ``write_distance`` wrote.  A missing ``# labels`` line, a
     pair count other than m(m - 1)/2 or distances the space refuses raise ConfigError
     naming the file."""
+    from .entropy import FiniteMetricSpace
+
     path = _need(out_dir, DISTANCE, stage)
-    labels = read_record(path, {"# labels": lambda text: text.split(",")})["# labels"]
+    header, data, comments = read_table(path, empty=True)  # one point has no pair
+    labels = cast_record(path, comments, {"# labels": lambda text: text.split(",")})["# labels"]
+    (pairs,) = _columns(path, header, data, ("distance",))
     m = len(labels)
-    if m > 1:
-        (pairs,) = read_columns(path, ("distance",))
-    else:  # one point has no pair, and read_table refuses a table with no rows
-        with open(path) as fh:
-            pairs = [line for line in fh if line.strip() and not line.startswith("#")][1:]
     if len(pairs) != m * (m - 1) // 2:
         raise ConfigError(f"{path}: {len(pairs)} distances, but {m} labels need "
                           f"{m * (m - 1) // 2}")
@@ -403,10 +412,11 @@ def read_curve(path, kind, levels=None):
     ``levels``.  Other levels, an invalid curve or, as the empirical curve's standard errors
     divide by it, a ``# samples`` that is missing, not an integer or below 1 raise
     ConfigError naming the file."""
-    u, p = read_columns(path, ("u", "prob"))
+    header, data, pairs = read_table(path)
+    u, p = _columns(path, header, data, ("u", "prob"))
     samples = 0
     if kind == "empirical":
-        samples = read_record(path, {"# samples": int})["# samples"]
+        samples = cast_record(path, pairs, {"# samples": int})["# samples"]
         if samples < 1:
             raise ConfigError(f"{path}: the empirical curve records {samples} samples, "
                               "not at least 1")
@@ -598,9 +608,9 @@ def _entropy_settings(cfg, degree):
         tau = rosenthal_lift(env, degree)
         low = float(np.min(tau.log_value(tau.opt_grid()[0])))
         if low > LOG_HALF_MAX_DOUBLE:
-            cfg.fail(key := SCALE_KEYS[env.family], f"{key}: lifted by degree {degree}, the "
-                     f"envelope is at least exp({low!r}), past exp({LOG_HALF_MAX_DOUBLE!r}): the "
-                     "entropy integral overflows")
+            cfg.fail(key := f"psi.{FAMILY_PARAMS[env.family][0]}", f"{key}: lifted by degree "
+                     f"{degree}, the envelope is at least exp({low!r}), past "
+                     f"exp({LOG_HALF_MAX_DOUBLE!r}): the entropy integral overflows")
     return {"p_grid": p_grid, "env": env}
 
 
@@ -665,7 +675,7 @@ def stage_bounds(cfg, out_dir, fld=None, settings=None):
     return 0 if geo.certified else 2
 
 
-def stage_verify(cfg, out_dir):
+def stage_verify(cfg, out_dir, fld=None):
     emp = read_curve(_need(out_dir, TAIL_EMPIRICAL, "verify"), "empirical")
     upper = read_curve(_need(out_dir, TAIL_UPPER, "verify"), "upper_bound", emp.u_grid)
     lower_path = os.path.join(out_dir, TAIL_LOWER)
@@ -673,6 +683,22 @@ def stage_verify(cfg, out_dir):
     if os.path.exists(lower_path):
         lower = read_curve(lower_path, "lower_bound", emp.u_grid)
     cmp = compare_curves(emp, upper, lower=lower)
+    # the invariants are re-derived from the field, as run hands it over or field.csv holds it
+    if fld is None:
+        fld = read_field(out_dir, "verify")
+    geo = read_geometry(out_dir, "verify", fld.meta["field_sha256"])
+    path = _need(out_dir, MOMENTS_SUP, "verify")
+    p, sup = read_columns(path, ("p", "value"))
+    if not np.array_equal(p, geo.p_grid):
+        raise ConfigError(f"{path}: its p grid is not the one {PSI_USED} records; "
+                          "rerun stage 'bounds'")
+    report = read_record(_need(out_dir, BOUND_REPORT, "verify"), {"sup_norm": parse_number})
+    space = read_distance(out_dir, "verify")
+    if space.labels != tuple(fld.labels):
+        raise ConfigError(f"{DISTANCE} holds other index points than {FIELD}; "
+                          "rerun stage 'entropy'")
+    checks = rederived_invariants(geo, sup, report["sup_norm"], upper, fld, space.dist)
+    ok = cmp.ok and "FAIL" not in checks.values()
     write_pairs(
         os.path.join(out_dir, VERIFY_REPORT),
         [
@@ -682,10 +708,11 @@ def stage_verify(cfg, out_dir):
             ("lower_violations", cmp.lower_violations),
             ("max_upper_excess", cmp.max_upper_excess),
             ("max_lower_excess", cmp.max_lower_excess),
-            ("ordering", "PASS" if cmp.ok else "FAIL"),
+            *checks.items(),
+            ("ordering", "PASS" if ok else "FAIL"),
         ],
     )
-    return 0 if cmp.ok else 2
+    return 0 if ok else 2
 
 
 def stage_run(cfg, out_dir):
@@ -698,7 +725,7 @@ def stage_run(cfg, out_dir):
     cfg.check_read()
     fld = stage_simulate(cfg, out_dir, simulate)
     stage_entropy(cfg, out_dir, fld, entropy)
-    return max(stage_bounds(cfg, out_dir, fld, bounds), stage_verify(cfg, out_dir))
+    return max(stage_bounds(cfg, out_dir, fld, bounds), stage_verify(cfg, out_dir, fld))
 
 
 STAGES = {

@@ -39,7 +39,12 @@ DEFAULT_GRID_POINTS = 257
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-FAMILIES = ("power_log", "exp_power", "constant", "tabulated")
+# each parametric family's parameters, in the order its constructor takes them and its record
+# spells them; the first scales the envelope
+FAMILY_PARAMS = {
+    "power_log": ("m", "r"), "exp_power": ("coef", "expo"), "constant": ("value", "p_sup")
+}
+FAMILIES = (*FAMILY_PARAMS, "tabulated")
 
 
 def check_p_grid(p_grid):
@@ -83,8 +88,7 @@ class MomentEnvelope:
             coef, expo = self.params
             return coef * p ** expo
         if self.family == "constant":
-            (value,) = self.params
-            return np.full_like(p, math.log(value))
+            return np.full_like(p, math.log(self.params[0]))
         nodes, log_values = self.params
         return np.interp(np.log(p), np.log(nodes), log_values)
 
@@ -128,19 +132,13 @@ class MomentEnvelope:
     # -- serialization -------------------------------------------------
 
     def to_text(self):
-        if self.family == "power_log":
-            m, r = self.params
-            return f"power_log m={m!r} r={r!r} lift={self.lift}"
-        if self.family == "exp_power":
-            coef, expo = self.params
-            return f"exp_power coef={coef!r} expo={expo!r} lift={self.lift}"
-        if self.family == "constant":
-            (value,) = self.params
-            return f"constant value={value!r} p_sup={self.b!r} lift={self.lift}"
-        nodes, log_values = self.params
-        ps = ",".join(repr(float(x)) for x in nodes)
-        vs = ",".join(repr(float(math.exp(v))) for v in log_values)
-        return f"tabulated lift={self.lift} p={ps} v={vs}"
+        if self.family == "tabulated":
+            nodes, log_values = self.params
+            ps = ",".join(repr(float(x)) for x in nodes)
+            vs = ",".join(repr(float(math.exp(v))) for v in log_values)
+            return f"tabulated lift={self.lift} p={ps} v={vs}"
+        params = " ".join(f"{k}={v!r}" for k, v in zip(FAMILY_PARAMS[self.family], self.params))
+        return f"{self.family} {params} lift={self.lift}"
 
     @classmethod
     def from_text(cls, text):
@@ -168,7 +166,7 @@ class MomentEnvelope:
 
 
 # what each family parameter must be, checked by the constructors and the config reader
-_FAMILY_PARAMS = {
+_PARAM_RANGES = {
     "m": ("positive", lambda x: x > 0),
     "r": ("finite", math.isfinite),
     "p_sup": ("above 2", lambda x: x > 2),
@@ -178,7 +176,7 @@ _FAMILY_PARAMS = {
 
 def check_family_param(name, value):
     """Raises ValueError unless the envelope family parameter ``name`` is in range (NaN never is)."""
-    what, ok = _FAMILY_PARAMS[name]
+    what, ok = _PARAM_RANGES[name]
     if not ok(value):
         raise ValueError(f"{name} must be {what}, got {value!r}")
 
@@ -201,7 +199,7 @@ def constant_envelope(value, p_sup):
     """psi(p) = value on [2, p_sup]; the finite-moment-range family."""
     check_family_param("value", value)
     check_family_param("p_sup", p_sup)
-    return MomentEnvelope("constant", (float(value),), float(p_sup))
+    return MomentEnvelope("constant", (float(value), float(p_sup)), float(p_sup))
 
 
 def tabulated_envelope(p_grid, values):
@@ -220,16 +218,11 @@ def tabulated_envelope(p_grid, values):
 
 
 def make_envelope(family, **params):
-    """Single-entry constructor used by config parsing."""
-    if family == "power_log":
-        return power_log_envelope(params["m"], params.get("r", 0.0))
-    if family == "exp_power":
-        return exp_power_envelope(params["coef"], params["expo"])
-    if family == "constant":
-        return constant_envelope(params["value"], params["p_sup"])
-    if family == "tabulated":
-        return tabulated_envelope(params["p_grid"], params["values"])
-    raise ValueError(f"unknown envelope family {family!r}")
+    """The envelope that ``family``'s constructor, ``<family>_envelope``, builds from
+    ``params``, passed by name."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown envelope family {family!r}")
+    return globals()[f"{family}_envelope"](**params)
 
 
 def check_lift_degree(degree):

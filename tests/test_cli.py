@@ -23,7 +23,7 @@ from hypothesis.extra import numpy as hnp
 
 import ustattails
 from spaces import exact_cover, packing_count
-from ustattails import cli, engine, entropy
+from ustattails import bounds, cli, engine, entropy
 from ustattails.bounds import calibrate_tails
 from ustattails.cli import (
     BOUND_REPORT,
@@ -50,7 +50,7 @@ from ustattails.cli import (
 )
 from ustattails.config import Config, ConfigError, parse_grid, resolve_grid
 from ustattails.empirics import FieldSamples, distinct_rows
-from ustattails.envelopes import log_maximum_bound
+from ustattails.envelopes import FAMILY_PARAMS, MomentEnvelope, log_maximum_bound, rosenthal_lift
 
 SMOKE = """\
 run.seed = 11
@@ -335,8 +335,8 @@ class TestPipeline:
         monkeypatch.setattr(cli, "read_table", counted)
         assert main(["run", smoke_cfg, "--out", str(tmp_path)]) == 0
         assert FIELD not in parsed
-        # nor are the distances or the entropy table: bounds reads entropy_summary.txt
-        assert DISTANCE not in parsed and ENTROPY not in parsed
+        # nor is the entropy table: bounds reads entropy_summary.txt, and verify the distances
+        assert DISTANCE in parsed and ENTROPY not in parsed
         assert TAIL_EMPIRICAL in parsed  # the wrapper sees the tables that are parsed
 
     def test_run_calls_each_stage_through_the_module(self, smoke_cfg, tmp_path, monkeypatch):
@@ -1045,11 +1045,7 @@ class TestPipeline:
         assert p[3] < p[2] < p[1]
 
     def test_verify_flags_tampered_curve(self, smoke_cfg, smoke_run, tmp_path):
-        _, good = smoke_run
-        out = tmp_path / "tampered"
-        out.mkdir()
-        for name in (TAIL_EMPIRICAL, TAIL_UPPER, TAIL_LOWER):
-            (out / name).write_bytes((good / name).read_bytes())
+        out = copy_artifacts(smoke_run[1], tmp_path / "tampered")
         lines = (out / TAIL_EMPIRICAL).read_text().splitlines()
         fixed = lines[:2] + [f"{l.split(',')[0]},1.0" for l in lines[2:]]
         (out / TAIL_EMPIRICAL).write_text("\n".join(fixed) + "\n")
@@ -1094,6 +1090,21 @@ class TestPipeline:
         assert main(["verify", smoke_cfg, "--out", str(out)]) == 1
         assert name in capsys.readouterr().err
         assert not (out / VERIFY_REPORT).exists()
+
+    @pytest.mark.parametrize("name, edit", [
+        (MOMENTS_SUP, lambda lines: lines[:-1]),
+        (DISTANCE, lambda lines: [lines[0].replace(",0.8,", ",0.9,")] + lines[1:]),
+    ], ids=["moments_on_other_grid", "distances_of_other_points"])
+    def test_verify_names_a_foreign_artifact(
+        self, smoke_cfg, smoke_run, tmp_path, capsys, name, edit
+    ):
+        # verify re-derives its invariants on the field's own grid and index points, so
+        # moments on another p grid or distances between other points exit 1 naming the file
+        out = copy_artifacts(smoke_run[1], tmp_path / "foreign")
+        lines = (out / name).read_text().splitlines()
+        (out / name).write_text("\n".join(edit(lines)) + "\n")
+        assert main(["verify", smoke_cfg, "--out", str(out)]) == 1
+        assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "setting, code, count, record",
@@ -1298,6 +1309,26 @@ def test_only_commands_that_simulate_load_engine(smoke_run, tmp_path):
     assert read_artifacts(tmp_path / "out") == read_artifacts(smoke_run[1])
 
 
+def test_bounds_process_loads_neither_engine_nor_entropy(smoke_run, tmp_path):
+    # bounds reads the geometry the entropy stage recorded, so a fresh python -m ustattails
+    # bounds compiles neither the simulation engine nor the covering code
+    src = os.path.dirname(os.path.dirname(ustattails.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = copy_artifacts(smoke_run[1], tmp_path / "out")
+    (tmp_path / "smoke.cfg").write_text(SMOKE)
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ustattails", "bounds",
+         str(tmp_path / "smoke.cfg"), "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in child.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"ustattails.cli", "ustattails.bounds"} <= imported
+    assert not imported & {"ustattails.engine", "ustattails.entropy"}
+    assert read_artifacts(out) == read_artifacts(smoke_run[1])
+
+
 def test_process_entry_matches_main_and_freezes_imports(smoke_run, tmp_path, capsys):
     # python -m ustattails runs __main__.main, which exits as cli.main returns and writes the
     # same bytes; when cli.main starts, the collector is on and the imports are frozen
@@ -1382,6 +1413,27 @@ def test_readme_config_keys_are_the_key_tuple():
     assert sorted(keys) == sorted(cli.KEYS)
 
 
+@pytest.mark.parametrize("keys", [
+    "psi.family = power_log\npsi.m = 2\n",
+    "psi.family = power_log\npsi.m = 0.7\npsi.r = -1.5\n",
+    "psi.family = exp_power\npsi.coef = 0.5\npsi.expo = 1\n",
+    "psi.family = constant\npsi.value = 3\npsi.p_sup = 16\n",
+    "psi.family = constant\npsi.value = 0.1\npsi.p_sup = inf\n",
+], ids=["power_log", "power_log_r", "exp_power", "constant", "constant_unbounded"])
+def test_configured_envelope_round_trips_its_record(keys):
+    # the psi.* keys and the psi_used.txt record spell each family's parameters from one table:
+    # the envelope the keys build reads back from its text as an equal envelope, lifted too
+    cfg = Config.from_text(keys)
+    env = cli.build_envelope(cfg, resolve_grid(parse_grid("log:2:8:6")))
+    assert cfg.read == set(cfg.entries) | {f"psi.{name}" for name in FAMILY_PARAMS[env.family]}
+    for lifted in (env, rosenthal_lift(env, 2)):
+        back = MomentEnvelope.from_text(lifted.to_text())
+        assert back == lifted
+        assert back.to_text() == lifted.to_text()
+    if env.family == "power_log" and "psi.r" not in keys:
+        assert env.params[1] == 0.0
+
+
 def test_table_codec_round_trips_bits(tmp_path):
     path = tmp_path / "table.csv"
     values = np.array([
@@ -1389,10 +1441,10 @@ def test_table_codec_round_trips_bits(tmp_path):
         [0.1 + 0.2, 1.0 / 3.0, -2.5e-310],
     ])
     write_table(path, ("a", "b", "c"), values.tolist(), comment="samples = 2")
-    header, back = read_table(path)
+    header, back, pairs = read_table(path)
     assert header == ["a", "b", "c"]
     assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
-    assert read_pairs(path) == [("# samples", "2")]
+    assert pairs == read_pairs(path) == [("# samples", "2")]
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 100])
@@ -1529,8 +1581,9 @@ def test_table_parser_matches_loadtxt(tmp_path, edit, labelled):
             read_table(path)
         assert str(caught.value) == f"{path}: {exc}"  # the row numbers of the file itself
         return
-    got_header, got = read_table(path)
+    got_header, got, pairs = read_table(path)
     assert got_header == header
+    assert pairs == [("# samples", "6")]
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -1727,7 +1780,7 @@ def test_small_configs_finish_or_fail_first(config):
 
 
 # what no command runs, and why it stays: the exact variance that acceptance criteria 02
-# and 03 check, the brute-force and Generator references the tests compare against, the three
+# and 03 check, the brute-force and Generator references the tests compare against, the two
 # functions the benchmark's tracer (perfbench/tracing.py) wraps by name, and the two
 # functions that run only in a fresh process or for a caller of the library, which this
 # test's in-process cli.main calls do not reach
@@ -1736,9 +1789,6 @@ LIBRARY_ONLY = {
     "engine._FactorTerms.__len__", "engine._FactorTerms.__getitem__",
     "engine.alphabet_sampler.draw", "engine.uniform_sampler.draw",
     "envelopes.tail_bound",
-    # distance.csv is written for readers, and bounds reads entropy_summary.txt; the
-    # tracer wraps read_distance, and the tests read distance.csv back through it
-    "cli.read_distance",
     # the package's lazy exports, resolved before any command runs; run by
     # test_only_commands_that_simulate_load_engine
     "__init__.__getattr__",
@@ -2025,3 +2075,40 @@ def test_benchmark_gate_passes(name, tmp_path, monkeypatch):
     rc = main(["bounds", str(cfg), "--out", str(out), "--set", f"run.seed={seed}"])
     assert rc == workload.expected_exit
     assert gate.check_identical(before, gate.digests(str(out)), "bounds rerun") == []
+
+
+# the mutants verify must catch: the bounds function a run is patched through, the factor on
+# what it returns, and the invariant whose line then fails
+VERIFY_MUTANTS = {
+    "sup_norm_x0.9": ("envelope_norm", 0.9, "sup_norm_rederived"),
+    "sup_norm_x0.5": ("envelope_norm", 0.5, "sup_norm_rederived"),
+    "distances_x0.5": ("envelope_distance", 0.5, "reverse_triangle"),
+    "distances_x0": ("envelope_distance", 0.0, "reverse_triangle"),
+}
+
+
+@pytest.mark.parametrize("config", ["smoke", "narrow_exact", "wide_index"])
+@pytest.mark.parametrize("mutant", sorted(VERIFY_MUTANTS))
+def test_verify_catches_mutants(mutant, config, tmp_path, monkeypatch):
+    # a run under one mutated stage function writes artifacts whose curves still pass the
+    # ordering check; an unpatched verify then fails on the invariant it re-derives, where
+    # the clean artifacts pass all three
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    cfg = tmp_path / f"{config}.cfg"
+    cfg.write_text(SMOKE if config == "smoke" else workloads.WORKLOADS[config].config_text())
+    assert main(["run", str(cfg), "--out", str(tmp_path / "clean")]) == 0
+    report = key_values(tmp_path / "clean" / VERIFY_REPORT)
+    assert [report[key] for key in ("sup_norm_rederived", "markov", "reverse_triangle")] \
+        == ["PASS"] * 3
+    name, factor, invariant = VERIFY_MUTANTS[mutant]
+    out = tmp_path / "mutant"
+    with monkeypatch.context() as patch:
+        stage = getattr(bounds, name)
+        patch.setattr(bounds, name, lambda *args, **kwargs: stage(*args, **kwargs) * factor)
+        main(["run", str(cfg), "--out", str(out)])
+    assert main(["verify", str(cfg), "--out", str(out)]) == 2
+    report = key_values(out / VERIFY_REPORT)
+    assert (report["upper_violations"], report[invariant], report["ordering"]) \
+        == ("0", "FAIL", "FAIL")
