@@ -32,8 +32,8 @@ from .envelopes import envelope_norm, envelope_norm_rows, rosenthal_lift, tail_c
 # the binomial standard errors of slack an empirical point has against a bound curve
 SIGMA = 3.0
 # the relative slack, for rounding, of the invariants verify re-derives from the artifacts: the
-# recorded sup_norm and the Markov floor of the upper curve, then the reverse triangle, which a
-# rank-one field meets with equality
+# recorded sup_norm, the Markov floor of the upper curve and the natural psi, then the reverse
+# triangle, which a rank-one field meets with equality
 REDERIVE_RTOL = 1e-12
 TRIANGLE_RTOL = 1e-9
 # integrand mass on saturated eps above this fraction means the eps grid sees
@@ -156,18 +156,24 @@ def rederived_invariants(geometry, sup_moments, sup_norm, upper, field_samples, 
       between the nodes.
     * ``reverse_triangle``: each distance of ``dist`` is at least max_p |‖X_s‖_p -
       ‖X_t‖_p| / psi(p), from the moments of the columns of ``field_samples``.
+    * ``psi_rederived``: the natural envelope psi is, on the p grid, the largest of those
+      column moments; ``n/a`` under a configured envelope.
     """
     p_grid, psi = geometry.p_grid, geometry.psi_used
+    log_psi = psi.log_value(p_grid)
     norm = float(envelope_norm_rows(sup_moments, geometry.tau.log_value(p_grid)))
+    columns = column_moments(field_samples, p_grid)
+    i, j = np.triu_indices(field_samples.size, 1)
+    floor = envelope_norm_rows(np.abs(columns[i] - columns[j]), log_psi)
     checks = {"sup_norm_rederived": math.isclose(sup_norm, norm, rel_tol=REDERIVE_RTOL),
-              "markov": None}
+              "markov": None,
+              "reverse_triangle": bool(np.all(dist[i, j] >= floor * (1.0 - TRIANGLE_RTOL))),
+              "psi_rederived": None}
     if psi.family == "tabulated":
         floor = markov_bound(p_grid, sup_moments, upper.u_grid)
         checks["markov"] = bool(np.all(upper.probs >= floor * (1.0 - REDERIVE_RTOL)))
-    columns = np.array([table.values for table in column_moments(field_samples, p_grid)])
-    i, j = np.triu_indices(field_samples.size, 1)
-    floor = envelope_norm_rows(np.abs(columns[i] - columns[j]), psi.log_value(p_grid))
-    checks["reverse_triangle"] = bool(np.all(dist[i, j] >= floor * (1.0 - TRIANGLE_RTOL)))
+        checks["psi_rederived"] = bool(np.allclose(np.exp(log_psi), columns.max(axis=0),
+                                                   rtol=REDERIVE_RTOL, atol=0.0))
     return {name: {True: "PASS", False: "FAIL", None: "n/a"}[ok] for name, ok in checks.items()}
 
 

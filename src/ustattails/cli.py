@@ -85,10 +85,12 @@ def _write(path, text):
         fh.write(text)
 
 
-def _discard(out_dir, name):
-    # an optional artifact that an earlier config wrote and this one does not must not stay
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, name))
+def _discard(out_dir, *names):
+    # an artifact that an earlier command wrote must not stay when this one writes none:
+    # its config wants none, or the command fails
+    for name in names:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
 
 
 def _need(out_dir, name, stage):
@@ -549,6 +551,9 @@ def _simulate_settings(cfg):
     rank = None
     if cfg.get_str("run.rank", "auto") != "auto":
         rank = cfg.get_int("run.rank", check=check_rank)
+    elif sampler.alphabet is None:
+        cfg.fail("run.rank", f"run.rank: a {sampler.name} law has no finite alphabet to derive "
+                 "the rank from; set run.rank")
     return {"kernel": kernel, "sampler": sampler, "n": n, "reps": reps, "seed": seed,
             "rank": rank, "subsets": build_mode(cfg)}
 
@@ -646,6 +651,7 @@ def _bounds_settings(cfg, columns):
 
 
 def stage_bounds(cfg, out_dir, fld=None, settings=None):
+    _discard(out_dir, MOMENTS_SUP, TAIL_EMPIRICAL, TAIL_UPPER, TAIL_LOWER, BOUND_REPORT, PLOT)
     if fld is None:
         fld = read_field(out_dir, "bounds")
     if settings is None:
@@ -665,17 +671,14 @@ def stage_bounds(cfg, out_dir, fld=None, settings=None):
     for name, file in (("empirical", TAIL_EMPIRICAL), ("upper", TAIL_UPPER), ("lower", TAIL_LOWER)):
         if name in report.curves:
             write_curve(os.path.join(out_dir, file), report.curves[name])
-        else:
-            _discard(out_dir, file)  # verify reads whichever lower curve it finds
     _write(os.path.join(out_dir, BOUND_REPORT), report_text(report))
     if plot:
         write_svg(out_dir, report.curves)
-    else:
-        _discard(out_dir, PLOT)
     return 0 if geo.certified else 2
 
 
 def stage_verify(cfg, out_dir, fld=None):
+    _discard(out_dir, VERIFY_REPORT)
     emp = read_curve(_need(out_dir, TAIL_EMPIRICAL, "verify"), "empirical")
     upper = read_curve(_need(out_dir, TAIL_UPPER, "verify"), "upper_bound", emp.u_grid)
     lower_path = os.path.join(out_dir, TAIL_LOWER)

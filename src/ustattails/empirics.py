@@ -71,14 +71,10 @@ def _power_means(A, counts, p_grid):
     return top[:, None] * (sums / total) ** (1.0 / p)
 
 
-def _atom_moments(rows, counts, p_grid):
-    """Power means of the columns of the distinct ``rows`` weighted by their ``counts``."""
-    return _power_means(np.abs(rows.T, order="C"), counts, p_grid)
-
-
 def empirical_moments(samples, p_grid, counts=None):
     """MomentTable of |x|_p over p_grid from a 1-d sample, each value taken ``counts`` times."""
-    return column_moments(FieldSamples(("",), np.reshape(samples, (-1, 1)), counts), p_grid)[0]
+    law = FieldSamples(("",), np.reshape(samples, (-1, 1)), counts)
+    return MomentTable(p_grid, column_moments(law, p_grid)[0], law.replications)
 
 
 @dataclass(frozen=True)
@@ -143,10 +139,8 @@ class FieldSamples:
 
 
 def column_moments(field, p_grid):
-    """One MomentTable per field column."""
-    p = np.asarray(p_grid, dtype=float)
-    return [MomentTable(p, values, field.replications)
-            for values in _atom_moments(field.values, field.counts, p)]
+    """|field_t|_p of each column t over p_grid, as a (columns, len(p_grid)) matrix."""
+    return _power_means(np.abs(field.values.T, order="C"), field.counts, p_grid)
 
 
 def natural_envelope(field, p_grid):
@@ -155,7 +149,7 @@ def natural_envelope(field, p_grid):
     This is the smallest envelope on the grid under which every column has
     norm at most 1, with equality at the argmax column at some node.
     """
-    values = _atom_moments(field.values, field.counts, p_grid).max(axis=0)
+    values = column_moments(field, p_grid).max(axis=0)
     if not np.all(values > 0):
         raise ValueError(
             "field is identically zero at some moment order; no natural envelope"

@@ -24,8 +24,7 @@ Tabulated envelopes are optimised over their own nodes only: they carry no
 information between nodes, and restricting the search to nodes keeps the
 Markov-inequality dominance of empirically calibrated bounds exact.
 Truncating an infinite support at p_max only weakens the resulting tail bound
-(the sup is taken over a subset), so it is safe; operations report the
-truncation through ``MomentEnvelope.opt_grid``.  Grid argmax/argmin ties
+(the sup is taken over a subset), so it is safe.  Grid argmax/argmin ties
 resolve to the smallest index.
 """
 
@@ -111,10 +110,10 @@ class MomentEnvelope:
     def opt_grid(self, p_max=DEFAULT_P_MAX):
         """Grid for sup/inf over p.
 
-        Returns ``(grid, truncated, refine)``.  ``truncated`` flags that the
-        support reaches past p_max and was cut there; ``refine`` says whether
-        a golden-section pass between grid points is meaningful (it is not
-        for tabulated envelopes, which are only defined at their nodes).
+        Returns ``(grid, refine)``: the grid covers the support up to p_max, and
+        ``refine`` says whether a golden-section pass between grid points is
+        meaningful (it is not for tabulated envelopes, which are only defined
+        at their nodes).
         """
         if not p_max > 2.0:  # every range starts at 2
             raise ValueError("p_max must exceed 2")
@@ -123,11 +122,8 @@ class MomentEnvelope:
             keep = nodes <= p_max * (1.0 + 1e-12)
             if not keep.any():
                 raise ValueError("no tabulated nodes at or below p_max")
-            return nodes[keep], bool((~keep).any()), False
-        hi = min(self.b, p_max)
-        truncated = self.b > p_max
-        grid = np.geomspace(2.0, hi, DEFAULT_GRID_POINTS)
-        return grid, truncated, True
+            return nodes[keep], False
+        return np.geomspace(2.0, min(self.b, p_max), DEFAULT_GRID_POINTS), True
 
     # -- serialization -------------------------------------------------
 
@@ -255,7 +251,7 @@ def _minimise_over_p(env, f, args, p_max):
     when its bracket closes.
     """
     args = np.asarray(args, dtype=float).reshape(-1)
-    grid, _trunc, refine = env.opt_grid(p_max)
+    grid, refine = env.opt_grid(p_max)
     obj = f(args[:, None], grid, env.log_value(grid))
     k = np.argmin(obj, axis=1)
     best = obj[np.arange(args.size), k]

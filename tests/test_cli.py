@@ -50,7 +50,9 @@ from ustattails.cli import (
 )
 from ustattails.config import Config, ConfigError, parse_grid, resolve_grid
 from ustattails.empirics import FieldSamples, distinct_rows
-from ustattails.envelopes import FAMILY_PARAMS, MomentEnvelope, log_maximum_bound, rosenthal_lift
+from ustattails.envelopes import (
+    FAMILY_PARAMS, MomentEnvelope, log_maximum_bound, rosenthal_lift, tabulated_envelope
+)
 
 SMOKE = """\
 run.seed = 11
@@ -85,6 +87,8 @@ RUN_ARTIFACTS = [
     BOUND_REPORT,
     VERIFY_REPORT,
 ]
+# what stage bounds writes, and removes first, so that a failed bounds leaves none of it
+BOUNDS_OUTPUTS = (MOMENTS_SUP, TAIL_EMPIRICAL, TAIL_UPPER, TAIL_LOWER, BOUND_REPORT, PLOT)
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +129,11 @@ def read_artifacts(out_dir):
         with open(os.path.join(out_dir, name), "rb") as fh:
             data[name] = fh.read()
     return data
+
+
+def without(artifacts, names):
+    """The artifacts of ``read_artifacts`` but those named."""
+    return {name: data for name, data in artifacts.items() if name not in names}
 
 
 def copy_artifacts(src, dst):
@@ -487,11 +496,12 @@ class TestPipeline:
 
     @pytest.mark.parametrize("column", ["9", "-1"])
     def test_bad_lower_column_fails_bounds(self, smoke_cfg, smoke_run, tmp_path, capsys, column):
+        # the failed stage leaves what the run wrote, but for its own outputs
         out = copy_artifacts(smoke_run[1], tmp_path / "column")
         rc = main(["bounds", smoke_cfg, "--out", str(out), "--set", f"bound.lower_column={column}"])
         assert rc == 1
         assert "bound.lower_column" in capsys.readouterr().err
-        assert read_artifacts(out) == read_artifacts(smoke_run[1])
+        assert read_artifacts(out) == without(read_artifacts(smoke_run[1]), BOUNDS_OUTPUTS)
 
     def test_high_degree_alphabet_law_with_rank(self, other_kernel_cfg, tmp_path):
         # the closed-form decomposition serves any degree, so it is written with run.rank too
@@ -725,6 +735,7 @@ class TestPipeline:
             ("kernel.t_grid=inf,1", "kernel.t_grid"),
             ("psi.family=power_log psi.m=inf", "psi.m"),
             ("sampler.name=uniform sampler.lo=-1e308 sampler.hi=1e308 run.rank=1", "sampler.lo"),
+            ("sampler.name=normal", "run.rank"),
         ],
         ids=["power_log_no_m", "exp_power_no_coef", "bad_lower_exponent", "bad_sigma",
              "bad_degree", "bad_plateau_fraction", "bad_plot", "budget_not_accepted",
@@ -746,7 +757,7 @@ class TestPipeline:
              "degree_not_accepted", "nan_alphabet_value", "nan_alphabet_weight", "nan_t_grid",
              "nan_shift", "inf_shift", "inf_alphabet_value", "infinite_uniform_lo",
              "inf_lognormal_sigma", "inf_pareto_index", "inf_t_grid", "inf_m",
-             "uniform_range_overflows"],
+             "uniform_range_overflows", "auto_rank_on_a_continuum"],
     )
     def test_bad_stage_key_fails_before_any_artifact(
         self, smoke_cfg, other_kernel_cfg, tmp_path, capsys, setting, key
@@ -890,14 +901,15 @@ class TestPipeline:
     def test_missing_field_meta_exits_1_naming_it(
         self, smoke_cfg, smoke_run, tmp_path, capsys, stage
     ):
-        # field_meta.txt is a required input of every stage that reads the field
+        # field_meta.txt is a required input of every stage that reads the field; a failed
+        # bounds leaves none of its own outputs
         out = copy_artifacts(smoke_run[1], tmp_path / "nometa")
         os.remove(out / FIELD_META)
         before = read_artifacts(out)
         assert main([stage, smoke_cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert FIELD_META in err and "earlier stage" in err
-        assert read_artifacts(out) == before
+        assert read_artifacts(out) == without(before, BOUNDS_OUTPUTS if stage == "bounds" else ())
 
     @pytest.mark.parametrize("setting", [
         "grids.u=quantile:0.5:1:12",
@@ -1105,6 +1117,27 @@ class TestPipeline:
         (out / name).write_text("\n".join(edit(lines)) + "\n")
         assert main(["verify", smoke_cfg, "--out", str(out)]) == 1
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, damage, outputs", [
+        ("verify", MOMENTS_SUP, [VERIFY_REPORT]),
+        ("bounds", ENTROPY_SUMMARY, BOUNDS_OUTPUTS),
+    ], ids=["verify_moments_row_deleted", "bounds_summary_deleted"])
+    def test_failed_stage_leaves_none_of_its_outputs(
+        self, smoke_cfg, tmp_path, capsys, stage, damage, outputs
+    ):
+        # a stage that exits 1 first removed what an earlier run of it wrote, so no report
+        # of that run reads as this command's
+        out = tmp_path / "stale"
+        assert main(["run", smoke_cfg, "--out", str(out), "--set", "output.plot=true"]) == 0
+        assert all((out / name).exists() for name in outputs)
+        if stage == "verify":
+            (out / damage).write_text("".join((out / damage).read_text().splitlines(True)[:-1]))
+        else:
+            (out / damage).unlink()
+        assert main([stage, smoke_cfg, "--out", str(out), "--set", "output.plot=true"]) == 1
+        assert damage in capsys.readouterr().err
+        assert [name for name in outputs if (out / name).exists()] == []
+        assert (out / VERIFY_REPORT).exists() == (stage == "bounds")
 
     @pytest.mark.parametrize(
         "setting, code, count, record",
@@ -1863,6 +1896,10 @@ def test_staged_matches_run_on_every_law(name, tmp_path):
     # one distance row per pair of the field's index points
     m = len(read_field(str(tmp_path / "run"), "test").labels)
     assert len((tmp_path / "run" / DISTANCE).read_text().splitlines()) == 2 + m * (m - 1) // 2
+    # verify re-derives psi from the field under the natural envelope alone
+    natural = key_values(tmp_path / "run" / PSI_USED)["psi"].startswith("tabulated ")
+    want = "PASS" if natural else "n/a"
+    assert key_values(tmp_path / "run" / VERIFY_REPORT)["psi_rederived"] == want
 
 
 def test_shared_directory_holds_each_configs_artifacts(tmp_path):
@@ -2084,7 +2121,18 @@ VERIFY_MUTANTS = {
     "sup_norm_x0.5": ("envelope_norm", 0.5, "sup_norm_rederived"),
     "distances_x0.5": ("envelope_distance", 0.5, "reverse_triangle"),
     "distances_x0": ("envelope_distance", 0.0, "reverse_triangle"),
+    "psi_x0.5": ("natural_envelope", 0.5, "psi_rederived"),
+    "psi_x2": ("natural_envelope", 2.0, "psi_rederived"),
 }
+INVARIANTS = ("sup_norm_rederived", "markov", "reverse_triangle", "psi_rederived")
+
+
+def scaled(value, factor):
+    """``value`` times ``factor``; an envelope is scaled through its tabulated values."""
+    if isinstance(value, MomentEnvelope):
+        nodes, log_values = value.params
+        return tabulated_envelope(nodes, np.exp(log_values) * factor)
+    return value * factor
 
 
 @pytest.mark.parametrize("config", ["smoke", "narrow_exact", "wide_index"])
@@ -2092,7 +2140,7 @@ VERIFY_MUTANTS = {
 def test_verify_catches_mutants(mutant, config, tmp_path, monkeypatch):
     # a run under one mutated stage function writes artifacts whose curves still pass the
     # ordering check; an unpatched verify then fails on the invariant it re-derives, where
-    # the clean artifacts pass all three
+    # the clean artifacts pass all four
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
     workloads = importlib.import_module("workloads")
@@ -2100,13 +2148,13 @@ def test_verify_catches_mutants(mutant, config, tmp_path, monkeypatch):
     cfg.write_text(SMOKE if config == "smoke" else workloads.WORKLOADS[config].config_text())
     assert main(["run", str(cfg), "--out", str(tmp_path / "clean")]) == 0
     report = key_values(tmp_path / "clean" / VERIFY_REPORT)
-    assert [report[key] for key in ("sup_norm_rederived", "markov", "reverse_triangle")] \
-        == ["PASS"] * 3
+    assert [report[key] for key in INVARIANTS] == ["PASS"] * 4
     name, factor, invariant = VERIFY_MUTANTS[mutant]
     out = tmp_path / "mutant"
     with monkeypatch.context() as patch:
         stage = getattr(bounds, name)
-        patch.setattr(bounds, name, lambda *args, **kwargs: stage(*args, **kwargs) * factor)
+        patch.setattr(bounds, name,
+                      lambda *args, **kwargs: scaled(stage(*args, **kwargs), factor))
         main(["run", str(cfg), "--out", str(out)])
     assert main(["verify", str(cfg), "--out", str(out)]) == 2
     report = key_values(out / VERIFY_REPORT)

@@ -22,7 +22,7 @@ from ustattails import (
 )
 from ustattails import empirics
 from ustattails.config import resolve_grid
-from ustattails.empirics import _atom_moments, _power_means, distinct_rows
+from ustattails.empirics import _power_means, distinct_rows
 from ustattails.envelopes import MomentTable, envelope_norm_rows, make_envelope
 from ustattails.engine import _stream
 
@@ -57,21 +57,26 @@ class TestPowerMeans:
                     assert error <= 1e-15, (seed, pj, float(error))
 
     def test_columns_with_different_zero_counts(self):
+        # the matrix has the bits of each column's own table, on a one-column field and on
+        # columns with 0, 10, 35 and 50 zero cells
         X = _stream(16, 0).standard_normal((50, 4))
         X[:10, 1] = X[:35, 2] = X[:, 3] = 0.0
         p = np.array([2.0, 5.0, 16.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _atom_moments(*distinct_rows(X), p)
-            want = [empirical_moments(X[:, j], p).values for j in range(4)]
-        assert not np.isnan(got).any()
+        for cols in (X[:, :1], X):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = column_moments(FieldSamples(tuple("abcd")[:cols.shape[1]], cols), p)
+                want = [empirical_moments(x, p).values for x in cols.T]
+            assert isinstance(got, np.ndarray) and got.shape == (cols.shape[1], p.size)
+            assert not np.isnan(got).any()
+            assert got.tobytes() == np.array(want).tobytes()
         assert np.all(got[3] == 0.0)
-        assert got.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sample_rejected(self, bad):
+        fld = FieldSamples(("a",), np.array([[1.0], [2.0], [bad], [-2.0]]))
         with pytest.raises(ValueError, match="finite"):
-            _atom_moments(*distinct_rows(np.array([[1.0], [2.0], [bad], [-2.0]])), [2.0])
+            column_moments(fld, [2.0])
 
 
 class TestDistinctRows:
@@ -104,11 +109,11 @@ class TestDistinctRows:
         def error(value, x, pj):
             return float(abs(Fraction(value) ** pj / exact_mean(x, pj) - 1) / pj)
 
-        moments = _atom_moments(*distinct_rows(values), np.array(p, dtype=float))
+        fld = FieldSamples(tuple("abcd"), values)
+        moments = column_moments(fld, np.array(p, dtype=float))
         for j in range(4):
             for k, pj in enumerate(p):
                 assert error(moments[j, k], atoms[:, j], pj) <= 1e-15, (j, pj)
-        fld = FieldSamples(tuple("abcd"), values)
         unit = make_envelope("constant", value=1.0, p_sup=16.0)
         for pj in p:
             d = envelope_distance(fld, unit, p_grid=np.array([float(pj)]))
@@ -260,8 +265,7 @@ class TestFoldInvariance:
         for fld in fields:
             assert [row.tobytes() for row in fld.values] == seen
             assert fld.counts.tolist() == [sum(r.tobytes() == k for r in X) for k in seen]
-            assert [bits(t.values) for t in column_moments(fld, p)] == [
-                bits(t.values) for t in column_moments(first, p)]
+            assert bits(column_moments(fld, p)) == bits(column_moments(first, p))
             assert bits(envelope_distance(fld, env, p_grid=p)) == bits(
                 envelope_distance(first, env, p_grid=p))
             sup_table = empirical_moments(fld.sup_abs(), p, fld.counts)
@@ -285,7 +289,7 @@ class TestNaturalEnvelope:
         )
         p = np.geomspace(2.0, 12.0, 6)
         env = natural_envelope(fld, p)
-        norms = [envelope_norm(t, env) for t in column_moments(fld, p)]
+        norms = envelope_norm_rows(column_moments(fld, p), env.log_value(p)).tolist()
         assert max(norms) == pytest.approx(1.0, abs=1e-12)
         assert all(x <= 1.0 + 1e-12 for x in norms)
 

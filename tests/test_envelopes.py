@@ -294,7 +294,7 @@ def _golden_min(f, lo, hi):
 
 def _scalar_minimise_over_p(env, f, p_max):
     """min over p of f(p, ln psi(p)) for one argument: grid minimum, then golden section."""
-    grid, _trunc, refine = env.opt_grid(p_max)
+    grid, refine = env.opt_grid(p_max)
     obj = f(grid, env.log_value(grid))
     k = int(np.argmin(obj))
     best = float(obj[k])
