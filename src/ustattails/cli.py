@@ -64,6 +64,20 @@ BOUND_REPORT = "bound_report.txt"
 VERIFY_REPORT = "verify_report.txt"
 PLOT = "plot.svg"
 
+# each command's (outputs, inputs): main removes the files it writes before it runs and again
+# when it exits 1, and first checks the files it must find when run on its own, in reading order
+FILES = {
+    "simulate": ((FIELD, FIELD_META, DECOMP), ()),
+    "entropy": ((PSI_USED, DISTANCE, ENTROPY, ENTROPY_SUMMARY), (FIELD, FIELD_META)),
+    "bounds": ((MOMENTS_SUP, TAIL_EMPIRICAL, TAIL_UPPER, TAIL_LOWER, BOUND_REPORT, PLOT),
+               (FIELD, FIELD_META, ENTROPY_SUMMARY, PSI_USED)),
+    "verify": ((VERIFY_REPORT,), (TAIL_EMPIRICAL, TAIL_UPPER, FIELD, FIELD_META, ENTROPY_SUMMARY,
+                                  PSI_USED, MOMENTS_SUP, BOUND_REPORT, DISTANCE)),
+    "decompose": ((DECOMP,), ()),
+}
+FILES["run"] = (FILES["simulate"][0] + FILES["entropy"][0] + FILES["bounds"][0]
+                + FILES["verify"][0], ())
+
 # the config keys the stages read, as README's config-key table lists them; main refuses
 # others, and run also refuses a set key that the chosen options do not read
 KEYS = (
@@ -85,19 +99,10 @@ def _write(path, text):
         fh.write(text)
 
 
-def _discard(out_dir, *names):
-    # an artifact that an earlier command wrote must not stay when this one writes none:
-    # its config wants none, or the command fails
-    for name in names:
+def _discard(paths):
+    for path in paths:
         with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, name))
-
-
-def _need(out_dir, name, stage):
-    path = os.path.join(out_dir, name)
-    if not os.path.exists(path):
-        raise ConfigError(f"stage {stage!r} needs {name} in {out_dir}; run the earlier stage first")
-    return path
+            os.remove(path)
 
 
 # -- builders ------------------------------------------------------------
@@ -353,14 +358,14 @@ def write_field(out_dir, fld):
     return _field_samples(path, labels, fld.values, fld.counts, pairs, digest.hexdigest())
 
 
-def read_field(out_dir, stage):
+def read_field(out_dir):
     """The field in field.csv, with the SHA-256 of its bytes as ``meta["field_sha256"]``.
 
     A first column not named ``count``, a NaN or infinite cell, a count that
     is not a positive integer, or counts that do not sum to field_meta.txt's
     ``reps`` raise ConfigError naming the file.
     """
-    path = _need(out_dir, FIELD, stage)
+    path = os.path.join(out_dir, FIELD)
     digest = sha256()
     header, values, _ = read_table(path, digest=digest)
     if header[0] != "count":
@@ -369,7 +374,7 @@ def read_field(out_dir, stage):
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise ConfigError(f"{path}: {bad} non-finite cells")
-    pairs = read_pairs(_need(out_dir, FIELD_META, stage))
+    pairs = read_pairs(os.path.join(out_dir, FIELD_META))
     return _field_samples(path, header[1:], values[:, 1:], values[:, 0], pairs,
                           digest.hexdigest())
 
@@ -382,13 +387,13 @@ def write_distance(out_dir, labels, dist):
            "distance\n" + "".join(map("{!r}\n".format, pairs)))
 
 
-def read_distance(out_dir, stage):
+def read_distance(out_dir):
     """The FiniteMetricSpace that ``write_distance`` wrote.  A missing ``# labels`` line, a
     pair count other than m(m - 1)/2 or distances the space refuses raise ConfigError
     naming the file."""
     from .entropy import FiniteMetricSpace
 
-    path = _need(out_dir, DISTANCE, stage)
+    path = os.path.join(out_dir, DISTANCE)
     header, data, comments = read_table(path, empty=True)  # one point has no pair
     labels = cast_record(path, comments, {"# labels": lambda text: text.split(",")})["# labels"]
     (pairs,) = _columns(path, header, data, ("distance",))
@@ -454,14 +459,14 @@ def write_geometry(out_dir, geo, space, ent, field_sha256):
     )
 
 
-def read_geometry(out_dir, stage, field_sha256):
+def read_geometry(out_dir, field_sha256):
     """The Geometry that the entropy stage recorded in psi_used.txt and entropy_summary.txt.
 
     Raises ConfigError naming entropy_summary.txt when it was measured on a field.csv whose
     bytes do not hash to ``field_sha256``, or when a number it records is missing, not
     finite, or outside [0, inf] (diameter, integral) or [0, 1] (saturated_fraction).
     """
-    path = _need(out_dir, ENTROPY_SUMMARY, stage)
+    path = os.path.join(out_dir, ENTROPY_SUMMARY)
     summary = read_record(path, {
         "field_sha256": str,
         "diameter": parse_number,
@@ -474,7 +479,7 @@ def read_geometry(out_dir, stage, field_sha256):
     if summary["field_sha256"] != field_sha256:
         raise ConfigError(f"{ENTROPY_SUMMARY} was measured on another {FIELD}; "
                           "rerun stage 'entropy'")
-    psi = read_record(_need(out_dir, PSI_USED, stage), {
+    psi = read_record(os.path.join(out_dir, PSI_USED), {
         "psi": MomentEnvelope.from_text,
         "degree": _lift_degree,
         "p_grid": lambda text: check_p_grid(parse_floats(text)),
@@ -567,12 +572,9 @@ def stage_simulate(cfg, out_dir, settings=None):
         settings = _simulate_settings(cfg)
     with _law_overflow_names_keys(cfg):
         fld = simulate_panel(**settings)
-    written = write_field(out_dir, fld)
     if fld.decomposition is not None:
         write_decomposition(out_dir, fld.decomposition)
-    else:
-        _discard(out_dir, DECOMP)
-    return written
+    return write_field(out_dir, fld)
 
 
 def write_decomposition(out_dir, decomps):
@@ -621,7 +623,7 @@ def _entropy_settings(cfg, degree):
 
 def stage_entropy(cfg, out_dir, fld=None, settings=None):
     if fld is None:
-        fld = read_field(out_dir, "entropy")
+        fld = read_field(out_dir)
     # the degree of the kernel that drew the field; the config's kernel.degree need not be it
     path = os.path.join(out_dir, FIELD_META)
     degree = cast_record(path, fld.meta, {"degree": _lift_degree})["degree"]
@@ -651,13 +653,12 @@ def _bounds_settings(cfg, columns):
 
 
 def stage_bounds(cfg, out_dir, fld=None, settings=None):
-    _discard(out_dir, MOMENTS_SUP, TAIL_EMPIRICAL, TAIL_UPPER, TAIL_LOWER, BOUND_REPORT, PLOT)
     if fld is None:
-        fld = read_field(out_dir, "bounds")
+        fld = read_field(out_dir)
     if settings is None:
         settings = _bounds_settings(cfg, len(fld.labels))
     u_spec, lower, plot = settings
-    geo = read_geometry(out_dir, "bounds", fld.meta["field_sha256"])
+    geo = read_geometry(out_dir, fld.meta["field_sha256"])
     u_grid = resolve_grid(u_spec, fld.sup_abs(), fld.counts)
     report = calibrate_tails(fld, geo, u_grid, lower=lower)
     kind, asked = u_spec
@@ -678,9 +679,8 @@ def stage_bounds(cfg, out_dir, fld=None, settings=None):
 
 
 def stage_verify(cfg, out_dir, fld=None):
-    _discard(out_dir, VERIFY_REPORT)
-    emp = read_curve(_need(out_dir, TAIL_EMPIRICAL, "verify"), "empirical")
-    upper = read_curve(_need(out_dir, TAIL_UPPER, "verify"), "upper_bound", emp.u_grid)
+    emp = read_curve(os.path.join(out_dir, TAIL_EMPIRICAL), "empirical")
+    upper = read_curve(os.path.join(out_dir, TAIL_UPPER), "upper_bound", emp.u_grid)
     lower_path = os.path.join(out_dir, TAIL_LOWER)
     lower = None
     if os.path.exists(lower_path):
@@ -688,15 +688,15 @@ def stage_verify(cfg, out_dir, fld=None):
     cmp = compare_curves(emp, upper, lower=lower)
     # the invariants are re-derived from the field, as run hands it over or field.csv holds it
     if fld is None:
-        fld = read_field(out_dir, "verify")
-    geo = read_geometry(out_dir, "verify", fld.meta["field_sha256"])
-    path = _need(out_dir, MOMENTS_SUP, "verify")
+        fld = read_field(out_dir)
+    geo = read_geometry(out_dir, fld.meta["field_sha256"])
+    path = os.path.join(out_dir, MOMENTS_SUP)
     p, sup = read_columns(path, ("p", "value"))
     if not np.array_equal(p, geo.p_grid):
         raise ConfigError(f"{path}: its p grid is not the one {PSI_USED} records; "
                           "rerun stage 'bounds'")
-    report = read_record(_need(out_dir, BOUND_REPORT, "verify"), {"sup_norm": parse_number})
-    space = read_distance(out_dir, "verify")
+    report = read_record(os.path.join(out_dir, BOUND_REPORT), {"sup_norm": parse_number})
+    space = read_distance(out_dir)
     if space.labels != tuple(fld.labels):
         raise ConfigError(f"{DISTANCE} holds other index points than {FIELD}; "
                           "rerun stage 'entropy'")
@@ -759,6 +759,8 @@ def main(argv=None):
     )
     parser.add_argument("--out", default=None, help="output directory for artifacts")
     args = parser.parse_args(argv)
+    outputs, inputs = FILES[args.command]
+    owned = ()  # the outputs' paths, once the directory they go to exists
     try:
         cfg = Config.from_file(args.config)
         for item in args.set:
@@ -769,10 +771,18 @@ def main(argv=None):
         configured = cfg.get_str("output.dir", None)  # read, so run accepts it, under --out too
         out_dir = args.out or configured or "."
         os.makedirs(out_dir, exist_ok=True)
+        owned = [os.path.join(out_dir, name) for name in outputs]
         cfg.check_keys(KEYS)
+        for name in inputs:
+            if not os.path.exists(os.path.join(out_dir, name)):
+                raise ConfigError(f"stage {args.command!r} needs {name} in {out_dir}; "
+                                  "run the earlier stage first")
+        _discard(owned)
         code = STAGES[args.command](cfg, out_dir)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # an output it cannot remove stays; exc is the error
+            _discard(owned)
         return 1
     return 0 if isinstance(code, FieldSamples) else code  # simulate returns its field
 

@@ -87,7 +87,9 @@ RUN_ARTIFACTS = [
     BOUND_REPORT,
     VERIFY_REPORT,
 ]
-# what stage bounds writes, and removes first, so that a failed bounds leaves none of it
+# what each stage writes, and so removes before it runs and again when it exits 1
+SIMULATE_OUTPUTS = (FIELD, FIELD_META, DECOMP)
+ENTROPY_OUTPUTS = (PSI_USED, DISTANCE, ENTROPY, ENTROPY_SUMMARY)
 BOUNDS_OUTPUTS = (MOMENTS_SUP, TAIL_EMPIRICAL, TAIL_UPPER, TAIL_LOWER, BOUND_REPORT, PLOT)
 
 
@@ -322,8 +324,8 @@ class TestPipeline:
     def test_moments_sup_reads_back_bit_for_bit(self, smoke_run):
         # moments_sup.csv spells the supremum's MomentTable that bounds computed, flags as 0/1
         _, out = smoke_run
-        fld = read_field(str(out), "bounds")
-        geo = cli.read_geometry(str(out), "bounds", fld.meta["field_sha256"])
+        fld = read_field(str(out))
+        geo = cli.read_geometry(str(out), fld.meta["field_sha256"])
         u_grid = cli.read_columns(out / TAIL_EMPIRICAL, ("u",))[0]
         sup = calibrate_tails(fld, geo, u_grid).sup_moments
         p, value, flags = cli.read_columns(out / MOMENTS_SUP, ("p", "value", "low_confidence"))
@@ -378,13 +380,13 @@ class TestPipeline:
         out.mkdir()
         assert cli.stage_run(cfg, str(out)) == 0
         distance = (out / DISTANCE).read_bytes()
-        before = read_field(str(out), "test")
+        before = read_field(str(out))
         lines = (out / FIELD).read_text().splitlines()
         cells = lines[1].split(",")
         assert int(cells[0]) > 1  # the edited row stands for several replications
         lines[1] = ",".join(cells[:1] + ["5.0"] + cells[2:])
         (out / FIELD).write_text("\n".join(lines) + "\n")
-        after = read_field(str(out), "test")
+        after = read_field(str(out))
         assert after.values[0, 0] == 5.0
         assert np.array_equal(after.values[0, 1:], before.values[0, 1:])
         assert np.array_equal(after.values[1:], before.values[1:])
@@ -553,7 +555,7 @@ class TestPipeline:
         out = copy_artifacts(smoke_run[1], tmp_path / how)
         lines = damage_field((out / FIELD).read_text().splitlines(), how)
         (out / FIELD).write_text("\n".join(lines) + "\n")
-        for stage in ("entropy", "bounds"):
+        for stage in ("bounds", "entropy"):  # a failed entropy leaves bounds no geometry
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert main([stage, smoke_cfg, "--out", str(out)]) == 1, stage
@@ -607,14 +609,14 @@ class TestPipeline:
         (out / DISTANCE).write_text("".join(line + "\n" for line in lines))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cli.read_distance(str(out), "test").diameter == 1e308
+            assert cli.read_distance(str(out)).diameter == 1e308
 
     @pytest.mark.parametrize("degree", ["x", "2.5", "-2"])
     def test_corrupt_field_degree_exits_1_naming_it(
         self, smoke_cfg, smoke_run, tmp_path, capsys, degree
     ):
         # entropy lifts by the degree field_meta.txt records; one that is not a nonnegative
-        # integer fails naming the file and the key, and entropy writes nothing
+        # integer fails naming the file and the key, and entropy leaves none of its outputs
         out = copy_artifacts(smoke_run[1], tmp_path / "degree")
         lines = (out / FIELD_META).read_text().splitlines()
         assert "degree = 2" in lines
@@ -624,7 +626,7 @@ class TestPipeline:
         assert main(["entropy", smoke_cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert FIELD_META in err and "'degree'" in err
-        assert read_artifacts(out) == before
+        assert read_artifacts(out) == without(before, ENTROPY_OUTPUTS)
 
     @pytest.mark.parametrize(
         "key, spec",
@@ -788,8 +790,8 @@ class TestPipeline:
         # integral are ordered on the 5-point smoke index
         _rc, out = smoke_run
         summary = key_values(out / ENTROPY_SUMMARY)
-        geo = cli.read_geometry(str(out), "bounds", summary["field_sha256"])
-        space = cli.read_distance(str(out), "test")
+        geo = cli.read_geometry(str(out), summary["field_sha256"])
+        space = cli.read_distance(str(out))
         assert space.size == 5
         eps = entropy.default_eps_grid(space)
         assert eps.tolist() == cli.read_columns(out / ENTROPY, ("eps",))[0].tolist()
@@ -895,21 +897,22 @@ class TestPipeline:
         rc = main(["entropy", smoke_cfg, "--out", str(out), "--set", "kernel.degree=2"])
         assert rc == 1
         assert f"{FIELD_META}: missing or bad 'degree'" in capsys.readouterr().err
-        assert read_artifacts(out) == before
+        assert read_artifacts(out) == without(before, ENTROPY_OUTPUTS)
 
     @pytest.mark.parametrize("stage", ["entropy", "bounds"])
     def test_missing_field_meta_exits_1_naming_it(
         self, smoke_cfg, smoke_run, tmp_path, capsys, stage
     ):
-        # field_meta.txt is a required input of every stage that reads the field; a failed
-        # bounds leaves none of its own outputs
+        # field_meta.txt is a required input of every stage that reads the field; the failed
+        # stage leaves none of its own outputs
         out = copy_artifacts(smoke_run[1], tmp_path / "nometa")
         os.remove(out / FIELD_META)
         before = read_artifacts(out)
         assert main([stage, smoke_cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert FIELD_META in err and "earlier stage" in err
-        assert read_artifacts(out) == without(before, BOUNDS_OUTPUTS if stage == "bounds" else ())
+        outputs = BOUNDS_OUTPUTS if stage == "bounds" else ENTROPY_OUTPUTS
+        assert read_artifacts(out) == without(before, outputs)
 
     @pytest.mark.parametrize("setting", [
         "grids.u=quantile:0.5:1:12",
@@ -993,7 +996,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("setting, code", [
         ("psi.family=exp_power psi.coef=350 psi.expo=1", 0),
-        ("kernel.name=sum kernel.degree=800 run.n=801", 1),
+        ("kernel.name=sum kernel.degree=800 run.n=801 run.reps=50", 1),
         ("kernel.name=sum kernel.degree=700 run.n=701", 0),
         ("psi.family=exp_power psi.coef=353 psi.expo=1", 0),
     ], ids=["largest_coef_below_overflow", "natural_lift_overflows", "natural_lift_below_overflow",
@@ -1003,7 +1006,8 @@ class TestPipeline:
     ):
         # under the natural envelope only the data tell whether the integrand lifted by the
         # kernel's degree passes the largest double: entropy then exits 1 with one error line,
-        # after simulate wrote; a configured envelope just under run's refusal finishes
+        # after simulate wrote, and run leaves none of its outputs; a configured envelope just
+        # under run's refusal finishes
         out = tmp_path / "overflow"
         cfg = other_kernel_cfg if "kernel.name" in setting else smoke_cfg
         assert main(["run", cfg, "--out", str(out)] + overrides(setting)) == code
@@ -1013,12 +1017,12 @@ class TestPipeline:
         else:
             assert err.startswith("error: the entropy integral overflows a double")
             assert err.count("\n") == 1
-            assert sorted(os.listdir(out)) == sorted([FIELD, FIELD_META, DECOMP])
+            assert os.listdir(out) == []
 
     def test_distances_past_the_largest_double_exit_1(self, smoke_cfg, tmp_path, capsys):
         # psi(64) ~ exp(-1424) under r = -1000, so the envelope norms of column differences
         # pass the largest double: only the drawn data decide it, so entropy exits 1 with one
-        # error line and no warning after simulate wrote, and no geometry artifact is written
+        # error line and no warning after simulate wrote, and run leaves none of its outputs
         out = tmp_path / "inf_distance"
         setting = "psi.family=power_log psi.m=2 psi.r=-1000"
         with warnings.catch_warnings(record=True) as caught:
@@ -1028,7 +1032,7 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "distances are NaN or past the largest double" in err
         assert err.count("\n") == 1
-        assert sorted(os.listdir(out)) == sorted([FIELD, FIELD_META, DECOMP])
+        assert os.listdir(out) == []
 
     def test_underflowing_integral_is_not_certified(self, smoke_cfg, tmp_path):
         # on grids.p = 2,2.5 the distances are finite, but every entropy integrand underflows
@@ -1070,11 +1074,7 @@ class TestPipeline:
     @pytest.mark.parametrize("edit", [None, "-5", "many", "0.5"],
                              ids=["deleted", "negative", "word", "fraction"])
     def test_verify_names_a_bad_sample_count(self, smoke_cfg, smoke_run, tmp_path, capsys, edit):
-        _, good = smoke_run
-        out = tmp_path / "recounted"
-        out.mkdir()
-        for name in (TAIL_EMPIRICAL, TAIL_UPPER, TAIL_LOWER):
-            (out / name).write_bytes((good / name).read_bytes())
+        out = copy_artifacts(smoke_run[1], tmp_path / "recounted")
         lines = (out / TAIL_EMPIRICAL).read_text().splitlines()
         assert lines[0].startswith("# samples =")
         lines[:1] = [] if edit is None else [f"# samples = {edit}"]
@@ -1088,10 +1088,7 @@ class TestPipeline:
         self, smoke_cfg, smoke_run, tmp_path, capsys, name, how
     ):
         # a bound curve that is no tail curve, or on other levels than the empirical one
-        out = tmp_path / "bound"
-        out.mkdir()
-        for file in (TAIL_EMPIRICAL, TAIL_UPPER, TAIL_LOWER):
-            (out / file).write_bytes((smoke_run[1] / file).read_bytes())
+        out = copy_artifacts(smoke_run[1], tmp_path / "bound")
         lines = (out / name).read_text().splitlines()
         assert lines[1] == "u,prob"
         if how == "prob_above_1":
@@ -1118,26 +1115,35 @@ class TestPipeline:
         assert main(["verify", smoke_cfg, "--out", str(out)]) == 1
         assert name in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stage, damage, outputs", [
-        ("verify", MOMENTS_SUP, [VERIFY_REPORT]),
-        ("bounds", ENTROPY_SUMMARY, BOUNDS_OUTPUTS),
-    ], ids=["verify_moments_row_deleted", "bounds_summary_deleted"])
+    @pytest.mark.parametrize("stage, damage, setting, outputs, missing", [
+        ("verify", MOMENTS_SUP, "", [VERIFY_REPORT], None),
+        ("bounds", ENTROPY_SUMMARY, "", BOUNDS_OUTPUTS, None),
+        ("entropy", None, "grids.p=log:70:80:3", ENTROPY_OUTPUTS, ENTROPY_SUMMARY),
+        ("simulate", None, "run.n=2", SIMULATE_OUTPUTS, FIELD),
+    ], ids=["verify_moments_row_deleted", "bounds_summary_deleted", "entropy_p_grid_refused",
+            "simulate_n_refused"])
     def test_failed_stage_leaves_none_of_its_outputs(
-        self, smoke_cfg, tmp_path, capsys, stage, damage, outputs
+        self, smoke_cfg, tmp_path, capsys, stage, damage, setting, outputs, missing
     ):
-        # a stage that exits 1 first removed what an earlier run of it wrote, so no report
-        # of that run reads as this command's
+        # a stage that exits 1 leaves none of what an earlier run of it wrote, and every other
+        # file as it was, so no report of that run reads as this command's, and a later bounds
+        # finds no geometry or field of it to certify
         out = tmp_path / "stale"
-        assert main(["run", smoke_cfg, "--out", str(out), "--set", "output.plot=true"]) == 0
+        plot = ["--out", str(out), "--set", "output.plot=true"]
+        args = plot + overrides(setting)
+        assert main(["run", smoke_cfg] + plot) == 0
         assert all((out / name).exists() for name in outputs)
-        if stage == "verify":
+        if damage == MOMENTS_SUP:
             (out / damage).write_text("".join((out / damage).read_text().splitlines(True)[:-1]))
-        else:
+        elif damage is not None:
             (out / damage).unlink()
-        assert main([stage, smoke_cfg, "--out", str(out), "--set", "output.plot=true"]) == 1
-        assert damage in capsys.readouterr().err
-        assert [name for name in outputs if (out / name).exists()] == []
-        assert (out / VERIFY_REPORT).exists() == (stage == "bounds")
+        before = read_artifacts(out)
+        assert main([stage, smoke_cfg] + args) == 1
+        assert (damage or setting.split("=")[0]) in capsys.readouterr().err
+        assert read_artifacts(out) == without(before, outputs)
+        if missing is not None:
+            assert main(["bounds", smoke_cfg] + args) == 1
+            assert f"stage 'bounds' needs {missing}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "setting, code, count, record",
@@ -1490,7 +1496,7 @@ def test_distance_codec_round_trips_bits(tmp_path, m):
     dist = upper + upper.T
     labels = [f"t{j}" for j in range(m)]
     cli.write_distance(str(tmp_path), labels, dist)
-    space = cli.read_distance(str(tmp_path), "test")
+    space = cli.read_distance(str(tmp_path))
     assert space.labels == tuple(labels)
     assert np.array_equal(space.dist.view(np.uint64), dist.view(np.uint64))
     lines = (tmp_path / DISTANCE).read_text().splitlines()
@@ -1538,7 +1544,7 @@ def test_damaged_distance_exits_1_naming_it(smoke_run, tmp_path, damage):
     lines = (out / DISTANCE).read_text().splitlines(True)
     (out / DISTANCE).write_text("".join(DISTANCE_DAMAGE[damage](lines)))
     with pytest.raises(ConfigError, match=DISTANCE):
-        cli.read_distance(str(out), "test")
+        cli.read_distance(str(out))
 
 
 FIELD_CELLS = st.sampled_from([
@@ -1567,10 +1573,10 @@ def test_field_codec_matches_table_writer(values):
             assert fh.read() == ref.read()
         if not np.isfinite(values).all():
             with pytest.raises(ConfigError, match=FIELD):
-                read_field(out, "test")
+                read_field(out)
             back = written
         else:
-            back = read_field(out, "test")
+            back = read_field(out)
     assert back.labels == written.labels == tuple(map(repr, fld.labels))
     assert back.meta == written.meta
     finite = ~np.isnan(rows)
@@ -1634,12 +1640,12 @@ def test_field_parses_each_distinct_line_once(smoke_run, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.np, "loadtxt", counted)
     n = int(key_values(smoke_run[1] / FIELD_META)["n"])
-    fld = read_field(str(smoke_run[1]), "test")
+    fld = read_field(str(smoke_run[1]))
     assert calls == [len(fld.values)] and calls[0] <= n + 1, calls
     values = np.random.default_rng(3).standard_normal((500, 4))
     write_field(str(tmp_path), FieldSamples((1.0, 2.0, 3.0, 4.0), values))
     calls.clear()
-    back = read_field(str(tmp_path), "test")
+    back = read_field(str(tmp_path))
     assert calls == [500]
     assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
 
@@ -1656,7 +1662,7 @@ def test_field_codec_spells_each_distinct_row(tmp_path, values):
     assert (tmp_path / FIELD).read_text() == (
         "count,0.0,1.0\n2,0.0,1.0\n2,-0.0,1.0\n1,1.0,-0.0\n1,1.0,0.0\n"
     )
-    back = read_field(str(tmp_path), "test")
+    back = read_field(str(tmp_path))
     for got in (written, back):
         assert got.values.tobytes() == values[[0, 1, 3, 4]].tobytes()
         assert got.counts.tolist() == [2.0, 2.0, 1.0, 1.0] and got.replications == 6
@@ -1894,7 +1900,7 @@ def test_staged_matches_run_on_every_law(name, tmp_path):
     assert run_staged(cfg, tmp_path / "staged") == [0, 0, 0, 0]
     assert read_artifacts(tmp_path / "run") == read_artifacts(tmp_path / "staged")
     # one distance row per pair of the field's index points
-    m = len(read_field(str(tmp_path / "run"), "test").labels)
+    m = len(read_field(str(tmp_path / "run")).labels)
     assert len((tmp_path / "run" / DISTANCE).read_text().splitlines()) == 2 + m * (m - 1) // 2
     # verify re-derives psi from the field under the natural envelope alone
     natural = key_values(tmp_path / "run" / PSI_USED)["psi"].startswith("tabulated ")
@@ -1904,16 +1910,53 @@ def test_staged_matches_run_on_every_law(name, tmp_path):
 
 def test_shared_directory_holds_each_configs_artifacts(tmp_path):
     # a run into a directory an earlier config wrote leaves what a run into an empty one
-    # leaves: the optional decomposition, lower curve and plot of the earlier config go
+    # leaves: the optional decomposition, lower curve and plot of the earlier config go, and
+    # a run that fails leaves none of its outputs
     shared = tmp_path / "shared"
     for name, text in REACH_CONFIGS.items():
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(REACH_BASE + text)
-        before = read_artifacts(shared) if shared.exists() else {}
         code = main(["run", str(cfg), "--out", str(shared)])
         assert code == main(["run", str(cfg), "--out", str(tmp_path / name)]), name
-        want = before if code == 1 else read_artifacts(tmp_path / name)
+        want = {} if code == 1 else read_artifacts(tmp_path / name)
         assert read_artifacts(shared) == want, name
+
+
+@pytest.mark.parametrize("name", ["smoke", *REACH_CONFIGS])
+def test_commands_write_only_the_files_they_own(name, tmp_path):
+    # run, and each command run on its own, creates, changes or removes no file but those
+    # cli.FILES lists as its outputs: main removes exactly those when a command fails
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(SMOKE if name == "smoke" else REACH_BASE + REACH_CONFIGS[name])
+    for commands in (["run"], ["simulate", "entropy", "bounds", "verify"], ["decompose"]):
+        out = tmp_path / commands[0]
+        out.mkdir()
+        for command in commands:
+            before = read_artifacts(out)
+            with contextlib.redirect_stderr(io.StringIO()):
+                main([command, str(cfg), "--out", str(out)])
+            after = read_artifacts(out)
+            touched = {f for f in before.keys() | after.keys() if before.get(f) != after.get(f)}
+            assert touched <= set(cli.FILES[command][0]), (command, touched)
+
+
+def test_schema_headings_are_the_file_table():
+    # each `## <files> (<commands ...>)` heading of SCHEMA.md names the commands that write
+    # those files; together the headings give each command the outputs cli.FILES gives it,
+    # and run writes what its four stages write
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "SCHEMA.md")) as fh:
+        headings = re.findall(r"^## (.+) \((.+)\)$", fh.read(), re.M)
+    commands = set(cli.FILES) - {"run"}
+    written = {command: set() for command in commands}
+    for files, writers in headings:
+        named = commands & set(re.findall(r"\w+", writers))
+        assert named, files
+        for command in named:
+            written[command].update(files.split(", "))
+    assert written == {command: set(cli.FILES[command][0]) for command in commands}
+    stages = ("simulate", "entropy", "bounds", "verify")
+    assert sorted(cli.FILES["run"][0]) == sorted(set().union(*map(written.get, stages)))
 
 
 def test_every_key_is_read_by_some_reach_run(tmp_path, monkeypatch):
@@ -2014,7 +2057,7 @@ def test_every_function_is_on_the_pipeline_or_library_only(tmp_path):
         return None
 
     codes = {}
-    # one directory for all: a later config's bounds removes the lower curve an earlier wrote
+    # one directory for all: a later command removes the outputs an earlier one wrote
     out = str(tmp_path / "out")
     sys.settrace(trace)
     try:
@@ -2103,7 +2146,7 @@ def test_benchmark_gate_passes(name, tmp_path, monkeypatch):
         assert columns == 1
         assert share == pytest.approx(1.0, abs=1e-12)
         assert uniformity == pytest.approx(1.0, abs=1e-12)
-    space = cli.read_distance(str(out), "bounds")
+    space = cli.read_distance(str(out))
     eps = entropy.default_eps_grid(space)
     counts = entropy._packing_counts(space, eps)
     assert counts.tolist() == [packing_count(space, e) for e in eps]
